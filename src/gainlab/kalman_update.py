@@ -109,8 +109,22 @@ def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     noise covariances are SPD. No SPD validation is performed here; consumers
     that factorize the output (log-determinant, inverse) surface degeneracy
     as NotPositiveDefinite at that point.
+
+    The gain is validated against the problem on every call. The optimizer
+    skips that check: it evaluates the same formula through a trusted kernel
+    that validates each iterate only for finiteness.
     """
     gain = problem.check_gain(gain)
-    ikh = np.eye(problem.state_dim) - gain @ problem.obs_op
+    return _joseph_form(problem, gain, np.eye(problem.state_dim))
+
+
+def _joseph_form(problem: FilterProblem, gain: np.ndarray,
+                 identity: np.ndarray) -> np.ndarray:
+    """The Joseph update of a gain already checked against ``problem``.
+
+    ``identity`` is the (n, n) identity, passed in so that callers evaluating
+    many gains build it once.
+    """
+    ikh = identity - gain @ problem.obs_op
     updated = ikh @ problem.prior @ ikh.T + gain @ problem.obs_noise @ gain.T
     return matrix_core.symmetrize(updated)

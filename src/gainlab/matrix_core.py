@@ -81,13 +81,21 @@ def cholesky(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
         If factorization breaks down or any pivot is at or below ``pd_tol``,
         signalling that the input is not a valid covariance.
     """
-    a = check_symmetric(a)
+    return _cholesky_factor(check_symmetric(a), pd_tol)
+
+
+def _cholesky_factor(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
+    """Cholesky factor of a matrix already known to be finite and symmetric.
+
+    The trusted core of :func:`cholesky`: no input checks, the same
+    breakdown handling and the same pivot floor.
+    """
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    pivots = np.diag(factor)
-    if np.any(pivots <= pd_tol):
+    pivots = factor.diagonal()
+    if (pivots <= pd_tol).any():
         raise NotPositiveDefinite(
             f"Cholesky pivot {float(pivots.min()):.3e} at or below floor {pd_tol:g}")
     return factor
@@ -112,8 +120,12 @@ def log_det(a: np.ndarray) -> float:
     Summing logs of the pivots avoids the overflow/underflow a det-then-log
     evaluation would hit on ill-conditioned inputs.
     """
-    factor = cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return _log_det_of_factor(cholesky(a))
+
+
+def _log_det_of_factor(factor: np.ndarray) -> float:
+    """Log-determinant of ``L @ L.T`` from the pivots of its Cholesky factor L."""
+    return 2.0 * float(np.log(factor.diagonal()).sum())
 
 
 def det(a: np.ndarray) -> float:

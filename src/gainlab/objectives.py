@@ -64,9 +64,13 @@ def differential_entropy(problem: FilterProblem, gain: np.ndarray) -> float:
     entropies are meaningful; differences between gains still depend only on
     the log-determinant term.
     """
-    n = problem.state_dim
-    constant = 0.5 * n * math.log(2.0 * math.pi * math.e)
-    return constant + 0.5 * log_generalized_variance(problem, gain)
+    return _entropy(problem.state_dim, log_generalized_variance(problem, gain))
+
+
+def _entropy(state_dim: int, logdet: float) -> float:
+    """Gaussian entropy in dimension ``state_dim`` from the covariance's log-det."""
+    constant = 0.5 * state_dim * math.log(2.0 * math.pi * math.e)
+    return constant + 0.5 * logdet
 
 
 _EVALUATORS = {
@@ -126,11 +130,34 @@ def logdet_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     oracle arbitrates correctness.
     """
     k = problem.check_gain(gain)
-    posterior = joseph_update(problem, k)
-    factor = matrix_core.cholesky(posterior)
+    factor = matrix_core.cholesky(joseph_update(problem, k))
+    return _logdet_gradient(factor, _trace_gradient(k, *_gradient_terms(problem)))
+
+
+def _gradient_terms(problem: FilterProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``P H.T`` and ``H (P H.T) + R``: the gain-free terms of both gradients.
+
+    The second term is left unsymmetrized, unlike
+    :func:`~gainlab.kalman_update.innovation_covariance`, which also
+    associates its products differently.
+    """
     ph_t = problem.prior @ problem.obs_op.T
-    inner = 2.0 * (k @ (problem.obs_op @ ph_t + problem.obs_noise) - ph_t)
-    return cho_solve((factor, True), inner)
+    return ph_t, problem.obs_op @ ph_t + problem.obs_noise
+
+
+def _trace_gradient(gain: np.ndarray, ph_t: np.ndarray,
+                    gram: np.ndarray) -> np.ndarray:
+    """Total-variance gradient ``2 K (H P H.T + R) - 2 P H.T`` from its terms."""
+    return 2.0 * (gain @ gram - ph_t)
+
+
+def _logdet_gradient(factor: np.ndarray, trace_grad: np.ndarray) -> np.ndarray:
+    """Log-det gradient: the trace gradient solved against the posterior.
+
+    ``factor`` is the finite Cholesky factor of the posterior at the same
+    gain, so the solve skips scipy's finiteness check.
+    """
+    return cho_solve((factor, True), trace_grad, check_finite=False)
 
 
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,

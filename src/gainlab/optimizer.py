@@ -8,13 +8,14 @@ spectral estimate and are safeguarded by Armijo backtracking; see
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from . import objectives
+from . import matrix_core, objectives
 from .exceptions import InvalidParameter, LineSearchFailed, NotPositiveDefinite
-from .kalman_update import FilterProblem, analytic_gain, innovation_covariance
+from .kalman_update import (FilterProblem, _joseph_form, analytic_gain,
+                            innovation_covariance)
 from .matrix_core import frobenius_norm
 from .objectives import ObjectiveKind
 
@@ -98,8 +99,7 @@ def trace_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     trace and determinant objectives share their minimizer.
     """
     k = problem.check_gain(gain)
-    ph_t = problem.prior @ problem.obs_op.T
-    return 2.0 * (k @ (problem.obs_op @ ph_t + problem.obs_noise) - ph_t)
+    return objectives._trace_gradient(k, *objectives._gradient_terms(problem))
 
 
 def _entropy_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
@@ -130,6 +130,56 @@ def stationarity_residual(problem: FilterProblem, gain: np.ndarray) -> float:
     k = problem.check_gain(gain)
     residual = k @ innovation_covariance(problem) - problem.prior @ problem.obs_op.T
     return frobenius_norm(residual)
+
+
+class _Kernel:
+    """Trusted value and gradient of one objective on one problem.
+
+    Built once per minimization; it caches the identity, ``P H.T`` and
+    ``H (P H.T) + R``. It evaluates the same private formulas as the public
+    functions but skips the checks that cannot fail on an optimizer iterate:
+    the problem was validated by :class:`FilterProblem`, every iterate has
+    the problem's gain shape, and the symmetrized posterior is exactly
+    symmetric. What it keeps: a non-finite gain, or a non-finite posterior
+    on the log-det and entropy paths, raises InvalidParameter; a posterior
+    whose Cholesky factorization breaks down or has a pivot at or below
+    ``PD_TOL`` raises NotPositiveDefinite.
+    """
+
+    def __init__(self, problem: FilterProblem, kind: ObjectiveKind):
+        self._problem = problem
+        self._kind = kind
+        self._identity = np.eye(problem.state_dim)
+        self._ph_t, self._gram = objectives._gradient_terms(problem)
+
+    def value(self, gain: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+        """Objective at ``gain`` and the posterior's Cholesky factor.
+
+        The factor is None for the total variance, which needs none.
+        """
+        if not np.isfinite(gain).all():
+            raise InvalidParameter("gain contains non-finite entries")
+        posterior = _joseph_form(self._problem, gain, self._identity)
+        if self._kind is ObjectiveKind.TOTAL_VARIANCE:
+            return matrix_core.trace(posterior), None
+        if not np.isfinite(posterior).all():
+            raise InvalidParameter("matrix contains non-finite entries")
+        factor = matrix_core._cholesky_factor(posterior)
+        logdet = matrix_core._log_det_of_factor(factor)
+        if self._kind is ObjectiveKind.LOG_GENERALIZED_VARIANCE:
+            return logdet, factor
+        return objectives._entropy(self._problem.state_dim, logdet), factor
+
+    def gradient(self, gain: np.ndarray,
+                 factor: Optional[np.ndarray]) -> np.ndarray:
+        """Gradient at ``gain``, reusing the factor :meth:`value` returned there."""
+        grad = objectives._trace_gradient(gain, self._ph_t, self._gram)
+        if self._kind is ObjectiveKind.TOTAL_VARIANCE:
+            return grad
+        grad = objectives._logdet_gradient(factor, grad)
+        if self._kind is ObjectiveKind.LOG_GENERALIZED_VARIANCE:
+            return grad
+        return 0.5 * grad
 
 
 def _initial_gain(problem: FilterProblem, config: OptimizerConfig) -> np.ndarray:
@@ -172,18 +222,23 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     region without a formal barrier. Convergence is declared on the gradient
     norm, not on objective change.
 
+    Objectives and gradients are evaluated through a trusted kernel built
+    once per call rather than through the validating public functions: each
+    trial step costs one Joseph update and, for the log-det and entropy, one
+    Cholesky factorization with the same pivot floor, and the accepted
+    step's factor is reused for its gradient. Values and iterates are
+    bit-for-bit those of the public functions.
+
     Raises
     ------
     LineSearchFailed
         If no acceptable step exists above 1e-16, signalling a numerically
         pathological instance.
     """
-    value = objectives._EVALUATORS[kind]
-    grad_fn = _GRADIENTS[kind]
-
+    kernel = _Kernel(problem, kind)
     gain = _initial_gain(problem, config)
-    val = value(problem, gain)
-    grad = grad_fn(problem, gain)
+    val, factor = kernel.value(gain)
+    grad = kernel.gradient(gain, factor)
     gnorm = frobenius_norm(grad)
     trajectory = [gnorm]
     recent_vals = [val]
@@ -207,17 +262,17 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
         reference = max(recent_vals)
         slack = 8.0 * _EPS * (1.0 + abs(reference))
         t = step
-        candidate = cand_val = None
+        candidate = cand_val = cand_factor = None
         while t >= _MIN_STEP:
             trial = gain - t * grad
             try:
-                trial_val = value(problem, trial)
+                trial_val, trial_factor = kernel.value(trial)
             except NotPositiveDefinite:
                 t *= config.backtrack_factor
                 continue
             needed = config.armijo_c * t * gnorm * gnorm
             if trial_val <= reference - needed + slack:
-                candidate, cand_val = trial, trial_val
+                candidate, cand_val, cand_factor = trial, trial_val, trial_factor
                 break
             t *= config.backtrack_factor
         if candidate is None:
@@ -227,7 +282,7 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
 
         prev_gain, prev_grad = gain, grad
         gain, val = candidate, cand_val
-        grad = grad_fn(problem, gain)
+        grad = kernel.gradient(gain, cand_factor)
         gnorm = frobenius_norm(grad)
         trajectory.append(gnorm)
         recent_vals.append(val)

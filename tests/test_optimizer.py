@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from gainlab import objectives
 from gainlab.exceptions import InvalidParameter, LineSearchFailed, NotPositiveDefinite
-from gainlab.kalman_update import analytic_gain
+from gainlab.kalman_update import FilterProblem, analytic_gain
 from gainlab.objectives import ObjectiveKind, evaluate_objective, finite_difference_gradient
-from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
-                               minimize_objective, stationarity_residual,
-                               trace_gradient)
+from gainlab.optimizer import (OptimizerConfig, _Kernel, cross_objective_equivalence,
+                               minimize_objective, objective_gradient,
+                               stationarity_residual, trace_gradient)
 from gainlab.experiment import make_problem
 
 from conftest import seeded_gain, seeded_problem
@@ -123,14 +122,51 @@ class TestMinimizeObjective:
 
     def test_line_search_failure_is_reported(self, scalar_problem, monkeypatch):
         calls = {"n": 0}
-        def poisoned(problem, gain):
+        evaluate = _Kernel.value
+        def poisoned(kernel, gain):
             calls["n"] += 1
             if calls["n"] == 1:
-                return objectives.log_generalized_variance(problem, gain)
+                return evaluate(kernel, gain)
             raise NotPositiveDefinite("poisoned evaluation")
-        monkeypatch.setitem(objectives._EVALUATORS, LOGDET, poisoned)
+        monkeypatch.setattr(_Kernel, "value", poisoned)
         with pytest.raises(LineSearchFailed):
             minimize_objective(scalar_problem, LOGDET)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_bit_identical_to_public_functions(self, kind):
+        # the optimizer's iterates and reports depend on this equality
+        for trial in range(30):
+            max_dim = 1 if trial < 3 else 8
+            problem = seeded_problem(trial, master_seed=139, max_dim=max_dim)
+            gain = seeded_gain(problem, trial, master_seed=149)
+            kernel = _Kernel(problem, kind)
+            value, factor = kernel.value(gain)
+            assert value == evaluate_objective(problem, gain, kind)
+            np.testing.assert_array_equal(kernel.gradient(gain, factor),
+                                          objective_gradient(problem, gain, kind))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_gain(self, bad):
+        problem = seeded_problem(2, master_seed=151)
+        gain = np.zeros((problem.state_dim, problem.obs_dim))
+        gain[-1, 0] = bad
+        for kind in ObjectiveKind:
+            with pytest.raises(InvalidParameter):
+                _Kernel(problem, kind).value(gain)
+
+    def test_rejects_posterior_that_is_not_spd(self):
+        # 1e18 + 1.01 rounds to 1e18, so the posterior's Schur complement
+        # cancels to zero although it is SPD in exact arithmetic
+        problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                                obs_noise=[[1e-20]])
+        gain = np.array([[0.0], [1e9]])
+        for kind in (LOGDET, ENTROPY):
+            with pytest.raises(NotPositiveDefinite):
+                evaluate_objective(problem, gain, kind)
+            with pytest.raises(NotPositiveDefinite):
+                _Kernel(problem, kind).value(gain)
 
 
 class TestTraceGradient:

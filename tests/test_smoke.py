@@ -1,0 +1,33 @@
+"""Smoke tests for the code outside the package that drives it: demos, benchmark."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_benchmark_modules_import(monkeypatch):
+    # layers.py resolves every traced library function when it is imported,
+    # so a renamed or moved function stops every benchmark run at start-up
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    for name in ("layers", "workloads", "machine"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    assert all(callable(fn) for fn in layers.SPAN_FUNCTIONS)
+    assert "default_4x3" in workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
