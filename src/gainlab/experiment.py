@@ -9,9 +9,9 @@ and the trial index, giving independent streams under any parallel schedule.
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem
 from .matrix_core import random_spd
 from .objectives import ObjectiveKind, evaluate_objective
-from .optimizer import OptimizerConfig, cross_objective_equivalence, stationarity_residual
+from .optimizer import (EquivalenceReport, OptimizerConfig, equivalence_batch,
+                        stationarity_residual)
 
 __all__ = [
     "ExperimentConfig",
@@ -46,6 +47,9 @@ CSV_HEADER = ("trial_index,seed_used,gain_distance_logdet,gain_distance_trace,"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Trials per chunk of run_experiment, at most.
+_CHUNK_TRIALS = 50
 
 _KIND_ORDER = (ObjectiveKind.LOG_GENERALIZED_VARIANCE,
                ObjectiveKind.TOTAL_VARIANCE,
@@ -163,34 +167,64 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
     """Run one seeded trial; exceptions become a failed record with its seed."""
-    seed = mix_seed(config.master_seed, index)
-    try:
-        problem = make_problem(config.state_dim, config.obs_dim, seed,
-                               config.cond_target)
-        equivalence = cross_objective_equivalence(problem,
-                                                  config.optimizer_config())
-        reference = equivalence.analytic
-        at_analytic = {kind.short_name: evaluate_objective(problem, reference, kind)
-                       for kind in _KIND_ORDER}
-        return TrialRecord(
-            trial_index=index,
-            seed_used=seed,
-            gain_distance_logdet=equivalence.distance_to_analytic[
-                ObjectiveKind.LOG_GENERALIZED_VARIANCE],
-            gain_distance_trace=equivalence.distance_to_analytic[
-                ObjectiveKind.TOTAL_VARIANCE],
-            gain_distance_entropy=equivalence.distance_to_analytic[
-                ObjectiveKind.DIFFERENTIAL_ENTROPY],
-            stationarity_residual=stationarity_residual(problem, reference),
-            objective_at_analytic=at_analytic,
-            iterations={kind.short_name: equivalence.reports[kind].iterations
-                        for kind in _KIND_ORDER},
-            converged={kind.short_name: equivalence.reports[kind].converged
-                       for kind in _KIND_ORDER},
-        )
-    except GainlabError as exc:
-        return TrialRecord(trial_index=index, seed_used=seed, failed=True,
-                           error=f"{type(exc).__name__}: {exc}")
+    return _run_chunk(config, [index])[0]
+
+
+def _run_chunk(config: ExperimentConfig,
+               indices: Sequence[int]) -> list[TrialRecord]:
+    """Run the trials ``indices``, with all their minimizations in one batch.
+
+    A trial that raises becomes a failed record and leaves the other trials'
+    records unchanged.
+    """
+    seeds = {index: mix_seed(config.master_seed, index) for index in indices}
+    records = {}
+    problems = {}
+    for index, seed in seeds.items():
+        try:
+            problems[index] = make_problem(config.state_dim, config.obs_dim,
+                                           seed, config.cond_target)
+        except GainlabError as exc:
+            records[index] = _failed_record(index, seed, exc)
+    outcomes = equivalence_batch(list(problems.values()),
+                                 config.optimizer_config())
+    for (index, problem), outcome in zip(problems.items(), outcomes):
+        seed = seeds[index]
+        try:
+            if isinstance(outcome, GainlabError):
+                raise outcome
+            records[index] = _trial_record(index, seed, problem, outcome)
+        except GainlabError as exc:
+            records[index] = _failed_record(index, seed, exc)
+    return [records[index] for index in indices]
+
+
+def _failed_record(index: int, seed: int, exc: GainlabError) -> TrialRecord:
+    return TrialRecord(trial_index=index, seed_used=seed, failed=True,
+                       error=f"{type(exc).__name__}: {exc}")
+
+
+def _trial_record(index: int, seed: int, problem: FilterProblem,
+                  equivalence: EquivalenceReport) -> TrialRecord:
+    reference = equivalence.analytic
+    at_analytic = {kind.short_name: evaluate_objective(problem, reference, kind)
+                   for kind in _KIND_ORDER}
+    return TrialRecord(
+        trial_index=index,
+        seed_used=seed,
+        gain_distance_logdet=equivalence.distance_to_analytic[
+            ObjectiveKind.LOG_GENERALIZED_VARIANCE],
+        gain_distance_trace=equivalence.distance_to_analytic[
+            ObjectiveKind.TOTAL_VARIANCE],
+        gain_distance_entropy=equivalence.distance_to_analytic[
+            ObjectiveKind.DIFFERENTIAL_ENTROPY],
+        stationarity_residual=stationarity_residual(problem, reference),
+        objective_at_analytic=at_analytic,
+        iterations={kind.short_name: equivalence.reports[kind].iterations
+                    for kind in _KIND_ORDER},
+        converged={kind.short_name: equivalence.reports[kind].converged
+                   for kind in _KIND_ORDER},
+    )
 
 
 def _summarize(records: list[TrialRecord]) -> SummaryRecord:
@@ -212,63 +246,42 @@ def _summarize(records: list[TrialRecord]) -> SummaryRecord:
     return summary
 
 
+def _chunks(trials: int, workers: int) -> list[range]:
+    """Contiguous chunks of the trial indices, near-equal in size.
+
+    There are at least as many chunks as workers, up to one per trial, and
+    no chunk has more than ``_CHUNK_TRIALS`` trials, which bounds the memory
+    a chunk's batch holds.
+    """
+    count = max(min(workers, trials), -(-trials // _CHUNK_TRIALS))
+    size, extra = divmod(trials, count)
+    bounds = [0]
+    for chunk in range(count):
+        bounds.append(bounds[-1] + size + (chunk < extra))
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials and summarize.
 
-    ``workers`` only controls scheduling: trials are independent, records are
-    ordered by index, and the result is identical for any worker count.
+    Trials run in contiguous chunks, each minimized as one lockstep batch,
+    on at most ``workers`` processes and never more processes than chunks.
+    ``workers`` only controls scheduling: a trial's record does not depend
+    on its chunk, records are ordered by index, and the result is identical
+    for any worker count.
     """
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
-    indices = range(config.trials)
-    if workers == 1:
-        records = [run_trial(config, i) for i in indices]
+    chunks = _chunks(config.trials, workers)
+    processes = min(workers, len(chunks))
+    if processes == 1:
+        parts = [_run_chunk(config, chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(partial(run_trial, config), indices))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            parts = list(pool.map(partial(_run_chunk, config), chunks))
+    records = [record for part in parts for record in part]
     return ExperimentResult(config=config, trials=records,
                             summary=_summarize(records))
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    # output_path is deliberately omitted so report content does not depend
-    # on where it is written.
-    return {
-        "state_dim": config.state_dim,
-        "obs_dim": config.obs_dim,
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "cond_target": config.cond_target,
-        "grad_tol": config.grad_tol,
-        "max_iters": config.max_iters,
-        "output_format": config.output_format,
-    }
-
-
-def _trial_dict(record: TrialRecord) -> dict:
-    return {
-        "trial_index": record.trial_index,
-        "seed_used": record.seed_used,
-        "failed": record.failed,
-        "error": record.error,
-        "gain_distance_logdet": record.gain_distance_logdet,
-        "gain_distance_trace": record.gain_distance_trace,
-        "gain_distance_entropy": record.gain_distance_entropy,
-        "stationarity_residual": record.stationarity_residual,
-        "objective_at_analytic": record.objective_at_analytic,
-        "iterations": record.iterations,
-        "converged": record.converged,
-    }
-
-
-def _summary_dict(summary: SummaryRecord) -> dict:
-    return {
-        "trials": summary.trials,
-        "failures": summary.failures,
-        "max_gain_distance": summary.max_gain_distance,
-        "mean_gain_distance": summary.mean_gain_distance,
-        "max_stationarity_residual": summary.max_stationarity_residual,
-    }
 
 
 def _float_cell(value: Optional[float]) -> str:
@@ -303,10 +316,13 @@ def render_report(result: ExperimentResult) -> str:
     if not result.trials:
         raise InvalidParameter("cannot render a report with no trial records")
     if result.config.output_format == "json":
+        config = asdict(result.config)
+        # Report content must not depend on where the report is written.
+        del config["output_path"]
         payload = {
-            "config": _config_dict(result.config),
-            "trials": [_trial_dict(r) for r in result.trials],
-            "summary": _summary_dict(result.summary),
+            "config": config,
+            "trials": [asdict(r) for r in result.trials],
+            "summary": asdict(result.summary),
         }
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines = [CSV_HEADER]

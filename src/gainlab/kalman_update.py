@@ -111,8 +111,8 @@ def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     as NotPositiveDefinite at that point.
 
     The gain is validated against the problem on every call. The optimizer
-    skips that check: it evaluates the same formula through a trusted kernel
-    that validates each iterate only for finiteness.
+    skips that check: it evaluates the same formula on its stacked iterates,
+    which it validates only for finiteness.
     """
     gain = problem.check_gain(gain)
     return _joseph_form(problem, gain, np.eye(problem.state_dim))
@@ -122,9 +122,14 @@ def _joseph_form(problem: FilterProblem, gain: np.ndarray,
                  identity: np.ndarray) -> np.ndarray:
     """The Joseph update of a gain already checked against ``problem``.
 
-    ``identity`` is the (n, n) identity, passed in so that callers evaluating
-    many gains build it once.
+    ``problem`` may also be a stack of problems: any object whose ``prior``,
+    ``obs_op`` and ``obs_noise`` are (B, n, n), (B, m, n) and (B, m, m)
+    arrays, with ``gain`` a (B, n, m) stack. Each row of the result equals
+    the update of that row on its own, bit for bit. ``identity`` is the
+    (n, n) identity, passed in so that callers evaluating many gains build it
+    once.
     """
     ikh = identity - gain @ problem.obs_op
-    updated = ikh @ problem.prior @ ikh.T + gain @ problem.obs_noise @ gain.T
-    return matrix_core.symmetrize(updated)
+    updated = (ikh @ problem.prior @ ikh.swapaxes(-1, -2)
+               + gain @ problem.obs_noise @ gain.swapaxes(-1, -2))
+    return matrix_core._symmetrize(updated)

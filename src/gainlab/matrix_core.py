@@ -101,6 +101,34 @@ def _cholesky_factor(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
     return factor
 
 
+def _cholesky_factors(a: np.ndarray, pd_tol: float = PD_TOL,
+                      ) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
+    """:func:`_cholesky_factor` of each matrix in a (B, n, n) stack.
+
+    Returns the stacked factors and the failures: a map from each row that
+    breaks down or has a pivot at or below ``pd_tol`` to the
+    NotPositiveDefinite that :func:`_cholesky_factor` raises for it; such a
+    row's factor is NaN. A stacked factorization raises for the whole stack
+    when any one row breaks down, so on that rare path, and when a pivot is
+    too low, the rows are factored one at a time. Every factor equals the
+    one its row gets on its own, bit for bit.
+    """
+    try:
+        factors = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        factors = None
+    if factors is not None and (factors.diagonal(0, -2, -1) > pd_tol).all():
+        return factors, {}
+    factors = np.full_like(a, np.nan)
+    failures = {}
+    for row, matrix in enumerate(a):
+        try:
+            factors[row] = _cholesky_factor(matrix, pd_tol)
+        except NotPositiveDefinite as exc:
+            failures[row] = exc
+    return factors, failures
+
+
 def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Check the covariance-matrix invariants (symmetry, positive definiteness).
 
@@ -120,12 +148,16 @@ def log_det(a: np.ndarray) -> float:
     Summing logs of the pivots avoids the overflow/underflow a det-then-log
     evaluation would hit on ill-conditioned inputs.
     """
-    return _log_det_of_factor(cholesky(a))
+    return float(_log_det_of_factor(cholesky(a)))
 
 
-def _log_det_of_factor(factor: np.ndarray) -> float:
-    """Log-determinant of ``L @ L.T`` from the pivots of its Cholesky factor L."""
-    return 2.0 * float(np.log(factor.diagonal()).sum())
+def _log_det_of_factor(factor: np.ndarray):
+    """Log-determinant of ``L @ L.T`` from the pivots of its Cholesky factor L.
+
+    ``factor`` may be one factor or a stack of them; a stack gives one
+    log-determinant per row.
+    """
+    return 2.0 * np.log(factor.diagonal(0, -2, -1)).sum(axis=-1)
 
 
 def det(a: np.ndarray) -> float:
@@ -145,14 +177,22 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
 def trace(a: np.ndarray) -> float:
     """Sum of the diagonal entries of a square matrix."""
-    a = check_square(a)
-    return float(np.trace(a))
+    return float(_trace(check_square(a)))
+
+
+def _trace(a: np.ndarray):
+    """Trace of a square matrix, or of each matrix in a stack."""
+    return a.diagonal(0, -2, -1).sum(axis=-1)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Arithmetic mean of a square matrix and its transpose; idempotent."""
-    a = check_square(a)
-    return (a + a.T) / 2.0
+    return _symmetrize(check_square(a))
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """:func:`symmetrize` of a square matrix, or of each matrix in a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def frobenius_norm(a: np.ndarray) -> float:

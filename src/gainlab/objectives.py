@@ -125,13 +125,15 @@ def logdet_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     """Analytic gradient of the log-determinant objective with respect to the gain.
 
     Evaluates ``inv(P_posterior) @ (2 K H P H.T + 2 K R - 2 P H.T)``, shape
-    (n, m). The inverse factor is applied via a Cholesky solve and is kept
-    un-symmetrized, exactly as the closed form states it; the finite-difference
-    oracle arbitrates correctness.
+    (n, m). The posterior is Cholesky-validated, and the inverse is applied
+    by a linear solve and kept un-symmetrized, exactly as the closed form
+    states it; the finite-difference oracle arbitrates correctness.
     """
     k = problem.check_gain(gain)
-    factor = matrix_core.cholesky(joseph_update(problem, k))
-    return _logdet_gradient(factor, _trace_gradient(k, *_gradient_terms(problem)))
+    posterior = joseph_update(problem, k)
+    matrix_core.cholesky(posterior)
+    return _logdet_gradient(posterior,
+                            _trace_gradient(k, *_gradient_terms(problem)))
 
 
 def _gradient_terms(problem: FilterProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -139,9 +141,10 @@ def _gradient_terms(problem: FilterProblem) -> tuple[np.ndarray, np.ndarray]:
 
     The second term is left unsymmetrized, unlike
     :func:`~gainlab.kalman_update.innovation_covariance`, which also
-    associates its products differently.
+    associates its products differently. ``problem`` may be a stack of
+    problems, as in :func:`~gainlab.kalman_update._joseph_form`.
     """
-    ph_t = problem.prior @ problem.obs_op.T
+    ph_t = problem.prior @ problem.obs_op.swapaxes(-1, -2)
     return ph_t, problem.obs_op @ ph_t + problem.obs_noise
 
 
@@ -151,13 +154,14 @@ def _trace_gradient(gain: np.ndarray, ph_t: np.ndarray,
     return 2.0 * (gain @ gram - ph_t)
 
 
-def _logdet_gradient(factor: np.ndarray, trace_grad: np.ndarray) -> np.ndarray:
+def _logdet_gradient(posterior: np.ndarray,
+                     trace_grad: np.ndarray) -> np.ndarray:
     """Log-det gradient: the trace gradient solved against the posterior.
 
-    ``factor`` is the finite Cholesky factor of the posterior at the same
-    gain, so the solve skips scipy's finiteness check.
+    ``posterior`` is the SPD posterior at the same gain; both arguments may
+    be stacks, and a stacked solve equals the per-row solves bit for bit.
     """
-    return cho_solve((factor, True), trace_grad, check_finite=False)
+    return np.linalg.solve(posterior, trace_grad)
 
 
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,

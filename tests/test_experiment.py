@@ -1,15 +1,18 @@
 """Tests for the seeded experiment harness and report emission."""
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import gainlab.experiment as experiment
+import gainlab.optimizer as optimizer
 from gainlab.exceptions import InvalidParameter, NotPositiveDefinite
 from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
                                 emit_report, make_problem, mix_seed,
                                 render_report, run_experiment, run_trial)
+from gainlab.kalman_update import FilterProblem
 
 
 SMALL = ExperimentConfig(state_dim=3, obs_dim=2, trials=6, master_seed=9,
@@ -63,9 +66,9 @@ class TestRunTrial:
         assert max(record.distances) <= 1e-6
 
     def test_failure_becomes_data(self, monkeypatch):
-        def explode(problem, config):
-            raise NotPositiveDefinite("synthetic degeneracy")
-        monkeypatch.setattr(experiment, "cross_objective_equivalence", explode)
+        def explode(problems, config):
+            return [NotPositiveDefinite("synthetic degeneracy")] * len(problems)
+        monkeypatch.setattr(experiment, "equivalence_batch", explode)
         record = run_trial(SMALL, 3)
         assert record.failed
         assert "NotPositiveDefinite" in record.error
@@ -82,6 +85,47 @@ class TestRunExperiment:
         sequential = run_experiment(SMALL, workers=1)
         parallel = run_experiment(SMALL, workers=3)
         assert render_report(sequential) == render_report(parallel)
+        assert render_report(run_experiment(SMALL, workers=2)) == (
+            render_report(sequential))
+
+    def test_chunking_does_not_change_output(self, monkeypatch):
+        expected = render_report(run_experiment(SMALL))
+        for chunk in (1, 4):
+            monkeypatch.setattr(experiment, "_CHUNK_TRIALS", chunk)
+            assert render_report(run_experiment(SMALL)) == expected
+
+    def test_run_trial_matches_run_experiment(self):
+        # stopped early, so that unconverged trials are compared too
+        config = ExperimentConfig(state_dim=8, obs_dim=8, trials=4,
+                                  master_seed=3, cond_target=100.0,
+                                  max_iters=300)
+        result = run_experiment(config)
+        assert not all(all(r.converged.values()) for r in result.trials)
+        for record in result.trials:
+            alone = run_trial(config, record.trial_index)
+            assert json.dumps(asdict(alone)) == json.dumps(asdict(record))
+
+    def test_never_more_processes_than_chunks(self, monkeypatch):
+        # a recorder that runs the work in this process: a real pool of this
+        # size would fork every worker at the first submit
+        seen = []
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+            def __enter__(self):
+                return self
+            def __exit__(self, *exc):
+                return False
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+        config = replace(SMALL, trials=3)
+        expected = render_report(run_experiment(config))
+        assert render_report(run_experiment(config, workers=64)) == expected
+        assert render_report(run_experiment(config, workers=2)) == expected
+        assert seen == [3, 2]
+        run_experiment(replace(SMALL, trials=1), workers=64)
+        assert seen == [3, 2]
 
     def test_records_ordered_by_index(self):
         result = run_experiment(SMALL, workers=2)
@@ -97,20 +141,67 @@ class TestRunExperiment:
         assert result.summary.trials == SMALL.trials
 
     def test_failed_trials_counted(self, monkeypatch):
-        real = experiment.cross_objective_equivalence
-        def sometimes(problem, config):
-            if problem.state_dim != SMALL.state_dim:
+        real = experiment.equivalence_batch
+        def sometimes(problems, config):
+            if any(p.state_dim != SMALL.state_dim for p in problems):
                 raise AssertionError("unexpected problem")
             sometimes.calls += 1
-            if sometimes.calls == 2:
-                raise NotPositiveDefinite("synthetic")
-            return real(problem, config)
+            outcomes = real(problems, config)
+            if sometimes.calls == 1:
+                outcomes[1] = NotPositiveDefinite("synthetic")
+            return outcomes
         sometimes.calls = 0
-        monkeypatch.setattr(experiment, "cross_objective_equivalence", sometimes)
+        monkeypatch.setattr(experiment, "equivalence_batch", sometimes)
         result = run_experiment(SMALL)
         assert result.summary.failures == 1
         assert sum(r.failed for r in result.trials) == 1
         assert not result.all_passed()
+
+    def test_poisoned_trial_fails_alone(self, monkeypatch):
+        # a 1e300 prior overflows the trace gradient norm, so that trial's
+        # line search fails inside the shared batch
+        clean = run_experiment(SMALL)
+        build = experiment.make_problem
+        def poisoned(state_dim, obs_dim, seed, cond_target):
+            problem = build(state_dim, obs_dim, seed, cond_target)
+            if seed != mix_seed(SMALL.master_seed, 2):
+                return problem
+            return FilterProblem(prior=1e300 * problem.prior,
+                                 obs_op=problem.obs_op,
+                                 obs_noise=problem.obs_noise)
+        monkeypatch.setattr(experiment, "make_problem", poisoned)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(SMALL)
+        self._assert_only_trial_failed(result, clean, 2,
+                                       "LineSearchFailed: no acceptable step "
+                                       "above 1e-16 at iteration 0 (gradient "
+                                       "norm inf)")
+
+    def test_non_finite_start_fails_alone(self, monkeypatch):
+        clean = run_experiment(SMALL)
+        poisoned_seed = mix_seed(SMALL.master_seed, 4)
+        target = make_problem(SMALL.state_dim, SMALL.obs_dim, poisoned_seed,
+                              SMALL.cond_target)
+        start = optimizer._initial_gain
+        def initial_gain(problem, config):
+            gain = start(problem, config)
+            if np.array_equal(problem.prior, target.prior):
+                gain[-1, -1] = np.inf
+            return gain
+        monkeypatch.setattr(optimizer, "_initial_gain", initial_gain)
+        result = run_experiment(SMALL)
+        self._assert_only_trial_failed(
+            result, clean, 4, "InvalidParameter: gain contains non-finite entries")
+
+    @staticmethod
+    def _assert_only_trial_failed(result, clean, index, error):
+        for record, expected in zip(result.trials, clean.trials):
+            if record.trial_index == index:
+                assert record.failed
+                assert record.error == error
+                assert record.seed_used == expected.seed_used
+            else:
+                assert json.dumps(asdict(record)) == json.dumps(asdict(expected))
 
     def test_rejects_bad_workers(self):
         with pytest.raises(InvalidParameter):
@@ -153,6 +244,12 @@ class TestReportRendering:
         assert len(payload["trials"]) == SMALL.trials
         assert payload["config"]["master_seed"] == SMALL.master_seed
         assert payload["summary"]["failures"] == 0
+
+    def test_json_config_leaves_out_output_path(self, result):
+        payload = json.loads(render_report(result))
+        assert list(payload["config"]) == [
+            "state_dim", "obs_dim", "trials", "master_seed", "cond_target",
+            "grad_tol", "max_iters", "output_format"]
 
     def test_json_floats_round_trip(self, result):
         payload = json.loads(render_report(result))

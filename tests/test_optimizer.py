@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from gainlab.exceptions import InvalidParameter, LineSearchFailed, NotPositiveDefinite
+import gainlab.optimizer as optimizer
+from gainlab import matrix_core
+from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
+                                NotPositiveDefinite)
 from gainlab.kalman_update import FilterProblem, analytic_gain
 from gainlab.objectives import ObjectiveKind, evaluate_objective, finite_difference_gradient
-from gainlab.optimizer import (OptimizerConfig, _Kernel, cross_objective_equivalence,
-                               minimize_objective, objective_gradient,
-                               stationarity_residual, trace_gradient)
+from gainlab.optimizer import (OptimizerConfig, _Batch, cross_objective_equivalence,
+                               equivalence_batch, minimize_batch, minimize_objective,
+                               objective_gradient, stationarity_residual,
+                               trace_gradient)
 from gainlab.experiment import make_problem
 
 from conftest import seeded_gain, seeded_problem
@@ -121,40 +125,72 @@ class TestMinimizeObjective:
         assert first.iterations == second.iterations
 
     def test_line_search_failure_is_reported(self, scalar_problem, monkeypatch):
+        # the start evaluates normally; every later factorization fails, so
+        # every trial step is rejected
         calls = {"n": 0}
-        evaluate = _Kernel.value
-        def poisoned(kernel, gain):
+        factorize = matrix_core._cholesky_factors
+        def poisoned(a, *args):
             calls["n"] += 1
-            if calls["n"] == 1:
-                return evaluate(kernel, gain)
-            raise NotPositiveDefinite("poisoned evaluation")
-        monkeypatch.setattr(_Kernel, "value", poisoned)
+            factors, failures = factorize(a, *args)
+            if calls["n"] > 1:
+                failures = {row: NotPositiveDefinite("poisoned evaluation")
+                            for row in range(len(a))}
+            return factors, failures
+        monkeypatch.setattr(matrix_core, "_cholesky_factors", poisoned)
         with pytest.raises(LineSearchFailed):
             minimize_objective(scalar_problem, LOGDET)
 
 
+def _stacked(problem, kinds):
+    """A batch of ``problem`` under each kind, total-variance rows first."""
+    kinds = sorted(kinds, key=lambda kind: kind is not TRACE)
+    return _Batch.stack([problem] * len(kinds), kinds), kinds
+
+
+def _assert_same_report(batched, alone):
+    np.testing.assert_array_equal(batched.final_gain, alone.final_gain)
+    assert batched.final_objective == alone.final_objective
+    assert batched.iterations == alone.iterations
+    assert batched.converged == alone.converged
+    assert batched.gradient_norm_trajectory == alone.gradient_norm_trajectory
+    assert batched.stationarity_residual == alone.stationarity_residual
+    assert batched.objective_kind is alone.objective_kind
+
+
 class TestKernel:
+    """The batch's values and gradients against the public functions."""
+
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     def test_bit_identical_to_public_functions(self, kind):
         # the optimizer's iterates and reports depend on this equality
         for trial in range(30):
             max_dim = 1 if trial < 3 else 8
             problem = seeded_problem(trial, master_seed=139, max_dim=max_dim)
-            gain = seeded_gain(problem, trial, master_seed=149)
-            kernel = _Kernel(problem, kind)
-            value, factor = kernel.value(gain)
-            assert value == evaluate_objective(problem, gain, kind)
-            np.testing.assert_array_equal(kernel.gradient(gain, factor),
-                                          objective_gradient(problem, gain, kind))
+            batch, kinds = _stacked(problem, [kind, kind] + list(ObjectiveKind))
+            gains = np.stack([seeded_gain(problem, 10 * trial + row,
+                                          master_seed=149)
+                              for row in range(len(kinds))])
+            values, posteriors, errors = batch.values(gains)
+            assert errors == {}
+            grads = batch.gradients(np.arange(len(kinds)), gains, posteriors)
+            for row, row_kind in enumerate(kinds):
+                assert values[row] == evaluate_objective(problem, gains[row],
+                                                         row_kind)
+                np.testing.assert_array_equal(
+                    grads[row], objective_gradient(problem, gains[row], row_kind))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_gain(self, bad):
         problem = seeded_problem(2, master_seed=151)
-        gain = np.zeros((problem.state_dim, problem.obs_dim))
-        gain[-1, 0] = bad
+        batch, kinds = _stacked(problem, list(ObjectiveKind) * 2)
+        gains = np.zeros((len(kinds), problem.state_dim, problem.obs_dim))
+        gains[1::2, -1, 0] = bad
+        _, _, errors = batch.values(gains)
+        assert sorted(errors) == list(range(1, len(kinds), 2))
+        assert all(isinstance(exc, InvalidParameter) for exc in errors.values())
         for kind in ObjectiveKind:
             with pytest.raises(InvalidParameter):
-                _Kernel(problem, kind).value(gain)
+                evaluate_objective(problem, gains[1], kind)
 
     def test_rejects_posterior_that_is_not_spd(self):
         # 1e18 + 1.01 rounds to 1e18, so the posterior's Schur complement
@@ -162,11 +198,106 @@ class TestKernel:
         problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
                                 obs_noise=[[1e-20]])
         gain = np.array([[0.0], [1e9]])
-        for kind in (LOGDET, ENTROPY):
-            with pytest.raises(NotPositiveDefinite):
+        batch, kinds = _stacked(problem, list(ObjectiveKind))
+        _, _, errors = batch.values(np.stack([gain] * len(kinds)))
+        for row, kind in enumerate(kinds):
+            if kind is TRACE:
+                # the total variance never factorizes
+                assert row not in errors
+                continue
+            assert isinstance(errors[row], NotPositiveDefinite)
+            with pytest.raises(NotPositiveDefinite) as raised:
                 evaluate_objective(problem, gain, kind)
-            with pytest.raises(NotPositiveDefinite):
-                _Kernel(problem, kind).value(gain)
+            assert str(errors[row]) == str(raised.value)
+
+
+class TestMinimizeBatch:
+    def test_mixed_kinds_match_runs_alone(self):
+        problems = [make_problem(4, 3, 300 + i, 10.0 ** (i % 3)) for i in range(5)]
+        kinds = [list(ObjectiveKind)[(2 * i + 1) % 3] for i in range(5)]
+        problems += problems[:3]
+        kinds += [LOGDET, TRACE, ENTROPY]
+        for batched, problem, kind in zip(minimize_batch(problems, kinds),
+                                          problems, kinds):
+            _assert_same_report(batched, minimize_objective(problem, kind))
+
+    def test_equivalence_batch_matches_single_problems(self):
+        problems = [make_problem(3, 2, 700 + i, 10.0) for i in range(4)]
+        for batched, problem in zip(equivalence_batch(problems), problems):
+            alone = cross_objective_equivalence(problem)
+            np.testing.assert_array_equal(batched.analytic, alone.analytic)
+            assert batched.distance_to_analytic == alone.distance_to_analytic
+            assert batched.pairwise_distance == alone.pairwise_distance
+            for kind in ObjectiveKind:
+                _assert_same_report(batched.reports[kind], alone.reports[kind])
+
+    def test_failing_row_leaves_others_unchanged(self):
+        # a 1e300 prior makes the trace gradient norm overflow, so no step
+        # can pass the Armijo test
+        clean = make_problem(4, 3, 5, 10.0)
+        poisoned = FilterProblem(prior=1e300 * clean.prior, obs_op=clean.obs_op,
+                                 obs_noise=clean.obs_noise)
+        problems = [clean, poisoned, make_problem(4, 3, 6, 10.0)]
+        kinds = [LOGDET, TRACE, TRACE]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = minimize_batch(problems, kinds)
+            with pytest.raises(LineSearchFailed) as raised:
+                minimize_objective(poisoned, TRACE)
+        assert isinstance(outcomes[1], LineSearchFailed)
+        assert str(outcomes[1]) == str(raised.value)
+        assert str(outcomes[1]).startswith(
+            "no acceptable step above 1e-16 at iteration 0")
+        for i in (0, 2):
+            _assert_same_report(outcomes[i], minimize_objective(problems[i],
+                                                                kinds[i]))
+
+    def test_start_that_is_not_spd_fails_alone(self, monkeypatch):
+        # the stacked factorization breaks down on one row only
+        problems = [make_problem(2, 1, 40 + i, 10.0) for i in range(3)]
+        problems[1] = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                                    obs_noise=[[1e-20]])
+        kinds = [LOGDET, ENTROPY, TRACE, LOGDET]
+        problems.append(problems[0])
+        expected = [minimize_objective(p, k) for p, k in zip(problems, kinds)
+                    if p is not problems[1]]
+        start = optimizer._initial_gain
+        def initial_gain(problem, config):
+            if problem is problems[1]:
+                return np.array([[0.0], [1e9]])
+            return start(problem, config)
+        monkeypatch.setattr(optimizer, "_initial_gain", initial_gain)
+        outcomes = minimize_batch(problems, kinds)
+        assert isinstance(outcomes[1], NotPositiveDefinite)
+        with pytest.raises(NotPositiveDefinite) as raised:
+            minimize_objective(problems[1], ENTROPY)
+        assert str(outcomes[1]) == str(raised.value)
+        for batched, alone in zip(outcomes[:1] + outcomes[2:], expected):
+            _assert_same_report(batched, alone)
+
+    def test_non_finite_start_fails_alone(self, monkeypatch):
+        problems = [make_problem(3, 3, 60 + i, 10.0) for i in range(3)]
+        kinds = [TRACE, LOGDET, ENTROPY]
+        expected = [minimize_objective(p, k) for p, k in zip(problems, kinds)]
+        start = optimizer._initial_gain
+        def initial_gain(problem, config):
+            gain = start(problem, config)
+            if problem is problems[2]:
+                gain[0, 0] = np.nan
+            return gain
+        monkeypatch.setattr(optimizer, "_initial_gain", initial_gain)
+        outcomes = minimize_batch(problems, kinds)
+        assert isinstance(outcomes[2], InvalidParameter)
+        assert str(outcomes[2]) == "gain contains non-finite entries"
+        for batched, alone in zip(outcomes[:2], expected[:2]):
+            _assert_same_report(batched, alone)
+
+    def test_rejects_mixed_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            minimize_batch([make_problem(2, 1, 1), make_problem(1, 2, 1)],
+                           [TRACE, TRACE])
+
+    def test_empty_batch(self):
+        assert minimize_batch([], []) == []
 
 
 class TestTraceGradient:

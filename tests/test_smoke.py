@@ -31,3 +31,14 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_checks_pass(tmp_path):
+    # the benchmark's own correctness checks: index order, strict JSON,
+    # stationarity residual, and byte-identical 1- and 2-worker reports
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         "default_4x3", "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert '"correct": true' in result.stdout.splitlines()[-1]
