@@ -136,7 +136,7 @@ def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
     """
     a = check_symmetric(a, name=name)
     try:
-        cholesky(a)
+        _cholesky_factor(a)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"{name}: {exc}") from exc
     return a

@@ -6,6 +6,14 @@ log-determinant (log generalized variance), and the Gaussian differential
 entropy. The module also provides the directional differential and analytic
 matrix gradient of the log-determinant objective, together with a central
 finite-difference gradient that serves as an independent numerical oracle.
+
+The objectives also have one stacked form, which evaluates many gains with
+one Joseph update and one Cholesky factorization and gives each row the
+value, or the error, of the public evaluator, bit for bit. The optimizer
+evaluates its iterates through it. So does the oracle: it validates the gain
+once, at the public boundary, and evaluates all its perturbed copies as one
+stack. The oracle still shares only the objective formulas with the
+closed-form gradients, exactly as a loop over the public evaluators would.
 """
 
 import enum
@@ -15,7 +23,8 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import matrix_core
-from .kalman_update import FilterProblem, joseph_update
+from .exceptions import InvalidParameter
+from .kalman_update import FilterProblem, _joseph_form, joseph_update
 
 __all__ = [
     "ObjectiveKind",
@@ -28,6 +37,10 @@ __all__ = [
     "logdet_gradient",
     "finite_difference_gradient",
 ]
+
+# Perturbed gains the finite-difference oracle evaluates as one stack, at
+# most; this bounds the memory of a gradient check on large problems.
+_FD_BLOCK_ROWS = 256
 
 
 class ObjectiveKind(enum.Enum):
@@ -164,23 +177,96 @@ def _logdet_gradient(posterior: np.ndarray,
     return np.linalg.solve(posterior, trace_grad)
 
 
+def _stacked_values(problem, gains: np.ndarray, identity: np.ndarray,
+                    n_trace: int, entropy: np.ndarray):
+    """Objective of every row of a (B, n, m) gain stack: (values, posteriors, errors).
+
+    ``problem`` is a :class:`FilterProblem` shared by every row, or a stack
+    of validated problems as :func:`~gainlab.kalman_update._joseph_form`
+    takes them. Rows ``[0, n_trace)`` evaluate the total variance; every
+    other row the log-determinant, or the entropy where the boolean
+    ``entropy[row]`` is set. ``identity`` is the (n, n) identity.
+
+    ``errors`` maps a row to what the public evaluator raises at that gain,
+    and that row's value is meaningless: InvalidParameter for a non-finite
+    gain or, on a log-det or entropy row, a non-finite posterior;
+    NotPositiveDefinite for a posterior whose Cholesky factorization breaks
+    down or has a pivot at or below ``PD_TOL``. Total-variance rows never
+    factorize. Gains have the problem's shape by construction and the
+    symmetrized posterior is exactly symmetric, so neither is checked. A row
+    without an error has the public evaluator's value, bit for bit.
+    """
+    errors = {}
+    finite = np.isfinite(gains)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        gains = np.where(bad[:, None, None], 0.0, gains)
+        for row in np.flatnonzero(bad):
+            errors[int(row)] = InvalidParameter(
+                "gain contains non-finite entries")
+    posteriors = _joseph_form(problem, gains, identity)
+    if n_trace == len(gains):
+        return matrix_core._trace(posteriors), posteriors, errors
+    values = np.empty(len(gains))
+    if n_trace:
+        values[:n_trace] = matrix_core._trace(posteriors[:n_trace])
+    others = posteriors[n_trace:]
+    finite = np.isfinite(others)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        others = np.where(bad[:, None, None], identity, others)
+        for row in np.flatnonzero(bad):
+            errors.setdefault(n_trace + int(row), InvalidParameter(
+                "matrix contains non-finite entries"))
+    factors, failures = matrix_core._cholesky_factors(others)
+    for row, exc in failures.items():
+        errors.setdefault(n_trace + row, exc)
+    logdet = matrix_core._log_det_of_factor(factors)
+    values[n_trace:] = np.where(entropy[n_trace:],
+                                _entropy(identity.shape[0], logdet), logdet)
+    return values, posteriors, errors
+
+
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
                                kind: ObjectiveKind) -> np.ndarray:
     """Central-difference gradient of an objective; the independent oracle.
 
     Perturbs one gain entry at a time with step ``1e-6 * (1 + |k_ij|)``,
-    which balances truncation against rounding for double precision.
+    which balances truncation against rounding for double precision. The
+    gain is validated once; its 2·n·m perturbed copies are then evaluated as
+    stacks of at most ``_FD_BLOCK_ROWS`` rows, each with one Joseph update
+    and, for the log-det and entropy, one Cholesky factorization. Every
+    value equals the public evaluator's at that perturbed gain, bit for bit,
+    so the oracle shares only the objective formulas with the closed-form
+    gradients, as the public evaluators do. Of several failing
+    perturbations, the error is that of the first in entry-major order, the
+    upward step before the downward one.
+
+    Raises
+    ------
+    InvalidParameter
+        If a perturbed gain, or on the log-det and entropy its posterior, is
+        not finite.
+    NotPositiveDefinite
+        If a perturbed posterior is not SPD (log-det and entropy).
     """
     k = problem.check_gain(gain)
-    grad = np.zeros_like(k)
-    objective = _EVALUATORS[kind]
-    for i in range(k.shape[0]):
-        for j in range(k.shape[1]):
-            step = 1e-6 * (1.0 + abs(k[i, j]))
-            bumped = k.copy()
-            bumped[i, j] = k[i, j] + step
-            plus = objective(problem, bumped)
-            bumped[i, j] = k[i, j] - step
-            minus = objective(problem, bumped)
-            grad[i, j] = (plus - minus) / (2.0 * step)
-    return grad
+    steps = 1e-6 * (1.0 + np.abs(k.ravel()))
+    entries = np.arange(k.size)
+    # Row 2e moves entry e up by its step, row 2e + 1 moves it down.
+    flat = np.repeat(k.reshape(1, -1), 2 * k.size, axis=0)
+    flat[2 * entries, entries] += steps
+    flat[2 * entries + 1, entries] -= steps
+    bumped = flat.reshape(-1, *k.shape)
+    trace = kind is ObjectiveKind.TOTAL_VARIANCE
+    entropy = np.full(len(bumped), kind is ObjectiveKind.DIFFERENTIAL_ENTROPY)
+    identity = np.eye(problem.state_dim)
+    values = np.empty(len(bumped))
+    for start in range(0, len(bumped), _FD_BLOCK_ROWS):
+        rows = bumped[start:start + _FD_BLOCK_ROWS]
+        values[start:start + len(rows)], _, errors = _stacked_values(
+            problem, rows, identity, len(rows) if trace else 0,
+            entropy[:len(rows)])
+        if errors:
+            raise errors[min(errors)]
+    return ((values[0::2] - values[1::2]) / (2.0 * steps)).reshape(k.shape)

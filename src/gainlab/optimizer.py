@@ -20,11 +20,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import matrix_core, objectives
+from . import objectives
 from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
                          LineSearchFailed)
-from .kalman_update import (FilterProblem, _joseph_form, analytic_gain,
-                            innovation_covariance)
+from .kalman_update import FilterProblem, analytic_gain, innovation_covariance
 from .matrix_core import frobenius_norm
 from .objectives import ObjectiveKind
 
@@ -165,8 +164,7 @@ class _Batch:
         self.obs_noise = obs_noise
         self.entropy = entropy  # per row: minimizes the differential entropy
         self.n_trace = n_trace  # rows [0, n_trace) minimize the total variance
-        self.state_dim = prior.shape[-1]
-        self.identity = np.eye(self.state_dim)
+        self.identity = np.eye(prior.shape[-1])
         self.ph_t, self.gram = objectives._gradient_terms(self)
 
     @classmethod
@@ -191,44 +189,11 @@ class _Batch:
     def values(self, gains: np.ndarray):
         """Objective of every row at its gain: (values, posteriors, errors).
 
-        ``errors`` maps a row to what the public evaluator raises there, and
-        that row's value is meaningless: InvalidParameter for a non-finite
-        gain or, on a log-det or entropy row, a non-finite posterior;
-        NotPositiveDefinite for a posterior whose Cholesky factorization
-        breaks down or has a pivot at or below ``PD_TOL``. Total-variance
-        rows never factorize.
+        See :func:`~gainlab.objectives._stacked_values`: ``errors`` maps a
+        row to what the public evaluator raises there.
         """
-        errors = {}
-        finite = np.isfinite(gains)
-        if not finite.all():
-            bad = ~finite.all(axis=(-2, -1))
-            gains = np.where(bad[:, None, None], 0.0, gains)
-            for row in np.flatnonzero(bad):
-                errors[int(row)] = InvalidParameter(
-                    "gain contains non-finite entries")
-        posteriors = _joseph_form(self, gains, self.identity)
-        n_trace = self.n_trace
-        if n_trace == len(gains):
-            return matrix_core._trace(posteriors), posteriors, errors
-        values = np.empty(len(gains))
-        if n_trace:
-            values[:n_trace] = matrix_core._trace(posteriors[:n_trace])
-        others = posteriors[n_trace:]
-        finite = np.isfinite(others)
-        if not finite.all():
-            bad = ~finite.all(axis=(-2, -1))
-            others = np.where(bad[:, None, None], self.identity, others)
-            for row in np.flatnonzero(bad):
-                errors.setdefault(n_trace + int(row), InvalidParameter(
-                    "matrix contains non-finite entries"))
-        factors, failures = matrix_core._cholesky_factors(others)
-        for row, exc in failures.items():
-            errors.setdefault(n_trace + row, exc)
-        logdet = matrix_core._log_det_of_factor(factors)
-        values[n_trace:] = np.where(
-            self.entropy[n_trace:],
-            objectives._entropy(self.state_dim, logdet), logdet)
-        return values, posteriors, errors
+        return objectives._stacked_values(self, gains, self.identity,
+                                          self.n_trace, self.entropy)
 
     def gradients(self, rows, gains: np.ndarray,
                   posteriors: np.ndarray) -> np.ndarray:

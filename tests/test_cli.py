@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from gainlab import objectives
 from gainlab.cli import main
+
+from test_objectives import sequential_finite_difference_gradient
 
 RUN_FLAGS = ["run", "--state-dim", "3", "--obs-dim", "2", "--trials", "4",
              "--seed", "11", "--cond", "10"]
@@ -89,3 +92,23 @@ class TestGradcheck:
 
     def test_bad_instance_count(self):
         assert main(["gradcheck", "--instances", "0"]) == 2
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--seed", "1", "--max-dim", "6"],
+    ["gradcheck", "--seed", "2", "--max-dim", "8"],
+    ["check", "--seed", "1"],
+    ["check", "--seed", "2", "--state-dim", "6", "--obs-dim", "5"],
+    ["check", "--seed", "3", "--state-dim", "8", "--obs-dim", "8",
+     "--cond", "100"],
+])
+def test_stacked_oracle_leaves_output_unchanged(argv, capsys, monkeypatch):
+    stacked = _run(argv, capsys)
+    monkeypatch.setattr(objectives, "finite_difference_gradient",
+                        sequential_finite_difference_gradient)
+    assert _run(argv, capsys) == stacked

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from gainlab import matrix_core
+from gainlab import matrix_core, objectives
+from gainlab.exceptions import (GainlabError, InvalidParameter,
+                                NotPositiveDefinite)
 from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
 from gainlab.objectives import (ObjectiveKind, analysis_cov_differential,
                                 differential_entropy,
                                 directional_logdet_differential,
-                                finite_difference_gradient,
+                                evaluate_objective, finite_difference_gradient,
                                 log_generalized_variance, logdet_gradient,
                                 total_variance)
 
@@ -19,6 +21,26 @@ from conftest import seeded_gain, seeded_problem
 LOGDET = ObjectiveKind.LOG_GENERALIZED_VARIANCE
 ENTROPY = ObjectiveKind.DIFFERENTIAL_ENTROPY
 TRACE = ObjectiveKind.TOTAL_VARIANCE
+
+
+def sequential_finite_difference_gradient(problem, gain, kind):
+    """The oracle as one public evaluation per perturbed gain.
+
+    The reference the stacked oracle must equal bit for bit: same steps,
+    same order (entry-major, upward step first), same errors.
+    """
+    k = problem.check_gain(gain)
+    grad = np.zeros_like(k)
+    for i in range(k.shape[0]):
+        for j in range(k.shape[1]):
+            step = 1e-6 * (1.0 + abs(k[i, j]))
+            bumped = k.copy()
+            bumped[i, j] = k[i, j] + step
+            plus = evaluate_objective(problem, bumped, kind)
+            bumped[i, j] = k[i, j] - step
+            minus = evaluate_objective(problem, bumped, kind)
+            grad[i, j] = (plus - minus) / (2.0 * step)
+    return grad
 
 
 class TestScalarObjectives:
@@ -199,6 +221,97 @@ class TestFiniteDifferenceGradient:
             entropy_fd = finite_difference_gradient(problem, gain, ENTROPY)
             np.testing.assert_allclose(entropy_fd, 0.5 * logdet_fd, rtol=0,
                                        atol=1e-9)
+
+
+def _oracle_outcome(oracle, problem, gain, kind):
+    """The gradient an oracle returns, or the class and text of its error."""
+    try:
+        return oracle(problem, gain, kind)
+    except GainlabError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_oracle(problem, gain, kind):
+    expected = _oracle_outcome(sequential_finite_difference_gradient,
+                               problem, gain, kind)
+    actual = _oracle_outcome(finite_difference_gradient, problem, gain, kind)
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert actual.shape == expected.shape
+        # bytes, so that -0.0 against 0.0 and NaN payloads count too
+        assert actual.tobytes() == expected.tobytes()
+    return actual
+
+
+def _failing_cases():
+    """Gains whose perturbations fail the public evaluators in several ways."""
+    # 1e18 + 1.01 rounds to 1e18: posteriors that are not SPD in floats
+    cancelling = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                               obs_noise=[[1e-20]])
+    yield cancelling, np.array([[0.0], [1e9]])
+    yield cancelling, np.array([[0.5], [1e9]])
+    # posterior variance 1e-26 at this gain, below the pivot floor; moving
+    # the first entry lifts it, so only the rows of the second entry fail
+    floored = FilterProblem(prior=np.eye(2), obs_op=[[1e3, 0.0]],
+                            obs_noise=[[1e-20]])
+    yield floored, np.array([[1e-3], [0.5]])
+    huge = np.finfo(float).max
+    for trial, (entry, value) in enumerate([(0, huge), (-1, huge),
+                                            (-1, -huge), (1, 1e200)]):
+        problem = seeded_problem(trial + 2, master_seed=173, max_dim=4)
+        gain = seeded_gain(problem, trial, master_seed=179)
+        gain.flat[entry] = value
+        yield problem, gain
+
+
+class TestStackedOracle:
+    """The stacked oracle against the per-entry loop of public evaluations."""
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_bit_identical_to_sequential_loop(self, kind):
+        for trial in range(600):
+            problem = seeded_problem(trial, master_seed=163,
+                                     conditions=(1.0, 10.0, 100.0, 1e4, 1e6))
+            gain = seeded_gain(problem, trial, scale=(0.1, 3.0)[trial % 2],
+                               master_seed=167)
+            _assert_same_oracle(problem, gain, kind)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_failures_match_sequential_loop(self, kind):
+        raised = set()
+        for problem, gain in _failing_cases():
+            outcome = _assert_same_oracle(problem, gain, kind)
+            if isinstance(outcome, tuple):
+                raised.add(outcome[0])
+        # the total variance never factorizes
+        assert (NotPositiveDefinite in raised) == (kind is not TRACE)
+        assert InvalidParameter in raised
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_step_overflow_is_invalid_parameter(self):
+        problem = seeded_problem(1, master_seed=181, max_dim=3)
+        gain = seeded_gain(problem, 1, master_seed=181)
+        gain.flat[0] = np.finfo(float).max
+        with pytest.raises(InvalidParameter,
+                           match="gain contains non-finite entries"):
+            finite_difference_gradient(problem, gain, TRACE)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_results(self, block, monkeypatch):
+        monkeypatch.setattr(objectives, "_FD_BLOCK_ROWS", block)
+        cases = [(problem, seeded_gain(problem, trial, scale=3.0,
+                                       master_seed=191))
+                 for trial in range(60)
+                 for problem in [seeded_problem(trial, master_seed=193)]]
+        for problem, gain in cases + list(_failing_cases()):
+            for kind in ObjectiveKind:
+                _assert_same_oracle(problem, gain, kind)
 
 
 class TestHadamardOrdering:
