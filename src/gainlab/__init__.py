@@ -16,7 +16,7 @@ from .matrix_core import (cholesky, det, frobenius_norm, inverse, log_det,
 from .objectives import (ObjectiveKind, analysis_cov_differential,
                          differential_entropy, directional_logdet_differential,
                          finite_difference_gradient, log_generalized_variance,
-                         logdet_gradient, total_variance)
+                         logdet_gradient, objective_gradient, total_variance)
 from .optimizer import (EquivalenceReport, OptimizationReport, OptimizerConfig,
                         cross_objective_equivalence, minimize_objective,
                         stationarity_residual, trace_gradient)
@@ -35,7 +35,7 @@ __all__ = [
     "ObjectiveKind", "total_variance", "log_generalized_variance",
     "differential_entropy", "analysis_cov_differential",
     "directional_logdet_differential", "logdet_gradient",
-    "finite_difference_gradient",
+    "objective_gradient", "finite_difference_gradient",
     "OptimizerConfig", "OptimizationReport", "EquivalenceReport",
     "minimize_objective", "cross_objective_equivalence",
     "stationarity_residual", "trace_gradient",

@@ -68,13 +68,12 @@ def _cmd_run(args) -> int:
         grad_tol=args.grad_tol,
         max_iters=args.max_iters,
         output_format=args.format,
-        output_path=args.out,
     )
     result = run_experiment(config, workers=args.workers)
-    emit_report(result)
-    if config.output_path != "-":
+    emit_report(result, args.out)
+    if args.out != "-":
         print(f"wrote {config.output_format} report for {config.trials} trials "
-              f"to {config.output_path}", file=sys.stderr)
+              f"to {args.out}", file=sys.stderr)
     return 0 if result.all_passed(DISTANCE_THRESHOLD) else 1
 
 
@@ -135,7 +134,7 @@ def _cmd_gradcheck(args) -> int:
         problem = make_problem(n, m, seed, conds[i % len(conds)])
         gain = analytic_gain(problem) + 0.1 * rng.standard_normal((n, m))
         for kind in ObjectiveKind:
-            analytic_grad = optimizer.objective_gradient(problem, gain, kind)
+            analytic_grad = objectives.objective_gradient(problem, gain, kind)
             fd_grad = objectives.finite_difference_gradient(problem, gain, kind)
             rel = (frobenius_norm(analytic_grad - fd_grad)
                    / (1.0 + frobenius_norm(analytic_grad)))

@@ -80,7 +80,6 @@ class ExperimentConfig:
     grad_tol: float = 1e-9
     max_iters: int = 5000
     output_format: str = "json"
-    output_path: str = "-"
 
     def __post_init__(self):
         if self.state_dim < 1 or self.obs_dim < 1:
@@ -316,11 +315,8 @@ def render_report(result: ExperimentResult) -> str:
     if not result.trials:
         raise InvalidParameter("cannot render a report with no trial records")
     if result.config.output_format == "json":
-        config = asdict(result.config)
-        # Report content must not depend on where the report is written.
-        del config["output_path"]
         payload = {
-            "config": config,
+            "config": asdict(result.config),
             "trials": [asdict(r) for r in result.trials],
             "summary": asdict(result.summary),
         }
@@ -335,12 +331,11 @@ def render_report(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: ExperimentResult, path: Optional[str] = None) -> None:
-    """Write the rendered report to ``path`` ('-' or None for stdout)."""
+def emit_report(result: ExperimentResult, path: str = "-") -> None:
+    """Write the rendered report to ``path`` ('-' for stdout)."""
     text = render_report(result)
-    target = result.config.output_path if path is None else path
-    if target == "-":
+    if path == "-":
         sys.stdout.write(text)
         return
-    with open(target, "w", encoding="utf-8", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

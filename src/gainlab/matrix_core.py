@@ -41,34 +41,31 @@ def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL,
-                    name: str = "matrix") -> np.ndarray:
+def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate entrywise symmetry of a square matrix.
 
     An entry pair (i, j), (j, i) is accepted when their difference is within
-    ``tol * max(1, |a[i, j]|)``.
+    ``SYMMETRY_TOL * max(1, |a[i, j]|)``.
     """
     a = check_square(a, name)
     if not np.all(np.isfinite(a)):
         raise InvalidParameter(f"{name} contains non-finite entries")
-    bound = tol * np.maximum(1.0, np.abs(a))
+    bound = SYMMETRY_TOL * np.maximum(1.0, np.abs(a))
     if not np.all(np.abs(a - a.T) <= bound):
         worst = float(np.max(np.abs(a - a.T)))
         raise InvalidParameter(
-            f"{name} is not symmetric to tolerance {tol:g} "
+            f"{name} is not symmetric to tolerance {SYMMETRY_TOL:g} "
             f"(max asymmetry {worst:.3e})")
     return a
 
 
-def cholesky(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
     Parameters
     ----------
     a : ndarray, shape (n, n)
         Symmetric matrix to factor.
-    pd_tol : float, optional
-        Absolute floor every pivot (diagonal entry of the factor) must exceed.
 
     Returns
     -------
@@ -78,13 +75,13 @@ def cholesky(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        If factorization breaks down or any pivot is at or below ``pd_tol``,
+        If factorization breaks down or any pivot is at or below ``PD_TOL``,
         signalling that the input is not a valid covariance.
     """
-    return _cholesky_factor(check_symmetric(a), pd_tol)
+    return _cholesky_factor(check_symmetric(a))
 
 
-def _cholesky_factor(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
+def _cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of a matrix already known to be finite and symmetric.
 
     The trusted core of :func:`cholesky`: no input checks, the same
@@ -95,18 +92,18 @@ def _cholesky_factor(a: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
     pivots = factor.diagonal()
-    if (pivots <= pd_tol).any():
+    if (pivots <= PD_TOL).any():
         raise NotPositiveDefinite(
-            f"Cholesky pivot {float(pivots.min()):.3e} at or below floor {pd_tol:g}")
+            f"Cholesky pivot {float(pivots.min()):.3e} at or below floor {PD_TOL:g}")
     return factor
 
 
-def _cholesky_factors(a: np.ndarray, pd_tol: float = PD_TOL,
+def _cholesky_factors(a: np.ndarray,
                       ) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
     """:func:`_cholesky_factor` of each matrix in a (B, n, n) stack.
 
     Returns the stacked factors and the failures: a map from each row that
-    breaks down or has a pivot at or below ``pd_tol`` to the
+    breaks down or has a pivot at or below ``PD_TOL`` to the
     NotPositiveDefinite that :func:`_cholesky_factor` raises for it; such a
     row's factor is NaN. A stacked factorization raises for the whole stack
     when any one row breaks down, so on that rare path, and when a pivot is
@@ -117,13 +114,13 @@ def _cholesky_factors(a: np.ndarray, pd_tol: float = PD_TOL,
         factors = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         factors = None
-    if factors is not None and (factors.diagonal(0, -2, -1) > pd_tol).all():
+    if factors is not None and (factors.diagonal(0, -2, -1) > PD_TOL).all():
         return factors, {}
     factors = np.full_like(a, np.nan)
     failures = {}
     for row, matrix in enumerate(a):
         try:
-            factors[row] = _cholesky_factor(matrix, pd_tol)
+            factors[row] = _cholesky_factor(matrix)
         except NotPositiveDefinite as exc:
             failures[row] = exc
     return factors, failures

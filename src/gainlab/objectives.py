@@ -3,13 +3,18 @@
 Three objectives measure the spread of the posterior covariance produced by
 the Joseph update at a candidate gain: the trace (total variance), the
 log-determinant (log generalized variance), and the Gaussian differential
-entropy. The module also provides the directional differential and analytic
-matrix gradient of the log-determinant objective, together with a central
+entropy. Their closed-form gradients share one bracket, the total-variance
+gradient ``2 (K S - P H.T)`` with ``S = H P H.T + R``: the log-determinant
+solves it against the posterior, and the entropy halves that.
+:func:`objective_gradient` is the one dispatch over the kinds. The module
+also provides the covariance differential and the trace-form directional
+derivative of the log-determinant, together with a central
 finite-difference gradient that serves as an independent numerical oracle.
 
-The objectives also have one stacked form, which evaluates many gains with
-one Joseph update and one Cholesky factorization and gives each row the
-value, or the error, of the public evaluator, bit for bit. The optimizer
+The objectives also have one stacked form, the private ``_Batch``: stacked
+problems with one objective per row, whose values cost one Joseph update and
+one Cholesky factorization for the whole stack, and whose values, errors
+and gradients are those of the public functions, bit for bit. The optimizer
 evaluates its iterates through it. So does the oracle: it validates the gain
 once, at the public boundary, and evaluates all its perturbed copies as one
 stack. The oracle still shares only the objective formulas with the
@@ -18,6 +23,8 @@ closed-form gradients, exactly as a loop over the public evaluators would.
 
 import enum
 import math
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -34,6 +41,7 @@ __all__ = [
     "evaluate_objective",
     "analysis_cov_differential",
     "directional_logdet_differential",
+    "objective_gradient",
     "logdet_gradient",
     "finite_difference_gradient",
 ]
@@ -134,23 +142,42 @@ def directional_logdet_differential(problem: FilterProblem, gain: np.ndarray,
     return float(np.trace(cho_solve((factor, True), dposterior)))
 
 
+def objective_gradient(problem: FilterProblem, gain: np.ndarray,
+                       kind: ObjectiveKind) -> np.ndarray:
+    """Analytic gradient of the selected objective with respect to the gain.
+
+    Every kind starts from the total-variance gradient
+    ``2 K (H P H.T + R) - 2 P H.T``, shape (n, m). The log-determinant
+    gradient is ``inv(P_posterior)`` applied to it: the posterior is
+    Cholesky-validated, and the inverse is applied by a linear solve and kept
+    un-symmetrized, exactly as the closed form states it. The entropy is a
+    constant plus half the log-determinant, so its gradient is half the
+    log-determinant gradient. All three vanish at exactly the same gain,
+    which is why the objectives share their minimizer; the finite-difference
+    oracle arbitrates correctness.
+    """
+    k = problem.check_gain(gain)
+    grad = _trace_gradient(k, *_gradient_terms(problem))
+    if kind is ObjectiveKind.TOTAL_VARIANCE:
+        return grad
+    posterior = joseph_update(problem, k)
+    matrix_core.cholesky(posterior)
+    grad = _logdet_gradient(posterior, grad)
+    return 0.5 * grad if kind is ObjectiveKind.DIFFERENTIAL_ENTROPY else grad
+
+
 def logdet_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     """Analytic gradient of the log-determinant objective with respect to the gain.
 
     Evaluates ``inv(P_posterior) @ (2 K H P H.T + 2 K R - 2 P H.T)``, shape
-    (n, m). The posterior is Cholesky-validated, and the inverse is applied
-    by a linear solve and kept un-symmetrized, exactly as the closed form
-    states it; the finite-difference oracle arbitrates correctness.
+    (n, m); see :func:`objective_gradient`.
     """
-    k = problem.check_gain(gain)
-    posterior = joseph_update(problem, k)
-    matrix_core.cholesky(posterior)
-    return _logdet_gradient(posterior,
-                            _trace_gradient(k, *_gradient_terms(problem)))
+    return objective_gradient(problem, gain,
+                              ObjectiveKind.LOG_GENERALIZED_VARIANCE)
 
 
 def _gradient_terms(problem: FilterProblem) -> tuple[np.ndarray, np.ndarray]:
-    """``P H.T`` and ``H (P H.T) + R``: the gain-free terms of both gradients.
+    """``P H.T`` and ``H (P H.T) + R``: the gain-free terms of every gradient.
 
     The second term is left unsymmetrized, unlike
     :func:`~gainlab.kalman_update.innovation_covariance`, which also
@@ -177,54 +204,121 @@ def _logdet_gradient(posterior: np.ndarray,
     return np.linalg.solve(posterior, trace_grad)
 
 
-def _stacked_values(problem, gains: np.ndarray, identity: np.ndarray,
-                    n_trace: int, entropy: np.ndarray):
-    """Objective of every row of a (B, n, m) gain stack: (values, posteriors, errors).
+class _Batch:
+    """Stacked problems of one shape, with one objective per row.
 
-    ``problem`` is a :class:`FilterProblem` shared by every row, or a stack
-    of validated problems as :func:`~gainlab.kalman_update._joseph_form`
-    takes them. Rows ``[0, n_trace)`` evaluate the total variance; every
-    other row the log-determinant, or the entropy where the boolean
-    ``entropy[row]`` is set. ``identity`` is the (n, n) identity.
-
-    ``errors`` maps a row to what the public evaluator raises at that gain,
-    and that row's value is meaningless: InvalidParameter for a non-finite
-    gain or, on a log-det or entropy row, a non-finite posterior;
-    NotPositiveDefinite for a posterior whose Cholesky factorization breaks
-    down or has a pivot at or below ``PD_TOL``. Total-variance rows never
-    factorize. Gains have the problem's shape by construction and the
-    symmetrized posterior is exactly symmetric, so neither is checked. A row
-    without an error has the public evaluator's value, bit for bit.
+    Rows ``[0, n_trace)`` minimize the total variance, so the rows to
+    factorize form a slice; each other row minimizes the log-determinant, or
+    the entropy where ``entropy[row]`` is set. ``prior``, ``obs_op`` and
+    ``obs_noise`` are the stacked matrices of problems that
+    :class:`FilterProblem` validated, which lets the shared formulas take
+    the batch in place of a problem. For :meth:`values` alone they may also
+    be one problem's matrices, which broadcast over every row. Gains have
+    the batch's shape by construction, and the symmetrized posterior is
+    exactly symmetric, so neither is checked again; the checks a gain can
+    fail are kept (see :meth:`values`).
     """
-    errors = {}
-    finite = np.isfinite(gains)
-    if not finite.all():
-        bad = ~finite.all(axis=(-2, -1))
-        gains = np.where(bad[:, None, None], 0.0, gains)
-        for row in np.flatnonzero(bad):
-            errors[int(row)] = InvalidParameter(
-                "gain contains non-finite entries")
-    posteriors = _joseph_form(problem, gains, identity)
-    if n_trace == len(gains):
-        return matrix_core._trace(posteriors), posteriors, errors
-    values = np.empty(len(gains))
-    if n_trace:
-        values[:n_trace] = matrix_core._trace(posteriors[:n_trace])
-    others = posteriors[n_trace:]
-    finite = np.isfinite(others)
-    if not finite.all():
-        bad = ~finite.all(axis=(-2, -1))
-        others = np.where(bad[:, None, None], identity, others)
-        for row in np.flatnonzero(bad):
-            errors.setdefault(n_trace + int(row), InvalidParameter(
-                "matrix contains non-finite entries"))
-    factors, failures = matrix_core._cholesky_factors(others)
-    for row, exc in failures.items():
-        errors.setdefault(n_trace + row, exc)
-    logdet = matrix_core._log_det_of_factor(factors)
-    values[n_trace:] = np.where(entropy[n_trace:],
-                                _entropy(identity.shape[0], logdet), logdet)
-    return values, posteriors, errors
+
+    def __init__(self, prior, obs_op, obs_noise, entropy, n_trace):
+        self.prior = prior
+        self.obs_op = obs_op
+        self.obs_noise = obs_noise
+        self.entropy = entropy
+        self.n_trace = n_trace
+        self.identity = np.eye(prior.shape[-1])
+
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        # Built on first use: only gradients() needs them, and the oracle
+        # never calls it.
+        return _gradient_terms(self)
+
+    @classmethod
+    def stack(cls, problems: Sequence[FilterProblem],
+              kinds: Sequence[ObjectiveKind]) -> tuple["_Batch", np.ndarray]:
+        """The batch of ``problems[i]`` under ``kinds[i]``, and its row order.
+
+        Row ``j`` of the batch is ``problems[order[j]]``: the total-variance
+        problems first, then the others, each group in its given order.
+        """
+        order = np.array(sorted(range(len(kinds)), key=lambda i: kinds[i]
+                                is not ObjectiveKind.TOTAL_VARIANCE),
+                         dtype=np.intp)
+        kinds = [kinds[i] for i in order]
+        return cls(np.stack([problems[i].prior for i in order]),
+                   np.stack([problems[i].obs_op for i in order]),
+                   np.stack([problems[i].obs_noise for i in order]),
+                   np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
+                             for kind in kinds]),
+                   kinds.count(ObjectiveKind.TOTAL_VARIANCE)), order
+
+    def take(self, keep: np.ndarray) -> "_Batch":
+        """The batch of the rows where the boolean mask ``keep`` is set."""
+        return _Batch(self.prior[keep], self.obs_op[keep], self.obs_noise[keep],
+                      self.entropy[keep], int(keep[:self.n_trace].sum()))
+
+    def values(self, gains: np.ndarray):
+        """Objective of every row at its gain: (values, posteriors, errors).
+
+        ``gains`` is a (B, n, m) stack with one gain per row. ``errors`` maps
+        a row to what the public evaluator raises at that gain, and that
+        row's value is meaningless: InvalidParameter for a non-finite gain
+        or, on a log-det or entropy row, a non-finite posterior;
+        NotPositiveDefinite for a posterior whose Cholesky factorization
+        breaks down or has a pivot at or below ``PD_TOL``. Total-variance
+        rows never factorize. A row without an error has the public
+        evaluator's value, bit for bit.
+        """
+        n_trace, identity = self.n_trace, self.identity
+        errors = {}
+        finite = np.isfinite(gains)
+        if not finite.all():
+            bad = ~finite.all(axis=(-2, -1))
+            gains = np.where(bad[:, None, None], 0.0, gains)
+            for row in np.flatnonzero(bad):
+                errors[int(row)] = InvalidParameter(
+                    "gain contains non-finite entries")
+        posteriors = _joseph_form(self, gains, identity)
+        if n_trace == len(gains):
+            return matrix_core._trace(posteriors), posteriors, errors
+        values = np.empty(len(gains))
+        if n_trace:
+            values[:n_trace] = matrix_core._trace(posteriors[:n_trace])
+        others = posteriors[n_trace:]
+        finite = np.isfinite(others)
+        if not finite.all():
+            bad = ~finite.all(axis=(-2, -1))
+            others = np.where(bad[:, None, None], identity, others)
+            for row in np.flatnonzero(bad):
+                errors.setdefault(n_trace + int(row), InvalidParameter(
+                    "matrix contains non-finite entries"))
+        factors, failures = matrix_core._cholesky_factors(others)
+        for row, exc in failures.items():
+            errors.setdefault(n_trace + row, exc)
+        logdet = matrix_core._log_det_of_factor(factors)
+        values[n_trace:] = np.where(self.entropy[n_trace:],
+                                    _entropy(identity.shape[0], logdet), logdet)
+        return values, posteriors, errors
+
+    def gradients(self, rows, gains: np.ndarray,
+                  posteriors: np.ndarray) -> np.ndarray:
+        """Gradients of ``rows`` at their gains.
+
+        Each row takes the steps of :func:`objective_gradient` for its kind,
+        without the checks: the gains and posteriors passed :meth:`values`.
+        ``rows`` is a sorted index array, or ``slice(None)`` for every row.
+        ``gains`` and ``posteriors`` cover the whole batch, and the
+        posteriors are those :meth:`values` returned at the same gains.
+        """
+        ph_t, gram = self._terms
+        grads = _trace_gradient(gains[rows], ph_t[rows], gram[rows])
+        split = (self.n_trace if isinstance(rows, slice)
+                 else int(np.searchsorted(rows, self.n_trace)))
+        if split < len(grads):
+            logdet = _logdet_gradient(posteriors[rows][split:], grads[split:])
+            grads[split:] = np.where(self.entropy[rows][split:, None, None],
+                                     0.5 * logdet, logdet)
+        return grads
 
 
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
@@ -260,13 +354,12 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
     bumped = flat.reshape(-1, *k.shape)
     trace = kind is ObjectiveKind.TOTAL_VARIANCE
     entropy = np.full(len(bumped), kind is ObjectiveKind.DIFFERENTIAL_ENTROPY)
-    identity = np.eye(problem.state_dim)
     values = np.empty(len(bumped))
     for start in range(0, len(bumped), _FD_BLOCK_ROWS):
         rows = bumped[start:start + _FD_BLOCK_ROWS]
-        values[start:start + len(rows)], _, errors = _stacked_values(
-            problem, rows, identity, len(rows) if trace else 0,
-            entropy[:len(rows)])
+        batch = _Batch(problem.prior, problem.obs_op, problem.obs_noise,
+                       entropy[:len(rows)], len(rows) if trace else 0)
+        values[start:start + len(rows)], _, errors = batch.values(rows)
         if errors:
             raise errors[min(errors)]
     return ((values[0::2] - values[1::2]) / (2.0 * steps)).reshape(k.shape)

@@ -4,7 +4,9 @@ The minimizer is deliberately first-order: the descent direction is always the
 negative analytic gradient, so every iteration exercises the closed-form
 gradient of the chosen objective. Step sizes come from the Barzilai-Borwein
 spectral estimate and are safeguarded by Armijo backtracking; see
-:func:`minimize_objective` for the exact acceptance rule.
+:func:`minimize_objective` for the exact acceptance rule. This module holds
+the descent only: the objective values and gradients, stacked or not, come
+from :mod:`gainlab.objectives`.
 
 There is one minimizer, :func:`minimize_batch`. It runs many minimizations
 in lockstep on stacked ``(B, n, m)`` gains and ``(B, n, n)`` posteriors, and
@@ -25,7 +27,7 @@ from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
                          LineSearchFailed)
 from .kalman_update import FilterProblem, analytic_gain, innovation_covariance
 from .matrix_core import frobenius_norm
-from .objectives import ObjectiveKind
+from .objectives import ObjectiveKind, _Batch
 
 __all__ = [
     "OptimizerConfig",
@@ -33,7 +35,6 @@ __all__ = [
     "EquivalenceReport",
     "OBJECTIVE_PAIRS",
     "trace_gradient",
-    "objective_gradient",
     "stationarity_residual",
     "minimize_batch",
     "minimize_objective",
@@ -45,6 +46,11 @@ _EPS = float(np.finfo(float).eps)
 _MIN_STEP = 1e-16
 _BB_STEP_RANGE = (1e-12, 1e12)
 _DESCENT_WINDOW = 10
+# Armijo sufficient-decrease constant, backtracking factor, and the norm of
+# the first trial displacement.
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_INITIAL_STEP = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,6 @@ class OptimizerConfig:
 
     max_iters: int = 5000
     grad_tol: float = 1e-9
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     init_gain: Union[str, np.ndarray] = "zero"
 
     def __post_init__(self):
@@ -69,14 +72,6 @@ class OptimizerConfig:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.grad_tol > 0:
             raise InvalidParameter(f"grad_tol must be > 0, got {self.grad_tol}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise InvalidParameter(f"armijo_c must be in (0, 1), got {self.armijo_c}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise InvalidParameter(
-                f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}")
-        if not self.initial_step > 0:
-            raise InvalidParameter(
-                f"initial_step must be > 0, got {self.initial_step}")
         if isinstance(self.init_gain, str):
             if self.init_gain not in ("zero", "analytic"):
                 raise InvalidParameter(
@@ -106,32 +101,11 @@ def trace_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     This is the log-determinant gradient's bracket without the
     inverse-posterior prefactor: ``2 K (H P H.T + R) - 2 P H.T``. Both
     gradients therefore vanish at exactly the same gain, which is why the
-    trace and determinant objectives share their minimizer.
+    trace and determinant objectives share their minimizer; see
+    :func:`~gainlab.objectives.objective_gradient`.
     """
-    k = problem.check_gain(gain)
-    return objectives._trace_gradient(k, *objectives._gradient_terms(problem))
-
-
-def _entropy_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
-    return _entropy_from_logdet(objectives.logdet_gradient(problem, gain))
-
-
-def _entropy_from_logdet(logdet_grad: np.ndarray) -> np.ndarray:
-    # Entropy = constant + half the log generalized variance.
-    return 0.5 * logdet_grad
-
-
-_GRADIENTS = {
-    ObjectiveKind.TOTAL_VARIANCE: trace_gradient,
-    ObjectiveKind.LOG_GENERALIZED_VARIANCE: objectives.logdet_gradient,
-    ObjectiveKind.DIFFERENTIAL_ENTROPY: _entropy_gradient,
-}
-
-
-def objective_gradient(problem: FilterProblem, gain: np.ndarray,
-                       kind: ObjectiveKind) -> np.ndarray:
-    """Analytic gradient of the selected objective at a gain."""
-    return _GRADIENTS[kind](problem, gain)
+    return objectives.objective_gradient(problem, gain,
+                                         ObjectiveKind.TOTAL_VARIANCE)
 
 
 def stationarity_residual(problem: FilterProblem, gain: np.ndarray) -> float:
@@ -144,75 +118,6 @@ def stationarity_residual(problem: FilterProblem, gain: np.ndarray) -> float:
     k = problem.check_gain(gain)
     residual = k @ innovation_covariance(problem) - problem.prior @ problem.obs_op.T
     return frobenius_norm(residual)
-
-
-class _Batch:
-    """Stacked problems of one shape, with one objective per row.
-
-    Rows that minimize the total variance come first, so the rows to
-    factorize form a slice. ``prior``, ``obs_op`` and ``obs_noise`` are the
-    stacked matrices of problems that :class:`FilterProblem` validated, which
-    lets the shared formulas take a batch in place of a problem. Iterates
-    have the batch's gain shape by construction, and the symmetrized
-    posterior is exactly symmetric, so neither is checked again; the checks
-    an iterate can fail are kept (see :meth:`values`).
-    """
-
-    def __init__(self, prior, obs_op, obs_noise, entropy, n_trace):
-        self.prior = prior
-        self.obs_op = obs_op
-        self.obs_noise = obs_noise
-        self.entropy = entropy  # per row: minimizes the differential entropy
-        self.n_trace = n_trace  # rows [0, n_trace) minimize the total variance
-        self.identity = np.eye(prior.shape[-1])
-        self.ph_t, self.gram = objectives._gradient_terms(self)
-
-    @classmethod
-    def stack(cls, problems: Sequence[FilterProblem],
-              kinds: Sequence[ObjectiveKind]) -> "_Batch":
-        is_trace = [kind is ObjectiveKind.TOTAL_VARIANCE for kind in kinds]
-        n_trace = sum(is_trace)
-        if any(is_trace[n_trace:]):
-            raise InvalidParameter("total-variance rows must come first")
-        return cls(np.stack([p.prior for p in problems]),
-                   np.stack([p.obs_op for p in problems]),
-                   np.stack([p.obs_noise for p in problems]),
-                   np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
-                             for kind in kinds]),
-                   n_trace)
-
-    def take(self, keep: np.ndarray) -> "_Batch":
-        """The batch of the rows where the boolean mask ``keep`` is set."""
-        return _Batch(self.prior[keep], self.obs_op[keep], self.obs_noise[keep],
-                      self.entropy[keep], int(keep[:self.n_trace].sum()))
-
-    def values(self, gains: np.ndarray):
-        """Objective of every row at its gain: (values, posteriors, errors).
-
-        See :func:`~gainlab.objectives._stacked_values`: ``errors`` maps a
-        row to what the public evaluator raises there.
-        """
-        return objectives._stacked_values(self, gains, self.identity,
-                                          self.n_trace, self.entropy)
-
-    def gradients(self, rows, gains: np.ndarray,
-                  posteriors: np.ndarray) -> np.ndarray:
-        """Gradients of ``rows`` at their gains.
-
-        ``rows`` is a sorted index array, or ``slice(None)`` for every row.
-        ``gains`` and ``posteriors`` cover the whole batch, and the
-        posteriors are those :meth:`values` returned at the same gains.
-        """
-        grads = objectives._trace_gradient(gains[rows], self.ph_t[rows],
-                                           self.gram[rows])
-        split = (self.n_trace if isinstance(rows, slice)
-                 else int(np.searchsorted(rows, self.n_trace)))
-        if split < len(grads):
-            logdet = objectives._logdet_gradient(posteriors[rows][split:],
-                                                 grads[split:])
-            grads[split:] = np.where(self.entropy[rows][split:, None, None],
-                                     _entropy_from_logdet(logdet), logdet)
-        return grads
 
 
 def _clip_step(steps: np.ndarray) -> np.ndarray:
@@ -259,18 +164,18 @@ def minimize_batch(problems: Sequence[FilterProblem],
         raise DimensionMismatch("all problems of a batch must share one shape")
     outcomes: list = [None] * len(problems)
     starts = {}
-    # A stable sort puts the total-variance rows first, as _Batch needs.
-    for i in sorted(range(len(problems)),
-                    key=lambda i: kinds[i] is not ObjectiveKind.TOTAL_VARIANCE):
+    for i, problem in enumerate(problems):
         try:
-            starts[i] = _initial_gain(problems[i], config)
+            starts[i] = _initial_gain(problem, config)
         except GainlabError as exc:
             outcomes[i] = exc
     if not starts:
         return outcomes
     ids = np.array(list(starts), dtype=np.intp)
-    batch = _Batch.stack([problems[i] for i in ids], [kinds[i] for i in ids])
-    finals = _lockstep(batch, ids, np.stack(list(starts.values())), config,
+    batch, order = _Batch.stack([problems[i] for i in ids],
+                                [kinds[i] for i in ids])
+    ids = ids[order]
+    finals = _lockstep(batch, ids, np.stack([starts[i] for i in ids]), config,
                        outcomes)
     for i, (gain, value, iterations, converged, trajectory) in finals.items():
         outcomes[i] = OptimizationReport(
@@ -306,7 +211,7 @@ def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
             posteriors[keep])
     grads = batch.gradients(slice(None), gains, posteriors)
     gnorms = np.sqrt(_row_dots(grads, grads))
-    steps = _clip_step(config.initial_step / np.maximum(gnorms, _MIN_STEP))
+    steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
     iterations = np.zeros(len(ids), dtype=np.intp)
     # The last _DESCENT_WINDOW accepted values, the oldest overwritten
     # first; -inf marks a slot not filled yet.
@@ -343,7 +248,7 @@ def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
         trial_values, posteriors, errors = batch.values(trials)
         reference = window.max(axis=1)
         slack = 8.0 * _EPS * (1.0 + np.abs(reference))
-        needed = config.armijo_c * steps * gnorms * gnorms
+        needed = _ARMIJO_C * steps * gnorms * gnorms
         accepted = trial_values <= reference - needed + slack
         done = np.zeros(len(ids), dtype=bool)
         for row, exc in errors.items():
@@ -357,7 +262,7 @@ def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
             # Every row moves: views of whole arrays instead of copies.
             rows = slice(None)
         else:
-            steps[~accepted] *= config.backtrack_factor
+            steps[~accepted] *= _BACKTRACK_FACTOR
             rows = np.flatnonzero(accepted)
             if not len(rows):
                 continue
@@ -395,25 +300,27 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
 
     Each iteration steps along the negative analytic gradient. The trial step
     is the Barzilai-Borwein estimate ``<s, y> / <y, y>`` from the previous
-    displacement/gradient-change pair and is halved by ``backtrack_factor``
-    until accepted. The first iteration, which has no spectral information
-    yet, uses ``initial_step / ||g||`` so that the first trial displacement
-    has norm ``initial_step`` regardless of objective scaling (this keeps
-    minimization paths of affinely related objectives aligned).
+    displacement/gradient-change pair and is multiplied by
+    ``_BACKTRACK_FACTOR`` = 0.5 until accepted. The first iteration, which
+    has no spectral information yet, uses ``_INITIAL_STEP / ||g||`` so that
+    the first trial displacement has norm ``_INITIAL_STEP`` = 1.0 regardless
+    of objective scaling (this keeps minimization paths of affinely related
+    objectives aligned).
 
     Acceptance is the nonmonotone (watchdog) Armijo condition of
     Grippo-Lucidi-Lampariello: a step ``t`` is accepted when
 
-        ``f(k - t g) <= max(recent f) - armijo_c * t * ||g||^2 + slack``
+        ``f(k - t g) <= max(recent f) - _ARMIJO_C * t * ||g||^2 + slack``
 
-    with the reference value taken over the last 10 accepted iterates and a
-    slack of a few ulps of the reference, so rounding noise in the objective
-    cannot veto progress. The window lets the spectral step take its
-    characteristic transient objective increases, without which the iteration
-    degrades to plain gradient descent and provably stalls on ill-conditioned
-    instances; the running window maximum is still non-increasing, so every
-    iterate stays at or below the starting objective (up to accumulated
-    slack).
+    with ``_ARMIJO_C`` = 1e-4, the reference value taken over the last 10
+    accepted iterates and a slack of a few ulps of the reference, so rounding
+    noise in the objective cannot veto progress. The window lets the spectral
+    step take its characteristic transient objective increases, without which
+    the iteration degrades to plain gradient descent and provably stalls on
+    ill-conditioned instances; the running window maximum is still
+    non-increasing, so every iterate stays at or below the starting objective
+    (up to accumulated slack). The three step constants are fixed, not
+    settings.
 
     Steps whose objective evaluation raises NotPositiveDefinite are rejected
     exactly like Armijo failures, which keeps iterates inside the SPD-feasible
@@ -426,7 +333,7 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     Cholesky factorization with the same pivot floor, and only an accepted
     step computes a gradient. Values and gradients are bit-for-bit those of
     :func:`~gainlab.objectives.evaluate_objective` and
-    :func:`objective_gradient`.
+    :func:`~gainlab.objectives.objective_gradient`.
 
     Raises
     ------

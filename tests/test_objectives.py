@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gainlab
 from gainlab import matrix_core, objectives
 from gainlab.exceptions import (GainlabError, InvalidParameter,
                                 NotPositiveDefinite)
@@ -14,7 +15,7 @@ from gainlab.objectives import (ObjectiveKind, analysis_cov_differential,
                                 directional_logdet_differential,
                                 evaluate_objective, finite_difference_gradient,
                                 log_generalized_variance, logdet_gradient,
-                                total_variance)
+                                objective_gradient, total_variance)
 
 from conftest import seeded_gain, seeded_problem
 
@@ -206,6 +207,35 @@ class TestLogdetGradient:
             numeric = finite_difference_gradient(problem, gain, LOGDET)
             err = np.linalg.norm(exact - numeric)
             assert err <= 1e-5 * (1.0 + np.linalg.norm(exact))
+
+
+class TestObjectiveGradient:
+    def test_exported_from_package(self):
+        assert gainlab.objective_gradient is objectives.objective_gradient
+        assert "objective_gradient" in gainlab.__all__
+
+    def test_kinds_share_one_bracket(self):
+        # the log-det gradient is the trace gradient solved against the
+        # posterior, and the entropy gradient exactly half of it
+        for trial in range(20):
+            problem = seeded_problem(trial, master_seed=83)
+            gain = seeded_gain(problem, trial, master_seed=89)
+            bracket = objective_gradient(problem, gain, TRACE)
+            logdet = objective_gradient(problem, gain, LOGDET)
+            np.testing.assert_array_equal(
+                logdet, np.linalg.solve(joseph_update(problem, gain), bracket))
+            np.testing.assert_array_equal(
+                objective_gradient(problem, gain, ENTROPY), 0.5 * logdet)
+
+    def test_only_logdet_kinds_factorize_the_posterior(self):
+        # the posterior at this gain is not SPD in floating point
+        problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                                obs_noise=[[1e-20]])
+        gain = np.array([[0.0], [1e9]])
+        assert np.isfinite(objective_gradient(problem, gain, TRACE)).all()
+        for kind in (LOGDET, ENTROPY):
+            with pytest.raises(NotPositiveDefinite):
+                objective_gradient(problem, gain, kind)
 
 
 class TestFiniteDifferenceGradient:

@@ -8,11 +8,11 @@ from gainlab import matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
 from gainlab.kalman_update import FilterProblem, analytic_gain
-from gainlab.objectives import ObjectiveKind, evaluate_objective, finite_difference_gradient
-from gainlab.optimizer import (OptimizerConfig, _Batch, cross_objective_equivalence,
+from gainlab.objectives import (ObjectiveKind, _Batch, evaluate_objective,
+                                finite_difference_gradient, objective_gradient)
+from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
                                equivalence_batch, minimize_batch, minimize_objective,
-                               objective_gradient, stationarity_residual,
-                               trace_gradient)
+                               stationarity_residual, trace_gradient)
 from gainlab.experiment import make_problem
 
 from conftest import seeded_gain, seeded_problem
@@ -28,10 +28,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": 0},
         {"grad_tol": 0.0},
-        {"armijo_c": 0.0},
-        {"armijo_c": 1.0},
-        {"backtrack_factor": 1.0},
-        {"initial_step": -1.0},
+        {"max_iters": -1},
+        {"grad_tol": -1.0},
+        {"grad_tol": float("nan")},
+        {"init_gain": "Zero"},
         {"init_gain": "nonsense"},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -142,9 +142,9 @@ class TestMinimizeObjective:
 
 
 def _stacked(problem, kinds):
-    """A batch of ``problem`` under each kind, total-variance rows first."""
-    kinds = sorted(kinds, key=lambda kind: kind is not TRACE)
-    return _Batch.stack([problem] * len(kinds), kinds), kinds
+    """A batch of ``problem`` under each of ``kinds``, and its rows' kinds."""
+    batch, order = _Batch.stack([problem] * len(kinds), kinds)
+    return batch, [kinds[i] for i in order]
 
 
 def _assert_same_report(batched, alone):
@@ -158,7 +158,20 @@ def _assert_same_report(batched, alone):
 
 
 class TestKernel:
-    """The batch's values and gradients against the public functions."""
+    """The stacked batch's values and gradients against the public functions.
+
+    Every batch interleaves the kinds; the batch orders its rows itself.
+    """
+
+    def test_stack_puts_total_variance_rows_first(self):
+        problems = [make_problem(3, 2, 80 + i, 10.0) for i in range(6)]
+        kinds = [LOGDET, TRACE, ENTROPY, TRACE, LOGDET, TRACE]
+        batch, order = _Batch.stack(problems, kinds)
+        assert order.tolist() == [1, 3, 5, 0, 2, 4]
+        assert batch.n_trace == 3
+        assert batch.entropy.tolist() == [False] * 4 + [True, False]
+        for row, i in enumerate(order):
+            np.testing.assert_array_equal(batch.prior[row], problems[i].prior)
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     def test_bit_identical_to_public_functions(self, kind):
@@ -166,7 +179,7 @@ class TestKernel:
         for trial in range(30):
             max_dim = 1 if trial < 3 else 8
             problem = seeded_problem(trial, master_seed=139, max_dim=max_dim)
-            batch, kinds = _stacked(problem, [kind, kind] + list(ObjectiveKind))
+            batch, kinds = _stacked(problem, [ENTROPY, kind, LOGDET, kind, TRACE])
             gains = np.stack([seeded_gain(problem, 10 * trial + row,
                                           master_seed=149)
                               for row in range(len(kinds))])
@@ -198,7 +211,7 @@ class TestKernel:
         problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
                                 obs_noise=[[1e-20]])
         gain = np.array([[0.0], [1e9]])
-        batch, kinds = _stacked(problem, list(ObjectiveKind))
+        batch, kinds = _stacked(problem, [ENTROPY, TRACE, LOGDET])
         _, _, errors = batch.values(np.stack([gain] * len(kinds)))
         for row, kind in enumerate(kinds):
             if kind is TRACE:

@@ -1,6 +1,7 @@
 """Smoke tests for the code outside the package that drives it: demos, benchmark."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,12 @@ def test_benchmark_modules_import(monkeypatch):
     workloads = importlib.import_module("workloads")
     assert all(callable(fn) for fn in layers.SPAN_FUNCTIONS)
     assert "default_4x3" in workloads.WORKLOADS
+    # a traced function that moves module renames its span, and with it the
+    # benchmark's declared per-layer metrics
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {metric["name"] for metric in declared["per_layer"]}
+    for fn in layers.SPAN_FUNCTIONS:
+        assert f"{layers._span_name(fn)}.calls_per_trial" in names
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
