@@ -13,7 +13,7 @@ from . import objectives, optimizer
 from .exceptions import GainlabError, InvalidParameter
 from .experiment import (DISTANCE_THRESHOLD, ExperimentConfig, emit_report,
                          make_problem, mix_seed, run_experiment)
-from .kalman_update import analytic_gain
+from .kalman_update import FilterProblem, analytic_gain
 from .matrix_core import frobenius_norm
 from .objectives import ObjectiveKind
 
@@ -81,6 +81,15 @@ def _matrix_lines(a: np.ndarray) -> str:
     return np.array2string(a, precision=12, suppress_small=False)
 
 
+def _gradient_error(problem: FilterProblem, gain: np.ndarray,
+                    kind: ObjectiveKind) -> float:
+    """Relative error of the analytic gradient against central differences."""
+    analytic_grad = objectives.objective_gradient(problem, gain, kind)
+    fd_grad = objectives.finite_difference_gradient(problem, gain, kind)
+    return (frobenius_norm(analytic_grad - fd_grad)
+            / (1.0 + frobenius_norm(analytic_grad)))
+
+
 def _cmd_check(args) -> int:
     problem = make_problem(args.state_dim, args.obs_dim, mix_seed(args.seed, 0),
                            args.cond)
@@ -101,11 +110,8 @@ def _cmd_check(args) -> int:
         print(_matrix_lines(report.final_gain))
         print(f"distance to analytic gain: {distance:.3e}")
 
-    analytic_grad = objectives.logdet_gradient(problem, reference)
-    fd_grad = objectives.finite_difference_gradient(
-        problem, reference, ObjectiveKind.LOG_GENERALIZED_VARIANCE)
-    rel_err = (frobenius_norm(analytic_grad - fd_grad)
-               / (1.0 + frobenius_norm(analytic_grad)))
+    rel_err = _gradient_error(problem, reference,
+                              ObjectiveKind.LOG_GENERALIZED_VARIANCE)
     ok &= rel_err <= _GRADCHECK_TOL
     print(f"\ngradient check (logdet, analytic vs central differences): "
           f"relative error {rel_err:.3e}")
@@ -134,11 +140,7 @@ def _cmd_gradcheck(args) -> int:
         problem = make_problem(n, m, seed, conds[i % len(conds)])
         gain = analytic_gain(problem) + 0.1 * rng.standard_normal((n, m))
         for kind in ObjectiveKind:
-            analytic_grad = objectives.objective_gradient(problem, gain, kind)
-            fd_grad = objectives.finite_difference_gradient(problem, gain, kind)
-            rel = (frobenius_norm(analytic_grad - fd_grad)
-                   / (1.0 + frobenius_norm(analytic_grad)))
-            worst[kind] = max(worst[kind], rel)
+            worst[kind] = max(worst[kind], _gradient_error(problem, gain, kind))
     ok = True
     for kind in ObjectiveKind:
         status = "PASS" if worst[kind] <= _GRADCHECK_TOL else "FAIL"

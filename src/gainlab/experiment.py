@@ -82,6 +82,10 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        for name in ("state_dim", "obs_dim", "trials", "master_seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidParameter(f"{name} must be an int, got {value!r}")
         if self.state_dim < 1 or self.obs_dim < 1:
             raise InvalidParameter("state_dim and obs_dim must be >= 1")
         if self.trials < 1:
@@ -90,10 +94,7 @@ class ExperimentConfig:
             raise InvalidParameter("master_seed must be a non-negative integer")
         if not np.isfinite(self.cond_target) or self.cond_target < 1.0:
             raise InvalidParameter("cond_target must be >= 1")
-        if not self.grad_tol > 0:
-            raise InvalidParameter("grad_tol must be > 0")
-        if self.max_iters < 1:
-            raise InvalidParameter("max_iters must be >= 1")
+        self.optimizer_config()
         if self.output_format not in ("json", "csv"):
             raise InvalidParameter(
                 f"output_format must be 'json' or 'csv', got {self.output_format!r}")

@@ -8,16 +8,16 @@ spectral estimate and are safeguarded by Armijo backtracking; see
 the descent only: the objective values and gradients, stacked or not, come
 from :mod:`gainlab.objectives`.
 
-There is one minimizer, :func:`minimize_batch`. It runs many minimizations
-in lockstep on stacked ``(B, n, m)`` gains and ``(B, n, n)`` posteriors, and
-every row keeps its own objective, step, backtracking, descent window,
-iteration count and outcome. Each row's iterates equal those it gets in a
+There is one minimizer, :func:`minimize_batch`. It runs many minimizations,
+all from the zero gain, in lockstep on stacked ``(B, n, m)`` gains and
+``(B, n, n)`` posteriors, and every row keeps its own objective, step,
+backtracking, descent window, iteration count and outcome. Each row's iterates equal those it gets in a
 batch of its own, bit for bit, so results do not depend on how problems are
 batched. :func:`minimize_objective` is a batch of one and
 :func:`cross_objective_equivalence` a batch of three.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,42 +57,36 @@ _INITIAL_STEP = 1.0
 class OptimizerConfig:
     """Settings for :func:`minimize_objective`.
 
-    ``init_gain`` selects the starting point: the zero gain (``"zero"``, the
-    default; it reproduces the prior covariance and is always a valid SPD
-    starting point), the analytic gain (``"analytic"``), or an explicit
-    (n, m) matrix.
+    Every minimization starts from the zero gain, which reproduces the prior
+    covariance and is always a valid SPD starting point.
     """
 
     max_iters: int = 5000
     grad_tol: float = 1e-9
-    init_gain: Union[str, np.ndarray] = "zero"
 
     def __post_init__(self):
+        if type(self.max_iters) is not int:
+            raise InvalidParameter(
+                f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.grad_tol > 0:
             raise InvalidParameter(f"grad_tol must be > 0, got {self.grad_tol}")
-        if isinstance(self.init_gain, str):
-            if self.init_gain not in ("zero", "analytic"):
-                raise InvalidParameter(
-                    f"init_gain must be 'zero', 'analytic', or a matrix, "
-                    f"got {self.init_gain!r}")
-        else:
-            object.__setattr__(self, "init_gain",
-                               np.asarray(self.init_gain, dtype=float))
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome of one minimization run."""
+    """Outcome of one minimization run from the zero gain.
+
+    The final gain and its objective value, the iterations taken, and
+    whether the gradient norm reached ``grad_tol`` (if not, the run stopped
+    at ``max_iters``).
+    """
 
     final_gain: np.ndarray
     final_objective: float
     iterations: int
     converged: bool
-    gradient_norm_trajectory: list[float]
-    stationarity_residual: float
-    objective_kind: ObjectiveKind
 
 
 def trace_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
@@ -130,26 +124,18 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=(-2, -1))
 
 
-def _initial_gain(problem: FilterProblem, config: OptimizerConfig) -> np.ndarray:
-    if isinstance(config.init_gain, str):
-        if config.init_gain == "zero":
-            return np.zeros((problem.state_dim, problem.obs_dim))
-        return analytic_gain(problem)
-    return problem.check_gain(config.init_gain, name="init_gain")
-
-
 def minimize_batch(problems: Sequence[FilterProblem],
                    kinds: Sequence[ObjectiveKind],
                    config: OptimizerConfig = OptimizerConfig(),
                    ) -> list[Union[OptimizationReport, GainlabError]]:
     """Minimize ``kinds[i]`` over the gain of ``problems[i]`` for every i.
 
-    All problems must share one (state_dim, obs_dim) shape. The
-    minimizations run in lockstep, each by the rule of
-    :func:`minimize_objective`: in every round, all unfinished rows evaluate
-    one trial step together, and only the rows that accepted their step
-    compute a gradient. A row leaves the batch when it converges, reaches
-    ``max_iters`` or fails.
+    All problems must share one (state_dim, obs_dim) shape, and every
+    minimization starts from the zero gain. The minimizations run in
+    lockstep, each by the rule of :func:`minimize_objective`: in every
+    round, all unfinished rows evaluate one trial step together, and only
+    the rows that accepted their step compute a gradient. A row leaves the
+    batch when it converges, reaches ``max_iters`` or fails.
 
     Returns one outcome per problem, in order: its OptimizationReport, or
     the GainlabError that :func:`minimize_objective` raises for it. A
@@ -163,43 +149,21 @@ def minimize_batch(problems: Sequence[FilterProblem],
     if len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
         raise DimensionMismatch("all problems of a batch must share one shape")
     outcomes: list = [None] * len(problems)
-    starts = {}
-    for i, problem in enumerate(problems):
-        try:
-            starts[i] = _initial_gain(problem, config)
-        except GainlabError as exc:
-            outcomes[i] = exc
-    if not starts:
-        return outcomes
-    ids = np.array(list(starts), dtype=np.intp)
-    batch, order = _Batch.stack([problems[i] for i in ids],
-                                [kinds[i] for i in ids])
-    ids = ids[order]
-    finals = _lockstep(batch, ids, np.stack([starts[i] for i in ids]), config,
-                       outcomes)
-    for i, (gain, value, iterations, converged, trajectory) in finals.items():
-        outcomes[i] = OptimizationReport(
-            final_gain=gain,
-            final_objective=float(value),
-            iterations=int(iterations),
-            converged=bool(converged),
-            gradient_norm_trajectory=trajectory,
-            stationarity_residual=stationarity_residual(problems[i], gain),
-            objective_kind=kinds[i],
-        )
+    if problems:
+        batch, order = _Batch.stack(problems, kinds)
+        gains = np.zeros((len(problems), problems[0].state_dim,
+                          problems[0].obs_dim))
+        _lockstep(batch, order, gains, config, outcomes)
     return outcomes
 
 
 def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
-              config: OptimizerConfig, outcomes: list) -> dict:
+              config: OptimizerConfig, outcomes: list) -> None:
     """The rounds of :func:`minimize_batch` from the stacked start ``gains``.
 
-    ``ids`` maps rows to indices into ``outcomes``, where errors are
-    written. The minimizations that finish are
-    returned, keyed by index, as (final gain, objective value, iterations,
-    converged, gradient-norm trajectory).
+    ``ids`` maps rows to indices into ``outcomes``, where each row's
+    OptimizationReport or error is written.
     """
-    finals = {}
     values, posteriors, errors = batch.values(gains)
     if errors:
         keep = np.ones(len(ids), dtype=bool)
@@ -217,24 +181,24 @@ def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
     # first; -inf marks a slot not filled yet.
     window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
     window[:, 0] = values
-    trajectories = {i: [norm] for i, norm in zip(ids.tolist(), gnorms.tolist())}
     done = gnorms <= config.grad_tol
 
     while True:
         if done.any():
             for row in np.flatnonzero(done):
                 if outcomes[ids[row]] is None:
-                    finals[int(ids[row])] = (
-                        gains[row].copy(), values[row], iterations[row],
-                        gnorms[row] <= config.grad_tol,
-                        trajectories[ids[row]])
+                    outcomes[ids[row]] = OptimizationReport(
+                        final_gain=gains[row].copy(),
+                        final_objective=float(values[row]),
+                        iterations=int(iterations[row]),
+                        converged=bool(gnorms[row] <= config.grad_tol))
             keep = ~done
             batch = batch.take(keep)
             ids, gains, values, grads, gnorms, steps, iterations, window = (
                 a[keep] for a in (ids, gains, values, grads, gnorms, steps,
                                   iterations, window))
         if not len(ids):
-            return finals
+            return
         exhausted = ~(steps >= _MIN_STEP)
         if exhausted.any():
             for row in np.flatnonzero(exhausted):
@@ -288,8 +252,6 @@ def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
         iterations[rows] += 1
         counts = iterations[rows]
         window[np.arange(len(ids))[rows], counts % _DESCENT_WINDOW] = new_values
-        for i, norm in zip(ids[rows].tolist(), new_norms.tolist()):
-            trajectories[i].append(norm)
         done[rows] = (new_norms <= config.grad_tol) | (counts >= config.max_iters)
 
 
@@ -298,14 +260,15 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
                        ) -> OptimizationReport:
     """Minimize an objective over the gain by safeguarded gradient descent.
 
-    Each iteration steps along the negative analytic gradient. The trial step
-    is the Barzilai-Borwein estimate ``<s, y> / <y, y>`` from the previous
-    displacement/gradient-change pair and is multiplied by
-    ``_BACKTRACK_FACTOR`` = 0.5 until accepted. The first iteration, which
-    has no spectral information yet, uses ``_INITIAL_STEP / ||g||`` so that
-    the first trial displacement has norm ``_INITIAL_STEP`` = 1.0 regardless
-    of objective scaling (this keeps minimization paths of affinely related
-    objectives aligned).
+    The descent starts from the zero gain and returns the four-field
+    :class:`OptimizationReport`. Each iteration steps along the negative
+    analytic gradient. The trial step is the Barzilai-Borwein estimate
+    ``<s, y> / <y, y>`` from the previous displacement/gradient-change pair
+    and is multiplied by ``_BACKTRACK_FACTOR`` = 0.5 until accepted. The
+    first iteration, which has no spectral information yet, uses
+    ``_INITIAL_STEP / ||g||`` so that the first trial displacement has norm
+    ``_INITIAL_STEP`` = 1.0 regardless of objective scaling (this keeps
+    minimization paths of affinely related objectives aligned).
 
     Acceptance is the nonmonotone (watchdog) Armijo condition of
     Grippo-Lucidi-Lampariello: a step ``t`` is accepted when
@@ -388,7 +351,6 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     Returns one outcome per problem, in order: its EquivalenceReport, or the
     GainlabError that :func:`cross_objective_equivalence` raises for it.
     """
-    config = replace(config, init_gain="zero")
     outcomes: list = [None] * len(problems)
     references = {}
     for i, problem in enumerate(problems):
@@ -425,8 +387,9 @@ def cross_objective_equivalence(problem: FilterProblem,
                                 ) -> EquivalenceReport:
     """Minimize all three objectives from the zero gain and compare optima.
 
-    The three minimizations run as one lockstep batch; the first of them in
-    :class:`ObjectiveKind` order that fails raises its error.
+    The three minimizations run as one lockstep batch, and each keeps its
+    four-field :class:`OptimizationReport` in ``reports``; the first of them
+    in :class:`ObjectiveKind` order that fails raises its error.
     """
     equivalence, = equivalence_batch([problem], config)
     if isinstance(equivalence, GainlabError):

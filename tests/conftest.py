@@ -1,8 +1,9 @@
-"""Shared generators for seeded random problems and gains."""
+"""Shared generators for seeded random problems and gains, and start injection."""
 
 import numpy as np
 import pytest
 
+import gainlab.optimizer as optimizer
 from gainlab.experiment import make_problem, mix_seed
 from gainlab.kalman_update import analytic_gain
 
@@ -37,3 +38,17 @@ def scalar_problem():
 def make_scalar(prior: float, obs: float, noise: float):
     from gainlab.kalman_update import FilterProblem
     return FilterProblem(prior=[[prior]], obs_op=[[obs]], obs_noise=[[noise]])
+
+
+def starting_from(monkeypatch, start):
+    """Make every lockstep batch call ``start(prior, gain)`` on each row.
+
+    ``start`` may edit the row's starting ``gain`` in place; ``prior`` is
+    the row's prior covariance, which tells the problems apart.
+    """
+    lockstep = optimizer._lockstep
+    def patched(batch, ids, gains, config, outcomes):
+        for prior, gain in zip(batch.prior, gains):
+            start(prior, gain)
+        return lockstep(batch, ids, gains, config, outcomes)
+    monkeypatch.setattr(optimizer, "_lockstep", patched)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import gainlab.experiment as experiment
-import gainlab.optimizer as optimizer
 from gainlab.exceptions import InvalidParameter, NotPositiveDefinite
 from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
                                 emit_report, make_problem, mix_seed,
                                 render_report, run_experiment, run_trial)
 from gainlab.kalman_update import FilterProblem
+
+from conftest import starting_from
 
 
 SMALL = ExperimentConfig(state_dim=3, obs_dim=2, trials=6, master_seed=9,
@@ -182,13 +183,10 @@ class TestRunExperiment:
         poisoned_seed = mix_seed(SMALL.master_seed, 4)
         target = make_problem(SMALL.state_dim, SMALL.obs_dim, poisoned_seed,
                               SMALL.cond_target)
-        start = optimizer._initial_gain
-        def initial_gain(problem, config):
-            gain = start(problem, config)
-            if np.array_equal(problem.prior, target.prior):
+        def start(prior, gain):
+            if np.array_equal(prior, target.prior):
                 gain[-1, -1] = np.inf
-            return gain
-        monkeypatch.setattr(optimizer, "_initial_gain", initial_gain)
+        starting_from(monkeypatch, start)
         result = run_experiment(SMALL)
         self._assert_only_trial_failed(
             result, clean, 4, "InvalidParameter: gain contains non-finite entries")
@@ -226,6 +224,11 @@ class TestConfigValidation:
         {"max_iters": 0},
         {"output_format": "xml"},
         {"master_seed": -1},
+        {"state_dim": 2.5},
+        {"obs_dim": True},
+        {"trials": np.int64(2)},
+        {"master_seed": 1.5},
+        {"max_iters": 2.5},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidParameter):

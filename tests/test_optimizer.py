@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import gainlab.optimizer as optimizer
 from gainlab import matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
@@ -15,7 +14,7 @@ from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
                                stationarity_residual, trace_gradient)
 from gainlab.experiment import make_problem
 
-from conftest import seeded_gain, seeded_problem
+from conftest import seeded_gain, seeded_problem, starting_from
 
 LOGDET = ObjectiveKind.LOG_GENERALIZED_VARIANCE
 ENTROPY = ObjectiveKind.DIFFERENTIAL_ENTROPY
@@ -31,16 +30,12 @@ class TestConfigValidation:
         {"max_iters": -1},
         {"grad_tol": -1.0},
         {"grad_tol": float("nan")},
-        {"init_gain": "Zero"},
-        {"init_gain": "nonsense"},
+        {"max_iters": 2.5},
+        {"max_iters": np.int64(5)},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParameter):
             OptimizerConfig(**kwargs)
-
-    def test_accepts_matrix_init(self):
-        config = OptimizerConfig(init_gain=[[0.25]])
-        assert isinstance(config.init_gain, np.ndarray)
 
 
 class TestMinimizeObjective:
@@ -49,16 +44,19 @@ class TestMinimizeObjective:
         assert abs(report.final_gain[0, 0] - 0.5) <= 1e-6
         assert report.converged
 
-    def test_analytic_start_converges_immediately(self):
+    def test_analytic_start_converges_immediately(self, monkeypatch):
+        def analytic_start(prior, gain):
+            gain[:] = analytic_gain(problem)
+        starting_from(monkeypatch, analytic_start)
         for trial in range(10):
             problem = seeded_problem(trial, master_seed=103)
-            config = OptimizerConfig(init_gain="analytic")
             for kind in ObjectiveKind:
-                report = minimize_objective(problem, kind, config)
+                report = minimize_objective(problem, kind)
                 assert report.converged
                 assert report.iterations == 0
                 scale = 1.0 + np.linalg.norm(problem.prior @ problem.obs_op.T)
-                assert report.stationarity_residual <= 1e-9 * scale
+                residual = stationarity_residual(problem, report.final_gain)
+                assert residual <= 1e-9 * scale
 
     def test_seeded_instance_matches_analytic_gain(self):
         problem = make_problem(3, 2, 7, 10.0)
@@ -76,11 +74,18 @@ class TestMinimizeObjective:
                 assert np.linalg.norm(report.final_gain - reference) <= 1e-5
 
     def test_trajectory_and_convergence_flags(self):
+        # converged is exactly the stop rule on the final gradient norm,
+        # which the stacked gradient computes bit for bit
         problem = seeded_problem(1, master_seed=109)
-        report = minimize_objective(problem, LOGDET)
-        assert len(report.gradient_norm_trajectory) == report.iterations + 1
-        if report.converged:
-            assert report.gradient_norm_trajectory[-1] <= OptimizerConfig().grad_tol
+        for config in (OptimizerConfig(), OptimizerConfig(max_iters=5)):
+            for kind in ObjectiveKind:
+                report = minimize_objective(problem, kind, config)
+                g = objective_gradient(problem, report.final_gain, kind)
+                assert report.converged == (
+                    np.sqrt((g * g).sum()) <= config.grad_tol)
+                if config.max_iters == 5:
+                    assert report.iterations == 5
+                    assert not report.converged
 
     def test_descent_window_condition(self):
         # rebuild the iterate sequence by truncating max_iters (runs are
@@ -121,8 +126,8 @@ class TestMinimizeObjective:
         second = minimize_objective(problem, LOGDET)
         np.testing.assert_array_equal(first.final_gain, second.final_gain)
         assert first.final_objective == second.final_objective
-        assert first.gradient_norm_trajectory == second.gradient_norm_trajectory
         assert first.iterations == second.iterations
+        assert first.converged == second.converged
 
     def test_line_search_failure_is_reported(self, scalar_problem, monkeypatch):
         # the start evaluates normally; every later factorization fails, so
@@ -152,9 +157,6 @@ def _assert_same_report(batched, alone):
     assert batched.final_objective == alone.final_objective
     assert batched.iterations == alone.iterations
     assert batched.converged == alone.converged
-    assert batched.gradient_norm_trajectory == alone.gradient_norm_trajectory
-    assert batched.stationarity_residual == alone.stationarity_residual
-    assert batched.objective_kind is alone.objective_kind
 
 
 class TestKernel:
@@ -273,12 +275,10 @@ class TestMinimizeBatch:
         problems.append(problems[0])
         expected = [minimize_objective(p, k) for p, k in zip(problems, kinds)
                     if p is not problems[1]]
-        start = optimizer._initial_gain
-        def initial_gain(problem, config):
-            if problem is problems[1]:
-                return np.array([[0.0], [1e9]])
-            return start(problem, config)
-        monkeypatch.setattr(optimizer, "_initial_gain", initial_gain)
+        def start(prior, gain):
+            if np.array_equal(prior, problems[1].prior):
+                gain[:] = [[0.0], [1e9]]
+        starting_from(monkeypatch, start)
         outcomes = minimize_batch(problems, kinds)
         assert isinstance(outcomes[1], NotPositiveDefinite)
         with pytest.raises(NotPositiveDefinite) as raised:
@@ -291,13 +291,10 @@ class TestMinimizeBatch:
         problems = [make_problem(3, 3, 60 + i, 10.0) for i in range(3)]
         kinds = [TRACE, LOGDET, ENTROPY]
         expected = [minimize_objective(p, k) for p, k in zip(problems, kinds)]
-        start = optimizer._initial_gain
-        def initial_gain(problem, config):
-            gain = start(problem, config)
-            if problem is problems[2]:
+        def start(prior, gain):
+            if np.array_equal(prior, problems[2].prior):
                 gain[0, 0] = np.nan
-            return gain
-        monkeypatch.setattr(optimizer, "_initial_gain", initial_gain)
+        starting_from(monkeypatch, start)
         outcomes = minimize_batch(problems, kinds)
         assert isinstance(outcomes[2], InvalidParameter)
         assert str(outcomes[2]) == "gain contains non-finite entries"
@@ -365,9 +362,3 @@ class TestCrossObjectiveEquivalence:
             problem = make_problem(3 + trial % 3, 2 + trial % 2, 900 + trial, 10.0)
             equivalence = cross_objective_equivalence(problem)
             assert equivalence.pairwise_distance[(LOGDET, ENTROPY)] <= 1e-9
-
-    def test_starts_from_zero_gain_regardless_of_config(self):
-        problem = make_problem(3, 2, 66, 10.0)
-        configured = cross_objective_equivalence(
-            problem, OptimizerConfig(init_gain="analytic"))
-        assert all(r.iterations > 0 for r in configured.reports.values())
