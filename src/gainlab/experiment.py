@@ -7,17 +7,19 @@ and the trial index, giving independent streams under any parallel schedule.
 """
 
 import json
+import numbers
 import sys
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem
-from .matrix_core import random_spd
+from .matrix_core import _random_spds
 from .objectives import ObjectiveKind, evaluate_objective
 from .optimizer import (EquivalenceReport, OptimizerConfig, equivalence_batch,
                         stationarity_residual)
@@ -92,6 +94,10 @@ class ExperimentConfig:
             raise InvalidParameter("trials must be >= 1")
         if self.master_seed < 0:
             raise InvalidParameter("master_seed must be a non-negative integer")
+        if (isinstance(self.cond_target, bool)
+                or not isinstance(self.cond_target, numbers.Real)):
+            raise InvalidParameter(
+                f"cond_target must be a real number, got {self.cond_target!r}")
         if not np.isfinite(self.cond_target) or self.cond_target < 1.0:
             raise InvalidParameter("cond_target must be >= 1")
         self.optimizer_config()
@@ -156,13 +162,64 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     Prior and noise covariances come from :func:`gainlab.matrix_core.random_spd`;
     the observation operator gets independent standard-Gaussian entries (it is
     rectangular, so no structure beyond linearity is imposed). The three
-    matrices use independent seeds mixed from ``seed``.
+    matrices use independent seeds mixed from ``seed``. This is a batch of
+    one of :func:`_make_problems`.
     """
-    prior = random_spd(state_dim, mix_seed(seed, 0), cond_target)
-    obs_noise = random_spd(obs_dim, mix_seed(seed, 1), cond_target)
-    rng = np.random.default_rng(mix_seed(seed, 2))
-    obs_op = rng.standard_normal((obs_dim, state_dim))
-    return FilterProblem(prior=prior, obs_op=obs_op, obs_noise=obs_noise)
+    problem, = _make_problems([(state_dim, obs_dim, seed, cond_target)])
+    if isinstance(problem, GainlabError):
+        raise problem
+    return problem
+
+
+def _make_problems(specs: Sequence[tuple]) -> list[Union[FilterProblem,
+                                                         GainlabError]]:
+    """:func:`make_problem` of every ``(state_dim, obs_dim, seed, cond_target)``.
+
+    The covariances of one dimension and condition target are generated as
+    one stack (see :func:`~gainlab.matrix_core._random_spds`), and every
+    problem is then built, and so validated, as a :class:`FilterProblem`.
+    Returns one outcome per spec, in order: its problem, bit for bit that of
+    :func:`make_problem`, or the GainlabError that :func:`make_problem`
+    raises for it. A failing spec never disturbs the others.
+    """
+    specs = list(specs)
+    priors = _grouped_spds([(n, mix_seed(seed, 0), cond)
+                            for n, _, seed, cond in specs])
+    noises = _grouped_spds([(m, mix_seed(seed, 1), cond)
+                            for _, m, seed, cond in specs])
+    outcomes = []
+    for (n, m, seed, _), prior, obs_noise in zip(specs, priors, noises):
+        try:
+            for matrix in (prior, obs_noise):
+                if isinstance(matrix, GainlabError):
+                    raise matrix
+            rng = np.random.default_rng(mix_seed(seed, 2))
+            obs_op = rng.standard_normal((m, n))
+            outcomes.append(FilterProblem(prior=prior, obs_op=obs_op,
+                                          obs_noise=obs_noise))
+        except GainlabError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _grouped_spds(requests: list[tuple]) -> list:
+    """``random_spd(dim, seed, cond_target)`` of every request.
+
+    One stack per ``(dim, cond_target)``; a request gets its matrix, or the
+    InvalidParameter that :func:`random_spd` raises for it.
+    """
+    groups = defaultdict(list)
+    for i, (dim, _, cond) in enumerate(requests):
+        groups[dim, cond].append(i)
+    matrices = [None] * len(requests)
+    for (dim, cond), rows in groups.items():
+        try:
+            stack = _random_spds(dim, [requests[i][1] for i in rows], cond)
+        except InvalidParameter as exc:
+            stack = [exc] * len(rows)
+        for i, matrix in zip(rows, stack):
+            matrices[i] = matrix
+    return matrices
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
@@ -180,12 +237,13 @@ def _run_chunk(config: ExperimentConfig,
     seeds = {index: mix_seed(config.master_seed, index) for index in indices}
     records = {}
     problems = {}
-    for index, seed in seeds.items():
-        try:
-            problems[index] = make_problem(config.state_dim, config.obs_dim,
-                                           seed, config.cond_target)
-        except GainlabError as exc:
-            records[index] = _failed_record(index, seed, exc)
+    made = _make_problems([(config.state_dim, config.obs_dim, seed,
+                            config.cond_target) for seed in seeds.values()])
+    for (index, seed), problem in zip(seeds.items(), made):
+        if isinstance(problem, GainlabError):
+            records[index] = _failed_record(index, seed, problem)
+        else:
+            problems[index] = problem
     outcomes = equivalence_batch(list(problems.values()),
                                  config.optimizer_config())
     for (index, problem), outcome in zip(problems.items(), outcomes):

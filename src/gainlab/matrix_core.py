@@ -197,6 +197,16 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
+def _frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """:func:`frobenius_norm` of each matrix in a stack, bit for bit.
+
+    Each row is reduced by the same inner product that :func:`frobenius_norm`
+    takes of its flattened matrix.
+    """
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
+
+
 def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     """Seeded random SPD matrix with a controlled condition number.
 
@@ -218,18 +228,30 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     Returns
     -------
     ndarray, shape (dim, dim)
-        A matrix passing ``validate_covariance``.
+        A matrix passing ``validate_covariance``. This is a batch of one of
+        :func:`_random_spds`.
+    """
+    return _random_spds(dim, [seed], cond_target)[0]
+
+
+def _random_spds(dim: int, seeds, cond_target: float) -> np.ndarray:
+    """:func:`random_spd` of every seed, as one (len(seeds), dim, dim) stack.
+
+    Only the Gaussian draws are made one seed at a time. The QR
+    decompositions, sign fixes and assemblies run on the whole stack, and a
+    stacked QR or product equals the per-matrix one bit for bit, so every
+    row is the matrix :func:`random_spd` gives for its seed.
     """
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
     if not np.isfinite(cond_target) or cond_target < 1.0:
         raise InvalidParameter(f"cond_target must be >= 1, got {cond_target}")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((dim, dim))
+    gauss = np.array([np.random.default_rng(seed).standard_normal((dim, dim))
+                      for seed in seeds])
     q, r = np.linalg.qr(gauss)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    q = q * np.where(r.diagonal(0, -2, -1) >= 0.0, 1.0, -1.0)[:, None, :]
     # Exponents symmetric around 0 make the eigenvalue geometric mean exactly 1;
     # dim == 1 degenerates to a single unit eigenvalue.
     exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
     eigenvalues = cond_target ** exponents
-    return symmetrize((q * eigenvalues) @ q.T)
+    return _symmetrize((q * eigenvalues) @ q.swapaxes(-1, -2))

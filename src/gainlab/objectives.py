@@ -15,10 +15,13 @@ The objectives also have one stacked form, the private ``_Batch``: stacked
 problems with one objective per row, whose values cost one Joseph update and
 one Cholesky factorization for the whole stack, and whose values, errors
 and gradients are those of the public functions, bit for bit. The optimizer
-evaluates its iterates through it. So does the oracle: it validates the gain
-once, at the public boundary, and evaluates all its perturbed copies as one
-stack. The oracle still shares only the objective formulas with the
-closed-form gradients, exactly as a loop over the public evaluators would.
+evaluates its iterates through it. So does the oracle, ``_finite_differences``:
+it takes a batch of rows with one gain each and evaluates the perturbed
+copies of every row's gain as consecutive stacks, whatever row they come
+from; :func:`finite_difference_gradient` validates its gain once, at the
+public boundary, and is a batch of one. The oracle still shares only the
+objective formulas with the closed-form gradients, exactly as a loop over
+the public evaluators would.
 """
 
 import enum
@@ -212,11 +215,10 @@ class _Batch:
     the entropy where ``entropy[row]`` is set. ``prior``, ``obs_op`` and
     ``obs_noise`` are the stacked matrices of problems that
     :class:`FilterProblem` validated, which lets the shared formulas take
-    the batch in place of a problem. For :meth:`values` alone they may also
-    be one problem's matrices, which broadcast over every row. Gains have
-    the batch's shape by construction, and the symmetrized posterior is
-    exactly symmetric, so neither is checked again; the checks a gain can
-    fail are kept (see :meth:`values`).
+    the batch in place of a problem. Gains have the batch's shape by
+    construction, and the symmetrized posterior is exactly symmetric, so
+    neither is checked again; the checks a gain can fail are kept (see
+    :meth:`values`).
     """
 
     def __init__(self, prior, obs_op, obs_noise, entropy, n_trace):
@@ -328,13 +330,12 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
     Perturbs one gain entry at a time with step ``1e-6 * (1 + |k_ij|)``,
     which balances truncation against rounding for double precision. The
     gain is validated once; its 2·n·m perturbed copies are then evaluated as
-    stacks of at most ``_FD_BLOCK_ROWS`` rows, each with one Joseph update
-    and, for the log-det and entropy, one Cholesky factorization. Every
-    value equals the public evaluator's at that perturbed gain, bit for bit,
-    so the oracle shares only the objective formulas with the closed-form
-    gradients, as the public evaluators do. Of several failing
-    perturbations, the error is that of the first in entry-major order, the
-    upward step before the downward one.
+    a batch of one of :func:`_finite_differences`. Every value equals the
+    public evaluator's at that perturbed gain, bit for bit, so the oracle
+    shares only the objective formulas with the closed-form gradients, as
+    the public evaluators do. Of several failing perturbations, the error is
+    that of the first in entry-major order, the upward step before the
+    downward one.
 
     Raises
     ------
@@ -345,21 +346,49 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
         If a perturbed posterior is not SPD (log-det and entropy).
     """
     k = problem.check_gain(gain)
-    steps = 1e-6 * (1.0 + np.abs(k.ravel()))
-    entries = np.arange(k.size)
-    # Row 2e moves entry e up by its step, row 2e + 1 moves it down.
-    flat = np.repeat(k.reshape(1, -1), 2 * k.size, axis=0)
-    flat[2 * entries, entries] += steps
-    flat[2 * entries + 1, entries] -= steps
-    bumped = flat.reshape(-1, *k.shape)
-    trace = kind is ObjectiveKind.TOTAL_VARIANCE
-    entropy = np.full(len(bumped), kind is ObjectiveKind.DIFFERENTIAL_ENTROPY)
-    values = np.empty(len(bumped))
-    for start in range(0, len(bumped), _FD_BLOCK_ROWS):
-        rows = bumped[start:start + _FD_BLOCK_ROWS]
-        batch = _Batch(problem.prior, problem.obs_op, problem.obs_noise,
-                       entropy[:len(rows)], len(rows) if trace else 0)
-        values[start:start + len(rows)], _, errors = batch.values(rows)
-        if errors:
-            raise errors[min(errors)]
-    return ((values[0::2] - values[1::2]) / (2.0 * steps)).reshape(k.shape)
+    batch, _ = _Batch.stack([problem], [kind])
+    grads, errors = _finite_differences(batch, k[None])
+    if errors:
+        raise errors[0]
+    return grads[0]
+
+
+def _finite_differences(batch: _Batch, gains: np.ndarray,
+                        ) -> tuple[np.ndarray, dict]:
+    """:func:`finite_difference_gradient` of every row of a batch at its gain.
+
+    ``gains`` is a (B, n, m) stack of finite gains, one per row. Returns the
+    (B, n, m) central differences and the errors: a map from each row that
+    has a failing perturbation to the error :func:`finite_difference_gradient`
+    raises for it, whose gradient is then meaningless. The 2·n·m perturbed
+    gains of every row are evaluated in row order, as consecutive stacks of
+    at most ``_FD_BLOCK_ROWS`` rows, whatever row they come from; each stack
+    costs one Joseph update and, where it has log-det or entropy rows, one
+    Cholesky factorization, and repeats its problems' matrices only for its
+    own rows.
+    """
+    count, n, m = gains.shape
+    per_row = 2 * n * m
+    flat = gains.reshape(count, n * m)
+    steps = 1e-6 * (1.0 + np.abs(flat))
+    values = np.empty(count * per_row)
+    errors = {}
+    for start in range(0, len(values), _FD_BLOCK_ROWS):
+        # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
+        rows, perturbation = np.divmod(
+            np.arange(start, min(start + _FD_BLOCK_ROWS, len(values))), per_row)
+        entries = perturbation // 2
+        moves = steps[rows, entries]
+        bumped = flat[rows]
+        bumped[np.arange(len(rows)), entries] += np.where(perturbation % 2,
+                                                          -moves, moves)
+        block = _Batch(batch.prior[rows], batch.obs_op[rows],
+                       batch.obs_noise[rows], batch.entropy[rows],
+                       int(np.count_nonzero(rows < batch.n_trace)))
+        values[start:start + len(rows)], _, failures = block.values(
+            bumped.reshape(-1, n, m))
+        for row in sorted(failures):
+            errors.setdefault(int(rows[row]), failures[row])
+    values = values.reshape(count, n * m, 2)
+    grads = (values[..., 0] - values[..., 1]) / (2.0 * steps)
+    return grads.reshape(gains.shape), errors

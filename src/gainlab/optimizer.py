@@ -17,6 +17,8 @@ batched. :func:`minimize_objective` is a batch of one and
 :func:`cross_objective_equivalence` a batch of three.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -70,8 +72,14 @@ class OptimizerConfig:
                 f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
+        if (isinstance(self.grad_tol, bool)
+                or not isinstance(self.grad_tol, numbers.Real)):
+            raise InvalidParameter(
+                f"grad_tol must be a real number, got {self.grad_tol!r}")
         if not self.grad_tol > 0:
             raise InvalidParameter(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not math.isfinite(self.grad_tol):
+            raise InvalidParameter(f"grad_tol must be finite, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

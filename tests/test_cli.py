@@ -2,12 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from gainlab import objectives
+from gainlab import cli, objectives
 from gainlab.cli import main
+from gainlab.exceptions import GainlabError, NotPositiveDefinite
+from gainlab.experiment import make_problem, mix_seed
+from gainlab.matrix_core import frobenius_norm
+from gainlab.objectives import ObjectiveKind, objective_gradient
 
-from test_objectives import sequential_finite_difference_gradient
+from test_objectives import (sequential_finite_difference_gradient,
+                             sequential_finite_differences)
 
 RUN_FLAGS = ["run", "--state-dim", "3", "--obs-dim", "2", "--trials", "4",
              "--seed", "11", "--cond", "10"]
@@ -109,6 +115,145 @@ def _run(argv, capsys):
 ])
 def test_stacked_oracle_leaves_output_unchanged(argv, capsys, monkeypatch):
     stacked = _run(argv, capsys)
-    monkeypatch.setattr(objectives, "finite_difference_gradient",
-                        sequential_finite_difference_gradient)
+    monkeypatch.setattr(objectives, "_finite_differences",
+                        sequential_finite_differences)
     assert _run(argv, capsys) == stacked
+
+
+def gradcheck_instance(seed, index, max_dim):
+    """Problem and gain noise of gradcheck instance ``index``, one at a time."""
+    instance_seed = mix_seed(seed, index)
+    rng = np.random.default_rng(mix_seed(instance_seed, 10))
+    n = int(rng.integers(1, max_dim + 1))
+    m = int(rng.integers(1, max_dim + 1))
+    conds = cli._GRADCHECK_CONDS
+    problem = make_problem(n, m, instance_seed, conds[index % len(conds)])
+    return problem, rng.standard_normal((n, m))
+
+
+def sequential_gradcheck_errors(seed, indices, max_dim):
+    """The gradcheck instances checked one at a time, through public calls.
+
+    The reference the stacked check must equal bit for bit, errors included:
+    the instances in order, and for each the kinds in order, the analytic
+    gradient before the central differences.
+    """
+    errors = []
+    for index in indices:
+        problem, noise = gradcheck_instance(seed, index, max_dim)
+        gain = cli.analytic_gain(problem) + 0.1 * noise
+        row = []
+        for kind in ObjectiveKind:
+            analytic = objective_gradient(problem, gain, kind)
+            numeric = sequential_finite_difference_gradient(problem, gain, kind)
+            row.append(frobenius_norm(analytic - numeric)
+                       / (1.0 + frobenius_norm(analytic)))
+        errors.append(row)
+    return np.array(errors).reshape(len(indices), len(ObjectiveKind))
+
+
+def _errors_outcome(errors, seed, indices, max_dim):
+    try:
+        return errors(seed, indices, max_dim).tobytes()
+    except GainlabError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_errors(seed, indices, max_dim):
+    expected = _errors_outcome(sequential_gradcheck_errors, seed, indices,
+                               max_dim)
+    assert _errors_outcome(cli._gradcheck_errors, seed, indices,
+                           max_dim) == expected
+    return expected
+
+
+class TestStackedGradcheck:
+    """The stacked gradcheck against its instances checked one at a time."""
+
+    def test_errors_bit_identical_to_sequential_loop(self):
+        expected = _assert_same_errors(5, range(400), 8)
+        assert isinstance(expected, bytes)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_straddling_instances(self, block, monkeypatch):
+        monkeypatch.setattr(objectives, "_FD_BLOCK_ROWS", block)
+        _assert_same_errors(7, range(30, 70), 4)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("max_dim", [1, 6, 8])
+    def test_output_matches_sequential_loop(self, seed, max_dim, capsys,
+                                            monkeypatch):
+        argv = ["gradcheck", "--seed", str(seed), "--max-dim", str(max_dim)]
+        stacked = _run(argv, capsys)
+        monkeypatch.setattr(cli, "_gradcheck_errors",
+                            sequential_gradcheck_errors)
+        assert _run(argv, capsys) == stacked
+
+    @pytest.mark.parametrize("poisons, error", [
+        # the trace's central differences step to an infinite gain
+        ({12: np.finfo(float).max}, "gain contains non-finite entries"),
+        # the log-det's analytic gradient meets an infinite posterior
+        ({12: 1e200}, "matrix contains non-finite entries"),
+        ({12: NotPositiveDefinite("synthetic")}, "synthetic"),
+        # the first instance in order fails first, whatever its stage
+        ({25: np.finfo(float).max, 12: 1e200,
+          31: NotPositiveDefinite("later")},
+         "matrix contains non-finite entries"),
+        ({25: 1e200, 19: NotPositiveDefinite("earlier")}, "earlier"),
+    ])
+    @pytest.mark.parametrize("chunk", [8, 256])
+    def test_poisoned_instance_raises_first_error(self, poisons, error, chunk,
+                                                  capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", chunk)
+        targets = {gradcheck_instance(4, index, 6)[0].prior.tobytes(): poison
+                   for index, poison in poisons.items()}
+        analytic_gain = cli.analytic_gain
+        def poisoned(problem):
+            gain = analytic_gain(problem)
+            poison = targets.get(problem.prior.tobytes())
+            if isinstance(poison, GainlabError):
+                raise poison
+            if poison is not None:
+                gain.flat[0] = poison
+            return gain
+        monkeypatch.setattr(cli, "analytic_gain", poisoned)
+        argv = ["gradcheck", "--seed", "4", "--instances", "40"]
+        with np.errstate(all="ignore"):
+            expected = _assert_same_errors(4, range(40), 6)
+            assert expected[1] == error
+            code = main(argv)
+            stacked = capsys.readouterr()
+            monkeypatch.setattr(cli, "_gradcheck_errors",
+                                sequential_gradcheck_errors)
+            assert main(argv) == code == 2
+        assert capsys.readouterr() == stacked
+        assert stacked.err == f"gainlab: error: {error}\n"
+
+    def test_failing_problem_raises_first_error(self, monkeypatch):
+        # every 17th instance has a prior too ill-conditioned to factorize
+        monkeypatch.setattr(cli, "_GRADCHECK_CONDS", (10.0,) * 11 + (1e40,)
+                            + (10.0,) * 5)
+        monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", 8)
+        expected = _assert_same_errors(6, range(40), 6)
+        assert expected[0] is NotPositiveDefinite
+
+    def test_nan_error_fails(self, capsys, monkeypatch):
+        # max() would skip the NaN of instance 20 and report a pass
+        monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", 8)
+        target = gradcheck_instance(1, 20, 6)[0].prior
+        stacked_oracle = objectives._finite_differences
+        def nan_for_target(batch, gains):
+            grads, errors = stacked_oracle(batch, gains)
+            for row in range(batch.n_trace):
+                if np.array_equal(batch.prior[row], target):
+                    grads[row] = np.nan
+            return grads, errors
+        monkeypatch.setattr(objectives, "_finite_differences", nan_for_target)
+        code, out = _run(["gradcheck", "--seed", "1", "--instances", "40"],
+                         capsys)
+        assert code == 1
+        trace, *others = out.splitlines()
+        assert trace == ("trace: max relative gradient error over 40 "
+                         "instances = nan  [FAIL]")
+        assert len(others) == 2
+        assert all(line.endswith("[PASS]") for line in others)

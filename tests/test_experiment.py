@@ -1,5 +1,6 @@
 """Tests for the seeded experiment harness and report emission."""
 
+import itertools
 import json
 from dataclasses import asdict, replace
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 import gainlab.experiment as experiment
-from gainlab.exceptions import InvalidParameter, NotPositiveDefinite
+from gainlab.exceptions import (GainlabError, InvalidParameter,
+                                NotPositiveDefinite)
 from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
-                                emit_report, make_problem, mix_seed,
-                                render_report, run_experiment, run_trial)
+                                _make_problems, emit_report, make_problem,
+                                mix_seed, render_report, run_experiment,
+                                run_trial)
 from gainlab.kalman_update import FilterProblem
+from gainlab.matrix_core import _random_spds, random_spd
 
 from conftest import starting_from
 
@@ -48,6 +52,102 @@ class TestMakeProblem:
         assert problem.prior.shape == (5, 5)
         assert problem.obs_op.shape == (2, 5)
         assert problem.obs_noise.shape == (2, 2)
+
+
+def sequential_random_spd(dim, seed, cond_target):
+    """random_spd of one matrix, with 2-D operations only.
+
+    The reference the stacked generator must equal bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
+    spd = (q * cond_target ** exponents) @ q.T
+    return (spd + spd.T) / 2.0
+
+
+def sequential_problem(state_dim, obs_dim, seed, cond_target):
+    """make_problem from sequential_random_spd: the class and text of its
+    error, or its three matrices."""
+    try:
+        for dim in (state_dim, obs_dim):
+            if dim < 1:
+                raise InvalidParameter(f"dim must be >= 1, got {dim}")
+            if not np.isfinite(cond_target) or cond_target < 1.0:
+                raise InvalidParameter(
+                    f"cond_target must be >= 1, got {cond_target}")
+        rng = np.random.default_rng(mix_seed(seed, 2))
+        problem = FilterProblem(
+            prior=sequential_random_spd(state_dim, mix_seed(seed, 0),
+                                        cond_target),
+            obs_op=rng.standard_normal((obs_dim, state_dim)),
+            obs_noise=sequential_random_spd(obs_dim, mix_seed(seed, 1),
+                                            cond_target))
+    except GainlabError as exc:
+        return type(exc), str(exc)
+    return _matrices(problem)
+
+
+def _matrices(problem):
+    return tuple(a.tobytes() for a in (problem.prior, problem.obs_op,
+                                       problem.obs_noise))
+
+
+def _outcome(problem):
+    if isinstance(problem, GainlabError):
+        return type(problem), str(problem)
+    return _matrices(problem)
+
+
+STACK_CONDS = (1.0, 10.0, 100.0, 1e4, 1e6)
+
+
+class TestStackedGeneration:
+    def test_random_spds_match_one_at_a_time(self):
+        for dim, cond in itertools.product(range(1, 9), STACK_CONDS):
+            seeds = [mix_seed(dim, i) for i in range(10)]
+            stack = _random_spds(dim, seeds, cond)
+            assert stack.shape == (len(seeds), dim, dim)
+            for seed, matrix in zip(seeds, stack):
+                expected = sequential_random_spd(dim, seed, cond).tobytes()
+                assert matrix.tobytes() == expected
+                assert random_spd(dim, seed, cond).tobytes() == expected
+
+    @pytest.mark.parametrize("dim, cond", [(0, 10.0), (3, 0.5),
+                                           (3, float("nan"))])
+    def test_random_spds_reject_like_random_spd(self, dim, cond):
+        with pytest.raises(InvalidParameter) as stacked:
+            _random_spds(dim, [1, 2], cond)
+        with pytest.raises(InvalidParameter) as single:
+            random_spd(dim, 1, cond)
+        assert str(stacked.value) == str(single.value)
+
+    def test_make_problems_match_make_problem(self):
+        specs = [(n, m, mix_seed(3, i), cond) for i, (n, m, cond)
+                 in enumerate(itertools.product(range(1, 9), range(1, 9),
+                                                STACK_CONDS))]
+        # failing specs among passing ones of the same dimensions and
+        # condition targets: a bad dimension or target, and a prior that
+        # FilterProblem rejects as not positive definite
+        failing = [(0, 3, 11, 10.0), (3, 0, 12, 10.0), (3, 3, 13, 0.5),
+                   (4, 3, 14, float("nan")), (4, 3, 15, 1e40),
+                   (1, 1, 16, 1e40)]
+        for offset, spec in enumerate(failing):
+            specs.insert(37 * offset + 5, spec)
+        outcomes = _make_problems(specs)
+        assert len(outcomes) == len(specs)
+        raised = 0
+        for spec, outcome in zip(specs, outcomes):
+            expected = sequential_problem(*spec)
+            assert _outcome(outcome) == expected
+            try:
+                alone = _matrices(make_problem(*spec))
+            except GainlabError as exc:
+                alone = type(exc), str(exc)
+            assert alone == expected
+            raised += isinstance(outcome, GainlabError)
+        assert raised == 5
 
 
 class TestRunTrial:
@@ -162,15 +262,17 @@ class TestRunExperiment:
         # a 1e300 prior overflows the trace gradient norm, so that trial's
         # line search fails inside the shared batch
         clean = run_experiment(SMALL)
-        build = experiment.make_problem
-        def poisoned(state_dim, obs_dim, seed, cond_target):
-            problem = build(state_dim, obs_dim, seed, cond_target)
-            if seed != mix_seed(SMALL.master_seed, 2):
-                return problem
-            return FilterProblem(prior=1e300 * problem.prior,
-                                 obs_op=problem.obs_op,
-                                 obs_noise=problem.obs_noise)
-        monkeypatch.setattr(experiment, "make_problem", poisoned)
+        build = experiment._make_problems
+        def poisoned(specs):
+            problems = build(specs)
+            for i, (_, _, seed, _) in enumerate(specs):
+                if seed == mix_seed(SMALL.master_seed, 2):
+                    problem = problems[i]
+                    problems[i] = FilterProblem(prior=1e300 * problem.prior,
+                                                obs_op=problem.obs_op,
+                                                obs_noise=problem.obs_noise)
+            return problems
+        monkeypatch.setattr(experiment, "_make_problems", poisoned)
         with np.errstate(over="ignore", invalid="ignore"):
             result = run_experiment(SMALL)
         self._assert_only_trial_failed(result, clean, 2,
@@ -229,6 +331,11 @@ class TestConfigValidation:
         {"trials": np.int64(2)},
         {"master_seed": 1.5},
         {"max_iters": 2.5},
+        {"grad_tol": "1e-9"},
+        {"cond_target": "10"},
+        {"cond_target": True},
+        {"grad_tol": True},
+        {"grad_tol": float("inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidParameter):

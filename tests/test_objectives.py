@@ -44,6 +44,27 @@ def sequential_finite_difference_gradient(problem, gain, kind):
     return grad
 
 
+def sequential_finite_differences(batch, gains):
+    """The stacked oracle as one sequential oracle call per batch row.
+
+    Returns the gradients and a map from each failing row to its error, as
+    ``objectives._finite_differences`` does.
+    """
+    grads = np.empty_like(gains)
+    errors = {}
+    for row, gain in enumerate(gains):
+        problem = FilterProblem(prior=batch.prior[row], obs_op=batch.obs_op[row],
+                                obs_noise=batch.obs_noise[row])
+        kind = (TRACE if row < batch.n_trace
+                else ENTROPY if batch.entropy[row] else LOGDET)
+        try:
+            grads[row] = sequential_finite_difference_gradient(problem, gain,
+                                                               kind)
+        except GainlabError as exc:
+            errors[row] = exc
+    return grads, errors
+
+
 class TestScalarObjectives:
     def test_total_variance_scalar(self, scalar_problem):
         assert total_variance(scalar_problem, [[0.5]]) == pytest.approx(0.5)
@@ -342,6 +363,40 @@ class TestStackedOracle:
         for problem, gain in cases + list(_failing_cases()):
             for kind in ObjectiveKind:
                 _assert_same_oracle(problem, gain, kind)
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_batch_of_many_rows_matches_sequential_loop(self, block,
+                                                        monkeypatch):
+        # rows of mixed kinds, failing and passing, whose perturbations
+        # share blocks
+        monkeypatch.setattr(objectives, "_FD_BLOCK_ROWS", block)
+        shapes = {}
+        cases = [(problem, seeded_gain(problem, trial, master_seed=199))
+                 for trial in range(40)
+                 for problem in [seeded_problem(trial, master_seed=197,
+                                                max_dim=3)]]
+        for problem, gain in cases + list(_failing_cases()):
+            shapes.setdefault(gain.shape, []).append((problem, gain))
+        raised = 0
+        for members in shapes.values():
+            kinds = [list(ObjectiveKind)[i % 3] for i in range(len(members))]
+            batch, order = objectives._Batch.stack([p for p, _ in members],
+                                                   kinds)
+            gains = np.stack([gain for _, gain in members])[order]
+            expected, expected_errors = sequential_finite_differences(batch,
+                                                                      gains)
+            actual, errors = objectives._finite_differences(batch, gains)
+            assert ({row: (type(exc), str(exc)) for row, exc in errors.items()}
+                    == {row: (type(exc), str(exc))
+                        for row, exc in expected_errors.items()})
+            for row in range(len(gains)):
+                if row not in errors:
+                    assert actual[row].tobytes() == expected[row].tobytes()
+            raised += len(errors)
+        assert raised
 
 
 class TestHadamardOrdering:

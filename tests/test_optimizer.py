@@ -32,6 +32,9 @@ class TestConfigValidation:
         {"grad_tol": float("nan")},
         {"max_iters": 2.5},
         {"max_iters": np.int64(5)},
+        {"grad_tol": "1e-9"},
+        {"grad_tol": True},
+        {"grad_tol": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParameter):
