@@ -106,31 +106,26 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     gradients of every problem and kind, and the stacked oracle their
     central differences; both equal the public functions' bit for bit.
     """
-    batch, order = objectives._Batch.stack(
+    batch = objectives._Batch.stack(
         [problem for problem in problems for _ in kinds],
         [kind for _ in problems for kind in kinds])
-    owners, positions = np.divmod(order, len(kinds))
-    stacked = np.stack(gains)[owners]
+    stacked = np.repeat(np.stack(gains), len(kinds), axis=0)
     _, posteriors, errors = batch.values(stacked)
-    valid = np.ones(len(order), dtype=bool)
-    valid[list(errors)] = False
-    rows = np.flatnonzero(valid)
+    rows = np.setdiff1d(np.arange(len(stacked)), list(errors))
     analytic = batch.gradients(rows, stacked, posteriors)
     numeric, numeric_errors = objectives._finite_differences(
-        batch.take(valid), stacked[valid])
-    # The loop's order: by problem, then kind, the analytic gradient's error
-    # before the oracle's.
-    raised = sorted(
-        [(owners[row], positions[row], 0, exc) for row, exc in errors.items()]
-        + [(owners[rows[j]], positions[rows[j]], 1, exc)
-           for j, exc in numeric_errors.items()],
-        key=lambda entry: entry[:3])
+        batch.take(rows), stacked[rows])
+    # Row r is problem r // len(kinds) under its kind, in the loop's order;
+    # at one row, the analytic gradient's error comes before the oracle's.
+    raised = sorted([(row, 0, exc) for row, exc in errors.items()]
+                    + [(rows[j], 1, exc) for j, exc in numeric_errors.items()],
+                    key=lambda entry: entry[:2])
     failures = {}
-    for owner, _, _, exc in raised:
-        failures.setdefault(int(owner), exc)
-    relative = np.full(len(order), np.nan)
-    relative[order[rows]] = (_frobenius_norms(analytic - numeric)
-                             / (1.0 + _frobenius_norms(analytic)))
+    for row, _, exc in raised:
+        failures.setdefault(int(row) // len(kinds), exc)
+    relative = np.full(len(stacked), np.nan)
+    relative[rows] = (_frobenius_norms(analytic - numeric)
+                      / (1.0 + _frobenius_norms(analytic)))
     return relative.reshape(len(problems), len(kinds)), failures
 
 

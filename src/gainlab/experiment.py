@@ -7,7 +7,6 @@ and the trial index, giving independent streams under any parallel schedule.
 """
 
 import json
-import numbers
 import sys
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem
-from .matrix_core import _random_spds
+from .matrix_core import _check_numbers, _random_spds
 from .objectives import ObjectiveKind, evaluate_objective
 from .optimizer import (EquivalenceReport, OptimizerConfig, equivalence_batch,
                         stationarity_residual)
@@ -94,10 +93,7 @@ class ExperimentConfig:
             raise InvalidParameter("trials must be >= 1")
         if self.master_seed < 0:
             raise InvalidParameter("master_seed must be a non-negative integer")
-        if (isinstance(self.cond_target, bool)
-                or not isinstance(self.cond_target, numbers.Real)):
-            raise InvalidParameter(
-                f"cond_target must be a real number, got {self.cond_target!r}")
+        _check_numbers({"cond_target": self.cond_target})
         if not np.isfinite(self.cond_target) or self.cond_target < 1.0:
             raise InvalidParameter("cond_target must be >= 1")
         self.optimizer_config()
@@ -165,7 +161,10 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     matrices use independent seeds mixed from ``seed``. This is a batch of
     one of :func:`_make_problems`.
     """
-    problem, = _make_problems([(state_dim, obs_dim, seed, cond_target)])
+    _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
+                   obs_dim=obs_dim, seed=seed)
+    # int(): mix_seed's 64-bit arithmetic would overflow a numpy integer
+    problem, = _make_problems([(state_dim, obs_dim, int(seed), cond_target)])
     if isinstance(problem, GainlabError):
         raise problem
     return problem
@@ -328,8 +327,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     on its chunk, records are ordered by index, and the result is identical
     for any worker count.
     """
-    if workers < 1:
-        raise InvalidParameter(f"workers must be >= 1, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise InvalidParameter(f"workers must be an int >= 1, got {workers!r}")
     chunks = _chunks(config.trials, workers)
     processes = min(workers, len(chunks))
     if processes == 1:

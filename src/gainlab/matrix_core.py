@@ -5,6 +5,8 @@ route through a single Cholesky factorization so that there is one source of
 truth for what counts as a valid covariance matrix.
 """
 
+import numbers
+
 import numpy as np
 from scipy.linalg import cho_solve
 
@@ -231,7 +233,22 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
         A matrix passing ``validate_covariance``. This is a batch of one of
         :func:`_random_spds`.
     """
+    _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
     return _random_spds(dim, [seed], cond_target)[0]
+
+
+def _check_numbers(reals: dict, **integers) -> None:
+    """Raise InvalidParameter for an argument of the wrong type.
+
+    Each of ``integers`` must be an int, numpy integers included, and each
+    of ``reals`` a real number; a bool is neither.
+    """
+    for name, value in integers.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an int, got {value!r}")
+    for name, value in reals.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
 
 
 def _random_spds(dim: int, seeds, cond_target: float) -> np.ndarray:

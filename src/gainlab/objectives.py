@@ -210,24 +210,28 @@ def _logdet_gradient(posterior: np.ndarray,
 class _Batch:
     """Stacked problems of one shape, with one objective per row.
 
-    Rows ``[0, n_trace)`` minimize the total variance, so the rows to
-    factorize form a slice; each other row minimizes the log-determinant, or
-    the entropy where ``entropy[row]`` is set. ``prior``, ``obs_op`` and
-    ``obs_noise`` are the stacked matrices of problems that
-    :class:`FilterProblem` validated, which lets the shared formulas take
-    the batch in place of a problem. Gains have the batch's shape by
-    construction, and the symmetrized posterior is exactly symmetric, so
-    neither is checked again; the checks a gain can fail are kept (see
-    :meth:`values`).
+    Rows are in the caller's order, and each row's kind is data:
+    ``factored[row]`` is set where the row minimizes the log-determinant or
+    the entropy, whose values factorize the posterior, and ``entropy[row]``
+    where it minimizes the entropy. ``prior``, ``obs_op`` and ``obs_noise``
+    are the stacked matrices of problems that :class:`FilterProblem`
+    validated, which lets the shared formulas take the batch in place of a
+    problem. Gains have the batch's shape by construction, and the
+    symmetrized posterior is exactly symmetric, so neither is checked again;
+    the checks a gain can fail are kept (see :meth:`values`).
     """
 
-    def __init__(self, prior, obs_op, obs_noise, entropy, n_trace):
+    def __init__(self, prior, obs_op, obs_noise, entropy, factored):
         self.prior = prior
         self.obs_op = obs_op
         self.obs_noise = obs_noise
         self.entropy = entropy
-        self.n_trace = n_trace
+        self.factored = factored
         self.identity = np.eye(prior.shape[-1])
+        # The rows to factorize, found once per batch; when every row
+        # factorizes, they are taken as whole arrays, views and not copies.
+        self._factor_ids = np.flatnonzero(factored)
+        self._factor_rows = slice(None) if factored.all() else self._factor_ids
 
     @cached_property
     def _terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,27 +241,20 @@ class _Batch:
 
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
-              kinds: Sequence[ObjectiveKind]) -> tuple["_Batch", np.ndarray]:
-        """The batch of ``problems[i]`` under ``kinds[i]``, and its row order.
-
-        Row ``j`` of the batch is ``problems[order[j]]``: the total-variance
-        problems first, then the others, each group in its given order.
-        """
-        order = np.array(sorted(range(len(kinds)), key=lambda i: kinds[i]
-                                is not ObjectiveKind.TOTAL_VARIANCE),
-                         dtype=np.intp)
-        kinds = [kinds[i] for i in order]
-        return cls(np.stack([problems[i].prior for i in order]),
-                   np.stack([problems[i].obs_op for i in order]),
-                   np.stack([problems[i].obs_noise for i in order]),
+              kinds: Sequence[ObjectiveKind]) -> "_Batch":
+        """The batch whose row ``i`` is ``problems[i]`` under ``kinds[i]``."""
+        return cls(np.stack([problem.prior for problem in problems]),
+                   np.stack([problem.obs_op for problem in problems]),
+                   np.stack([problem.obs_noise for problem in problems]),
                    np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
                              for kind in kinds]),
-                   kinds.count(ObjectiveKind.TOTAL_VARIANCE)), order
+                   np.array([kind is not ObjectiveKind.TOTAL_VARIANCE
+                             for kind in kinds]))
 
-    def take(self, keep: np.ndarray) -> "_Batch":
-        """The batch of the rows where the boolean mask ``keep`` is set."""
-        return _Batch(self.prior[keep], self.obs_op[keep], self.obs_noise[keep],
-                      self.entropy[keep], int(keep[:self.n_trace].sum()))
+    def take(self, rows: np.ndarray) -> "_Batch":
+        """The batch of ``rows``: a boolean mask, or an array of row indices."""
+        return _Batch(self.prior[rows], self.obs_op[rows], self.obs_noise[rows],
+                      self.entropy[rows], self.factored[rows])
 
     def values(self, gains: np.ndarray):
         """Objective of every row at its gain: (values, posteriors, errors).
@@ -271,7 +268,8 @@ class _Batch:
         rows never factorize. A row without an error has the public
         evaluator's value, bit for bit.
         """
-        n_trace, identity = self.n_trace, self.identity
+        rows, owners = self._factor_rows, self._factor_ids
+        identity = self.identity
         errors = {}
         finite = np.isfinite(gains)
         if not finite.all():
@@ -281,25 +279,24 @@ class _Batch:
                 errors[int(row)] = InvalidParameter(
                     "gain contains non-finite entries")
         posteriors = _joseph_form(self, gains, identity)
-        if n_trace == len(gains):
+        if not owners.size:
             return matrix_core._trace(posteriors), posteriors, errors
-        values = np.empty(len(gains))
-        if n_trace:
-            values[:n_trace] = matrix_core._trace(posteriors[:n_trace])
-        others = posteriors[n_trace:]
+        others = posteriors[rows]
         finite = np.isfinite(others)
         if not finite.all():
             bad = ~finite.all(axis=(-2, -1))
             others = np.where(bad[:, None, None], identity, others)
             for row in np.flatnonzero(bad):
-                errors.setdefault(n_trace + int(row), InvalidParameter(
+                errors.setdefault(int(owners[row]), InvalidParameter(
                     "matrix contains non-finite entries"))
         factors, failures = matrix_core._cholesky_factors(others)
         for row, exc in failures.items():
-            errors.setdefault(n_trace + row, exc)
+            errors.setdefault(int(owners[row]), exc)
         logdet = matrix_core._log_det_of_factor(factors)
-        values[n_trace:] = np.where(self.entropy[n_trace:],
-                                    _entropy(identity.shape[0], logdet), logdet)
+        values = (np.empty(len(gains)) if isinstance(rows, slice)
+                  else matrix_core._trace(posteriors))
+        values[rows] = np.where(self.entropy[rows],
+                                _entropy(identity.shape[0], logdet), logdet)
         return values, posteriors, errors
 
     def gradients(self, rows, gains: np.ndarray,
@@ -308,18 +305,19 @@ class _Batch:
 
         Each row takes the steps of :func:`objective_gradient` for its kind,
         without the checks: the gains and posteriors passed :meth:`values`.
-        ``rows`` is a sorted index array, or ``slice(None)`` for every row.
+        ``rows`` is an index array, or ``slice(None)`` for every row.
         ``gains`` and ``posteriors`` cover the whole batch, and the
         posteriors are those :meth:`values` returned at the same gains.
         """
         ph_t, gram = self._terms
         grads = _trace_gradient(gains[rows], ph_t[rows], gram[rows])
-        split = (self.n_trace if isinstance(rows, slice)
-                 else int(np.searchsorted(rows, self.n_trace)))
-        if split < len(grads):
-            logdet = _logdet_gradient(posteriors[rows][split:], grads[split:])
-            grads[split:] = np.where(self.entropy[rows][split:, None, None],
-                                     0.5 * logdet, logdet)
+        if not self._factor_ids.size:
+            return grads
+        picked = (slice(None) if isinstance(self._factor_rows, slice)
+                  else np.flatnonzero(self.factored[rows]))
+        logdet = _logdet_gradient(posteriors[rows][picked], grads[picked])
+        grads[picked] = np.where(self.entropy[rows][picked, None, None],
+                                 0.5 * logdet, logdet)
         return grads
 
 
@@ -346,8 +344,7 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
         If a perturbed posterior is not SPD (log-det and entropy).
     """
     k = problem.check_gain(gain)
-    batch, _ = _Batch.stack([problem], [kind])
-    grads, errors = _finite_differences(batch, k[None])
+    grads, errors = _finite_differences(_Batch.stack([problem], [kind]), k[None])
     if errors:
         raise errors[0]
     return grads[0]
@@ -382,10 +379,7 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
         bumped = flat[rows]
         bumped[np.arange(len(rows)), entries] += np.where(perturbation % 2,
                                                           -moves, moves)
-        block = _Batch(batch.prior[rows], batch.obs_op[rows],
-                       batch.obs_noise[rows], batch.entropy[rows],
-                       int(np.count_nonzero(rows < batch.n_trace)))
-        values[start:start + len(rows)], _, failures = block.values(
+        values[start:start + len(rows)], _, failures = batch.take(rows).values(
             bumped.reshape(-1, n, m))
         for row in sorted(failures):
             errors.setdefault(int(rows[row]), failures[row])

@@ -11,14 +11,13 @@ from :mod:`gainlab.objectives`.
 There is one minimizer, :func:`minimize_batch`. It runs many minimizations,
 all from the zero gain, in lockstep on stacked ``(B, n, m)`` gains and
 ``(B, n, n)`` posteriors, and every row keeps its own objective, step,
-backtracking, descent window, iteration count and outcome. Each row's iterates equal those it gets in a
-batch of its own, bit for bit, so results do not depend on how problems are
-batched. :func:`minimize_objective` is a batch of one and
-:func:`cross_objective_equivalence` a batch of three.
+backtracking, descent window, iteration count and outcome. Each row's
+iterates equal those it gets in a batch of its own, bit for bit, so results
+do not depend on how problems are batched. :func:`minimize_objective` is a
+batch of one and :func:`cross_objective_equivalence` a batch of three.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -28,7 +27,7 @@ from . import objectives
 from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
                          LineSearchFailed)
 from .kalman_update import FilterProblem, analytic_gain, innovation_covariance
-from .matrix_core import frobenius_norm
+from .matrix_core import _check_numbers, frobenius_norm
 from .objectives import ObjectiveKind, _Batch
 
 __all__ = [
@@ -72,10 +71,7 @@ class OptimizerConfig:
                 f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
-        if (isinstance(self.grad_tol, bool)
-                or not isinstance(self.grad_tol, numbers.Real)):
-            raise InvalidParameter(
-                f"grad_tol must be a real number, got {self.grad_tol!r}")
+        _check_numbers({"grad_tol": self.grad_tol})
         if not self.grad_tol > 0:
             raise InvalidParameter(f"grad_tol must be > 0, got {self.grad_tol}")
         if not math.isfinite(self.grad_tol):
@@ -158,29 +154,24 @@ def minimize_batch(problems: Sequence[FilterProblem],
         raise DimensionMismatch("all problems of a batch must share one shape")
     outcomes: list = [None] * len(problems)
     if problems:
-        batch, order = _Batch.stack(problems, kinds)
         gains = np.zeros((len(problems), problems[0].state_dim,
                           problems[0].obs_dim))
-        _lockstep(batch, order, gains, config, outcomes)
+        _lockstep(_Batch.stack(problems, kinds), gains, config, outcomes)
     return outcomes
 
 
-def _lockstep(batch: _Batch, ids: np.ndarray, gains: np.ndarray,
-              config: OptimizerConfig, outcomes: list) -> None:
+def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
+              outcomes: list) -> None:
     """The rounds of :func:`minimize_batch` from the stacked start ``gains``.
 
-    ``ids`` maps rows to indices into ``outcomes``, where each row's
-    OptimizationReport or error is written.
+    Row ``i`` writes its OptimizationReport or error to ``outcomes[i]``.
     """
     values, posteriors, errors = batch.values(gains)
-    if errors:
-        keep = np.ones(len(ids), dtype=bool)
-        for row, exc in errors.items():
-            outcomes[ids[row]] = exc
-            keep[row] = False
-        batch, ids, gains, values, posteriors = (
-            batch.take(keep), ids[keep], gains[keep], values[keep],
-            posteriors[keep])
+    for row, exc in errors.items():
+        outcomes[row] = exc
+    ids = np.setdiff1d(np.arange(len(gains)), list(errors))
+    batch, gains, values, posteriors = (batch.take(ids), gains[ids],
+                                        values[ids], posteriors[ids])
     grads = batch.gradients(slice(None), gains, posteriors)
     gnorms = np.sqrt(_row_dots(grads, grads))
     steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))

@@ -47,8 +47,8 @@ def starting_from(monkeypatch, start):
     the row's prior covariance, which tells the problems apart.
     """
     lockstep = optimizer._lockstep
-    def patched(batch, ids, gains, config, outcomes):
+    def patched(batch, gains, config, outcomes):
         for prior, gain in zip(batch.prior, gains):
             start(prior, gain)
-        return lockstep(batch, ids, gains, config, outcomes)
+        return lockstep(batch, gains, config, outcomes)
     monkeypatch.setattr(optimizer, "_lockstep", patched)

@@ -53,6 +53,26 @@ class TestMakeProblem:
         assert problem.obs_op.shape == (2, 5)
         assert problem.obs_noise.shape == (2, 2)
 
+    @pytest.mark.parametrize("args, message", [
+        ((2, 2, 1, True), "cond_target must be a real number, got True"),
+        ((2, 2, 1, "10"), "cond_target must be a real number, got '10'"),
+        ((2.0, 2, 1, 10.0), "state_dim must be an int, got 2.0"),
+        ((2, True, 1, 10.0), "obs_dim must be an int, got True"),
+        ((2, 2, 1.5, 10.0), "seed must be an int, got 1.5"),
+        ((2, 2, "1", 10.0), "seed must be an int, got '1'"),
+    ])
+    def test_rejects_bad_types(self, args, message):
+        with pytest.raises(InvalidParameter) as raised:
+            make_problem(*args)
+        assert str(raised.value) == message
+
+    def test_accepts_numpy_numbers(self):
+        # a numpy seed is mixed as the int it stands for
+        expected = make_problem(4, 3, 77, 10.0)
+        actual = make_problem(np.int64(4), np.int32(3), np.int64(77),
+                              np.float64(10.0))
+        assert _matrices(actual) == _matrices(expected)
+
 
 def sequential_random_spd(dim, seed, cond_target):
     """random_spd of one matrix, with 2-D operations only.
@@ -306,6 +326,12 @@ class TestRunExperiment:
     def test_rejects_bad_workers(self):
         with pytest.raises(InvalidParameter):
             run_experiment(SMALL, workers=0)
+
+    @pytest.mark.parametrize("workers", [2.5, "2", True, np.int64(2), None])
+    def test_rejects_workers_of_wrong_type(self, workers):
+        # rejected before any process pool starts
+        with pytest.raises(InvalidParameter, match="workers must be an int"):
+            run_experiment(SMALL, workers=workers)
 
     def test_heavy_batch(self):
         # the slowest corner the harness is expected to handle: square

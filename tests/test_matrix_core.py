@@ -156,6 +156,27 @@ class TestRandomSpd:
         with pytest.raises(InvalidParameter):
             matrix_core.random_spd(0, 0, cond_target=2.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((3, 1, "10"), "cond_target must be a real number, got '10'"),
+        ((3, 1, True), "cond_target must be a real number, got True"),
+        ((3, 1, None), "cond_target must be a real number, got None"),
+        ((2.5, 1, 10.0), "dim must be an int, got 2.5"),
+        ((True, 1, 10.0), "dim must be an int, got True"),
+        ((3, 1.0, 10.0), "seed must be an int, got 1.0"),
+        ((3, "1", 10.0), "seed must be an int, got '1'"),
+        ((3, False, 10.0), "seed must be an int, got False"),
+    ])
+    def test_rejects_bad_types(self, args, message):
+        with pytest.raises(InvalidParameter) as raised:
+            matrix_core.random_spd(*args)
+        assert str(raised.value) == message
+
+    def test_accepts_numpy_numbers(self):
+        expected = matrix_core.random_spd(3, 7, 10.0)
+        actual = matrix_core.random_spd(np.int64(3), np.uint32(7),
+                                        np.float32(10.0))
+        assert actual.tobytes() == expected.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63 - 1),
            st.integers(min_value=1, max_value=8))

@@ -55,8 +55,8 @@ def sequential_finite_differences(batch, gains):
     for row, gain in enumerate(gains):
         problem = FilterProblem(prior=batch.prior[row], obs_op=batch.obs_op[row],
                                 obs_noise=batch.obs_noise[row])
-        kind = (TRACE if row < batch.n_trace
-                else ENTROPY if batch.entropy[row] else LOGDET)
+        kind = (ENTROPY if batch.entropy[row]
+                else LOGDET if batch.factored[row] else TRACE)
         try:
             grads[row] = sequential_finite_difference_gradient(problem, gain,
                                                                kind)
@@ -383,9 +383,8 @@ class TestStackedOracle:
         raised = 0
         for members in shapes.values():
             kinds = [list(ObjectiveKind)[i % 3] for i in range(len(members))]
-            batch, order = objectives._Batch.stack([p for p, _ in members],
-                                                   kinds)
-            gains = np.stack([gain for _, gain in members])[order]
+            batch = objectives._Batch.stack([p for p, _ in members], kinds)
+            gains = np.stack([gain for _, gain in members])
             expected, expected_errors = sequential_finite_differences(batch,
                                                                       gains)
             actual, errors = objectives._finite_differences(batch, gains)

@@ -150,9 +150,8 @@ class TestMinimizeObjective:
 
 
 def _stacked(problem, kinds):
-    """A batch of ``problem`` under each of ``kinds``, and its rows' kinds."""
-    batch, order = _Batch.stack([problem] * len(kinds), kinds)
-    return batch, [kinds[i] for i in order]
+    """The batch of ``problem`` under each of ``kinds``."""
+    return _Batch.stack([problem] * len(kinds), kinds)
 
 
 def _assert_same_report(batched, alone):
@@ -163,44 +162,71 @@ def _assert_same_report(batched, alone):
 
 
 class TestKernel:
-    """The stacked batch's values and gradients against the public functions.
+    """The stacked batch's values and gradients against the public functions."""
 
-    Every batch interleaves the kinds; the batch orders its rows itself.
-    """
-
-    def test_stack_puts_total_variance_rows_first(self):
+    def test_stack_keeps_callers_order(self):
         problems = [make_problem(3, 2, 80 + i, 10.0) for i in range(6)]
         kinds = [LOGDET, TRACE, ENTROPY, TRACE, LOGDET, TRACE]
-        batch, order = _Batch.stack(problems, kinds)
-        assert order.tolist() == [1, 3, 5, 0, 2, 4]
-        assert batch.n_trace == 3
-        assert batch.entropy.tolist() == [False] * 4 + [True, False]
-        for row, i in enumerate(order):
-            np.testing.assert_array_equal(batch.prior[row], problems[i].prior)
+        batch = _Batch.stack(problems, kinds)
+        assert batch.factored.tolist() == [True, False, True, False, True,
+                                           False]
+        assert batch.entropy.tolist() == [False, False, True, False, False,
+                                          False]
+        gains = np.stack([seeded_gain(problem, row, master_seed=83)
+                          for row, problem in enumerate(problems)])
+        values, _, errors = batch.values(gains)
+        assert errors == {}
+        for row, (problem, kind) in enumerate(zip(problems, kinds)):
+            for name in ("prior", "obs_op", "obs_noise"):
+                np.testing.assert_array_equal(getattr(batch, name)[row],
+                                              getattr(problem, name))
+            assert values[row] == evaluate_objective(problem, gains[row], kind)
+
+    def test_take_by_indices_equals_take_by_mask(self):
+        problems = [make_problem(3, 2, 90 + i, 10.0) for i in range(6)]
+        batch = _Batch.stack(problems, [LOGDET, TRACE, ENTROPY, TRACE, LOGDET,
+                                        TRACE])
+        keep = np.array([True, False, True, True, False, False])
+        by_mask, by_index = batch.take(keep), batch.take(np.flatnonzero(keep))
+        for name in ("prior", "obs_op", "obs_noise", "entropy", "factored"):
+            np.testing.assert_array_equal(getattr(by_index, name),
+                                          getattr(by_mask, name))
+        gains = np.stack([seeded_gain(problems[row], row, master_seed=89)
+                          for row in (0, 2, 3)])
+        expected, _, _ = by_mask.values(gains)
+        assert by_index.values(gains)[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     def test_bit_identical_to_public_functions(self, kind):
-        # the optimizer's iterates and reports depend on this equality
+        # the optimizer's iterates and reports depend on this equality. A
+        # batch of one kind factorizes every row or none; the mixed batch
+        # factorizes some rows.
         for trial in range(30):
             max_dim = 1 if trial < 3 else 8
             problem = seeded_problem(trial, master_seed=139, max_dim=max_dim)
-            batch, kinds = _stacked(problem, [ENTROPY, kind, LOGDET, kind, TRACE])
-            gains = np.stack([seeded_gain(problem, 10 * trial + row,
-                                          master_seed=149)
-                              for row in range(len(kinds))])
-            values, posteriors, errors = batch.values(gains)
-            assert errors == {}
-            grads = batch.gradients(np.arange(len(kinds)), gains, posteriors)
-            for row, row_kind in enumerate(kinds):
-                assert values[row] == evaluate_objective(problem, gains[row],
-                                                         row_kind)
-                np.testing.assert_array_equal(
-                    grads[row], objective_gradient(problem, gains[row], row_kind))
+            for kinds in ([kind] * 5, [ENTROPY, kind, LOGDET, kind, TRACE]):
+                batch = _stacked(problem, kinds)
+                gains = np.stack([seeded_gain(problem, 10 * trial + row,
+                                              master_seed=149)
+                                  for row in range(len(kinds))])
+                values, posteriors, errors = batch.values(gains)
+                assert errors == {}
+                for row, row_kind in enumerate(kinds):
+                    assert values[row] == evaluate_objective(
+                        problem, gains[row], row_kind)
+                for rows in (slice(None), np.arange(len(kinds)),
+                             np.array([1, 2, 4])):
+                    grads = batch.gradients(rows, gains, posteriors)
+                    for grad, row in zip(grads, np.arange(len(kinds))[rows]):
+                        np.testing.assert_array_equal(
+                            grad, objective_gradient(problem, gains[row],
+                                                     kinds[row]))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_gain(self, bad):
         problem = seeded_problem(2, master_seed=151)
-        batch, kinds = _stacked(problem, list(ObjectiveKind) * 2)
+        kinds = list(ObjectiveKind) * 2
+        batch = _stacked(problem, kinds)
         gains = np.zeros((len(kinds), problem.state_dim, problem.obs_dim))
         gains[1::2, -1, 0] = bad
         _, _, errors = batch.values(gains)
@@ -216,7 +242,8 @@ class TestKernel:
         problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
                                 obs_noise=[[1e-20]])
         gain = np.array([[0.0], [1e9]])
-        batch, kinds = _stacked(problem, [ENTROPY, TRACE, LOGDET])
+        kinds = [ENTROPY, TRACE, LOGDET]
+        batch = _stacked(problem, kinds)
         _, _, errors = batch.values(np.stack([gain] * len(kinds)))
         for row, kind in enumerate(kinds):
             if kind is TRACE:

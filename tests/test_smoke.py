@@ -40,21 +40,19 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def _assert_benchmark_checks_pass(workload, tmp_path):
+WORKLOADS = [workload["name"] for workload in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_checks_pass(workload, tmp_path):
+    # each declared workload's own correctness checks: for the batch runs,
+    # index order, strict JSON, stationarity residual and byte-identical 1-
+    # and 2-worker reports; for gradcheck, one PASS/FAIL line per objective,
+    # and exit 0 exactly when all pass
     result = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
          workload, "--seconds", "1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     assert '"correct": true' in result.stdout.splitlines()[-1]
-
-
-def test_benchmark_checks_pass(tmp_path):
-    # the benchmark's own correctness checks: index order, strict JSON,
-    # stationarity residual, and byte-identical 1- and 2-worker reports
-    _assert_benchmark_checks_pass("default_4x3", tmp_path)
-
-
-def test_gradcheck_benchmark_checks_pass(tmp_path):
-    # one PASS/FAIL line per objective, and exit 0 exactly when all pass
-    _assert_benchmark_checks_pass("gradcheck", tmp_path)
