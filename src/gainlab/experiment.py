@@ -61,9 +61,10 @@ def mix_seed(seed: int, index: int) -> int:
     """Output ``index`` of a splitmix64 stream seeded with ``seed``.
 
     Standard splitmix64 finalizer over the golden-ratio increment; used to
-    derive independent per-trial and per-matrix seeds.
+    derive independent per-trial and per-matrix seeds. Both arguments are
+    taken as Python ints, so numpy integers do not overflow.
     """
-    z = (seed + (index + 1) * _GOLDEN) & _MASK64
+    z = (int(seed) + (int(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -163,8 +164,7 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
-    # int(): mix_seed's 64-bit arithmetic would overflow a numpy integer
-    problem, = _make_problems([(state_dim, obs_dim, int(seed), cond_target)])
+    problem, = _make_problems([(state_dim, obs_dim, seed, cond_target)])
     if isinstance(problem, GainlabError):
         raise problem
     return problem

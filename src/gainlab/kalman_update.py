@@ -8,7 +8,6 @@ not, which is exactly what the gain optimizers in this package need.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import matrix_core
 from .exceptions import DimensionMismatch, InvalidParameter
@@ -92,14 +91,14 @@ def innovation_covariance(problem: FilterProblem) -> np.ndarray:
 def analytic_gain(problem: FilterProblem) -> np.ndarray:
     """Optimal gain ``P @ H.T @ inv(H @ P @ H.T + R)``, shape (n, m).
 
-    The innovation covariance is never inverted explicitly; the gain comes
-    from a Cholesky solve of ``S @ X = H @ P`` followed by a transpose, which
-    is more accurate than forming the inverse.
+    The innovation covariance is never inverted explicitly: once its Cholesky
+    factorization has checked it, the gain is the solve of ``S @ X = H @ P``,
+    transposed, which is more accurate than forming the inverse.
     """
     s = innovation_covariance(problem)
-    factor = matrix_core.cholesky(s)
+    matrix_core.cholesky(s)
     cross = problem.obs_op @ problem.prior  # (m, n); transpose of P H^T
-    return cho_solve((factor, True), cross).T
+    return np.linalg.solve(s, cross).T
 
 
 def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:

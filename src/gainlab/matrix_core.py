@@ -1,14 +1,13 @@
 """Dense SPD matrix utilities: validation, Cholesky, determinants, inverses.
 
 Determinant, log-determinant, inverse, and positive-definiteness checks all
-route through a single Cholesky factorization so that there is one source of
-truth for what counts as a valid covariance matrix.
+route through a single Cholesky factorization, the one source of truth for
+what counts as a valid covariance matrix; the inverse is then an LU solve.
 """
 
 import numbers
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .exceptions import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 
@@ -165,13 +164,12 @@ def det(a: np.ndarray) -> float:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix via its Cholesky factorization.
+    """Inverse of an SPD matrix: a Cholesky check, then an LU solve of ``I``.
 
     The result is symmetrized before return and is itself SPD.
     """
-    factor = cholesky(a)
-    inv = cho_solve((factor, True), np.eye(a.shape[0]))
-    return symmetrize(inv)
+    cholesky(a)
+    return symmetrize(np.linalg.solve(a, np.eye(len(a))))
 
 
 def trace(a: np.ndarray) -> float:
@@ -223,7 +221,7 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     dim : int
         Matrix dimension, at least 1.
     seed : int
-        Seed for the generator; identical arguments give bit-identical output.
+        Seed, at least 0; identical arguments give bit-identical output.
     cond_target : float, optional
         Ratio of the extreme eigenvalues; must be >= 1.
 
@@ -234,6 +232,8 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
         :func:`_random_spds`.
     """
     _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     return _random_spds(dim, [seed], cond_target)[0]
 
 

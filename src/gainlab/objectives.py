@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import matrix_core
 from .exceptions import InvalidParameter
@@ -135,14 +134,14 @@ def directional_logdet_differential(problem: FilterProblem, gain: np.ndarray,
                                     dgain: np.ndarray) -> float:
     """Directional derivative of the log-determinant objective.
 
-    Computed in trace form as ``tr(inv(P_posterior) @ dP_posterior)``; agrees
-    with the Frobenius inner product of :func:`logdet_gradient` with the
-    direction.
+    Computed in trace form as ``tr(inv(P_posterior) @ dP_posterior)``, with the
+    solve of :func:`_logdet_gradient` after a Cholesky check; agrees with the
+    Frobenius inner product of :func:`logdet_gradient` with the direction.
     """
     posterior = joseph_update(problem, gain)
-    factor = matrix_core.cholesky(posterior)
+    matrix_core.cholesky(posterior)
     dposterior = analysis_cov_differential(problem, gain, dgain)
-    return float(np.trace(cho_solve((factor, True), dposterior)))
+    return float(np.trace(_logdet_gradient(posterior, dposterior)))
 
 
 def objective_gradient(problem: FilterProblem, gain: np.ndarray,

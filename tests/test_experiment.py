@@ -38,6 +38,12 @@ class TestSeedMixing:
     def test_fits_in_64_bits(self):
         assert 0 <= mix_seed(2**64 - 1, 2**31) < 2**64
 
+    def test_numpy_integers_equal_python_ints(self):
+        assert mix_seed(np.int64(3), 0) == mix_seed(3, 0)
+        assert mix_seed(1, np.int64(2)) == mix_seed(1, 2)
+        assert mix_seed(np.uint64(2**64 - 1), np.int32(5)) == mix_seed(
+            2**64 - 1, 5)
+
 
 class TestMakeProblem:
     def test_deterministic(self):

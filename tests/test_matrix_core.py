@@ -95,6 +95,13 @@ class TestInverse:
             np.testing.assert_allclose(product, np.eye(6), rtol=0,
                                        atol=1e-10 * np.linalg.cond(a))
 
+    @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 1.0]],
+                                   np.diag([1.0, 1e-30])])
+    def test_rejects_non_spd(self, a):
+        # the solve itself would invert both; the Cholesky check must refuse
+        with pytest.raises(NotPositiveDefinite):
+            matrix_core.inverse(np.array(a))
+
 
 class TestTraceSymmetrize:
     def test_trace_identity(self):
@@ -165,6 +172,7 @@ class TestRandomSpd:
         ((3, 1.0, 10.0), "seed must be an int, got 1.0"),
         ((3, "1", 10.0), "seed must be an int, got '1'"),
         ((3, False, 10.0), "seed must be an int, got False"),
+        ((3, -1, 10.0), "seed must be >= 0, got -1"),
     ])
     def test_rejects_bad_types(self, args, message):
         with pytest.raises(InvalidParameter) as raised:

@@ -204,6 +204,14 @@ class TestDirectionalDifferential:
             rhs = float(np.sum(logdet_gradient(problem, gain) * dk))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
+    def test_rejects_non_spd_posterior(self):
+        # the posterior at this gain is not SPD in floating point
+        problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                                obs_noise=[[1e-20]])
+        with pytest.raises(NotPositiveDefinite):
+            directional_logdet_differential(problem, [[0.0], [1e9]],
+                                            [[1.0], [0.0]])
+
 
 class TestLogdetGradient:
     def test_zero_at_analytic_gain(self):

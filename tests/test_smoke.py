@@ -1,4 +1,5 @@
-"""Smoke tests for the code outside the package that drives it: demos, benchmark."""
+"""Smoke tests for the code outside the package that drives it: demos, benchmark,
+and for what importing the package loads."""
 
 import importlib
 import json
@@ -30,6 +31,17 @@ def test_benchmark_modules_import(monkeypatch):
     names = {metric["name"] for metric in declared["per_layer"]}
     for fn in layers.SPAN_FUNCTIONS:
         assert f"{layers._span_name(fn)}.calls_per_trial" in names
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    code = ("import sys, gainlab, gainlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
