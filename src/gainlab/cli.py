@@ -159,7 +159,7 @@ def _cmd_check(args) -> int:
           f"relative error {rel_err:.3e}")
 
     residual = optimizer.stationarity_residual(problem, reference)
-    scale = 1.0 + frobenius_norm(problem.prior @ problem.obs_op.T)
+    scale = 1.0 + frobenius_norm(problem.cross)
     ok &= residual <= _RESIDUAL_TOL * scale
     print(f"stationarity residual at analytic gain: {residual:.3e} "
           f"(tolerance {_RESIDUAL_TOL * scale:.3e})")

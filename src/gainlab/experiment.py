@@ -288,19 +288,14 @@ def _summarize(records: list[TrialRecord]) -> SummaryRecord:
     failures = sum(1 for r in records if r.failed)
     distances = [d for r in records if not r.failed for d in r.distances]
     residuals = [r.stationarity_residual for r in records if not r.failed]
-    if distances:
-        summary = SummaryRecord(
-            trials=len(records),
-            failures=failures,
-            max_gain_distance=max(distances),
-            mean_gain_distance=sum(distances) / len(distances),
-            max_stationarity_residual=max(residuals),
-        )
-    else:
-        summary = SummaryRecord(trials=len(records), failures=failures,
-                                max_gain_distance=None, mean_gain_distance=None,
-                                max_stationarity_residual=None)
-    return summary
+    return SummaryRecord(
+        trials=len(records),
+        failures=failures,
+        max_gain_distance=max(distances, default=None),
+        mean_gain_distance=(sum(distances) / len(distances) if distances
+                            else None),
+        max_stationarity_residual=max(residuals, default=None),
+    )
 
 
 def _chunks(trials: int, workers: int) -> list[range]:

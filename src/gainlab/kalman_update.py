@@ -33,6 +33,11 @@ class FilterProblem:
         Any finite real matrix is accepted; full rank is not required.
     obs_noise : ndarray, shape (m, m)
         SPD observation error covariance.
+    cross, innovation : ndarray, shapes (n, m) and (m, m)
+        The gain-free terms ``P @ H.T`` and ``S = H @ (P @ H.T) + R``,
+        computed once and read-only, like the three matrices above. ``S`` is
+        symmetric only to rounding; it is checked here, once, for finite
+        entries and by a Cholesky factorization with the pivot floor ``PD_TOL``.
     """
 
     prior: np.ndarray
@@ -40,6 +45,8 @@ class FilterProblem:
     obs_noise: np.ndarray
     state_dim: int = field(init=False)
     obs_dim: int = field(init=False)
+    cross: np.ndarray = field(init=False, repr=False)
+    innovation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         prior = matrix_core.validate_covariance(self.prior, name="prior")
@@ -57,9 +64,14 @@ class FilterProblem:
             raise DimensionMismatch(
                 f"obs_op has {obs_op.shape[0]} rows but obs_noise is "
                 f"{obs_noise.shape[0]}x{obs_noise.shape[0]}")
-        for name, value in (("prior", prior), ("obs_op", obs_op),
-                            ("obs_noise", obs_noise)):
-            value = value.copy()
+        cross = prior @ obs_op.T
+        innovation = obs_op @ cross + obs_noise
+        if not np.all(np.isfinite(innovation)):
+            raise InvalidParameter("matrix contains non-finite entries")
+        matrix_core._cholesky_factor(innovation)
+        for name, value in (("prior", prior.copy()), ("obs_op", obs_op.copy()),
+                            ("obs_noise", obs_noise.copy()), ("cross", cross),
+                            ("innovation", innovation)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "state_dim", prior.shape[0])
@@ -78,27 +90,23 @@ class FilterProblem:
 
 
 def innovation_covariance(problem: FilterProblem) -> np.ndarray:
-    """Covariance of the innovation: ``H @ P @ H.T + R``, symmetrized.
+    """The innovation covariance ``H @ (P @ H.T) + R`` that the problem stores.
 
-    SPD is guaranteed because the noise covariance is SPD and the projected
+    Computed and checked once, when the problem is built, and symmetric only
+    to rounding. SPD because the noise covariance is SPD and the projected
     prior term is positive semidefinite.
     """
-    h = problem.obs_op
-    s = h @ problem.prior @ h.T + problem.obs_noise
-    return matrix_core.symmetrize(s)
+    return problem.innovation
 
 
 def analytic_gain(problem: FilterProblem) -> np.ndarray:
     """Optimal gain ``P @ H.T @ inv(H @ P @ H.T + R)``, shape (n, m).
 
-    The innovation covariance is never inverted explicitly: once its Cholesky
-    factorization has checked it, the gain is the solve of ``S @ X = H @ P``,
+    The innovation covariance ``S``, checked when the problem was built, is
+    never inverted explicitly: the gain is the solve of ``S @ X = (P @ H.T).T``,
     transposed, which is more accurate than forming the inverse.
     """
-    s = innovation_covariance(problem)
-    matrix_core.cholesky(s)
-    cross = problem.obs_op @ problem.prior  # (m, n); transpose of P H^T
-    return np.linalg.solve(s, cross).T
+    return np.linalg.solve(problem.innovation, problem.cross.T).T
 
 
 def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:

@@ -201,9 +201,9 @@ def _frobenius_norms(a: np.ndarray) -> np.ndarray:
     """:func:`frobenius_norm` of each matrix in a stack, bit for bit.
 
     Each row is reduced by the same inner product that :func:`frobenius_norm`
-    takes of its flattened matrix.
+    takes of its flattened matrix. An empty stack gives an empty array.
     """
-    flat = a.reshape(len(a), 1, -1)
+    flat = a.reshape(len(a), 1, a.shape[-2] * a.shape[-1])
     return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
 
 

@@ -3,13 +3,14 @@
 Three objectives measure the spread of the posterior covariance produced by
 the Joseph update at a candidate gain: the trace (total variance), the
 log-determinant (log generalized variance), and the Gaussian differential
-entropy. Their closed-form gradients share one bracket, the total-variance
-gradient ``2 (K S - P H.T)`` with ``S = H P H.T + R``: the log-determinant
-solves it against the posterior, and the entropy halves that.
-:func:`objective_gradient` is the one dispatch over the kinds. The module
-also provides the covariance differential and the trace-form directional
-derivative of the log-determinant, together with a central
-finite-difference gradient that serves as an independent numerical oracle.
+entropy. Their calculus shares one bracket, ``M = K S - P H.T`` from the
+terms ``S`` and ``P H.T`` that each problem stores: the total-variance
+gradient is ``2 M``, the log-determinant solves it against the posterior,
+the entropy halves that, and the covariance differential is
+``dK M.T + M dK.T``. :func:`objective_gradient` is the one dispatch over the
+kinds. The module also provides the trace-form directional derivative of
+the log-determinant, together with a central finite-difference gradient
+that serves as an independent numerical oracle.
 
 The objectives also have one stacked form, the private ``_Batch``: stacked
 problems with one objective per row, whose values cost one Joseph update and
@@ -26,7 +27,6 @@ the public evaluators would.
 
 import enum
 import math
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -113,21 +113,20 @@ def analysis_cov_differential(problem: FilterProblem, gain: np.ndarray,
                               dgain: np.ndarray) -> np.ndarray:
     """First-order change of the updated covariance for a gain perturbation.
 
-    Expands d(posterior) at ``gain`` in direction ``dgain`` into its six
-    terms; linear in ``dgain`` and equal to the central difference of
-    ``joseph_update`` up to O(h^2).
+    ``dK M.T + M dK.T`` at ``gain`` in direction ``dgain = dK``, with the
+    bracket ``M = K S - P H.T``; linear in ``dgain`` and equal to the
+    central difference of ``joseph_update`` up to O(h^2).
     """
     k = problem.check_gain(gain)
     dk = problem.check_gain(dgain, name="dgain")
-    p = problem.prior
-    h = problem.obs_op
-    r = problem.obs_noise
-    ph_t = p @ h.T            # (n, m)
-    khph_t = k @ h @ ph_t     # (n, n)
-    kr = k @ r                # (n, m)
-    return (-ph_t @ dk.T - dk @ ph_t.T
-            + dk @ khph_t.T + khph_t @ dk.T
-            + dk @ kr.T + kr @ dk.T)
+    return _differential(problem, k, dk)
+
+
+def _differential(problem: FilterProblem, gain: np.ndarray,
+                  dgain: np.ndarray) -> np.ndarray:
+    """:func:`analysis_cov_differential` of gains already checked."""
+    m = _bracket(gain, problem.cross, problem.innovation)
+    return dgain @ m.T + m @ dgain.T
 
 
 def directional_logdet_differential(problem: FilterProblem, gain: np.ndarray,
@@ -137,10 +136,13 @@ def directional_logdet_differential(problem: FilterProblem, gain: np.ndarray,
     Computed in trace form as ``tr(inv(P_posterior) @ dP_posterior)``, with the
     solve of :func:`_logdet_gradient` after a Cholesky check; agrees with the
     Frobenius inner product of :func:`logdet_gradient` with the direction.
+    Each gain is checked once.
     """
-    posterior = joseph_update(problem, gain)
+    k = problem.check_gain(gain)
+    posterior = _joseph_form(problem, k, np.eye(problem.state_dim))
     matrix_core.cholesky(posterior)
-    dposterior = analysis_cov_differential(problem, gain, dgain)
+    dposterior = _differential(problem, k,
+                               problem.check_gain(dgain, name="dgain"))
     return float(np.trace(_logdet_gradient(posterior, dposterior)))
 
 
@@ -148,21 +150,21 @@ def objective_gradient(problem: FilterProblem, gain: np.ndarray,
                        kind: ObjectiveKind) -> np.ndarray:
     """Analytic gradient of the selected objective with respect to the gain.
 
-    Every kind starts from the total-variance gradient
-    ``2 K (H P H.T + R) - 2 P H.T``, shape (n, m). The log-determinant
+    Every kind starts from the total-variance gradient ``2 M``, twice the
+    bracket ``M = K S - P H.T``, shape (n, m). The log-determinant
     gradient is ``inv(P_posterior)`` applied to it: the posterior is
     Cholesky-validated, and the inverse is applied by a linear solve and kept
     un-symmetrized, exactly as the closed form states it. The entropy is a
     constant plus half the log-determinant, so its gradient is half the
     log-determinant gradient. All three vanish at exactly the same gain,
     which is why the objectives share their minimizer; the finite-difference
-    oracle arbitrates correctness.
+    oracle arbitrates correctness. The gain is checked once.
     """
     k = problem.check_gain(gain)
-    grad = _trace_gradient(k, *_gradient_terms(problem))
+    grad = 2.0 * _bracket(k, problem.cross, problem.innovation)
     if kind is ObjectiveKind.TOTAL_VARIANCE:
         return grad
-    posterior = joseph_update(problem, k)
+    posterior = _joseph_form(problem, k, np.eye(problem.state_dim))
     matrix_core.cholesky(posterior)
     grad = _logdet_gradient(posterior, grad)
     return 0.5 * grad if kind is ObjectiveKind.DIFFERENTIAL_ENTROPY else grad
@@ -178,22 +180,16 @@ def logdet_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
                               ObjectiveKind.LOG_GENERALIZED_VARIANCE)
 
 
-def _gradient_terms(problem: FilterProblem) -> tuple[np.ndarray, np.ndarray]:
-    """``P H.T`` and ``H (P H.T) + R``: the gain-free terms of every gradient.
+def _bracket(gain: np.ndarray, cross: np.ndarray,
+             innovation: np.ndarray) -> np.ndarray:
+    """The bracket ``M = K S - P H.T``, which equals ``(K - K*) S``.
 
-    The second term is left unsymmetrized, unlike
-    :func:`~gainlab.kalman_update.innovation_covariance`, which also
-    associates its products differently. ``problem`` may be a stack of
-    problems, as in :func:`~gainlab.kalman_update._joseph_form`.
+    ``cross`` and ``innovation`` are a problem's ``P H.T`` and ``S``. All
+    three arguments may be stacks, as in a :class:`_Batch`. The
+    total-variance gradient is ``2 M``, the stationarity residual
+    ``||M||``, and the covariance differential ``dK M.T + M dK.T``.
     """
-    ph_t = problem.prior @ problem.obs_op.swapaxes(-1, -2)
-    return ph_t, problem.obs_op @ ph_t + problem.obs_noise
-
-
-def _trace_gradient(gain: np.ndarray, ph_t: np.ndarray,
-                    gram: np.ndarray) -> np.ndarray:
-    """Total-variance gradient ``2 K (H P H.T + R) - 2 P H.T`` from its terms."""
-    return 2.0 * (gain @ gram - ph_t)
+    return gain @ innovation - cross
 
 
 def _logdet_gradient(posterior: np.ndarray,
@@ -212,18 +208,22 @@ class _Batch:
     Rows are in the caller's order, and each row's kind is data:
     ``factored[row]`` is set where the row minimizes the log-determinant or
     the entropy, whose values factorize the posterior, and ``entropy[row]``
-    where it minimizes the entropy. ``prior``, ``obs_op`` and ``obs_noise``
-    are the stacked matrices of problems that :class:`FilterProblem`
-    validated, which lets the shared formulas take the batch in place of a
-    problem. Gains have the batch's shape by construction, and the
-    symmetrized posterior is exactly symmetric, so neither is checked again;
-    the checks a gain can fail are kept (see :meth:`values`).
+    where it minimizes the entropy. ``prior``, ``obs_op``, ``obs_noise``,
+    ``cross`` and ``innovation`` are the stacked matrices and gain-free
+    terms of problems that :class:`FilterProblem` validated and computed,
+    which lets the shared formulas take the batch in place of a problem;
+    :meth:`take` slices them. Gains have the batch's shape by construction,
+    and the symmetrized posterior is exactly symmetric, so neither is
+    checked again; the checks a gain can fail are kept (see :meth:`values`).
     """
 
-    def __init__(self, prior, obs_op, obs_noise, entropy, factored):
+    def __init__(self, prior, obs_op, obs_noise, cross, innovation, entropy,
+                 factored):
         self.prior = prior
         self.obs_op = obs_op
         self.obs_noise = obs_noise
+        self.cross = cross
+        self.innovation = innovation
         self.entropy = entropy
         self.factored = factored
         self.identity = np.eye(prior.shape[-1])
@@ -232,19 +232,13 @@ class _Batch:
         self._factor_ids = np.flatnonzero(factored)
         self._factor_rows = slice(None) if factored.all() else self._factor_ids
 
-    @cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
-        # Built on first use: only gradients() needs them, and the oracle
-        # never calls it.
-        return _gradient_terms(self)
-
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
               kinds: Sequence[ObjectiveKind]) -> "_Batch":
         """The batch whose row ``i`` is ``problems[i]`` under ``kinds[i]``."""
-        return cls(np.stack([problem.prior for problem in problems]),
-                   np.stack([problem.obs_op for problem in problems]),
-                   np.stack([problem.obs_noise for problem in problems]),
+        return cls(*(np.stack([getattr(problem, name) for problem in problems])
+                     for name in ("prior", "obs_op", "obs_noise", "cross",
+                                  "innovation")),
                    np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
                              for kind in kinds]),
                    np.array([kind is not ObjectiveKind.TOTAL_VARIANCE
@@ -253,6 +247,7 @@ class _Batch:
     def take(self, rows: np.ndarray) -> "_Batch":
         """The batch of ``rows``: a boolean mask, or an array of row indices."""
         return _Batch(self.prior[rows], self.obs_op[rows], self.obs_noise[rows],
+                      self.cross[rows], self.innovation[rows],
                       self.entropy[rows], self.factored[rows])
 
     def values(self, gains: np.ndarray):
@@ -308,8 +303,8 @@ class _Batch:
         ``gains`` and ``posteriors`` cover the whole batch, and the
         posteriors are those :meth:`values` returned at the same gains.
         """
-        ph_t, gram = self._terms
-        grads = _trace_gradient(gains[rows], ph_t[rows], gram[rows])
+        grads = 2.0 * _bracket(gains[rows], self.cross[rows],
+                               self.innovation[rows])
         if not self._factor_ids.size:
             return grads
         picked = (slice(None) if isinstance(self._factor_rows, slice)

@@ -18,7 +18,7 @@ batch of one and :func:`cross_objective_equivalence` a batch of three.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import objectives
 from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
                          LineSearchFailed)
-from .kalman_update import FilterProblem, analytic_gain, innovation_covariance
+from .kalman_update import FilterProblem, analytic_gain
 from .matrix_core import _check_numbers, frobenius_norm
 from .objectives import ObjectiveKind, _Batch
 
@@ -96,8 +96,8 @@ class OptimizationReport:
 def trace_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     """Analytic gradient of the total-variance objective.
 
-    This is the log-determinant gradient's bracket without the
-    inverse-posterior prefactor: ``2 K (H P H.T + R) - 2 P H.T``. Both
+    This is the log-determinant gradient without the inverse-posterior
+    prefactor: ``2 M``, twice the bracket ``M = K (H P H.T + R) - P H.T``. Both
     gradients therefore vanish at exactly the same gain, which is why the
     trace and determinant objectives share their minimizer; see
     :func:`~gainlab.objectives.objective_gradient`.
@@ -107,15 +107,15 @@ def trace_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
 
 
 def stationarity_residual(problem: FilterProblem, gain: np.ndarray) -> float:
-    """Frobenius norm of ``K H P H.T + K R - P H.T``.
+    """Frobenius norm of the bracket ``M = K (H P H.T + R) - P H.T``.
 
-    Zero exactly at the analytic gain in exact arithmetic; reported separately
-    from the raw gradient norm because it does not carry the inverse-posterior
-    prefactor.
+    Zero exactly at the analytic gain in exact arithmetic, and exactly half
+    the norm of :func:`trace_gradient`; reported separately from the raw
+    gradient norm because it does not carry the inverse-posterior prefactor.
     """
     k = problem.check_gain(gain)
-    residual = k @ innovation_covariance(problem) - problem.prior @ problem.obs_op.T
-    return frobenius_norm(residual)
+    return frobenius_norm(objectives._bracket(k, problem.cross,
+                                              problem.innovation))
 
 
 def _clip_step(steps: np.ndarray) -> np.ndarray:
@@ -333,8 +333,7 @@ class EquivalenceReport:
     analytic: np.ndarray
     reports: dict[ObjectiveKind, OptimizationReport]
     distance_to_analytic: dict[ObjectiveKind, float]
-    pairwise_distance: dict[tuple[ObjectiveKind, ObjectiveKind], float] = field(
-        default_factory=dict)
+    pairwise_distance: dict[tuple[ObjectiveKind, ObjectiveKind], float]
 
     @property
     def max_distance_to_analytic(self) -> float:
@@ -350,24 +349,19 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     Returns one outcome per problem, in order: its EquivalenceReport, or the
     GainlabError that :func:`cross_objective_equivalence` raises for it.
     """
-    outcomes: list = [None] * len(problems)
-    references = {}
-    for i, problem in enumerate(problems):
-        try:
-            references[i] = analytic_gain(problem)
-        except GainlabError as exc:
-            outcomes[i] = exc
     kinds = tuple(ObjectiveKind)
-    runs = minimize_batch([problems[i] for i in references for _ in kinds],
-                          [kind for _ in references for kind in kinds], config)
-    for j, (i, reference) in enumerate(references.items()):
-        mine = runs[j * len(kinds):(j + 1) * len(kinds)]
+    runs = minimize_batch([problem for problem in problems for _ in kinds],
+                          [kind for _ in problems for kind in kinds], config)
+    outcomes: list = []
+    for i, problem in enumerate(problems):
+        mine = runs[i * len(kinds):(i + 1) * len(kinds)]
         failed = [run for run in mine if isinstance(run, GainlabError)]
         if failed:
-            outcomes[i] = failed[0]
+            outcomes.append(failed[0])
             continue
+        reference = analytic_gain(problem)
         reports = dict(zip(kinds, mine))
-        outcomes[i] = EquivalenceReport(
+        outcomes.append(EquivalenceReport(
             analytic=reference,
             reports=reports,
             distance_to_analytic={
@@ -377,7 +371,7 @@ def equivalence_batch(problems: Sequence[FilterProblem],
                 (a, b): frobenius_norm(reports[a].final_gain
                                        - reports[b].final_gain)
                 for a, b in OBJECTIVE_PAIRS},
-        )
+        ))
     return outcomes
 
 

@@ -9,6 +9,7 @@ from gainlab import cli, objectives
 from gainlab.cli import main
 from gainlab.exceptions import GainlabError, NotPositiveDefinite
 from gainlab.experiment import make_problem, mix_seed
+from gainlab.kalman_update import FilterProblem
 from gainlab.matrix_core import frobenius_norm
 from gainlab.objectives import ObjectiveKind, objective_gradient
 
@@ -228,6 +229,17 @@ class TestStackedGradcheck:
             assert main(argv) == code == 2
         assert capsys.readouterr() == stacked
         assert stacked.err == f"gainlab: error: {error}\n"
+
+    def test_group_whose_every_row_fails(self):
+        # the posterior at the analytic gain 1e-13 has the pivot 1e-13
+        problem = FilterProblem(prior=[[1.0]], obs_op=[[1e13]],
+                                obs_noise=[[1.0]])
+        errors, failures = cli._gradient_errors(
+            [problem], [cli.analytic_gain(problem)],
+            [ObjectiveKind.LOG_GENERALIZED_VARIANCE])
+        assert errors.shape == (1, 1) and np.isnan(errors[0, 0])
+        assert list(failures) == [0]
+        assert isinstance(failures[0], NotPositiveDefinite)
 
     def test_failing_problem_raises_first_error(self, monkeypatch):
         # every 17th instance has a prior too ill-conditioned to factorize

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gainlab import matrix_core
-from gainlab.exceptions import DimensionMismatch, NotPositiveDefinite
+from gainlab.exceptions import (DimensionMismatch, InvalidParameter,
+                                NotPositiveDefinite)
 from gainlab.kalman_update import (FilterProblem, analytic_gain,
                                    innovation_covariance, joseph_update)
 
@@ -34,6 +35,23 @@ class TestFilterProblem:
         problem = seeded_problem(0)
         with pytest.raises(ValueError):
             problem.prior[0, 0] = 99.0
+
+    def test_gain_free_terms_are_stored_read_only(self):
+        for trial in range(20):
+            problem = seeded_problem(trial, master_seed=7)
+            p, h, r = problem.prior, problem.obs_op, problem.obs_noise
+            assert problem.cross.tobytes() == (p @ h.T).tobytes()
+            assert problem.innovation.tobytes() == (h @ (p @ h.T) + r).tobytes()
+            assert innovation_covariance(problem) is problem.innovation
+            for name in ("cross", "innovation"):
+                with pytest.raises(ValueError):
+                    getattr(problem, name)[0, 0] = 99.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_innovation_rejected_at_construction(self):
+        with pytest.raises(InvalidParameter,
+                           match="matrix contains non-finite entries"):
+            FilterProblem(prior=[[1.0]], obs_op=[[1e200]], obs_noise=[[1.0]])
 
     def test_gain_shape_checked(self):
         problem = seeded_problem(1)

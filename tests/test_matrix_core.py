@@ -193,6 +193,14 @@ class TestRandomSpd:
         matrix_core.validate_covariance(a)
 
 
+class TestFrobeniusNorms:
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_rows_match_frobenius_norm(self, count):
+        stack = np.random.default_rng(3).standard_normal((count, 4, 3))
+        norms = matrix_core._frobenius_norms(stack)
+        assert norms.tolist() == [matrix_core.frobenius_norm(a) for a in stack]
+
+
 class TestInvariants:
     def test_hadamard_inequality(self):
         # determinant of an SPD matrix never exceeds the product of its diagonal

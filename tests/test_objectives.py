@@ -161,6 +161,23 @@ class TestCovarianceDifferential:
             scale = max(1.0, np.linalg.norm(exact))
             assert np.linalg.norm(numeric - exact) / scale <= 1e-7
 
+    def test_matches_six_term_expansion(self):
+        # the expansion the bracket form dK M.T + M dK.T replaced
+        for trial in range(50):
+            problem = seeded_problem(trial, master_seed=191)
+            k = seeded_gain(problem, trial, scale=1.0, master_seed=193)
+            dk = seeded_gain(problem, trial + 700, master_seed=193) - k
+            p, h, r = problem.prior, problem.obs_op, problem.obs_noise
+            ph_t = p @ h.T
+            khph_t = k @ h @ ph_t
+            kr = k @ r
+            expected = (-ph_t @ dk.T - dk @ ph_t.T
+                        + dk @ khph_t.T + khph_t @ dk.T
+                        + dk @ kr.T + kr @ dk.T)
+            actual = analysis_cov_differential(problem, k, dk)
+            assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(
+                expected)
+
     def test_linear_in_direction(self):
         for trial in range(25):
             problem = seeded_problem(trial, master_seed=47)

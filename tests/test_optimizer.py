@@ -177,7 +177,7 @@ class TestKernel:
         values, _, errors = batch.values(gains)
         assert errors == {}
         for row, (problem, kind) in enumerate(zip(problems, kinds)):
-            for name in ("prior", "obs_op", "obs_noise"):
+            for name in ("prior", "obs_op", "obs_noise", "cross", "innovation"):
                 np.testing.assert_array_equal(getattr(batch, name)[row],
                                               getattr(problem, name))
             assert values[row] == evaluate_objective(problem, gains[row], kind)
@@ -188,7 +188,8 @@ class TestKernel:
                                         TRACE])
         keep = np.array([True, False, True, True, False, False])
         by_mask, by_index = batch.take(keep), batch.take(np.flatnonzero(keep))
-        for name in ("prior", "obs_op", "obs_noise", "entropy", "factored"):
+        for name in ("prior", "obs_op", "obs_noise", "cross", "innovation",
+                     "entropy", "factored"):
             np.testing.assert_array_equal(getattr(by_index, name),
                                           getattr(by_mask, name))
         gains = np.stack([seeded_gain(problems[row], row, master_seed=89)
@@ -366,6 +367,16 @@ class TestStationarityResidual:
             residual = stationarity_residual(problem, analytic_gain(problem))
             scale = 1.0 + np.linalg.norm(problem.prior @ problem.obs_op.T)
             assert residual <= 1e-10 * scale
+
+    def test_half_the_trace_gradient_norm(self):
+        # both are the bracket K S - P H^T, once and twice
+        for trial in range(50):
+            problem = seeded_problem(trial, master_seed=139)
+            for gain in (analytic_gain(problem),
+                         seeded_gain(problem, trial, master_seed=141)):
+                assert stationarity_residual(problem, gain) == (
+                    0.5 * matrix_core.frobenius_norm(trace_gradient(problem,
+                                                                    gain)))
 
     def test_scalar_hand_values(self, scalar_problem):
         # |K (H P H^T + R) - P H^T| = |2K - 1|
