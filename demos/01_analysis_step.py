@@ -24,9 +24,8 @@ print("\nobservation noise covariance:")
 print(problem.obs_noise)
 
 # The innovation covariance weighs projected prior uncertainty against noise.
-innovation = gl.innovation_covariance(problem)
 print("\ninnovation covariance H P H' + R:")
-print(innovation)
+print(problem.innovation)
 
 gain = gl.analytic_gain(problem)
 print("\nanalytic gain:")

@@ -34,11 +34,11 @@ print("\n5x3 random problem, minimizing each objective from the zero gain:")
 for kind in ObjectiveKind:
     report = equivalence.reports[kind]
     distance = equivalence.distance_to_analytic[kind]
-    print(f"  {kind.short_name:7s}: {report.iterations:4d} iterations, "
+    print(f"  {kind.value:7s}: {report.iterations:4d} iterations, "
           f"converged={report.converged}, ||K - K*||_F = {distance:.2e}")
 
 print("\npairwise distances between the three minimizers:")
 for (a, b), distance in equivalence.pairwise_distance.items():
-    print(f"  {a.short_name:7s} vs {b.short_name:7s}: {distance:.2e}")
+    print(f"  {a.value:7s} vs {b.value:7s}: {distance:.2e}")
 
 print("\nall three descents recover the closed-form gain.")

@@ -45,7 +45,7 @@ for kind in ObjectiveKind:
     analytic = gl.objective_gradient(problem, gain, kind)
     fd = gl.finite_difference_gradient(problem, gain, kind)
     rel = np.linalg.norm(analytic - fd) / (1 + np.linalg.norm(analytic))
-    print(f"  {kind.short_name:7s}: relative error {rel:.2e}")
+    print(f"  {kind.value:7s}: relative error {rel:.2e}")
 
 # stationarity: the gradient and the residual vanish at the analytic gain
 best = gl.analytic_gain(problem)

@@ -9,10 +9,9 @@ three dispersion objectives, one optimum.
 
 from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
                          LineSearchFailed, NotPositiveDefinite)
-from .kalman_update import (FilterProblem, analytic_gain, innovation_covariance,
-                            joseph_update)
-from .matrix_core import (cholesky, det, frobenius_norm, inverse, log_det,
-                          random_spd, symmetrize, trace, validate_covariance)
+from .kalman_update import FilterProblem, analytic_gain, joseph_update
+from .matrix_core import (cholesky, det, frobenius_norm, log_det, random_spd,
+                          trace, validate_covariance)
 from .objectives import (ObjectiveKind, analysis_cov_differential,
                          differential_entropy, directional_logdet_differential,
                          finite_difference_gradient, log_generalized_variance,
@@ -29,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "GainlabError", "DimensionMismatch", "InvalidParameter",
     "NotPositiveDefinite", "LineSearchFailed",
-    "cholesky", "log_det", "det", "inverse", "trace", "symmetrize",
-    "frobenius_norm", "random_spd", "validate_covariance",
-    "FilterProblem", "innovation_covariance", "analytic_gain", "joseph_update",
+    "cholesky", "log_det", "det", "trace", "frobenius_norm", "random_spd",
+    "validate_covariance",
+    "FilterProblem", "analytic_gain", "joseph_update",
     "ObjectiveKind", "total_variance", "log_generalized_variance",
     "differential_entropy", "analysis_cov_differential",
     "directional_logdet_differential", "logdet_gradient",

@@ -148,8 +148,8 @@ class ExperimentResult:
     trials: list[TrialRecord]
     summary: SummaryRecord
 
-    def all_passed(self, threshold: float = DISTANCE_THRESHOLD) -> bool:
-        return all(record.passed(threshold) for record in self.trials)
+    def all_passed(self) -> bool:
+        return all(record.passed() for record in self.trials)
 
 
 def make_problem(state_dim: int, obs_dim: int, seed: int,
@@ -264,7 +264,7 @@ def _failed_record(index: int, seed: int, exc: GainlabError) -> TrialRecord:
 def _trial_record(index: int, seed: int, problem: FilterProblem,
                   equivalence: EquivalenceReport) -> TrialRecord:
     reference = equivalence.analytic
-    at_analytic = {kind.short_name: evaluate_objective(problem, reference, kind)
+    at_analytic = {kind.value: evaluate_objective(problem, reference, kind)
                    for kind in _KIND_ORDER}
     return TrialRecord(
         trial_index=index,
@@ -277,9 +277,9 @@ def _trial_record(index: int, seed: int, problem: FilterProblem,
             ObjectiveKind.DIFFERENTIAL_ENTROPY],
         stationarity_residual=stationarity_residual(problem, reference),
         objective_at_analytic=at_analytic,
-        iterations={kind.short_name: equivalence.reports[kind].iterations
+        iterations={kind.value: equivalence.reports[kind].iterations
                     for kind in _KIND_ORDER},
-        converged={kind.short_name: equivalence.reports[kind].converged
+        converged={kind.value: equivalence.reports[kind].converged
                    for kind in _KIND_ORDER},
     )
 

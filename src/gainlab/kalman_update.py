@@ -14,7 +14,6 @@ from .exceptions import DimensionMismatch, InvalidParameter
 
 __all__ = [
     "FilterProblem",
-    "innovation_covariance",
     "analytic_gain",
     "joseph_update",
 ]
@@ -89,16 +88,6 @@ class FilterProblem:
         return gain
 
 
-def innovation_covariance(problem: FilterProblem) -> np.ndarray:
-    """The innovation covariance ``H @ (P @ H.T) + R`` that the problem stores.
-
-    Computed and checked once, when the problem is built, and symmetric only
-    to rounding. SPD because the noise covariance is SPD and the projected
-    prior term is positive semidefinite.
-    """
-    return problem.innovation
-
-
 def analytic_gain(problem: FilterProblem) -> np.ndarray:
     """Optimal gain ``P @ H.T @ inv(H @ P @ H.T + R)``, shape (n, m).
 
@@ -114,8 +103,8 @@ def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
 
     Valid for any finite gain; the result stays SPD whenever the prior and
     noise covariances are SPD. No SPD validation is performed here; consumers
-    that factorize the output (log-determinant, inverse) surface degeneracy
-    as NotPositiveDefinite at that point.
+    that factorize the output (log-determinant, log-det gradient) surface
+    degeneracy as NotPositiveDefinite at that point.
 
     The gain is validated against the problem on every call. The optimizer
     skips that check: it evaluates the same formula on its stacked iterates,

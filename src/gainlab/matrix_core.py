@@ -1,8 +1,8 @@
-"""Dense SPD matrix utilities: validation, Cholesky, determinants, inverses.
+"""Dense SPD matrix utilities: validation, Cholesky, determinants.
 
-Determinant, log-determinant, inverse, and positive-definiteness checks all
-route through a single Cholesky factorization, the one source of truth for
-what counts as a valid covariance matrix; the inverse is then an LU solve.
+Determinant, log-determinant and positive-definiteness checks all route
+through a single Cholesky factorization, the one source of truth for what
+counts as a valid covariance matrix.
 """
 
 import numbers
@@ -14,15 +14,11 @@ from .exceptions import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 __all__ = [
     "SYMMETRY_TOL",
     "PD_TOL",
-    "check_square",
-    "check_symmetric",
     "validate_covariance",
     "cholesky",
     "log_det",
     "det",
-    "inverse",
     "trace",
-    "symmetrize",
     "frobenius_norm",
     "random_spd",
 ]
@@ -34,7 +30,7 @@ SYMMETRY_TOL = 1e-9
 PD_TOL = 1e-12
 
 
-def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as a float ndarray, raising DimensionMismatch if not square."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -42,13 +38,13 @@ def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate entrywise symmetry of a square matrix.
 
     An entry pair (i, j), (j, i) is accepted when their difference is within
     ``SYMMETRY_TOL * max(1, |a[i, j]|)``.
     """
-    a = check_square(a, name)
+    a = _check_square(a, name)
     if not np.all(np.isfinite(a)):
         raise InvalidParameter(f"{name} contains non-finite entries")
     bound = SYMMETRY_TOL * np.maximum(1.0, np.abs(a))
@@ -79,7 +75,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         If factorization breaks down or any pivot is at or below ``PD_TOL``,
         signalling that the input is not a valid covariance.
     """
-    return _cholesky_factor(check_symmetric(a))
+    return _cholesky_factor(_check_symmetric(a))
 
 
 def _cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -132,7 +128,7 @@ def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
 
     Returns the validated array unchanged so the call can be used inline.
     """
-    a = check_symmetric(a, name=name)
+    a = _check_symmetric(a, name=name)
     try:
         _cholesky_factor(a)
     except NotPositiveDefinite as exc:
@@ -163,18 +159,9 @@ def det(a: np.ndarray) -> float:
     return float(np.exp(log_det(a)))
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix: a Cholesky check, then an LU solve of ``I``.
-
-    The result is symmetrized before return and is itself SPD.
-    """
-    cholesky(a)
-    return symmetrize(np.linalg.solve(a, np.eye(len(a))))
-
-
 def trace(a: np.ndarray) -> float:
     """Sum of the diagonal entries of a square matrix."""
-    return float(_trace(check_square(a)))
+    return float(_trace(_check_square(a)))
 
 
 def _trace(a: np.ndarray):
@@ -182,13 +169,8 @@ def _trace(a: np.ndarray):
     return a.diagonal(0, -2, -1).sum(axis=-1)
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of a square matrix and its transpose; idempotent."""
-    return _symmetrize(check_square(a))
-
-
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """:func:`symmetrize` of a square matrix, or of each matrix in a stack."""
+    """Mean of a square matrix and its transpose, or of each in a stack."""
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 

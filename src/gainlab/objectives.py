@@ -60,10 +60,6 @@ class ObjectiveKind(enum.Enum):
     LOG_GENERALIZED_VARIANCE = "logdet"
     DIFFERENTIAL_ENTROPY = "entropy"
 
-    @property
-    def short_name(self) -> str:
-        return self.value
-
 
 def total_variance(problem: FilterProblem, gain: np.ndarray) -> float:
     """Trace of the updated covariance; ignores cross-covariances."""

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The shared 100-problem equivalence suite (state and observation dimensions
-drawn from 1..8, condition targets cycling through 1, 10, 100) backs the
-optimality criteria; the remaining criteria draw their own seeded corpora.
+drawn from 1..8, condition targets cycling through 1, 10, 100, run as one
+lockstep batch per shape) backs the optimality criteria; the remaining
+criteria draw their own seeded corpora.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
@@ -16,12 +17,13 @@ import numpy as np
 import pytest
 
 from gainlab import matrix_core
+from gainlab.exceptions import GainlabError
 from gainlab.kalman_update import analytic_gain, joseph_update
 from gainlab.objectives import (ObjectiveKind, differential_entropy,
                                 directional_logdet_differential,
                                 evaluate_objective, finite_difference_gradient,
                                 log_generalized_variance, logdet_gradient)
-from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
+from gainlab.optimizer import (OptimizerConfig, equivalence_batch,
                                stationarity_residual)
 
 from conftest import seeded_gain, seeded_problem
@@ -48,12 +50,20 @@ def equivalence_suite():
     """
     config = OptimizerConfig(grad_tol=1e-10)
     started = time.perf_counter()
-    suite = []
-    for trial in range(SUITE_SIZE):
-        problem = seeded_problem(trial, master_seed=SUITE_SEED)
-        suite.append((problem, cross_objective_equivalence(problem, config)))
+    problems = [seeded_problem(trial, master_seed=SUITE_SEED)
+                for trial in range(SUITE_SIZE)]
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for trial, problem in enumerate(problems):
+        shapes.setdefault((problem.state_dim, problem.obs_dim), []).append(trial)
+    reports = {}
+    for trials in shapes.values():
+        outcomes = equivalence_batch([problems[t] for t in trials], config)
+        for trial, outcome in zip(trials, outcomes):
+            if isinstance(outcome, GainlabError):
+                raise outcome
+            reports[trial] = outcome
     elapsed = time.perf_counter() - started
-    return suite, elapsed
+    return [(problem, reports[t]) for t, problem in enumerate(problems)], elapsed
 
 
 def test_criterion_01_logdet_minimizer_matches_analytic_gain(equivalence_suite):

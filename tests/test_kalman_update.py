@@ -6,8 +6,7 @@ import pytest
 from gainlab import matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter,
                                 NotPositiveDefinite)
-from gainlab.kalman_update import (FilterProblem, analytic_gain,
-                                   innovation_covariance, joseph_update)
+from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
 
 from conftest import make_scalar, seeded_gain, seeded_problem
 
@@ -42,7 +41,6 @@ class TestFilterProblem:
             p, h, r = problem.prior, problem.obs_op, problem.obs_noise
             assert problem.cross.tobytes() == (p @ h.T).tobytes()
             assert problem.innovation.tobytes() == (h @ (p @ h.T) + r).tobytes()
-            assert innovation_covariance(problem) is problem.innovation
             for name in ("cross", "innovation"):
                 with pytest.raises(ValueError):
                     getattr(problem, name)[0, 0] = 99.0
@@ -62,19 +60,19 @@ class TestFilterProblem:
 
 class TestInnovationCovariance:
     def test_scalar_sum(self, scalar_problem):
-        np.testing.assert_allclose(innovation_covariance(scalar_problem), [[2.0]])
+        np.testing.assert_allclose(scalar_problem.innovation, [[2.0]])
 
     def test_hand_multiplication(self):
         # H P H^T + R with P = I2, H = [1 0]: 1*1*1 + 1 = 2
         problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
                                 obs_noise=[[1.0]])
-        np.testing.assert_allclose(innovation_covariance(problem), [[2.0]])
+        np.testing.assert_allclose(problem.innovation, [[2.0]])
 
     def test_zero_operator_returns_noise(self):
         noise = matrix_core.random_spd(3, 8, 10.0)
         problem = FilterProblem(prior=np.eye(4), obs_op=np.zeros((3, 4)),
                                 obs_noise=noise)
-        np.testing.assert_array_equal(innovation_covariance(problem), noise)
+        np.testing.assert_array_equal(problem.innovation, noise)
 
 
 class TestAnalyticGain:
@@ -96,7 +94,7 @@ class TestAnalyticGain:
         for trial in range(20):
             problem = seeded_problem(trial)
             explicit = (problem.prior @ problem.obs_op.T
-                        @ matrix_core.inverse(innovation_covariance(problem)))
+                        @ np.linalg.inv(problem.innovation))
             np.testing.assert_allclose(analytic_gain(problem), explicit,
                                        rtol=0, atol=1e-10)
 

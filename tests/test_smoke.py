@@ -4,6 +4,7 @@ and for what importing the package loads."""
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,21 @@ def test_import_loads_no_scipy():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_exports_resolve():
+    # every exported name exists, and the names the batch made redundant
+    # stay retired
+    import gainlab
+    retired = {"inverse", "symmetrize", "innovation_covariance", "short_name"}
+    modules = [gainlab] + [importlib.import_module(f"gainlab.{info.name}")
+                           for info in pkgutil.iter_modules(gainlab.__path__)]
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        assert all(hasattr(module, name) for name in exported), module.__name__
+        assert not retired & set(exported), module.__name__
+    assert not [name for name in retired if hasattr(gainlab, name)]
+    assert not hasattr(gainlab.ObjectiveKind, "short_name")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
