@@ -95,37 +95,34 @@ def _gradient_errors(problems: Sequence[FilterProblem],
                      kinds: Sequence[ObjectiveKind]) -> tuple[np.ndarray, dict]:
     """Relative error of the analytic gradient against central differences.
 
-    ``problems`` share one shape, and ``gains[i]`` is a gain of
+    ``problems`` share one shape, and ``gains[i]`` is a finite gain of
     ``problems[i]``. Returns the (len(problems), len(kinds)) errors
     ``||g - g_fd|| / (1 + ||g||)`` of every problem under every kind, and
     the failures: a map from each problem for which a loop over ``kinds``,
     calling :func:`~gainlab.objectives.objective_gradient` and then
     :func:`~gainlab.objectives.finite_difference_gradient`, raises, to the
-    first error that loop raises. A failing problem's errors are
-    meaningless. One batch, with values then gradients, gives the analytic
-    gradients of every problem and kind, and the stacked oracle their
-    central differences; both equal the public functions' bit for bit.
+    first error that loop raises. The error of a kind that raises is NaN,
+    and a failing problem's other errors are meaningless. One batch, with
+    values then gradients, gives the analytic gradients of every problem
+    and kind, and the stacked oracle their central differences, each on
+    the whole batch; both equal the public functions' bit for bit.
     """
     batch = objectives._Batch.stack(
         [problem for problem in problems for _ in kinds],
         [kind for _ in problems for kind in kinds])
     stacked = np.repeat(np.stack(gains), len(kinds), axis=0)
     _, posteriors, errors = batch.values(stacked)
-    rows = np.setdiff1d(np.arange(len(stacked)), list(errors))
-    analytic = batch.gradients(rows, stacked, posteriors)
-    numeric, numeric_errors = objectives._finite_differences(
-        batch.take(rows), stacked[rows])
+    analytic = batch.gradients(stacked, posteriors)
+    numeric, numeric_errors = objectives._finite_differences(batch, stacked)
     # Row r is problem r // len(kinds) under its kind, in the loop's order;
     # at one row, the analytic gradient's error comes before the oracle's.
-    raised = sorted([(row, 0, exc) for row, exc in errors.items()]
-                    + [(rows[j], 1, exc) for j, exc in numeric_errors.items()],
-                    key=lambda entry: entry[:2])
+    raised = {**numeric_errors, **errors}
     failures = {}
-    for row, _, exc in raised:
-        failures.setdefault(int(row) // len(kinds), exc)
-    relative = np.full(len(stacked), np.nan)
-    relative[rows] = (_frobenius_norms(analytic - numeric)
-                      / (1.0 + _frobenius_norms(analytic)))
+    for row in sorted(raised):
+        failures.setdefault(row // len(kinds), raised[row])
+    relative = (_frobenius_norms(analytic - numeric)
+                / (1.0 + _frobenius_norms(analytic)))
+    relative[list(raised)] = np.nan
     return relative.reshape(len(problems), len(kinds)), failures
 
 
@@ -139,10 +136,14 @@ def _cmd_check(args) -> int:
     print(_matrix_lines(reference))
 
     ok = True
-    equivalence = optimizer.cross_objective_equivalence(problem)
-    for kind in ObjectiveKind:
-        report = equivalence.reports[kind]
-        distance = equivalence.distance_to_analytic[kind]
+    kinds = list(ObjectiveKind)
+    outcomes = optimizer.minimize_batch([problem] * len(kinds), kinds)
+    for kind, report in zip(kinds, outcomes):
+        if isinstance(report, GainlabError):
+            ok = False
+            print(f"\nminimized {kind.value}: error: {report}")
+            continue
+        distance = frobenius_norm(report.final_gain - reference)
         ok &= distance <= DISTANCE_THRESHOLD
         print(f"\nminimized {kind.value}: objective={report.final_objective!r} "
               f"iterations={report.iterations} converged={report.converged}")

@@ -211,6 +211,8 @@ class _Batch:
     :meth:`take` slices them. Gains have the batch's shape by construction,
     and the symmetrized posterior is exactly symmetric, so neither is
     checked again; the checks a gain can fail are kept (see :meth:`values`).
+    Values and gradients take every row: a failed row's posterior is the
+    identity, so no row is left out of a stack.
     """
 
     def __init__(self, prior, obs_op, obs_noise, cross, innovation, entropy,
@@ -250,13 +252,14 @@ class _Batch:
         """Objective of every row at its gain: (values, posteriors, errors).
 
         ``gains`` is a (B, n, m) stack with one gain per row. ``errors`` maps
-        a row to what the public evaluator raises at that gain, and that
-        row's value is meaningless: InvalidParameter for a non-finite gain
-        or, on a log-det or entropy row, a non-finite posterior;
-        NotPositiveDefinite for a posterior whose Cholesky factorization
-        breaks down or has a pivot at or below ``PD_TOL``. Total-variance
-        rows never factorize. A row without an error has the public
-        evaluator's value, bit for bit.
+        a row to what the public evaluator raises at that gain:
+        InvalidParameter for a non-finite gain or, on a log-det or entropy
+        row, a non-finite posterior; NotPositiveDefinite for a posterior
+        whose Cholesky factorization breaks down or has a pivot at or below
+        ``PD_TOL``. Total-variance rows never factorize. A failed row's value
+        is meaningless, and its posterior is the identity, so that
+        :meth:`gradients` can take the whole stack. A row without an error
+        has the public evaluator's value, bit for bit.
         """
         rows, owners = self._factor_rows, self._factor_ids
         identity = self.identity
@@ -269,8 +272,6 @@ class _Batch:
                 errors[int(row)] = InvalidParameter(
                     "gain contains non-finite entries")
         posteriors = _joseph_form(self, gains, identity)
-        if not owners.size:
-            return matrix_core._trace(posteriors), posteriors, errors
         others = posteriors[rows]
         finite = np.isfinite(others)
         if not finite.all():
@@ -283,31 +284,29 @@ class _Batch:
         for row, exc in failures.items():
             errors.setdefault(int(owners[row]), exc)
         logdet = matrix_core._log_det_of_factor(factors)
-        values = (np.empty(len(gains)) if isinstance(rows, slice)
-                  else matrix_core._trace(posteriors))
+        values = matrix_core._trace(posteriors)
         values[rows] = np.where(self.entropy[rows],
                                 _entropy(identity.shape[0], logdet), logdet)
+        if errors:
+            posteriors[list(errors)] = identity
         return values, posteriors, errors
 
-    def gradients(self, rows, gains: np.ndarray,
+    def gradients(self, gains: np.ndarray,
                   posteriors: np.ndarray) -> np.ndarray:
-        """Gradients of ``rows`` at their gains.
+        """Gradient of every row at its gain, from finite gains.
 
         Each row takes the steps of :func:`objective_gradient` for its kind,
-        without the checks: the gains and posteriors passed :meth:`values`.
-        ``rows`` is an index array, or ``slice(None)`` for every row.
-        ``gains`` and ``posteriors`` cover the whole batch, and the
-        posteriors are those :meth:`values` returned at the same gains.
+        without the checks. A row whose posterior is the one :meth:`values`
+        returned at the same gain without an error gets the public
+        gradient, bit for bit; any other row's gradient is meaningless.
+        The log-det and entropy rows are solved against their posteriors,
+        so each of those must be SPD, as :meth:`values` leaves them.
         """
-        grads = 2.0 * _bracket(gains[rows], self.cross[rows],
-                               self.innovation[rows])
-        if not self._factor_ids.size:
-            return grads
-        picked = (slice(None) if isinstance(self._factor_rows, slice)
-                  else np.flatnonzero(self.factored[rows]))
-        logdet = _logdet_gradient(posteriors[rows][picked], grads[picked])
-        grads[picked] = np.where(self.entropy[rows][picked, None, None],
-                                 0.5 * logdet, logdet)
+        rows = self._factor_rows
+        grads = 2.0 * _bracket(gains, self.cross, self.innovation)
+        logdet = _logdet_gradient(posteriors[rows], grads[rows])
+        grads[rows] = np.where(self.entropy[rows, None, None], 0.5 * logdet,
+                               logdet)
         return grads
 
 

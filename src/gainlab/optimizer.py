@@ -137,9 +137,10 @@ def minimize_batch(problems: Sequence[FilterProblem],
     All problems must share one (state_dim, obs_dim) shape, and every
     minimization starts from the zero gain. The minimizations run in
     lockstep, each by the rule of :func:`minimize_objective`: in every
-    round, all unfinished rows evaluate one trial step together, and only
-    the rows that accepted their step compute a gradient. A row leaves the
-    batch when it converges, reaches ``max_iters`` or fails.
+    round, all unfinished rows evaluate one trial step and then, unless all
+    rejected it, their gradients together, and each row's state moves under
+    the mask of rows that accepted. A row leaves the batch when it
+    converges, reaches ``max_iters`` or fails.
 
     Returns one outcome per problem, in order: its OptimizationReport, or
     the GainlabError that :func:`minimize_objective` raises for it. A
@@ -170,16 +171,16 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
     for row, exc in errors.items():
         outcomes[row] = exc
     ids = np.setdiff1d(np.arange(len(gains)), list(errors))
-    batch, gains, values, posteriors = (batch.take(ids), gains[ids],
-                                        values[ids], posteriors[ids])
-    grads = batch.gradients(slice(None), gains, posteriors)
+    batch, gains, posteriors = batch.take(ids), gains[ids], posteriors[ids]
+    grads = batch.gradients(gains, posteriors)
     gnorms = np.sqrt(_row_dots(grads, grads))
     steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
     iterations = np.zeros(len(ids), dtype=np.intp)
     # The last _DESCENT_WINDOW accepted values, the oldest overwritten
-    # first; -inf marks a slot not filled yet.
+    # first; -inf marks a slot not filled yet. A row's current value is in
+    # its slot iterations % _DESCENT_WINDOW.
     window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
-    window[:, 0] = values
+    window[:, 0] = values[ids]
     done = gnorms <= config.grad_tol
 
     while True:
@@ -188,14 +189,15 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                 if outcomes[ids[row]] is None:
                     outcomes[ids[row]] = OptimizationReport(
                         final_gain=gains[row].copy(),
-                        final_objective=float(values[row]),
+                        final_objective=float(
+                            window[row, iterations[row] % _DESCENT_WINDOW]),
                         iterations=int(iterations[row]),
                         converged=bool(gnorms[row] <= config.grad_tol))
             keep = ~done
             batch = batch.take(keep)
-            ids, gains, values, grads, gnorms, steps, iterations, window = (
-                a[keep] for a in (ids, gains, values, grads, gnorms, steps,
-                                  iterations, window))
+            ids, gains, grads, gnorms, steps, iterations, window = (
+                a[keep] for a in (ids, gains, grads, gnorms, steps, iterations,
+                                  window))
         if not len(ids):
             return
         exhausted = ~(steps >= _MIN_STEP)
@@ -221,37 +223,32 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
             if isinstance(exc, InvalidParameter):
                 outcomes[ids[row]] = exc
                 done[row] = True
-        if accepted.all():
-            # Every row moves: views of whole arrays instead of copies.
-            rows = slice(None)
-        else:
-            steps[~accepted] *= _BACKTRACK_FACTOR
-            rows = np.flatnonzero(accepted)
-            if not len(rows):
-                continue
+        steps[~accepted] *= _BACKTRACK_FACTOR
+        if not accepted.any():
+            continue
 
-        new_grads = batch.gradients(rows, trials, posteriors)
-        new_norms = np.sqrt(_row_dots(new_grads, new_grads))
-        moved = trials[rows]
-        new_values = trial_values[rows]
+        # Every row computes a gradient, a rejected one at its current gain
+        # so that no failed trial enters the stack; it keeps its gain,
+        # gradient and halved step.
+        moved = accepted[:, None, None]
+        new_gains = np.where(moved, trials, gains)
+        new_grads = np.where(moved, batch.gradients(new_gains, posteriors),
+                             grads)
         # The next trial step is the Barzilai-Borwein estimate <s, y> / <y, y>
         # where it is defined and positive, else the step just accepted.
-        displacements = moved - gains[rows]
-        changes = new_grads - grads[rows]
-        sy = _row_dots(displacements, changes)
+        changes = new_grads - grads
+        sy = _row_dots(new_gains - gains, changes)
         yy = _row_dots(changes, changes)
-        next_steps = steps[rows].copy()
+        next_steps = steps.copy()
         np.divide(sy, yy, out=next_steps, where=(sy > 0.0) & (yy > 0.0))
-        steps[rows] = _clip_step(next_steps)
+        steps = np.where(accepted, _clip_step(next_steps), steps)
 
-        gains[rows] = moved
-        values[rows] = new_values
-        grads[rows] = new_grads
-        gnorms[rows] = new_norms
-        iterations[rows] += 1
-        counts = iterations[rows]
-        window[np.arange(len(ids))[rows], counts % _DESCENT_WINDOW] = new_values
-        done[rows] = (new_norms <= config.grad_tol) | (counts >= config.max_iters)
+        gains, grads = new_gains, new_grads
+        gnorms = np.sqrt(_row_dots(grads, grads))
+        iterations += accepted
+        window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
+            trial_values[accepted])
+        done |= (gnorms <= config.grad_tol) | (iterations >= config.max_iters)
 
 
 def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
@@ -292,9 +289,9 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     This is a batch of one for :func:`minimize_batch`, which evaluates the
     validating public functions' formulas on stacked iterates: each trial
     step costs one Joseph update and, for the log-det and entropy, one
-    Cholesky factorization with the same pivot floor, and only an accepted
-    step computes a gradient. Values and gradients are bit-for-bit those of
-    :func:`~gainlab.objectives.evaluate_objective` and
+    Cholesky factorization with the same pivot floor, and a round with an
+    accepted step one stacked gradient. Values and gradients are bit for
+    bit those of :func:`~gainlab.objectives.evaluate_objective` and
     :func:`~gainlab.objectives.objective_gradient`.
 
     Raises

@@ -89,6 +89,23 @@ class TestCheck:
         assert code == 0
         assert "minimized entropy" in capsys.readouterr().out
 
+    def test_failed_minimization_fails_the_check(self, capsys):
+        # the log-det and entropy line searches give up at cond 1e12; that
+        # is a failed check, not a configuration error
+        code = main(["check", "--seed", "3", "--cond", "1e12"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        for kind in ("logdet", "entropy"):
+            assert any(line.startswith(f"minimized {kind}: error: no "
+                                       "acceptable step above 1e-16")
+                       for line in lines)
+        assert any(line.startswith("minimized trace: objective=")
+                   for line in lines)
+        assert "stationarity residual" in captured.out
+        assert lines[-1] == "result: FAIL"
+
 
 class TestGradcheck:
     def test_default_suite_passes(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 from gainlab import matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
-from gainlab.kalman_update import FilterProblem, analytic_gain
+from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
 from gainlab.objectives import (ObjectiveKind, _Batch, evaluate_objective,
                                 finite_difference_gradient, objective_gradient)
 from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
@@ -201,7 +201,7 @@ class TestKernel:
     def test_bit_identical_to_public_functions(self, kind):
         # the optimizer's iterates and reports depend on this equality. A
         # batch of one kind factorizes every row or none; the mixed batch
-        # factorizes some rows.
+        # factorizes some rows, and so may a batch taken from it.
         for trial in range(30):
             max_dim = 1 if trial < 3 else 8
             problem = seeded_problem(trial, master_seed=139, max_dim=max_dim)
@@ -215,10 +215,10 @@ class TestKernel:
                 for row, row_kind in enumerate(kinds):
                     assert values[row] == evaluate_objective(
                         problem, gains[row], row_kind)
-                for rows in (slice(None), np.arange(len(kinds)),
-                             np.array([1, 2, 4])):
-                    grads = batch.gradients(rows, gains, posteriors)
-                    for grad, row in zip(grads, np.arange(len(kinds))[rows]):
+                for rows in (np.arange(len(kinds)), np.array([1, 2, 4])):
+                    grads = batch.take(rows).gradients(gains[rows],
+                                                       posteriors[rows])
+                    for grad, row in zip(grads, rows):
                         np.testing.assert_array_equal(
                             grad, objective_gradient(problem, gains[row],
                                                      kinds[row]))
@@ -255,6 +255,30 @@ class TestKernel:
             with pytest.raises(NotPositiveDefinite) as raised:
                 evaluate_objective(problem, gain, kind)
             assert str(errors[row]) == str(raised.value)
+
+    def test_gradients_pass_over_a_singular_posterior(self):
+        # at the gain (0, 2^30) the posterior rounds to
+        # [[1, -2^30], [-2^30, 2^60]], which is exactly singular
+        singular = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                                 obs_noise=[[1e-20]])
+        problems = [make_problem(2, 1, 170 + i, 10.0) for i in range(4)]
+        problems.insert(2, singular)
+        kinds = [LOGDET, TRACE, ENTROPY, ENTROPY, LOGDET]
+        gains = np.stack([seeded_gain(problem, row, master_seed=173)
+                          for row, problem in enumerate(problems)])
+        gains[2] = [[0.0], [2.0 ** 30]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(joseph_update(singular, gains[2]), np.eye(2))
+        batch = _Batch.stack(problems, kinds)
+        _, posteriors, errors = batch.values(gains)
+        assert list(errors) == [2]
+        assert isinstance(errors[2], NotPositiveDefinite)
+        np.testing.assert_array_equal(posteriors[2], np.eye(2))
+        grads = batch.gradients(gains, posteriors)
+        for row, (problem, kind) in enumerate(zip(problems, kinds)):
+            if row != 2:
+                np.testing.assert_array_equal(
+                    grads[row], objective_gradient(problem, gains[row], kind))
 
 
 class TestMinimizeBatch:
@@ -296,6 +320,52 @@ class TestMinimizeBatch:
         for i in (0, 2):
             _assert_same_report(outcomes[i], minimize_objective(problems[i],
                                                                 kinds[i]))
+
+    def test_row_rejected_as_not_spd_leaves_others_unchanged(self,
+                                                             monkeypatch):
+        # rounds 1 to 6 reject every trial step of row 0, the first row
+        # that factorizes, as not SPD, while the other rows move on
+        problems = [make_problem(4, 3, 180 + i, 10.0) for i in range(4)]
+        kinds = [LOGDET, TRACE, ENTROPY, LOGDET]
+        alone = [minimize_objective(p, k) for p, k in zip(problems, kinds)]
+        calls = {"values": 0, "moved": 0}
+        factorize = matrix_core._cholesky_factors
+        def poisoned(a):
+            factors, failures = factorize(a)
+            calls["values"] += 1
+            if 2 <= calls["values"] <= 7:
+                failures = {**failures, 0: NotPositiveDefinite("poisoned")}
+            return factors, failures
+        gradients = _Batch.gradients
+        def counted(batch, gains, posteriors):
+            calls["moved"] += 2 <= calls["values"] <= 7
+            return gradients(batch, gains, posteriors)
+        monkeypatch.setattr(matrix_core, "_cholesky_factors", poisoned)
+        monkeypatch.setattr(_Batch, "gradients", counted)
+        outcomes = minimize_batch(problems, kinds)
+        assert calls["moved"] == 6
+        assert outcomes[0].converged
+        for batched, solo in zip(outcomes[1:], alone[1:]):
+            _assert_same_report(batched, solo)
+
+    def test_final_objective_is_the_value_at_the_final_gain(self):
+        # no report byte carries final_objective, so check it against the
+        # public evaluator, on rows that converged and rows that stopped at
+        # max_iters
+        config = OptimizerConfig(max_iters=300)
+        stops = set()
+        for shape in ((4, 3), (8, 8), (1, 1), (2, 5)):
+            problems = [make_problem(*shape, 190 + i, 1e4) for i in range(4)]
+            rows = [(problem, kind) for problem in problems
+                    for kind in ObjectiveKind]
+            outcomes = minimize_batch([problem for problem, _ in rows],
+                                      [kind for _, kind in rows], config)
+            for (problem, kind), report in zip(rows, outcomes):
+                assert report.final_objective == evaluate_objective(
+                    problem, report.final_gain, kind)
+                assert report.converged or report.iterations == 300
+                stops.add(report.converged)
+        assert stops == {True, False}
 
     def test_start_that_is_not_spd_fails_alone(self, monkeypatch):
         # the stacked factorization breaks down on one row only
