@@ -15,7 +15,7 @@ from . import objectives, optimizer
 from .exceptions import GainlabError, InvalidParameter
 from .experiment import (DISTANCE_THRESHOLD, ExperimentConfig, _make_problems,
                          emit_report, make_problem, mix_seed, run_experiment)
-from .kalman_update import FilterProblem, analytic_gain
+from .kalman_update import FilterProblem, _analytic_gains, analytic_gain
 from .matrix_core import _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind
 
@@ -110,13 +110,13 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     batch = objectives._Batch.stack(
         [problem for problem in problems for _ in kinds],
         [kind for _ in problems for kind in kinds])
-    stacked = np.repeat(np.stack(gains), len(kinds), axis=0)
+    stacked = np.repeat(gains, len(kinds), axis=0)
     _, posteriors, errors = batch.values(stacked)
-    analytic = batch.gradients(stacked, posteriors)
+    analytic, singular = batch.gradients(stacked, posteriors)
     numeric, numeric_errors = objectives._finite_differences(batch, stacked)
     # Row r is problem r // len(kinds) under its kind, in the loop's order;
-    # at one row, the analytic gradient's error comes before the oracle's.
-    raised = {**numeric_errors, **errors}
+    # at one row, the analytic gradient's errors come before the oracle's.
+    raised = {**numeric_errors, **singular, **errors}
     failures = {}
     for row in sorted(raised):
         failures.setdefault(row // len(kinds), raised[row])
@@ -192,18 +192,16 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     failures = {}
     shapes = defaultdict(dict)
     for j, problem in enumerate(_make_problems(specs)):
-        try:
-            if isinstance(problem, GainlabError):
-                raise problem
-            gain = analytic_gain(problem) + 0.1 * noises[j]
-        except GainlabError as exc:
-            failures[j] = exc
-            continue
-        shapes[problem.state_dim, problem.obs_dim][j] = (problem, gain)
+        if isinstance(problem, GainlabError):
+            failures[j] = problem
+        else:
+            shapes[problem.state_dim, problem.obs_dim][j] = problem
     errors = np.empty((len(specs), len(ObjectiveKind)))
     for members in shapes.values():
-        ids = list(members)
-        problems, gains = zip(*members.values())
+        ids, problems = list(members), list(members.values())
+        gains = (_analytic_gains(np.array([p.cross for p in problems]),
+                                 np.array([p.innovation for p in problems]))
+                 + 0.1 * np.array([noises[j] for j in ids]))
         errors[ids], group_failures = _gradient_errors(problems, gains,
                                                        tuple(ObjectiveKind))
         for k, exc in group_failures.items():

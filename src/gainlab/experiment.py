@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
-from .kalman_update import FilterProblem
+from .kalman_update import FilterProblem, _build_problems
 from .matrix_core import _check_numbers, _random_spds
 from .objectives import ObjectiveKind, evaluate_objective
 from .optimizer import (EquivalenceReport, OptimizerConfig, equivalence_batch,
@@ -175,9 +175,10 @@ def _make_problems(specs: Sequence[tuple]) -> list[Union[FilterProblem,
     """:func:`make_problem` of every ``(state_dim, obs_dim, seed, cond_target)``.
 
     The covariances of one dimension and condition target are generated as
-    one stack (see :func:`~gainlab.matrix_core._random_spds`), and every
-    problem is then built, and so validated, as a :class:`FilterProblem`.
-    Returns one outcome per spec, in order: its problem, bit for bit that of
+    one stack (see :func:`~gainlab.matrix_core._random_spds`), and the
+    problems of one ``(state_dim, obs_dim)`` are built, and so validated, as
+    one stack (see :func:`~gainlab.kalman_update._build_problems`). Returns
+    one outcome per spec, in order: its problem, bit for bit that of
     :func:`make_problem`, or the GainlabError that :func:`make_problem`
     raises for it. A failing spec never disturbs the others.
     """
@@ -186,18 +187,19 @@ def _make_problems(specs: Sequence[tuple]) -> list[Union[FilterProblem,
                             for n, _, seed, cond in specs])
     noises = _grouped_spds([(m, mix_seed(seed, 1), cond)
                             for _, m, seed, cond in specs])
-    outcomes = []
-    for (n, m, seed, _), prior, obs_noise in zip(specs, priors, noises):
-        try:
-            for matrix in (prior, obs_noise):
-                if isinstance(matrix, GainlabError):
-                    raise matrix
-            rng = np.random.default_rng(mix_seed(seed, 2))
-            obs_op = rng.standard_normal((m, n))
-            outcomes.append(FilterProblem(prior=prior, obs_op=obs_op,
-                                          obs_noise=obs_noise))
-        except GainlabError as exc:
-            outcomes.append(exc)
+    outcomes = [next((x for x in pair if isinstance(x, GainlabError)), None)
+                for pair in zip(priors, noises)]
+    groups = defaultdict(list)
+    for i, (n, m, _, _) in enumerate(specs):
+        if outcomes[i] is None:
+            groups[n, m].append(i)
+    for (n, m), rows in groups.items():
+        obs_ops = np.array([np.random.default_rng(mix_seed(specs[i][2], 2))
+                            .standard_normal((m, n)) for i in rows])
+        built = _build_problems(np.array([priors[i] for i in rows]), obs_ops,
+                                np.array([noises[i] for i in rows]))
+        for i, outcome in zip(rows, built):
+            outcomes[i] = outcome
     return outcomes
 
 

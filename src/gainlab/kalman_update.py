@@ -2,7 +2,9 @@
 
 The Joseph form is the only covariance update exposed here because it stays
 valid (symmetric, positive definite) for *any* finite gain matrix, optimal or
-not, which is exactly what the gain optimizers in this package need.
+not, which is exactly what the gain optimizers in this package need. Problems
+are built and checked as stacks (``_build_problems``); a lone
+:class:`FilterProblem` checks its shapes and is a batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrix_core
-from .exceptions import DimensionMismatch, InvalidParameter
+from .exceptions import DimensionMismatch, GainlabError, InvalidParameter
 
 __all__ = [
     "FilterProblem",
@@ -48,13 +50,11 @@ class FilterProblem:
     innovation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        prior = matrix_core.validate_covariance(self.prior, name="prior")
-        obs_noise = matrix_core.validate_covariance(self.obs_noise, name="obs_noise")
+        prior = matrix_core._check_square(self.prior, "prior")
+        obs_noise = matrix_core._check_square(self.obs_noise, "obs_noise")
         obs_op = np.asarray(self.obs_op, dtype=float)
         if obs_op.ndim != 2:
             raise DimensionMismatch(f"obs_op must be 2-D, got shape {obs_op.shape}")
-        if not np.all(np.isfinite(obs_op)):
-            raise InvalidParameter("obs_op contains non-finite entries")
         if obs_op.shape[1] != prior.shape[0]:
             raise DimensionMismatch(
                 f"obs_op has {obs_op.shape[1]} columns but prior is "
@@ -63,18 +63,11 @@ class FilterProblem:
             raise DimensionMismatch(
                 f"obs_op has {obs_op.shape[0]} rows but obs_noise is "
                 f"{obs_noise.shape[0]}x{obs_noise.shape[0]}")
-        cross = prior @ obs_op.T
-        innovation = obs_op @ cross + obs_noise
-        if not np.all(np.isfinite(innovation)):
-            raise InvalidParameter("matrix contains non-finite entries")
-        matrix_core._cholesky_factor(innovation)
-        for name, value in (("prior", prior.copy()), ("obs_op", obs_op.copy()),
-                            ("obs_noise", obs_noise.copy()), ("cross", cross),
-                            ("innovation", innovation)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "state_dim", prior.shape[0])
-        object.__setattr__(self, "obs_dim", obs_noise.shape[0])
+        built, = _build_problems(prior[None].copy(), obs_op[None].copy(),
+                                 obs_noise[None].copy())
+        if isinstance(built, GainlabError):
+            raise built
+        vars(self).update(vars(built))
 
     def check_gain(self, gain: np.ndarray, name: str = "gain") -> np.ndarray:
         """Validate a gain matrix against this problem's (n, m) shape."""
@@ -88,6 +81,42 @@ class FilterProblem:
         return gain
 
 
+def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
+                    noises: np.ndarray) -> list:
+    """The problems of (B, n, n) priors, (B, m, n) operators, (B, m, m) noises.
+
+    The checks of :class:`FilterProblem` but the shape checks run on the
+    whole stacks, or, should a row fail, on each row alone. Returns each
+    row's problem, bit for bit the one built alone, or the GainlabError that
+    building it alone raises. The stacks, which the caller hands over,
+    become the problems' read-only arrays.
+    """
+    try:
+        matrix_core._check_covariance(priors, "prior")
+        matrix_core._check_covariance(noises, "obs_noise")
+        if not np.isfinite(obs_ops).all():
+            raise InvalidParameter("obs_op contains non-finite entries")
+        cross = priors @ obs_ops.swapaxes(-1, -2)
+        innovation = obs_ops @ cross + noises
+        if not np.isfinite(innovation).all():
+            raise InvalidParameter("matrix contains non-finite entries")
+        matrix_core._cholesky_factor(innovation)
+    except GainlabError as exc:
+        if len(priors) == 1:
+            return [exc]
+        return [_build_problems(priors[[row]], obs_ops[[row]], noises[[row]])[0]
+                for row in range(len(priors))]
+    fields = dict(prior=priors, obs_op=obs_ops, obs_noise=noises, cross=cross,
+                  innovation=innovation)
+    for stack in fields.values():
+        stack.flags.writeable = False
+    problems = [FilterProblem.__new__(FilterProblem) for _ in priors]
+    for row, problem in enumerate(problems):
+        vars(problem).update({name: stack[row] for name, stack in fields.items()},
+                             state_dim=priors.shape[-1], obs_dim=noises.shape[-1])
+    return problems
+
+
 def analytic_gain(problem: FilterProblem) -> np.ndarray:
     """Optimal gain ``P @ H.T @ inv(H @ P @ H.T + R)``, shape (n, m).
 
@@ -95,7 +124,12 @@ def analytic_gain(problem: FilterProblem) -> np.ndarray:
     never inverted explicitly: the gain is the solve of ``S @ X = (P @ H.T).T``,
     transposed, which is more accurate than forming the inverse.
     """
-    return np.linalg.solve(problem.innovation, problem.cross.T).T
+    return _analytic_gains(problem.cross, problem.innovation)
+
+
+def _analytic_gains(cross: np.ndarray, innovation: np.ndarray) -> np.ndarray:
+    """:func:`analytic_gain` from ``P H.T`` and ``S``, or of each row of stacks."""
+    return np.linalg.solve(innovation, cross.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:

@@ -39,20 +39,19 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate entrywise symmetry of a square matrix.
+    """Validate the entries and entrywise symmetry of a square float matrix.
 
     An entry pair (i, j), (j, i) is accepted when their difference is within
-    ``SYMMETRY_TOL * max(1, |a[i, j]|)``.
+    ``SYMMETRY_TOL * max(1, |a[i, j]|)``. ``a`` may be a stack of matrices,
+    which fails as a whole when any one of them does.
     """
-    a = _check_square(a, name)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidParameter(f"{name} contains non-finite entries")
-    bound = SYMMETRY_TOL * np.maximum(1.0, np.abs(a))
-    if not np.all(np.abs(a - a.T) <= bound):
-        worst = float(np.max(np.abs(a - a.T)))
+    gap = np.abs(a - a.swapaxes(-1, -2))
+    if not (gap <= SYMMETRY_TOL * np.maximum(1.0, np.abs(a))).all():
         raise InvalidParameter(
             f"{name} is not symmetric to tolerance {SYMMETRY_TOL:g} "
-            f"(max asymmetry {worst:.3e})")
+            f"(max asymmetry {float(gap.max()):.3e})")
     return a
 
 
@@ -75,20 +74,21 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         If factorization breaks down or any pivot is at or below ``PD_TOL``,
         signalling that the input is not a valid covariance.
     """
-    return _cholesky_factor(_check_symmetric(a))
+    return _cholesky_factor(_check_symmetric(_check_square(a)))
 
 
 def _cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of a matrix already known to be finite and symmetric.
 
     The trusted core of :func:`cholesky`: no input checks, the same
-    breakdown handling and the same pivot floor.
+    breakdown handling and the same pivot floor. ``a`` may be a stack, which
+    fails as a whole when any one of its matrices does.
     """
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    pivots = factor.diagonal()
+    pivots = factor.diagonal(0, -2, -1)
     if (pivots <= PD_TOL).any():
         raise NotPositiveDefinite(
             f"Cholesky pivot {float(pivots.min()):.3e} at or below floor {PD_TOL:g}")
@@ -97,30 +97,29 @@ def _cholesky_factor(a: np.ndarray) -> np.ndarray:
 
 def _cholesky_factors(a: np.ndarray,
                       ) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
-    """:func:`_cholesky_factor` of each matrix in a (B, n, n) stack.
+    """:func:`_cholesky_factor` of each matrix in a stack, by :func:`_by_rows`."""
+    return _by_rows(_cholesky_factor, a)
 
-    Returns the stacked factors and the failures: a map from each row that
-    breaks down or has a pivot at or below ``PD_TOL`` to the
-    NotPositiveDefinite that :func:`_cholesky_factor` raises for it; such a
-    row's factor is NaN. A stacked factorization raises for the whole stack
-    when any one row breaks down, so on that rare path, and when a pivot is
-    too low, the rows are factored one at a time. Every factor equals the
-    one its row gets on its own, bit for bit.
+
+def _by_rows(core, *stacks) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
+    """``core`` of whole stacks: (results, failures), each row's as on its own.
+
+    ``core`` takes a matrix of each stack, or the whole stacks, which fail
+    with NotPositiveDefinite when any one row does; only then are the rows
+    taken one at a time. The failures map each row that raises to its
+    error, and that row's result is NaN.
     """
     try:
-        factors = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        factors = None
-    if factors is not None and (factors.diagonal(0, -2, -1) > PD_TOL).all():
-        return factors, {}
-    factors = np.full_like(a, np.nan)
+        return core(*stacks), {}
+    except NotPositiveDefinite:
+        results = np.full_like(stacks[-1], np.nan)
     failures = {}
-    for row, matrix in enumerate(a):
+    for row, matrices in enumerate(zip(*stacks)):
         try:
-            factors[row] = _cholesky_factor(matrix)
+            results[row] = core(*matrices)
         except NotPositiveDefinite as exc:
             failures[row] = exc
-    return factors, failures
+    return results, failures
 
 
 def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
@@ -128,7 +127,12 @@ def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
 
     Returns the validated array unchanged so the call can be used inline.
     """
-    a = _check_symmetric(a, name=name)
+    return _check_covariance(_check_square(a, name), name)
+
+
+def _check_covariance(a: np.ndarray, name: str) -> np.ndarray:
+    """:func:`validate_covariance` of a float matrix, or of a whole stack."""
+    _check_symmetric(a, name)
     try:
         _cholesky_factor(a)
     except NotPositiveDefinite as exc:

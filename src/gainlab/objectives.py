@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matrix_core
-from .exceptions import InvalidParameter
+from .exceptions import InvalidParameter, NotPositiveDefinite
 from .kalman_update import FilterProblem, _joseph_form, joseph_update
 
 __all__ = [
@@ -192,10 +192,15 @@ def _logdet_gradient(posterior: np.ndarray,
                      trace_grad: np.ndarray) -> np.ndarray:
     """Log-det gradient: the trace gradient solved against the posterior.
 
-    ``posterior`` is the SPD posterior at the same gain; both arguments may
-    be stacks, and a stacked solve equals the per-row solves bit for bit.
+    ``posterior`` passed its Cholesky check at the same gain; both arguments
+    may be stacks, and a stacked solve equals the per-row solves bit for
+    bit. A posterior that is singular to the solve, as one can be near
+    condition 1e17, raises NotPositiveDefinite, for the whole of a stack.
     """
-    return np.linalg.solve(posterior, trace_grad)
+    try:
+        return np.linalg.solve(posterior, trace_grad)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
 
 class _Batch:
@@ -233,8 +238,12 @@ class _Batch:
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
               kinds: Sequence[ObjectiveKind]) -> "_Batch":
-        """The batch whose row ``i`` is ``problems[i]`` under ``kinds[i]``."""
-        return cls(*(np.stack([getattr(problem, name) for problem in problems])
+        """The batch whose row ``i`` is ``problems[i]`` under ``kinds[i]``.
+
+        Each field is one ``np.array`` copy of the rows, cheaper than
+        ``np.stack`` on small matrices.
+        """
+        return cls(*(np.array([getattr(problem, name) for problem in problems])
                      for name in ("prior", "obs_op", "obs_noise", "cross",
                                   "innovation")),
                    np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
@@ -291,23 +300,25 @@ class _Batch:
             posteriors[list(errors)] = identity
         return values, posteriors, errors
 
-    def gradients(self, gains: np.ndarray,
-                  posteriors: np.ndarray) -> np.ndarray:
+    def gradients(self, gains: np.ndarray, posteriors: np.ndarray,
+                  ) -> tuple[np.ndarray, dict]:
         """Gradient of every row at its gain, from finite gains.
 
         Each row takes the steps of :func:`objective_gradient` for its kind,
-        without the checks. A row whose posterior is the one :meth:`values`
-        returned at the same gain without an error gets the public
-        gradient, bit for bit; any other row's gradient is meaningless.
-        The log-det and entropy rows are solved against their posteriors,
-        so each of those must be SPD, as :meth:`values` leaves them.
+        without the checks, and returns the gradients and the failures: a map
+        from each row whose posterior is singular to the solve to the
+        NotPositiveDefinite of :func:`objective_gradient`. Any other row whose
+        posterior :meth:`values` returned at the same gain without an error
+        gets the public gradient, bit for bit; the rest are meaningless.
         """
         rows = self._factor_rows
         grads = 2.0 * _bracket(gains, self.cross, self.innovation)
-        logdet = _logdet_gradient(posteriors[rows], grads[rows])
+        logdet, failures = matrix_core._by_rows(_logdet_gradient,
+                                                posteriors[rows], grads[rows])
         grads[rows] = np.where(self.entropy[rows, None, None], 0.5 * logdet,
                                logdet)
-        return grads
+        return grads, {int(self._factor_ids[row]): exc
+                       for row, exc in failures.items()}
 
 
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,

@@ -172,7 +172,7 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
         outcomes[row] = exc
     ids = np.setdiff1d(np.arange(len(gains)), list(errors))
     batch, gains, posteriors = batch.take(ids), gains[ids], posteriors[ids]
-    grads = batch.gradients(gains, posteriors)
+    grads, singular = batch.gradients(gains, posteriors)
     gnorms = np.sqrt(_row_dots(grads, grads))
     steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
     iterations = np.zeros(len(ids), dtype=np.intp)
@@ -182,6 +182,9 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
     window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
     window[:, 0] = values[ids]
     done = gnorms <= config.grad_tol
+    for row, exc in singular.items():
+        outcomes[ids[row]] = exc
+        done[row] = True
 
     while True:
         if done.any():
@@ -229,11 +232,16 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
 
         # Every row computes a gradient, a rejected one at its current gain
         # so that no failed trial enters the stack; it keeps its gain,
-        # gradient and halved step.
-        moved = accepted[:, None, None]
-        new_gains = np.where(moved, trials, gains)
-        new_grads = np.where(moved, batch.gradients(new_gains, posteriors),
-                             grads)
+        # gradient and halved step. A posterior singular to the solve
+        # rejects its step, as a failed Cholesky check does.
+        new_gains = np.where(accepted[:, None, None], trials, gains)
+        new_grads, singular = batch.gradients(new_gains, posteriors)
+        for row in singular:
+            if accepted[row]:
+                accepted[row] = False
+                steps[row] *= _BACKTRACK_FACTOR
+                new_gains[row] = gains[row]
+        new_grads = np.where(accepted[:, None, None], new_grads, grads)
         # The next trial step is the Barzilai-Borwein estimate <s, y> / <y, y>
         # where it is defined and positive, else the step just accepted.
         changes = new_grads - grads

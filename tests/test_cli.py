@@ -106,6 +106,16 @@ class TestCheck:
         assert "stationarity residual" in captured.out
         assert lines[-1] == "result: FAIL"
 
+    def test_singular_posterior_fails_the_check_without_traceback(
+            self, capsys):
+        # a log-det posterior at cond 1e20 passes its Cholesky check but is
+        # singular to the gradient's solve; that rejects the step
+        code = main(["check", "--cond", "1e20", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "result: FAIL"
+
 
 class TestGradcheck:
     def test_default_suite_passes(self, capsys):
@@ -223,18 +233,39 @@ class TestStackedGradcheck:
     def test_poisoned_instance_raises_first_error(self, poisons, error, chunk,
                                                   capsys, monkeypatch):
         monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", chunk)
-        targets = {gradcheck_instance(4, index, 6)[0].prior.tobytes(): poison
+        targets = {gradcheck_instance(4, index, 6)[0].cross.tobytes(): poison
                    for index, poison in poisons.items()}
+        # One at a time, a poisoned instance's analytic gain raises the
+        # error or gets the entry; stacked, the error fails its build and
+        # the entry is put into its row of the shape group's gains.
         analytic_gain = cli.analytic_gain
         def poisoned(problem):
             gain = analytic_gain(problem)
-            poison = targets.get(problem.prior.tobytes())
+            poison = targets.get(problem.cross.tobytes())
             if isinstance(poison, GainlabError):
                 raise poison
             if poison is not None:
                 gain.flat[0] = poison
             return gain
+        make_problems = cli._make_problems
+        def poisoned_builds(specs):
+            outcomes = make_problems(specs)
+            for j, problem in enumerate(outcomes):
+                poison = targets.get(problem.cross.tobytes())
+                if isinstance(poison, GainlabError):
+                    outcomes[j] = poison
+            return outcomes
+        analytic_gains = cli._analytic_gains
+        def poisoned_stack(cross, innovation):
+            gains = analytic_gains(cross, innovation)
+            for gain, row in zip(gains, cross):
+                poison = targets.get(row.tobytes())
+                if poison is not None:
+                    gain.flat[0] = poison
+            return gains
         monkeypatch.setattr(cli, "analytic_gain", poisoned)
+        monkeypatch.setattr(cli, "_make_problems", poisoned_builds)
+        monkeypatch.setattr(cli, "_analytic_gains", poisoned_stack)
         argv = ["gradcheck", "--seed", "4", "--instances", "40"]
         with np.errstate(all="ignore"):
             expected = _assert_same_errors(4, range(40), 6)

@@ -1,12 +1,17 @@
 """Tests for the analysis step: gain formula and Joseph-form update."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gainlab import matrix_core
-from gainlab.exceptions import (DimensionMismatch, InvalidParameter,
-                                NotPositiveDefinite)
-from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
+from gainlab.exceptions import (DimensionMismatch, GainlabError,
+                                InvalidParameter, NotPositiveDefinite)
+from gainlab.experiment import make_problem
+from gainlab.kalman_update import (FilterProblem, _analytic_gains,
+                                   _build_problems, analytic_gain,
+                                   joseph_update)
 
 from conftest import make_scalar, seeded_gain, seeded_problem
 
@@ -56,6 +61,118 @@ class TestFilterProblem:
         bad = np.zeros((problem.state_dim + 1, problem.obs_dim))
         with pytest.raises(DimensionMismatch):
             joseph_update(problem, bad)
+
+
+FIELDS = ("prior", "obs_op", "obs_noise", "cross", "innovation")
+
+
+def _good_rows(count, seed=0):
+    """Matrices of ``count`` passing 2x2 problems."""
+    return [tuple(getattr(make_problem(2, 2, seed + i, 10.0), name).copy()
+                  for name in FIELDS[:3]) for i in range(count)]
+
+
+def _bad_rows():
+    """Rows that fail each check, the first failure named by its error."""
+    prior, obs_op, noise = _good_rows(1, seed=90)[0]
+    return [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), obs_op, noise),
+        (prior + [[0.0, 1e-3], [0.0, 0.0]], obs_op, noise),      # asymmetric
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), obs_op, noise),     # not PD
+        (np.diag([1.0, 1e-24]), obs_op, noise),                  # pivot 1e-12
+        (prior, obs_op, np.array([[1.0, np.inf], [np.inf, 1.0]])),
+        (prior, obs_op, -np.eye(2)),
+        (prior, np.array([[np.nan, 0.0], [0.0, 1.0]]), noise),
+        # H P H' rounds to rank one, so S is not PD
+        (np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), 1e-20 * np.eye(2)),
+        # two failures: the prior's comes first
+        (prior + [[0.0, 1e-3], [0.0, 0.0]], obs_op * np.nan, -np.eye(2)),
+    ]
+
+
+def _lone(row):
+    try:
+        return FilterProblem(*row)
+    except GainlabError as exc:
+        return exc
+
+
+def _stacked(rows):
+    return _build_problems(*(np.array(stack) for stack in zip(*rows)))
+
+
+def _assert_same_outcome(outcome, expected):
+    assert type(outcome) is type(expected)
+    if isinstance(expected, GainlabError):
+        assert str(outcome) == str(expected)
+        return
+    assert (outcome.state_dim, outcome.obs_dim) == (expected.state_dim,
+                                                    expected.obs_dim)
+    for name in FIELDS:
+        got, want = getattr(outcome, name), getattr(expected, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+
+
+class TestStackedBuild:
+    def test_mixed_stack_matches_lone_construction(self):
+        good, bad = _good_rows(12), _bad_rows()
+        # asymmetric, but within SYMMETRY_TOL: passes, and is kept as given
+        prior, obs_op, noise = good[0]
+        good.append((prior + [[0.0, 5e-10], [0.0, 0.0]], obs_op, noise))
+        rows = good[:3] + bad + good[3:]
+        outcomes = _stacked(rows)
+        assert len(outcomes) == len(rows)
+        for outcome, row in zip(outcomes, rows):
+            _assert_same_outcome(outcome, _lone(row))
+        assert sum(isinstance(o, GainlabError) for o in outcomes) == len(bad)
+        assert outcomes[-1].prior.tobytes() == rows[-1][0].tobytes()
+
+    def test_bad_row_leaves_neighbours_bit_identical(self):
+        good = _good_rows(6)
+        clean = _stacked(good)
+        for bad in _bad_rows():
+            mixed = _stacked(good[:2] + [bad] + good[2:])
+            assert isinstance(mixed[2], GainlabError)
+            for outcome, expected in zip(mixed[:2] + mixed[3:], clean):
+                _assert_same_outcome(outcome, expected)
+
+    def test_every_check_fails_a_lone_row(self):
+        expected = [InvalidParameter, InvalidParameter, NotPositiveDefinite,
+                    NotPositiveDefinite, InvalidParameter, NotPositiveDefinite,
+                    InvalidParameter, NotPositiveDefinite, InvalidParameter]
+        assert [type(_lone(row)) for row in _bad_rows()] == expected
+        assert "at or below floor" in str(_lone(_bad_rows()[3]))
+
+    @pytest.mark.parametrize("bad", [slice(None), slice(-2, -1)])
+    def test_stacked_build_warns_only_where_lone_build_does(self, bad):
+        # S overflows, which warns on its own too; with only rows whose S
+        # fails, the stacked products take every row
+        overflow = (np.eye(2), np.array([[1e200, 0.0], [0.0, 1.0]]),
+                    np.eye(2))
+        rows = (_good_rows(4) + _bad_rows()[bad] + [overflow]
+                + _good_rows(3, 40))
+        def caught(build):
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                outcomes = build()
+            return outcomes, {(w.category, str(w.message)) for w in records}
+        lone, lone_warnings = caught(lambda: [_lone(row) for row in rows])
+        stacked, stacked_warnings = caught(lambda: _stacked(rows))
+        assert stacked_warnings <= lone_warnings
+        assert str(lone[-4]) == "matrix contains non-finite entries"
+        assert lone_warnings
+        for outcome, expected in zip(stacked, lone):
+            _assert_same_outcome(outcome, expected)
+
+    def test_stacked_analytic_gains_match_one_at_a_time(self):
+        for n, m in ((1, 1), (4, 3), (2, 5), (8, 8)):
+            problems = [make_problem(n, m, 50 + i, 100.0) for i in range(7)]
+            gains = _analytic_gains(
+                np.array([p.cross for p in problems]),
+                np.array([p.innovation for p in problems]))
+            for gain, problem in zip(gains, problems):
+                assert gain.tobytes() == analytic_gain(problem).tobytes()
 
 
 class TestInnovationCovariance:

@@ -7,12 +7,14 @@ from gainlab import matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
 from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
-from gainlab.objectives import (ObjectiveKind, _Batch, evaluate_objective,
-                                finite_difference_gradient, objective_gradient)
+from gainlab.objectives import (ObjectiveKind, _Batch,
+                                directional_logdet_differential,
+                                evaluate_objective, finite_difference_gradient,
+                                objective_gradient)
 from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
                                equivalence_batch, minimize_batch, minimize_objective,
                                stationarity_residual, trace_gradient)
-from gainlab.experiment import make_problem
+from gainlab.experiment import make_problem, mix_seed
 
 from conftest import seeded_gain, seeded_problem, starting_from
 
@@ -216,8 +218,9 @@ class TestKernel:
                     assert values[row] == evaluate_objective(
                         problem, gains[row], row_kind)
                 for rows in (np.arange(len(kinds)), np.array([1, 2, 4])):
-                    grads = batch.take(rows).gradients(gains[rows],
-                                                       posteriors[rows])
+                    grads, failures = batch.take(rows).gradients(
+                        gains[rows], posteriors[rows])
+                    assert failures == {}
                     for grad, row in zip(grads, rows):
                         np.testing.assert_array_equal(
                             grad, objective_gradient(problem, gains[row],
@@ -274,7 +277,8 @@ class TestKernel:
         assert list(errors) == [2]
         assert isinstance(errors[2], NotPositiveDefinite)
         np.testing.assert_array_equal(posteriors[2], np.eye(2))
-        grads = batch.gradients(gains, posteriors)
+        grads, failures = batch.gradients(gains, posteriors)
+        assert failures == {}
         for row, (problem, kind) in enumerate(zip(problems, kinds)):
             if row != 2:
                 np.testing.assert_array_equal(
@@ -409,6 +413,97 @@ class TestMinimizeBatch:
 
     def test_empty_batch(self):
         assert minimize_batch([], []) == []
+
+
+def _run_with_trial(monkeypatch, problems, kinds, edit):
+    """minimize_batch with ``edit(values, posteriors, errors)`` applied to
+    the second round's trial evaluation, in which every row still works."""
+    values_of = _Batch.values
+    calls = []
+    def edited(batch, gains):
+        values, posteriors, errors = values_of(batch, gains)
+        calls.append(len(gains))
+        if len(calls) == 3:
+            assert calls == [len(problems)] * 3
+            edit(values, posteriors, errors)
+        return values, posteriors, errors
+    monkeypatch.setattr(_Batch, "values", edited)
+    outcomes = minimize_batch(problems, kinds)
+    monkeypatch.undo()
+    return outcomes
+
+
+class TestSingularPosterior:
+    """A posterior that passes its Cholesky check but is singular to the
+    log-det gradient's LU solve never ends a minimization in a traceback."""
+
+    def test_public_gradients_raise_not_positive_definite(self, monkeypatch):
+        # at cond 1e20 the second log-det step meets such a posterior
+        problem = make_problem(4, 3, mix_seed(2, 0), 1e20)
+        gradients = _Batch.gradients
+        singular = []
+        def recorded(batch, gains, posteriors):
+            grads, failures = gradients(batch, gains, posteriors)
+            singular.extend(gains[row].copy() for row in failures)
+            return grads, failures
+        monkeypatch.setattr(_Batch, "gradients", recorded)
+        with pytest.raises(LineSearchFailed):
+            minimize_objective(problem, LOGDET)
+        assert len(singular) == 1
+        matrix_core.cholesky(joseph_update(problem, singular[0]))
+        for call in (lambda: objective_gradient(problem, singular[0], ENTROPY),
+                     lambda: directional_logdet_differential(
+                         problem, singular[0], singular[0])):
+            with pytest.raises(NotPositiveDefinite, match="Singular matrix"):
+                call()
+
+    def test_gradients_fail_the_singular_row_alone(self):
+        problems = [make_problem(3, 2, 200 + i, 10.0) for i in range(4)]
+        kinds = [LOGDET, ENTROPY, TRACE, LOGDET]
+        batch = _Batch.stack(problems, kinds)
+        gains = np.stack([seeded_gain(p, i) for i, p in enumerate(problems)])
+        _, posteriors, _ = batch.values(gains)
+        expected, failures = batch.gradients(gains, posteriors)
+        assert failures == {}
+        posteriors[1] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        grads, failures = batch.gradients(gains, posteriors)
+        assert list(failures) == [1]
+        assert isinstance(failures[1], NotPositiveDefinite)
+        for row in (0, 2, 3):
+            assert grads[row].tobytes() == expected[row].tobytes()
+
+    def test_accepted_step_is_rejected_like_a_failed_factorization(
+            self, monkeypatch):
+        problems = [make_problem(4, 3, 210 + i, 10.0) for i in range(4)]
+        kinds = [LOGDET, TRACE, ENTROPY, LOGDET]
+        plain = _run_with_trial(monkeypatch, problems, kinds,
+                                lambda *_: None)
+        def singular(values, posteriors, errors):
+            posteriors[0] = 0.0
+        def not_spd(values, posteriors, errors):
+            errors[0] = NotPositiveDefinite("poisoned")
+            posteriors[0] = np.eye(4)
+        solved = _run_with_trial(monkeypatch, problems, kinds, singular)
+        factored = _run_with_trial(monkeypatch, problems, kinds, not_spd)
+        assert solved[0].iterations != plain[0].iterations
+        for a, b in zip(solved, factored):
+            _assert_same_report(a, b)
+        for a, b in zip(solved[1:], plain[1:]):
+            _assert_same_report(a, b)
+
+    def test_rejected_rows_discarded_trial_never_fails_it(self, monkeypatch):
+        problems = [make_problem(4, 3, 220 + i, 10.0) for i in range(3)]
+        kinds = [LOGDET, TRACE, ENTROPY]
+        def rejected(values, posteriors, errors):
+            values[0] = np.inf
+        def rejected_singular(values, posteriors, errors):
+            values[0] = np.inf
+            posteriors[0] = 0.0
+        for a, b in zip(
+                _run_with_trial(monkeypatch, problems, kinds, rejected),
+                _run_with_trial(monkeypatch, problems, kinds,
+                                rejected_singular)):
+            _assert_same_report(a, b)
 
 
 class TestTraceGradient:
