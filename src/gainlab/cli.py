@@ -13,8 +13,9 @@ import numpy as np
 
 from . import objectives, optimizer
 from .exceptions import GainlabError, InvalidParameter
-from .experiment import (DISTANCE_THRESHOLD, ExperimentConfig, _make_problems,
-                         emit_report, make_problem, mix_seed, run_experiment)
+from .experiment import (DISTANCE_THRESHOLD, ExperimentConfig, _chunks,
+                         _make_problems, _row_bytes, emit_report, make_problem,
+                         mix_seed, run_experiment)
 from .kalman_update import FilterProblem, _analytic_gains, analytic_gain
 from .matrix_core import _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind
@@ -22,12 +23,6 @@ from .objectives import ObjectiveKind
 _GRADCHECK_TOL = 1e-5
 _RESIDUAL_TOL = 1e-8
 _GRADCHECK_CONDS = (1.0, 10.0, 100.0)
-# Instances that gradcheck generates and checks together, at most; this
-# bounds its memory for any --instances. A chunk holds its problems, gains
-# and gradients, whose size grows as the square of --max-dim: a chunk's
-# peak, the oracle's stacks included, is 1.2 MB at the default --max-dim 6
-# and 26 MB at --max-dim 35.
-_GRADCHECK_CHUNK = 256
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,9 +171,12 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     Gaussian draw away from its analytic gain. Returns the
     (len(indices), len(ObjectiveKind)) errors. The problems are generated
     as stacks (see :func:`~gainlab.experiment._make_problems`), and the
-    instances of one shape are checked as one stack (see
-    :func:`_gradient_errors`). Raises the error that checking the instances
-    one at a time, in order, raises first.
+    instances of one shape are checked as one stack, analytic gains
+    included (see :func:`_gradient_errors`). Raises the error that checking
+    the instances one at a time, in order, raises first: an instance whose
+    analytic gain fails raises that error. ``gradcheck`` calls this on each
+    chunk of :func:`~gainlab.experiment._chunks`, whose rows are sized for
+    the ``max_dim`` x ``max_dim`` shape.
     """
     specs, noises = [], []
     for i in indices:
@@ -199,12 +197,14 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     errors = np.empty((len(specs), len(ObjectiveKind)))
     for members in shapes.values():
         ids, problems = list(members), list(members.values())
-        gains = (_analytic_gains(np.array([p.cross for p in problems]),
-                                 np.array([p.innovation for p in problems]))
-                 + 0.1 * np.array([noises[j] for j in ids]))
+        gains, singular = _analytic_gains(
+            np.array([p.cross for p in problems]),
+            np.array([p.innovation for p in problems]))
+        gains = gains + 0.1 * np.array([noises[j] for j in ids])
         errors[ids], group_failures = _gradient_errors(problems, gains,
                                                        tuple(ObjectiveKind))
-        for k, exc in group_failures.items():
+        # An instance's analytic gain fails before any of its gradients.
+        for k, exc in {**group_failures, **singular}.items():
             failures[ids[k]] = exc
     if failures:
         raise failures[min(failures)]
@@ -217,8 +217,12 @@ def _cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise InvalidParameter("--instances must be >= 1")
     worst = np.zeros(len(ObjectiveKind))
-    for start in range(0, args.instances, _GRADCHECK_CHUNK):
-        indices = range(start, min(start + _GRADCHECK_CHUNK, args.instances))
+    # Instances are generated and checked in chunks, which bounds the memory
+    # for any --instances: a chunk's problems, gains and gradients grow as
+    # the square of --max-dim, so its row size is that of the largest shape.
+    # The oracle's stacks add a fixed peak, 13 MB at --max-dim 35.
+    for indices in _chunks(args.instances, 1,
+                           _row_bytes(args.max_dim, args.max_dim)):
         # np.maximum, unlike max(), keeps a NaN error, which then fails.
         worst = np.maximum(worst, _gradcheck_errors(args.seed, indices,
                                                     args.max_dim).max(axis=0))

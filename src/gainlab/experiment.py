@@ -49,8 +49,10 @@ CSV_HEADER = ("trial_index,seed_used,gain_distance_logdet,gain_distance_trace,"
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials per chunk of run_experiment, at most.
-_CHUNK_TRIALS = 50
+# The bytes a chunk's stacks may hold, about (see _chunks): the heavy batch
+# (8x8, 100 trials) and a 500-instance gradcheck at --max-dim 6 are one chunk
+# each, and from 20x20 or --max-dim 9 up a chunk has at most 50 or 256 rows.
+_CHUNK_BYTES = 12_000_000
 
 _KIND_ORDER = (ObjectiveKind.LOG_GENERALIZED_VARIANCE,
                ObjectiveKind.TOTAL_VARIANCE,
@@ -300,15 +302,26 @@ def _summarize(records: list[TrialRecord]) -> SummaryRecord:
     )
 
 
-def _chunks(trials: int, workers: int) -> list[range]:
-    """Contiguous chunks of the trial indices, near-equal in size.
+def _row_bytes(state_dim: int, obs_dim: int) -> int:
+    """Bytes a trial or a gradcheck instance of this shape holds at most.
 
-    There are at least as many chunks as workers, up to one per trial, and
-    no chunk has more than ``_CHUNK_TRIALS`` trials, which bounds the memory
-    a chunk's batch holds.
+    That is 20 float64 blocks of ``(state_dim + obs_dim)²``: by tracemalloc,
+    a trial peaks at 19.6 at 4x3, 15 at 8x8 and 12.8 at 20x20, and an
+    instance at about 10.
     """
-    count = max(min(workers, trials), -(-trials // _CHUNK_TRIALS))
-    size, extra = divmod(trials, count)
+    return 160 * (state_dim + obs_dim) ** 2
+
+
+def _chunks(rows: int, workers: int, row_bytes: int) -> list[range]:
+    """Contiguous chunks of ``range(rows)``, near-equal in size.
+
+    There are at least as many chunks as workers, up to one per row, and no
+    chunk holds more than ``_CHUNK_BYTES`` at ``row_bytes`` per row, unless
+    it is a single row; that bounds the memory a chunk's batch holds.
+    """
+    per_chunk = max(1, _CHUNK_BYTES // row_bytes)
+    count = max(min(workers, rows), -(-rows // per_chunk))
+    size, extra = divmod(rows, count)
     bounds = [0]
     for chunk in range(count):
         bounds.append(bounds[-1] + size + (chunk < extra))
@@ -318,15 +331,17 @@ def _chunks(trials: int, workers: int) -> list[range]:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials and summarize.
 
-    Trials run in contiguous chunks, each minimized as one lockstep batch,
-    on at most ``workers`` processes and never more processes than chunks.
+    Trials run in contiguous chunks sized by a memory budget at the problem
+    shape (see :func:`_chunks`), each minimized as one lockstep batch, on at
+    most ``workers`` processes and never more processes than chunks.
     ``workers`` only controls scheduling: a trial's record does not depend
     on its chunk, records are ordered by index, and the result is identical
     for any worker count.
     """
     if type(workers) is not int or workers < 1:
         raise InvalidParameter(f"workers must be an int >= 1, got {workers!r}")
-    chunks = _chunks(config.trials, workers)
+    chunks = _chunks(config.trials, workers,
+                     _row_bytes(config.state_dim, config.obs_dim))
     processes = min(workers, len(chunks))
     if processes == 1:
         parts = [_run_chunk(config, chunk) for chunk in chunks]

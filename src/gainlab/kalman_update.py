@@ -122,14 +122,23 @@ def analytic_gain(problem: FilterProblem) -> np.ndarray:
 
     The innovation covariance ``S``, checked when the problem was built, is
     never inverted explicitly: the gain is the solve of ``S @ X = (P @ H.T).T``,
-    transposed, which is more accurate than forming the inverse.
+    transposed, which is more accurate than forming the inverse. An ``S``
+    that passed its Cholesky check but is singular to the solve, as one can
+    be near condition 1e17, raises NotPositiveDefinite.
     """
-    return _analytic_gains(problem.cross, problem.innovation)
+    return matrix_core._solve(problem.innovation, problem.cross.T).T
 
 
-def _analytic_gains(cross: np.ndarray, innovation: np.ndarray) -> np.ndarray:
-    """:func:`analytic_gain` from ``P H.T`` and ``S``, or of each row of stacks."""
-    return np.linalg.solve(innovation, cross.swapaxes(-1, -2)).swapaxes(-1, -2)
+def _analytic_gains(cross: np.ndarray, innovation: np.ndarray,
+                    ) -> tuple[np.ndarray, dict]:
+    """:func:`analytic_gain` of each row of stacks of ``P H.T`` and ``S``.
+
+    Returns (gains, failures) by :func:`~gainlab.matrix_core._by_rows`: a
+    row whose ``S`` is singular to the solve fails alone, with a NaN gain.
+    """
+    gains, failures = matrix_core._by_rows(matrix_core._solve, innovation,
+                                           cross.swapaxes(-1, -2))
+    return gains.swapaxes(-1, -2), failures
 
 
 def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:

@@ -122,6 +122,20 @@ def _by_rows(core, *stacks) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]
     return results, failures
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for an ``a`` that passed its Cholesky check.
+
+    Both may be stacks, and a stacked solve equals the per-row solves bit
+    for bit. Near condition 1e17, ``a`` can pass the check and still be
+    singular to the LU solve; that raises NotPositiveDefinite, for the whole
+    of a stack (see :func:`_by_rows`).
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+
+
 def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Check the covariance-matrix invariants (symmetry, positive definiteness).
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matrix_core
-from .exceptions import InvalidParameter, NotPositiveDefinite
+from .exceptions import InvalidParameter
 from .kalman_update import FilterProblem, _joseph_form, joseph_update
 
 __all__ = [
@@ -129,17 +129,16 @@ def directional_logdet_differential(problem: FilterProblem, gain: np.ndarray,
                                     dgain: np.ndarray) -> float:
     """Directional derivative of the log-determinant objective.
 
-    Computed in trace form as ``tr(inv(P_posterior) @ dP_posterior)``, with the
-    solve of :func:`_logdet_gradient` after a Cholesky check; agrees with the
-    Frobenius inner product of :func:`logdet_gradient` with the direction.
-    Each gain is checked once.
+    Computed in trace form as ``tr(inv(P_posterior) @ dP_posterior)``, with a
+    solve after a Cholesky check; agrees with the Frobenius inner product of
+    :func:`logdet_gradient` with the direction. Each gain is checked once.
     """
     k = problem.check_gain(gain)
     posterior = _joseph_form(problem, k, np.eye(problem.state_dim))
     matrix_core.cholesky(posterior)
     dposterior = _differential(problem, k,
                                problem.check_gain(dgain, name="dgain"))
-    return float(np.trace(_logdet_gradient(posterior, dposterior)))
+    return float(np.trace(matrix_core._solve(posterior, dposterior)))
 
 
 def objective_gradient(problem: FilterProblem, gain: np.ndarray,
@@ -154,7 +153,9 @@ def objective_gradient(problem: FilterProblem, gain: np.ndarray,
     constant plus half the log-determinant, so its gradient is half the
     log-determinant gradient. All three vanish at exactly the same gain,
     which is why the objectives share their minimizer; the finite-difference
-    oracle arbitrates correctness. The gain is checked once.
+    oracle arbitrates correctness. The gain is checked once. A posterior
+    that passes the check but is singular to the solve, as one can be near
+    condition 1e17, raises NotPositiveDefinite.
     """
     k = problem.check_gain(gain)
     grad = 2.0 * _bracket(k, problem.cross, problem.innovation)
@@ -162,7 +163,7 @@ def objective_gradient(problem: FilterProblem, gain: np.ndarray,
         return grad
     posterior = _joseph_form(problem, k, np.eye(problem.state_dim))
     matrix_core.cholesky(posterior)
-    grad = _logdet_gradient(posterior, grad)
+    grad = matrix_core._solve(posterior, grad)
     return 0.5 * grad if kind is ObjectiveKind.DIFFERENTIAL_ENTROPY else grad
 
 
@@ -186,21 +187,6 @@ def _bracket(gain: np.ndarray, cross: np.ndarray,
     ``||M||``, and the covariance differential ``dK M.T + M dK.T``.
     """
     return gain @ innovation - cross
-
-
-def _logdet_gradient(posterior: np.ndarray,
-                     trace_grad: np.ndarray) -> np.ndarray:
-    """Log-det gradient: the trace gradient solved against the posterior.
-
-    ``posterior`` passed its Cholesky check at the same gain; both arguments
-    may be stacks, and a stacked solve equals the per-row solves bit for
-    bit. A posterior that is singular to the solve, as one can be near
-    condition 1e17, raises NotPositiveDefinite, for the whole of a stack.
-    """
-    try:
-        return np.linalg.solve(posterior, trace_grad)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
 
 class _Batch:
@@ -313,7 +299,7 @@ class _Batch:
         """
         rows = self._factor_rows
         grads = 2.0 * _bracket(gains, self.cross, self.innovation)
-        logdet, failures = matrix_core._by_rows(_logdet_gradient,
+        logdet, failures = matrix_core._by_rows(matrix_core._solve,
                                                 posteriors[rows], grads[rows])
         grads[rows] = np.where(self.entropy[rows, None, None], 0.5 * logdet,
                                logdet)

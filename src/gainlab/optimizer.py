@@ -176,11 +176,13 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
     gnorms = np.sqrt(_row_dots(grads, grads))
     steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
     iterations = np.zeros(len(ids), dtype=np.intp)
-    # The last _DESCENT_WINDOW accepted values, the oldest overwritten
-    # first; -inf marks a slot not filled yet. A row's current value is in
-    # its slot iterations % _DESCENT_WINDOW.
+    # The working rows' state, updated in place; finished rows leave with one
+    # take. ``window`` keeps a row's last _DESCENT_WINDOW accepted values, -inf
+    # if unfilled, the current one in slot iterations % _DESCENT_WINDOW.
     window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
     window[:, 0] = values[ids]
+    rows = dict(ids=ids, gains=gains, grads=grads, gnorms=gnorms, steps=steps,
+                iterations=iterations, window=window)
     done = gnorms <= config.grad_tol
     for row, exc in singular.items():
         outcomes[ids[row]] = exc
@@ -196,11 +198,9 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                             window[row, iterations[row] % _DESCENT_WINDOW]),
                         iterations=int(iterations[row]),
                         converged=bool(gnorms[row] <= config.grad_tol))
-            keep = ~done
-            batch = batch.take(keep)
-            ids, gains, grads, gnorms, steps, iterations, window = (
-                a[keep] for a in (ids, gains, grads, gnorms, steps, iterations,
-                                  window))
+            batch = batch.take(~done)
+            rows = {name: state[~done] for name, state in rows.items()}
+            ids, gains, grads, gnorms, steps, iterations, window = rows.values()
         if not len(ids):
             return
         exhausted = ~(steps >= _MIN_STEP)
@@ -249,10 +249,10 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
         yy = _row_dots(changes, changes)
         next_steps = steps.copy()
         np.divide(sy, yy, out=next_steps, where=(sy > 0.0) & (yy > 0.0))
-        steps = np.where(accepted, _clip_step(next_steps), steps)
+        steps[accepted] = _clip_step(next_steps[accepted])
 
-        gains, grads = new_gains, new_grads
-        gnorms = np.sqrt(_row_dots(grads, grads))
+        gains[...], grads[...] = new_gains, new_grads
+        gnorms[...] = np.sqrt(_row_dots(grads, grads))
         iterations += accepted
         window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
             trial_values[accepted])
@@ -361,10 +361,13 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     for i, problem in enumerate(problems):
         mine = runs[i * len(kinds):(i + 1) * len(kinds)]
         failed = [run for run in mine if isinstance(run, GainlabError)]
+        try:
+            reference = analytic_gain(problem)
+        except GainlabError as exc:
+            failed.append(exc)
         if failed:
             outcomes.append(failed[0])
             continue
-        reference = analytic_gain(problem)
         reports = dict(zip(kinds, mine))
         outcomes.append(EquivalenceReport(
             analytic=reference,

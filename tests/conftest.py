@@ -8,6 +8,10 @@ from gainlab.experiment import make_problem, mix_seed
 from gainlab.kalman_update import analytic_gain
 
 CONDITIONS = (1.0, 10.0, 100.0)
+# make_problem(2, 7, SINGULAR_SEED, 1e20) builds: its innovation covariance S
+# passes the Cholesky check, but the LU solve of the analytic gain finds it
+# singular.
+SINGULAR_SEED = 4072691067807443344
 
 
 def seeded_problem(trial: int, master_seed: int = 5, max_dim: int = 8,
@@ -19,6 +23,12 @@ def seeded_problem(trial: int, master_seed: int = 5, max_dim: int = 8,
     m = int(rng.integers(1, max_dim + 1))
     cond = conditions[trial % len(conditions)]
     return make_problem(n, m, seed, cond)
+
+
+def singular_innovation_stack():
+    """2x7 problems at cond 10 to 1e20 with the singular-S problem as row 2."""
+    return [make_problem(2, 7, seed, cond) for seed, cond in
+            ((1, 10.0), (2, 1e4), (SINGULAR_SEED, 1e20), (3, 100.0))]
 
 
 def seeded_gain(problem, trial: int, scale: float = 0.1,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gainlab import cli, objectives
+from gainlab import cli, experiment, objectives
 from gainlab.cli import main
 from gainlab.exceptions import GainlabError, NotPositiveDefinite
 from gainlab.experiment import make_problem, mix_seed
@@ -13,6 +13,7 @@ from gainlab.kalman_update import FilterProblem
 from gainlab.matrix_core import frobenius_norm
 from gainlab.objectives import ObjectiveKind, objective_gradient
 
+from conftest import SINGULAR_SEED
 from test_objectives import (sequential_finite_difference_gradient,
                              sequential_finite_differences)
 
@@ -62,6 +63,21 @@ class TestRun:
     def test_unwritable_output_is_config_error(self, tmp_path):
         code = main(RUN_FLAGS + ["--out", str(tmp_path / "no_dir" / "r.json")])
         assert code == 2
+
+    def test_singular_innovation_is_a_failed_trial(self, capsys, monkeypatch):
+        # trial 2 of master seed 1 gets the problem whose S is singular to
+        # the solve; one iteration, so that its minimizations succeed
+        mix = experiment.mix_seed
+        monkeypatch.setattr(experiment, "mix_seed", lambda seed, index: (
+            SINGULAR_SEED if (seed, index) == (1, 2) else mix(seed, index)))
+        code, out = _run(["run", "--state-dim", "2", "--obs-dim", "7",
+                          "--cond", "1e20", "--trials", "3", "--max-iters",
+                          "1"], capsys)
+        assert code == 1
+        record = json.loads(out)["trials"][2]
+        assert record["seed_used"] == SINGULAR_SEED
+        assert record["error"] == ("NotPositiveDefinite: matrix is not "
+                                   "positive definite: Singular matrix")
 
     def test_invalid_dimension_is_config_error(self, capsys):
         code = main(["run", "--state-dim", "0", "--trials", "1", "--out", "-"])
@@ -232,7 +248,8 @@ class TestStackedGradcheck:
     @pytest.mark.parametrize("chunk", [8, 256])
     def test_poisoned_instance_raises_first_error(self, poisons, error, chunk,
                                                   capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", chunk)
+        monkeypatch.setattr(experiment, "_CHUNK_BYTES",
+                            chunk * experiment._row_bytes(6, 6))
         targets = {gradcheck_instance(4, index, 6)[0].cross.tobytes(): poison
                    for index, poison in poisons.items()}
         # One at a time, a poisoned instance's analytic gain raises the
@@ -257,12 +274,12 @@ class TestStackedGradcheck:
             return outcomes
         analytic_gains = cli._analytic_gains
         def poisoned_stack(cross, innovation):
-            gains = analytic_gains(cross, innovation)
+            gains, failures = analytic_gains(cross, innovation)
             for gain, row in zip(gains, cross):
                 poison = targets.get(row.tobytes())
                 if poison is not None:
                     gain.flat[0] = poison
-            return gains
+            return gains, failures
         monkeypatch.setattr(cli, "analytic_gain", poisoned)
         monkeypatch.setattr(cli, "_make_problems", poisoned_builds)
         monkeypatch.setattr(cli, "_analytic_gains", poisoned_stack)
@@ -277,6 +294,31 @@ class TestStackedGradcheck:
             assert main(argv) == code == 2
         assert capsys.readouterr() == stacked
         assert stacked.err == f"gainlab: error: {error}\n"
+
+    @pytest.mark.parametrize("poisons, error", [
+        ({}, "matrix is not positive definite: Singular matrix"),
+        ({3: NotPositiveDefinite("earlier")}, "earlier"),
+        ({24: NotPositiveDefinite("later")},
+         "matrix is not positive definite: Singular matrix"),
+    ])
+    def test_singular_innovation_fails_its_instance_in_order(
+            self, poisons, error, monkeypatch):
+        # instances 10, 16 and 24 of seed 4 are one 2x7 group, and 16 gets
+        # the problem whose S is singular to the analytic gain's solve
+        singular = make_problem(2, 7, SINGULAR_SEED, 1e20)
+        make_problems = cli._make_problems
+        def swapped(specs):
+            outcomes = make_problems(specs)
+            assert {(outcomes[i].state_dim, outcomes[i].obs_dim)
+                    for i in (10, 16, 24)} == {(2, 7)}
+            outcomes[16] = singular
+            for index, poison in poisons.items():
+                outcomes[index] = poison
+            return outcomes
+        monkeypatch.setattr(cli, "_make_problems", swapped)
+        with pytest.raises(NotPositiveDefinite) as caught:
+            cli._gradcheck_errors(4, range(30), 7)
+        assert str(caught.value) == error
 
     def test_group_whose_every_row_fails(self):
         # the posterior at the analytic gain 1e-13 has the pivot 1e-13
@@ -293,13 +335,15 @@ class TestStackedGradcheck:
         # every 17th instance has a prior too ill-conditioned to factorize
         monkeypatch.setattr(cli, "_GRADCHECK_CONDS", (10.0,) * 11 + (1e40,)
                             + (10.0,) * 5)
-        monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", 8)
+        monkeypatch.setattr(experiment, "_CHUNK_BYTES",
+                            8 * experiment._row_bytes(6, 6))
         expected = _assert_same_errors(6, range(40), 6)
         assert expected[0] is NotPositiveDefinite
 
     def test_nan_error_fails(self, capsys, monkeypatch):
         # max() would skip the NaN of instance 20 and report a pass
-        monkeypatch.setattr(cli, "_GRADCHECK_CHUNK", 8)
+        monkeypatch.setattr(experiment, "_CHUNK_BYTES",
+                            8 * experiment._row_bytes(6, 6))
         target = gradcheck_instance(1, 20, 6)[0].prior
         stacked_oracle = objectives._finite_differences
         def nan_for_target(batch, gains):

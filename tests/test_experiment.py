@@ -2,11 +2,14 @@
 
 import itertools
 import json
+import tracemalloc
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import gainlab.cli as cli
 import gainlab.experiment as experiment
 from gainlab.exceptions import (GainlabError, InvalidParameter,
                                 NotPositiveDefinite)
@@ -217,9 +220,22 @@ class TestRunExperiment:
 
     def test_chunking_does_not_change_output(self, monkeypatch):
         expected = render_report(run_experiment(SMALL))
+        row_bytes = experiment._row_bytes(SMALL.state_dim, SMALL.obs_dim)
         for chunk in (1, 4):
-            monkeypatch.setattr(experiment, "_CHUNK_TRIALS", chunk)
+            monkeypatch.setattr(experiment, "_CHUNK_BYTES", chunk * row_bytes)
+            assert len(experiment._chunks(SMALL.trials, 1, row_bytes)) == (
+                -(-SMALL.trials // chunk))
             assert render_report(run_experiment(SMALL)) == expected
+
+    def test_one_chunk_where_there_were_three(self, monkeypatch):
+        # gainlab run --trials 120, three chunks at 50 trials per chunk
+        config = ExperimentConfig(trials=120)
+        row_bytes = experiment._row_bytes(4, 3)
+        assert len(experiment._chunks(120, 1, row_bytes)) == 1
+        expected = render_report(run_experiment(config))
+        monkeypatch.setattr(experiment, "_CHUNK_BYTES", 50 * row_bytes)
+        assert len(experiment._chunks(120, 1, row_bytes)) == 3
+        assert render_report(run_experiment(config)) == expected
 
     def test_run_trial_matches_run_experiment(self):
         # stopped early, so that unconverged trials are compared too
@@ -347,6 +363,54 @@ class TestRunExperiment:
         result = run_experiment(config, workers=4)
         assert result.summary.failures == 0
         assert result.summary.max_gain_distance <= 1e-5
+
+
+def _peak_bytes(check, rows):
+    """tracemalloc peak of ``check(rows)``, after ``check(range(1))``.
+
+    The first call warms numpy's one-time allocations.
+    """
+    check(range(1))
+    tracemalloc.start()
+    try:
+        check(rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunks:
+    def test_contiguous_near_equal_and_one_per_worker(self):
+        row_bytes = experiment._row_bytes(4, 3)
+        for rows, workers in ((10, 4), (7, 7), (3, 8), (1000, 2), (1, 1),
+                              (5000, 1)):
+            chunks = experiment._chunks(rows, workers, row_bytes)
+            assert len(chunks) >= min(workers, rows)
+            assert [i for chunk in chunks for i in chunk] == list(range(rows))
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes) - min(sizes) <= 1
+            assert max(sizes) * row_bytes <= experiment._CHUNK_BYTES
+        assert len(experiment._chunks(1000, 1, row_bytes)) == 1
+        assert len(experiment._chunks(5000, 1, row_bytes)) == 4
+        # a row larger than the budget is a chunk of its own
+        assert len(experiment._chunks(3, 1, 2 * experiment._CHUNK_BYTES)) == 3
+
+    def test_budget_makes_the_large_batches_one_chunk(self):
+        assert len(experiment._chunks(100, 1, experiment._row_bytes(8, 8))) == 1
+        assert len(experiment._chunks(500, 1, experiment._row_bytes(6, 6))) == 1
+
+    def test_run_chunk_peak_within_budget(self):
+        # the largest 20x20 chunk, stopped early: the peak comes first
+        config = ExperimentConfig(state_dim=20, obs_dim=20, max_iters=10)
+        rows = experiment._CHUNK_BYTES // experiment._row_bytes(20, 20)
+        peak = _peak_bytes(partial(experiment._run_chunk, config), range(rows))
+        assert peak <= experiment._CHUNK_BYTES
+
+    def test_gradcheck_chunk_peak_within_budget(self):
+        rows = experiment._CHUNK_BYTES // experiment._row_bytes(20, 20)
+        peak = _peak_bytes(partial(cli._gradcheck_errors, 1, max_dim=20),
+                           range(rows))
+        assert peak <= experiment._CHUNK_BYTES
 
 
 class TestConfigValidation:

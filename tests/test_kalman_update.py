@@ -13,7 +13,8 @@ from gainlab.kalman_update import (FilterProblem, _analytic_gains,
                                    _build_problems, analytic_gain,
                                    joseph_update)
 
-from conftest import make_scalar, seeded_gain, seeded_problem
+from conftest import (SINGULAR_SEED, make_scalar, seeded_gain, seeded_problem,
+                      singular_innovation_stack)
 
 
 class TestFilterProblem:
@@ -168,11 +169,36 @@ class TestStackedBuild:
     def test_stacked_analytic_gains_match_one_at_a_time(self):
         for n, m in ((1, 1), (4, 3), (2, 5), (8, 8)):
             problems = [make_problem(n, m, 50 + i, 100.0) for i in range(7)]
-            gains = _analytic_gains(
+            gains, failures = _analytic_gains(
                 np.array([p.cross for p in problems]),
                 np.array([p.innovation for p in problems]))
+            assert not failures
             for gain, problem in zip(gains, problems):
                 assert gain.tobytes() == analytic_gain(problem).tobytes()
+
+
+class TestSingularInnovation:
+    """An S that passes its Cholesky check but is singular to the solve."""
+
+    def test_analytic_gain_raises_not_positive_definite(self):
+        problem = make_problem(2, 7, SINGULAR_SEED, 1e20)
+        with pytest.raises(NotPositiveDefinite) as caught:
+            analytic_gain(problem)
+        assert str(caught.value) == (
+            "matrix is not positive definite: Singular matrix")
+
+    def test_only_the_singular_row_of_a_stack_fails(self):
+        problems = singular_innovation_stack()
+        gains, failures = _analytic_gains(
+            np.array([p.cross for p in problems]),
+            np.array([p.innovation for p in problems]))
+        assert list(failures) == [2]
+        assert str(failures[2]) == (
+            "matrix is not positive definite: Singular matrix")
+        assert np.isnan(gains[2]).all()
+        for row in (0, 1, 3):
+            assert gains[row].tobytes() == (
+                analytic_gain(problems[row]).tobytes())
 
 
 class TestInnovationCovariance:

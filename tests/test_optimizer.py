@@ -16,7 +16,8 @@ from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
                                stationarity_residual, trace_gradient)
 from gainlab.experiment import make_problem, mix_seed
 
-from conftest import seeded_gain, seeded_problem, starting_from
+from conftest import (seeded_gain, seeded_problem, singular_innovation_stack,
+                      starting_from)
 
 LOGDET = ObjectiveKind.LOG_GENERALIZED_VARIANCE
 ENTROPY = ObjectiveKind.DIFFERENTIAL_ENTROPY
@@ -431,6 +432,28 @@ def _run_with_trial(monkeypatch, problems, kinds, edit):
     outcomes = minimize_batch(problems, kinds)
     monkeypatch.undo()
     return outcomes
+
+
+class TestSingularInnovation:
+    def test_equivalence_batch_fails_that_problem_alone(self):
+        # one iteration, so that every minimization ends with a report and
+        # the singular row fails at its analytic gain
+        problems = singular_innovation_stack()
+        config = OptimizerConfig(max_iters=1)
+        outcomes = equivalence_batch(problems, config)
+        assert isinstance(outcomes[2], NotPositiveDefinite)
+        assert str(outcomes[2]) == (
+            "matrix is not positive definite: Singular matrix")
+        with pytest.raises(NotPositiveDefinite):
+            cross_objective_equivalence(problems[2], config)
+        for row in (0, 1, 3):
+            alone = cross_objective_equivalence(problems[row], config)
+            assert outcomes[row].analytic.tobytes() == alone.analytic.tobytes()
+            assert outcomes[row].distance_to_analytic == (
+                alone.distance_to_analytic)
+            for kind, report in alone.reports.items():
+                assert outcomes[row].reports[kind].final_gain.tobytes() == (
+                    report.final_gain.tobytes())
 
 
 class TestSingularPosterior:
