@@ -220,7 +220,7 @@ def _cmd_gradcheck(args) -> int:
     # Instances are generated and checked in chunks, which bounds the memory
     # for any --instances: a chunk's problems, gains and gradients grow as
     # the square of --max-dim, so its row size is that of the largest shape.
-    # The oracle's stacks add a fixed peak, 13 MB at --max-dim 35.
+    # The oracle's stacks are sized by the same budget.
     for indices in _chunks(args.instances, 1,
                            _row_bytes(args.max_dim, args.max_dim)):
         # np.maximum, unlike max(), keeps a NaN error, which then fails.

@@ -18,10 +18,10 @@ import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem, _build_problems
-from .matrix_core import _check_numbers, _random_spds
-from .objectives import ObjectiveKind, evaluate_objective
-from .optimizer import (EquivalenceReport, OptimizerConfig, equivalence_batch,
-                        stationarity_residual)
+from .matrix_core import _check_numbers, _frobenius_norms, _random_spds
+from .objectives import (_CHUNK_BYTES, ObjectiveKind, _Batch, _bracket,
+                         _row_bytes)
+from .optimizer import EquivalenceReport, OptimizerConfig, equivalence_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -48,11 +48,6 @@ CSV_HEADER = ("trial_index,seed_used,gain_distance_logdet,gain_distance_trace,"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# The bytes a chunk's stacks may hold, about (see _chunks): the heavy batch
-# (8x8, 100 trials) and a 500-instance gradcheck at --max-dim 6 are one chunk
-# each, and from 20x20 or --max-dim 9 up a chunk has at most 50 or 256 rows.
-_CHUNK_BYTES = 12_000_000
 
 _KIND_ORDER = (ObjectiveKind.LOG_GENERALIZED_VARIANCE,
                ObjectiveKind.TOTAL_VARIANCE,
@@ -234,30 +229,41 @@ def _run_chunk(config: ExperimentConfig,
                indices: Sequence[int]) -> list[TrialRecord]:
     """Run the trials ``indices``, with all their minimizations in one batch.
 
-    A trial that raises becomes a failed record and leaves the other trials'
-    records unchanged.
+    The evidence at the analytic gains, objective values and stationarity
+    residuals, is one stack too, bit for bit that of the public functions.
+    A trial that raises becomes a failed record and leaves the other
+    trials' records unchanged.
     """
     seeds = {index: mix_seed(config.master_seed, index) for index in indices}
-    records = {}
-    problems = {}
-    made = _make_problems([(config.state_dim, config.obs_dim, seed,
-                            config.cond_target) for seed in seeds.values()])
-    for (index, seed), problem in zip(seeds.items(), made):
-        if isinstance(problem, GainlabError):
-            records[index] = _failed_record(index, seed, problem)
-        else:
-            problems[index] = problem
-    outcomes = equivalence_batch(list(problems.values()),
-                                 config.optimizer_config())
-    for (index, problem), outcome in zip(problems.items(), outcomes):
-        seed = seeds[index]
-        try:
-            if isinstance(outcome, GainlabError):
-                raise outcome
-            records[index] = _trial_record(index, seed, problem, outcome)
-        except GainlabError as exc:
-            records[index] = _failed_record(index, seed, exc)
-    return [records[index] for index in indices]
+    outcomes = dict(zip(seeds, _make_problems([
+        (config.state_dim, config.obs_dim, seed, config.cond_target)
+        for seed in seeds.values()])))
+    problems = {index: problem for index, problem in outcomes.items()
+                if isinstance(problem, FilterProblem)}
+    outcomes.update(zip(problems, equivalence_batch(
+        list(problems.values()), config.optimizer_config())))
+    reports = {index: outcome for index, outcome in outcomes.items()
+               if isinstance(outcome, EquivalenceReport)}
+    if reports:
+        kinds = len(_KIND_ORDER)
+        batch = _Batch.stack([problems[i] for i in reports for _ in range(kinds)],
+                             list(_KIND_ORDER) * len(reports))
+        # Each analytic gain is a transposed solve; the stacks keep that
+        # layout in every row, and so the products of the public functions.
+        transposed = np.array([report.analytic.T for report in reports.values()])
+        values, _, errors = batch.values(
+            np.repeat(transposed, kinds, axis=0).swapaxes(-1, -2))
+        residuals = _frobenius_norms(_bracket(
+            transposed.swapaxes(-1, -2), batch.cross[::kinds],
+            batch.innovation[::kinds]))
+        for j, index in enumerate(reports):
+            failed = sorted(row for row in errors if row // kinds == j)
+            outcomes[index] = errors[failed[0]] if failed else _trial_record(
+                index, seeds[index], reports[index],
+                values[j * kinds:(j + 1) * kinds].tolist(), float(residuals[j]))
+    return [_failed_record(index, seeds[index], outcomes[index])
+            if isinstance(outcomes[index], GainlabError) else outcomes[index]
+            for index in indices]
 
 
 def _failed_record(index: int, seed: int, exc: GainlabError) -> TrialRecord:
@@ -265,11 +271,8 @@ def _failed_record(index: int, seed: int, exc: GainlabError) -> TrialRecord:
                        error=f"{type(exc).__name__}: {exc}")
 
 
-def _trial_record(index: int, seed: int, problem: FilterProblem,
-                  equivalence: EquivalenceReport) -> TrialRecord:
-    reference = equivalence.analytic
-    at_analytic = {kind.value: evaluate_objective(problem, reference, kind)
-                   for kind in _KIND_ORDER}
+def _trial_record(index: int, seed: int, equivalence: EquivalenceReport,
+                  values: list, residual: float) -> TrialRecord:
     return TrialRecord(
         trial_index=index,
         seed_used=seed,
@@ -279,8 +282,9 @@ def _trial_record(index: int, seed: int, problem: FilterProblem,
             ObjectiveKind.TOTAL_VARIANCE],
         gain_distance_entropy=equivalence.distance_to_analytic[
             ObjectiveKind.DIFFERENTIAL_ENTROPY],
-        stationarity_residual=stationarity_residual(problem, reference),
-        objective_at_analytic=at_analytic,
+        stationarity_residual=residual,
+        objective_at_analytic={kind.value: value
+                               for kind, value in zip(_KIND_ORDER, values)},
         iterations={kind.value: equivalence.reports[kind].iterations
                     for kind in _KIND_ORDER},
         converged={kind.value: equivalence.reports[kind].converged
@@ -300,16 +304,6 @@ def _summarize(records: list[TrialRecord]) -> SummaryRecord:
                             else None),
         max_stationarity_residual=max(residuals, default=None),
     )
-
-
-def _row_bytes(state_dim: int, obs_dim: int) -> int:
-    """Bytes a trial or a gradcheck instance of this shape holds at most.
-
-    That is 20 float64 blocks of ``(state_dim + obs_dim)²``: by tracemalloc,
-    a trial peaks at 19.6 at 4x3, 15 at 8x8 and 12.8 at 20x20, and an
-    instance at about 10.
-    """
-    return 160 * (state_dim + obs_dim) ** 2
 
 
 def _chunks(rows: int, workers: int, row_bytes: int) -> list[range]:

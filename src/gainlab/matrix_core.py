@@ -88,10 +88,10 @@ def _cholesky_factor(a: np.ndarray) -> np.ndarray:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    pivots = factor.diagonal(0, -2, -1)
-    if (pivots <= PD_TOL).any():
+    lowest = factor.diagonal(0, -2, -1).min(initial=np.inf)
+    if lowest <= PD_TOL:
         raise NotPositiveDefinite(
-            f"Cholesky pivot {float(pivots.min()):.3e} at or below floor {PD_TOL:g}")
+            f"Cholesky pivot {float(lowest):.3e} at or below floor {PD_TOL:g}")
     return factor
 
 

@@ -48,9 +48,19 @@ __all__ = [
     "finite_difference_gradient",
 ]
 
-# Perturbed gains the finite-difference oracle evaluates as one stack, at
-# most; this bounds the memory of a gradient check on large problems.
+# The bytes a chunk's stacks may hold, about (see experiment._chunks), and
+# the most perturbed gains one stack of the oracle holds; from 9x9 up the
+# budget allows fewer.
+_CHUNK_BYTES = 12_000_000
 _FD_BLOCK_ROWS = 256
+
+
+def _row_bytes(state_dim: int, obs_dim: int) -> int:
+    """Bytes a trial or a gradcheck instance of this shape holds at most:
+    20 float64 blocks of ``(state_dim + obs_dim)²``. By tracemalloc a trial
+    peaks at 19.6 of them at 4x3, 15 at 8x8 and 12.8 at 20x20, and an
+    instance at about 10."""
+    return 160 * (state_dim + obs_dim) ** 2
 
 
 class ObjectiveKind(enum.Enum):
@@ -203,7 +213,11 @@ class _Batch:
     and the symmetrized posterior is exactly symmetric, so neither is
     checked again; the checks a gain can fail are kept (see :meth:`values`).
     Values and gradients take every row: a failed row's posterior is the
-    identity, so no row is left out of a stack.
+    identity, so no row is left out of a stack. A factorizing row's value
+    is ``offset + scale * logdet`` and its gradient ``scale`` times the
+    solve, from per-row arrays set once per batch: 0 and 1 for the log-det,
+    which change no bit, and the entropy's constant and 0.5, the operations
+    of ``_entropy``. A batch whose rows all factorize computes no trace.
     """
 
     def __init__(self, prior, obs_op, obs_noise, cross, innovation, entropy,
@@ -220,6 +234,9 @@ class _Batch:
         # factorizes, they are taken as whole arrays, views and not copies.
         self._factor_ids = np.flatnonzero(factored)
         self._factor_rows = slice(None) if factored.all() else self._factor_ids
+        entropic = entropy[self._factor_rows]
+        self._offset = np.where(entropic, _entropy(prior.shape[-1], 0.0), 0.0)
+        self._scale = np.where(entropic, 0.5, 1.0)
 
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
@@ -278,10 +295,12 @@ class _Batch:
         factors, failures = matrix_core._cholesky_factors(others)
         for row, exc in failures.items():
             errors.setdefault(int(owners[row]), exc)
-        logdet = matrix_core._log_det_of_factor(factors)
-        values = matrix_core._trace(posteriors)
-        values[rows] = np.where(self.entropy[rows],
-                                _entropy(identity.shape[0], logdet), logdet)
+        values = self._offset + self._scale * matrix_core._log_det_of_factor(
+            factors)
+        if len(owners) < len(gains):
+            # The other rows minimize the trace and never factorize.
+            factored, values = values, matrix_core._trace(posteriors)
+            values[owners] = factored
         if errors:
             posteriors[list(errors)] = identity
         return values, posteriors, errors
@@ -299,10 +318,9 @@ class _Batch:
         """
         rows = self._factor_rows
         grads = 2.0 * _bracket(gains, self.cross, self.innovation)
-        logdet, failures = matrix_core._by_rows(matrix_core._solve,
+        solved, failures = matrix_core._by_rows(matrix_core._solve,
                                                 posteriors[rows], grads[rows])
-        grads[rows] = np.where(self.entropy[rows, None, None], 0.5 * logdet,
-                               logdet)
+        grads[rows] = self._scale[:, None, None] * solved
         return grads, {int(self._factor_ids[row]): exc
                        for row, exc in failures.items()}
 
@@ -345,7 +363,8 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     has a failing perturbation to the error :func:`finite_difference_gradient`
     raises for it, whose gradient is then meaningless. The 2·n·m perturbed
     gains of every row are evaluated in row order, as consecutive stacks of
-    at most ``_FD_BLOCK_ROWS`` rows, whatever row they come from; each stack
+    at most ``_FD_BLOCK_ROWS`` rows, and at most ``_CHUNK_BYTES`` at
+    ``_row_bytes`` per row, whatever row they come from; each stack
     costs one Joseph update and, where it has log-det or entropy rows, one
     Cholesky factorization, and repeats its problems' matrices only for its
     own rows.
@@ -356,10 +375,11 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     steps = 1e-6 * (1.0 + np.abs(flat))
     values = np.empty(count * per_row)
     errors = {}
-    for start in range(0, len(values), _FD_BLOCK_ROWS):
+    block = min(_FD_BLOCK_ROWS, max(1, _CHUNK_BYTES // _row_bytes(n, m)))
+    for start in range(0, len(values), block):
         # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
         rows, perturbation = np.divmod(
-            np.arange(start, min(start + _FD_BLOCK_ROWS, len(values))), per_row)
+            np.arange(start, min(start + block, len(values))), per_row)
         entries = perturbation // 2
         moves = steps[rows, entries]
         bumped = flat[rows]

@@ -26,8 +26,8 @@ import numpy as np
 from . import objectives
 from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
                          LineSearchFailed)
-from .kalman_update import FilterProblem, analytic_gain
-from .matrix_core import _check_numbers, frobenius_norm
+from .kalman_update import FilterProblem, _analytic_gains
+from .matrix_core import _check_numbers, _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind, _Batch
 
 __all__ = [
@@ -125,7 +125,7 @@ def _clip_step(steps: np.ndarray) -> np.ndarray:
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius inner product of each pair of rows of two stacks."""
-    return (a * b).sum(axis=(-2, -1))
+    return np.add.reduce(a * b, axis=(-2, -1))
 
 
 def minimize_batch(problems: Sequence[FilterProblem],
@@ -137,10 +137,10 @@ def minimize_batch(problems: Sequence[FilterProblem],
     All problems must share one (state_dim, obs_dim) shape, and every
     minimization starts from the zero gain. The minimizations run in
     lockstep, each by the rule of :func:`minimize_objective`: in every
-    round, all unfinished rows evaluate one trial step and then, unless all
-    rejected it, their gradients together, and each row's state moves under
-    the mask of rows that accepted. A row leaves the batch when it
-    converges, reaches ``max_iters`` or fails.
+    round, all unfinished rows evaluate one trial step and then their
+    gradients together, and each row's state moves under the mask of rows
+    that accepted. A row leaves the batch when it converges, reaches
+    ``max_iters`` or fails.
 
     Returns one outcome per problem, in order: its OptimizationReport, or
     the GainlabError that :func:`minimize_objective` raises for it. A
@@ -165,7 +165,9 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
               outcomes: list) -> None:
     """The rounds of :func:`minimize_batch` from the stacked start ``gains``.
 
-    Row ``i`` writes its OptimizationReport or error to ``outcomes[i]``.
+    Row ``i`` writes its OptimizationReport or error to ``outcomes[i]``. A
+    round is one pass of whole-stack calls, and each row's arithmetic that
+    of :func:`minimize_objective`'s rule, operation for operation.
     """
     values, posteriors, errors = batch.values(gains)
     for row, exc in errors.items():
@@ -176,87 +178,86 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
     gnorms = np.sqrt(_row_dots(grads, grads))
     steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
     iterations = np.zeros(len(ids), dtype=np.intp)
-    # The working rows' state, updated in place; finished rows leave with one
-    # take. ``window`` keeps a row's last _DESCENT_WINDOW accepted values, -inf
-    # if unfilled, the current one in slot iterations % _DESCENT_WINDOW.
+    # The working rows' state, one array per quantity, which finished rows
+    # leave with one take. ``window`` keeps a row's last _DESCENT_WINDOW
+    # accepted values, -inf if unfilled, the current one in slot
+    # iterations % _DESCENT_WINDOW.
     window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
     window[:, 0] = values[ids]
-    rows = dict(ids=ids, gains=gains, grads=grads, gnorms=gnorms, steps=steps,
-                iterations=iterations, window=window)
-    done = gnorms <= config.grad_tol
+    ended = list(singular)
     for row, exc in singular.items():
         outcomes[ids[row]] = exc
-        done[row] = True
 
     while True:
-        if done.any():
+        # A row ends when it stops, when backtracking has exhausted its
+        # step, or with an error, which is its outcome already (``ended``).
+        stopped = (gnorms <= config.grad_tol) | (iterations >= config.max_iters)
+        done = stopped | ~(steps >= _MIN_STEP)
+        if ended:
+            done[ended] = True
+        if np.count_nonzero(done):
             for row in np.flatnonzero(done):
-                if outcomes[ids[row]] is None:
-                    outcomes[ids[row]] = OptimizationReport(
-                        final_gain=gains[row].copy(),
-                        final_objective=float(
-                            window[row, iterations[row] % _DESCENT_WINDOW]),
-                        iterations=int(iterations[row]),
-                        converged=bool(gnorms[row] <= config.grad_tol))
-            batch = batch.take(~done)
-            rows = {name: state[~done] for name, state in rows.items()}
-            ids, gains, grads, gnorms, steps, iterations, window = rows.values()
-        if not len(ids):
-            return
-        exhausted = ~(steps >= _MIN_STEP)
-        if exhausted.any():
-            for row in np.flatnonzero(exhausted):
-                outcomes[ids[row]] = LineSearchFailed(
+                if outcomes[ids[row]] is not None:
+                    continue
+                outcomes[ids[row]] = OptimizationReport(
+                    final_gain=gains[row].copy(),
+                    final_objective=float(
+                        window[row, iterations[row] % _DESCENT_WINDOW]),
+                    iterations=int(iterations[row]),
+                    converged=bool(gnorms[row] <= config.grad_tol),
+                ) if stopped[row] else LineSearchFailed(
                     f"no acceptable step above {_MIN_STEP:g} at iteration "
                     f"{iterations[row]} (gradient norm {gnorms[row]:.3e})")
-            done = exhausted
-            continue
+            keep = ~done
+            batch = batch.take(keep)
+            ids, gains, grads, gnorms, steps, iterations, window = (
+                state[keep] for state in (ids, gains, grads, gnorms, steps,
+                                          iterations, window))
+        if not len(ids):
+            return
 
         trials = gains - steps[:, None, None] * grads
         trial_values, posteriors, errors = batch.values(trials)
         reference = window.max(axis=1)
-        slack = 8.0 * _EPS * (1.0 + np.abs(reference))
-        needed = _ARMIJO_C * steps * gnorms * gnorms
-        accepted = trial_values <= reference - needed + slack
-        done = np.zeros(len(ids), dtype=bool)
+        accepted = trial_values <= (
+            reference - _ARMIJO_C * steps * gnorms * gnorms
+            + 8.0 * _EPS * (1.0 + np.abs(reference)))
+        ended = []
         for row, exc in errors.items():
             # A step into a posterior that is not SPD is rejected like an
             # Armijo failure; an invalid iterate ends the minimization.
             accepted[row] = False
             if isinstance(exc, InvalidParameter):
                 outcomes[ids[row]] = exc
-                done[row] = True
-        steps[~accepted] *= _BACKTRACK_FACTOR
-        if not accepted.any():
-            continue
+                ended.append(row)
 
         # Every row computes a gradient, a rejected one at its current gain
-        # so that no failed trial enters the stack; it keeps its gain,
-        # gradient and halved step. A posterior singular to the solve
-        # rejects its step, as a failed Cholesky check does.
-        new_gains = np.where(accepted[:, None, None], trials, gains)
+        # so that no failed trial enters the stack; it keeps its gain and
+        # gradient. A posterior singular to the solve rejects its step, as a
+        # failed Cholesky check does. ``moved`` is a view of ``accepted``.
+        moved = accepted[:, None, None]
+        new_gains = np.where(moved, trials, gains)
         new_grads, singular = batch.gradients(new_gains, posteriors)
         for row in singular:
             if accepted[row]:
                 accepted[row] = False
-                steps[row] *= _BACKTRACK_FACTOR
                 new_gains[row] = gains[row]
-        new_grads = np.where(accepted[:, None, None], new_grads, grads)
-        # The next trial step is the Barzilai-Borwein estimate <s, y> / <y, y>
-        # where it is defined and positive, else the step just accepted.
+        new_grads = np.where(moved, new_grads, grads)
+        # An accepted row's next trial step is the Barzilai-Borwein estimate
+        # <s, y> / <y, y> where both are positive, else the step just
+        # accepted. A rejected row's s is zero, so the division in place
+        # leaves its step, which it halves.
         changes = new_grads - grads
         sy = _row_dots(new_gains - gains, changes)
         yy = _row_dots(changes, changes)
-        next_steps = steps.copy()
-        np.divide(sy, yy, out=next_steps, where=(sy > 0.0) & (yy > 0.0))
-        steps[accepted] = _clip_step(next_steps[accepted])
+        np.divide(sy, yy, out=steps, where=np.minimum(sy, yy) > 0.0)
+        steps = np.where(accepted, _clip_step(steps), steps * _BACKTRACK_FACTOR)
 
-        gains[...], grads[...] = new_gains, new_grads
-        gnorms[...] = np.sqrt(_row_dots(grads, grads))
+        gains, grads = new_gains, new_grads
+        gnorms = np.sqrt(_row_dots(grads, grads))
         iterations += accepted
         window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
             trial_values[accepted])
-        done |= (gnorms <= config.grad_tol) | (iterations >= config.max_iters)
 
 
 def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
@@ -295,11 +296,11 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     norm, not on objective change.
 
     This is a batch of one for :func:`minimize_batch`, which evaluates the
-    validating public functions' formulas on stacked iterates: each trial
-    step costs one Joseph update and, for the log-det and entropy, one
-    Cholesky factorization with the same pivot floor, and a round with an
-    accepted step one stacked gradient. Values and gradients are bit for
-    bit those of :func:`~gainlab.objectives.evaluate_objective` and
+    validating public functions' formulas on stacked iterates: a round costs
+    one Joseph update, one Cholesky factorization with the same pivot floor
+    for the log-det and entropy rows, and one stacked gradient. Values,
+    gradients and iterates are bit for bit those of this rule written as a
+    loop over :func:`~gainlab.objectives.evaluate_objective` and
     :func:`~gainlab.objectives.objective_gradient`.
 
     Raises
@@ -350,35 +351,40 @@ def equivalence_batch(problems: Sequence[FilterProblem],
                       ) -> list[Union[EquivalenceReport, GainlabError]]:
     """:func:`cross_objective_equivalence` of many problems of one shape.
 
-    All three minimizations of every problem run as one lockstep batch.
+    All three minimizations of every problem run as one lockstep batch, the
+    analytic gains are one stacked solve and the distances one stacked norm.
     Returns one outcome per problem, in order: its EquivalenceReport, or the
     GainlabError that :func:`cross_objective_equivalence` raises for it.
     """
+    if not problems:
+        return []
     kinds = tuple(ObjectiveKind)
     runs = minimize_batch([problem for problem in problems for _ in kinds],
                           [kind for _ in problems for kind in kinds], config)
+    analytic, singular = _analytic_gains(
+        *(np.array([getattr(problem, name) for problem in problems])
+          for name in ("cross", "innovation")))
+    # A failed run's gain is NaN, which only its failing problem reads.
+    finals = np.array([np.full(analytic.shape[1:], np.nan)
+                       if isinstance(run, GainlabError) else run.final_gain
+                       for run in runs])
+    by_kind = {kind: finals[k::len(kinds)] for k, kind in enumerate(kinds)}
+    gaps = [by_kind[kind] - analytic for kind in kinds] + [
+        by_kind[a] - by_kind[b] for a, b in OBJECTIVE_PAIRS]
+    distances = np.transpose([_frobenius_norms(gap) for gap in gaps]).tolist()
     outcomes: list = []
-    for i, problem in enumerate(problems):
-        mine = runs[i * len(kinds):(i + 1) * len(kinds)]
-        failed = [run for run in mine if isinstance(run, GainlabError)]
-        try:
-            reference = analytic_gain(problem)
-        except GainlabError as exc:
-            failed.append(exc)
-        if failed:
-            outcomes.append(failed[0])
+    for i in range(len(problems)):
+        reports = runs[i * len(kinds):(i + 1) * len(kinds)]
+        failed = [run for run in reports if isinstance(run, GainlabError)]
+        if failed or i in singular:
+            outcomes.append((failed + [singular.get(i)])[0])
             continue
-        reports = dict(zip(kinds, mine))
         outcomes.append(EquivalenceReport(
-            analytic=reference,
-            reports=reports,
-            distance_to_analytic={
-                kind: frobenius_norm(report.final_gain - reference)
-                for kind, report in reports.items()},
-            pairwise_distance={
-                (a, b): frobenius_norm(reports[a].final_gain
-                                       - reports[b].final_gain)
-                for a, b in OBJECTIVE_PAIRS},
+            analytic=analytic[i],
+            reports=dict(zip(kinds, reports)),
+            distance_to_analytic=dict(zip(kinds, distances[i])),
+            pairwise_distance=dict(zip(OBJECTIVE_PAIRS,
+                                       distances[i][len(kinds):])),
         ))
     return outcomes
 

@@ -331,14 +331,26 @@ class TestStackedGradcheck:
         assert list(failures) == [0]
         assert isinstance(failures[0], NotPositiveDefinite)
 
-    def test_failing_problem_raises_first_error(self, monkeypatch):
-        # every 17th instance has a prior too ill-conditioned to factorize
+    def test_failing_problem_raises_first_error(self, capsys, monkeypatch):
+        # every 17th instance has a prior too ill-conditioned to factorize;
+        # the 40 instances cross five chunks of 8, and the first failing
+        # instance, 11, ends the run in the second
         monkeypatch.setattr(cli, "_GRADCHECK_CONDS", (10.0,) * 11 + (1e40,)
                             + (10.0,) * 5)
         monkeypatch.setattr(experiment, "_CHUNK_BYTES",
                             8 * experiment._row_bytes(6, 6))
-        expected = _assert_same_errors(6, range(40), 6)
+        expected = _errors_outcome(sequential_gradcheck_errors, 6, range(40),
+                                   6)
         assert expected[0] is NotPositiveDefinite
+        chunked = cli._gradcheck_errors
+        checked = []
+        def recorded(seed, indices, max_dim):
+            checked.append(indices)
+            return chunked(seed, indices, max_dim)
+        monkeypatch.setattr(cli, "_gradcheck_errors", recorded)
+        assert main(["gradcheck", "--seed", "6", "--instances", "40"]) == 2
+        assert capsys.readouterr().err == f"gainlab: error: {expected[1]}\n"
+        assert checked == [range(0, 8), range(8, 16)]
 
     def test_nan_error_fails(self, capsys, monkeypatch):
         # max() would skip the NaN of instance 20 and report a pass

@@ -11,6 +11,7 @@ import pytest
 
 import gainlab.cli as cli
 import gainlab.experiment as experiment
+import gainlab.objectives as objectives
 from gainlab.exceptions import (GainlabError, InvalidParameter,
                                 NotPositiveDefinite)
 from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
@@ -411,6 +412,34 @@ class TestChunks:
         peak = _peak_bytes(partial(cli._gradcheck_errors, 1, max_dim=20),
                            range(rows))
         assert peak <= experiment._CHUNK_BYTES
+
+    def test_oracle_blocks_keep_large_chunks_within_budget(self):
+        # at --max-dim 35 the oracle's stacks of perturbed gains, sized by
+        # the same budget, would otherwise set the peak
+        rows = experiment._CHUNK_BYTES // experiment._row_bytes(35, 35)
+        peak = _peak_bytes(partial(cli._gradcheck_errors, 1, max_dim=35),
+                           range(rows))
+        assert peak <= experiment._CHUNK_BYTES
+
+    def test_oracle_blocks_sized_by_budget(self, monkeypatch):
+        # 256 rows at 6x6, as many as the budget holds at 35x35
+        blocks = []
+        values = objectives._Batch.values
+        def recorded(batch, gains):
+            blocks.append(len(gains))
+            return values(batch, gains)
+        monkeypatch.setattr(objectives._Batch, "values", recorded)
+        for dim in (6, 35):
+            blocks.clear()
+            batch = objectives._Batch.stack([make_problem(dim, dim, 3)] * 4,
+                                            [objectives.ObjectiveKind.TOTAL_VARIANCE] * 4)
+            objectives._finite_differences(batch, np.zeros((4, dim, dim)))
+            assert sum(blocks) == 4 * 2 * dim * dim
+            if dim == 6:
+                assert max(blocks) == 256
+            else:
+                assert max(blocks) * objectives._row_bytes(dim, dim) <= (
+                    objectives._CHUNK_BYTES)
 
 
 class TestConfigValidation:

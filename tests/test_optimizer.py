@@ -416,6 +416,78 @@ class TestMinimizeBatch:
         assert minimize_batch([], []) == []
 
 
+def reference_minimization(problem, kind, config):
+    """The rule of ``minimize_objective``'s docstring, one problem at a time.
+
+    Every value and gradient comes from the public ``evaluate_objective``
+    and ``objective_gradient``, and the rule's arithmetic is written out
+    with Python floats, so this pins the lockstep round's arithmetic
+    without sharing any of its code. Returns the report's four fields, or
+    the error the minimization ends with.
+    """
+    def norm_squared(a, b):
+        return float((a * b).sum())
+    gain = np.zeros((problem.state_dim, problem.obs_dim))
+    window = [evaluate_objective(problem, gain, kind)] + [-np.inf] * 9
+    grad = objective_gradient(problem, gain, kind)
+    gnorm = np.sqrt(norm_squared(grad, grad))
+    step = min(max(1.0 / max(gnorm, 1e-16), 1e-12), 1e12)
+    iterations = 0
+    while not (gnorm <= config.grad_tol or iterations >= config.max_iters):
+        if not step >= 1e-16:
+            return LineSearchFailed(
+                f"no acceptable step above 1e-16 at iteration {iterations} "
+                f"(gradient norm {gnorm:.3e})")
+        trial = gain - step * grad
+        reference = max(window)
+        try:
+            value = evaluate_objective(problem, trial, kind)
+            accepted = value <= (reference - 1e-4 * step * gnorm * gnorm
+                                 + 8.0 * EPS * (1.0 + abs(reference)))
+            if accepted:
+                trial_grad = objective_gradient(problem, trial, kind)
+        except InvalidParameter as exc:
+            return exc
+        except NotPositiveDefinite:
+            accepted = False
+        if not accepted:
+            step *= 0.5
+            continue
+        change = trial_grad - grad
+        sy, yy = norm_squared(trial - gain, change), norm_squared(change, change)
+        if sy > 0.0 and yy > 0.0:
+            step = sy / yy
+        step = min(max(step, 1e-12), 1e12)
+        gain, grad = trial, trial_grad
+        gnorm = np.sqrt(norm_squared(grad, grad))
+        iterations += 1
+        window[iterations % 10] = value
+    return (gain.tobytes(), window[iterations % 10], iterations,
+            bool(gnorm <= config.grad_tol))
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("shape, cond", [
+        ((4, 3), 10.0), ((4, 3), 1e4), ((2, 5), 1e4), ((1, 1), 10.0),
+        ((8, 8), 100.0)])
+    def test_batch_equals_one_row_loop_of_public_functions(self, shape,
+                                                           cond):
+        config = OptimizerConfig(max_iters=300)
+        problems = [make_problem(*shape, seed, cond) for seed in range(4)]
+        rows = [(problem, kind) for problem in problems
+                for kind in ObjectiveKind]
+        outcomes = minimize_batch([problem for problem, _ in rows],
+                                  [kind for _, kind in rows], config)
+        for (problem, kind), outcome in zip(rows, outcomes):
+            expected = reference_minimization(problem, kind, config)
+            if isinstance(expected, Exception):
+                assert type(outcome) is type(expected)
+                assert str(outcome) == str(expected)
+                continue
+            assert (outcome.final_gain.tobytes(), outcome.final_objective,
+                    outcome.iterations, outcome.converged) == expected
+
+
 def _run_with_trial(monkeypatch, problems, kinds, edit):
     """minimize_batch with ``edit(values, posteriors, errors)`` applied to
     the second round's trial evaluation, in which every row still works."""
