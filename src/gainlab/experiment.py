@@ -18,9 +18,8 @@ import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem, _build_problems
-from .matrix_core import _check_numbers, _frobenius_norms, _random_spds
-from .objectives import (_CHUNK_BYTES, ObjectiveKind, _Batch, _bracket,
-                         _row_bytes)
+from .matrix_core import _check_numbers, _random_spds
+from .objectives import _CHUNK_BYTES, ObjectiveKind, _row_bytes
 from .optimizer import EquivalenceReport, OptimizerConfig, equivalence_batch
 
 __all__ = [
@@ -229,10 +228,10 @@ def _run_chunk(config: ExperimentConfig,
                indices: Sequence[int]) -> list[TrialRecord]:
     """Run the trials ``indices``, with all their minimizations in one batch.
 
-    The evidence at the analytic gains, objective values and stationarity
-    residuals, is one stack too, bit for bit that of the public functions.
-    A trial that raises becomes a failed record and leaves the other
-    trials' records unchanged.
+    The problems are built as stacks and go to one
+    :func:`~gainlab.optimizer.equivalence_batch`, whose reports hold every
+    record's evidence. A trial that raises becomes a failed record and
+    leaves the other trials' records unchanged.
     """
     seeds = {index: mix_seed(config.master_seed, index) for index in indices}
     outcomes = dict(zip(seeds, _make_problems([
@@ -242,52 +241,26 @@ def _run_chunk(config: ExperimentConfig,
                 if isinstance(problem, FilterProblem)}
     outcomes.update(zip(problems, equivalence_batch(
         list(problems.values()), config.optimizer_config())))
-    reports = {index: outcome for index, outcome in outcomes.items()
-               if isinstance(outcome, EquivalenceReport)}
-    if reports:
-        kinds = len(_KIND_ORDER)
-        batch = _Batch.stack([problems[i] for i in reports for _ in range(kinds)],
-                             list(_KIND_ORDER) * len(reports))
-        # Each analytic gain is a transposed solve; the stacks keep that
-        # layout in every row, and so the products of the public functions.
-        transposed = np.array([report.analytic.T for report in reports.values()])
-        values, _, errors = batch.values(
-            np.repeat(transposed, kinds, axis=0).swapaxes(-1, -2))
-        residuals = _frobenius_norms(_bracket(
-            transposed.swapaxes(-1, -2), batch.cross[::kinds],
-            batch.innovation[::kinds]))
-        for j, index in enumerate(reports):
-            failed = sorted(row for row in errors if row // kinds == j)
-            outcomes[index] = errors[failed[0]] if failed else _trial_record(
-                index, seeds[index], reports[index],
-                values[j * kinds:(j + 1) * kinds].tolist(), float(residuals[j]))
-    return [_failed_record(index, seeds[index], outcomes[index])
-            if isinstance(outcomes[index], GainlabError) else outcomes[index]
+    return [_trial_record(index, seeds[index], outcomes[index])
             for index in indices]
 
 
-def _failed_record(index: int, seed: int, exc: GainlabError) -> TrialRecord:
-    return TrialRecord(trial_index=index, seed_used=seed, failed=True,
-                       error=f"{type(exc).__name__}: {exc}")
-
-
-def _trial_record(index: int, seed: int, equivalence: EquivalenceReport,
-                  values: list, residual: float) -> TrialRecord:
+def _trial_record(index: int, seed: int,
+                  outcome: Union[EquivalenceReport, GainlabError]) -> TrialRecord:
+    if isinstance(outcome, GainlabError):
+        return TrialRecord(trial_index=index, seed_used=seed, failed=True,
+                           error=f"{type(outcome).__name__}: {outcome}")
     return TrialRecord(
         trial_index=index,
         seed_used=seed,
-        gain_distance_logdet=equivalence.distance_to_analytic[
-            ObjectiveKind.LOG_GENERALIZED_VARIANCE],
-        gain_distance_trace=equivalence.distance_to_analytic[
-            ObjectiveKind.TOTAL_VARIANCE],
-        gain_distance_entropy=equivalence.distance_to_analytic[
-            ObjectiveKind.DIFFERENTIAL_ENTROPY],
-        stationarity_residual=residual,
-        objective_at_analytic={kind.value: value
-                               for kind, value in zip(_KIND_ORDER, values)},
-        iterations={kind.value: equivalence.reports[kind].iterations
+        **{f"gain_distance_{kind.value}": outcome.distance_to_analytic[kind]
+           for kind in _KIND_ORDER},
+        stationarity_residual=outcome.stationarity_residual,
+        objective_at_analytic={kind.value: outcome.objective_at_analytic[kind]
+                               for kind in _KIND_ORDER},
+        iterations={kind.value: outcome.reports[kind].iterations
                     for kind in _KIND_ORDER},
-        converged={kind.value: equivalence.reports[kind].converged
+        converged={kind.value: outcome.reports[kind].converged
                    for kind in _KIND_ORDER},
     )
 

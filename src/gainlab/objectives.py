@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matrix_core
-from .exceptions import InvalidParameter
+from .exceptions import DimensionMismatch, InvalidParameter
 from .kalman_update import FilterProblem, _joseph_form, joseph_update
 
 __all__ = [
@@ -243,9 +243,11 @@ class _Batch:
               kinds: Sequence[ObjectiveKind]) -> "_Batch":
         """The batch whose row ``i`` is ``problems[i]`` under ``kinds[i]``.
 
-        Each field is one ``np.array`` copy of the rows, cheaper than
-        ``np.stack`` on small matrices.
+        The problems share one shape. Each field is one ``np.array`` copy
+        of the rows, cheaper than ``np.stack`` on small matrices.
         """
+        if len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
+            raise DimensionMismatch("all problems of a batch must share one shape")
         return cls(*(np.array([getattr(problem, name) for problem in problems])
                      for name in ("prior", "obs_op", "obs_noise", "cross",
                                   "innovation")),

@@ -24,11 +24,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import objectives
-from .exceptions import (DimensionMismatch, GainlabError, InvalidParameter,
-                         LineSearchFailed)
+from .exceptions import GainlabError, InvalidParameter, LineSearchFailed
 from .kalman_update import FilterProblem, _analytic_gains
 from .matrix_core import _check_numbers, _frobenius_norms, frobenius_norm
-from .objectives import ObjectiveKind, _Batch
+from .objectives import ObjectiveKind, _Batch, _bracket
 
 __all__ = [
     "OptimizerConfig",
@@ -151,13 +150,10 @@ def minimize_batch(problems: Sequence[FilterProblem],
     if len(problems) != len(kinds):
         raise InvalidParameter(f"got {len(problems)} problems but "
                                f"{len(kinds)} objective kinds")
-    if len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
-        raise DimensionMismatch("all problems of a batch must share one shape")
     outcomes: list = [None] * len(problems)
     if problems:
-        gains = np.zeros((len(problems), problems[0].state_dim,
-                          problems[0].obs_dim))
-        _lockstep(_Batch.stack(problems, kinds), gains, config, outcomes)
+        batch = _Batch.stack(problems, kinds)
+        _lockstep(batch, np.zeros(batch.cross.shape), config, outcomes)
     return outcomes
 
 
@@ -333,13 +329,17 @@ class EquivalenceReport:
 
     All three objectives are minimized from the zero gain; if their optima
     coincide with the closed-form gain, the pairwise distances and the
-    distances to the analytic gain are all near zero.
+    distances to the analytic gain are all near zero. The values of the
+    objectives and the stationarity residual at the analytic gain are those
+    of the public functions, bit for bit.
     """
 
     analytic: np.ndarray
     reports: dict[ObjectiveKind, OptimizationReport]
     distance_to_analytic: dict[ObjectiveKind, float]
     pairwise_distance: dict[tuple[ObjectiveKind, ObjectiveKind], float]
+    objective_at_analytic: dict[ObjectiveKind, float]
+    stationarity_residual: float
 
     @property
     def max_distance_to_analytic(self) -> float:
@@ -351,19 +351,33 @@ def equivalence_batch(problems: Sequence[FilterProblem],
                       ) -> list[Union[EquivalenceReport, GainlabError]]:
     """:func:`cross_objective_equivalence` of many problems of one shape.
 
-    All three minimizations of every problem run as one lockstep batch, the
-    analytic gains are one stacked solve and the distances one stacked norm.
+    One batch of every problem under every kind runs the minimizations in
+    lockstep, then gives the analytic gains as one solve, the values at them
+    as one evaluation and the distances and residuals as stacked norms.
     Returns one outcome per problem, in order: its EquivalenceReport, or the
     GainlabError that :func:`cross_objective_equivalence` raises for it.
     """
     if not problems:
         return []
     kinds = tuple(ObjectiveKind)
-    runs = minimize_batch([problem for problem in problems for _ in kinds],
-                          [kind for _ in problems for kind in kinds], config)
-    analytic, singular = _analytic_gains(
-        *(np.array([getattr(problem, name) for problem in problems])
-          for name in ("cross", "innovation")))
+    batch = _Batch.stack([problem for problem in problems for _ in kinds],
+                         [kind for _ in problems for kind in kinds])
+    runs: list = [None] * len(batch.prior)
+    _lockstep(batch, np.zeros(batch.cross.shape), config, runs)
+    cross, innovation = batch.cross[::len(kinds)], batch.innovation[::len(kinds)]
+    analytic, singular = _analytic_gains(cross, innovation)
+    # A singular S leaves a NaN gain; a zero one keeps the stack below whole.
+    analytic[list(singular)] = 0.0
+    # Each analytic gain is a transposed solve, and every row at it keeps
+    # that layout, and so the products of the public functions.
+    values, _, errors = batch.values(np.repeat(
+        analytic.swapaxes(-1, -2), len(kinds), axis=0).swapaxes(-1, -2))
+    values = values.reshape(len(problems), len(kinds)).tolist()
+    residuals = _frobenius_norms(_bracket(analytic, cross, innovation)).tolist()
+    # After its runs, a problem fails on a singular S, or else on its first
+    # value at the analytic gain that fails; a trace row never does.
+    raised = {row // len(kinds): exc
+              for row, exc in sorted(errors.items(), reverse=True)} | singular
     # A failed run's gain is NaN, which only its failing problem reads.
     finals = np.array([np.full(analytic.shape[1:], np.nan)
                        if isinstance(run, GainlabError) else run.final_gain
@@ -376,8 +390,8 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     for i in range(len(problems)):
         reports = runs[i * len(kinds):(i + 1) * len(kinds)]
         failed = [run for run in reports if isinstance(run, GainlabError)]
-        if failed or i in singular:
-            outcomes.append((failed + [singular.get(i)])[0])
+        if failed or i in raised:
+            outcomes.append((failed + [raised.get(i)])[0])
             continue
         outcomes.append(EquivalenceReport(
             analytic=analytic[i],
@@ -385,6 +399,8 @@ def equivalence_batch(problems: Sequence[FilterProblem],
             distance_to_analytic=dict(zip(kinds, distances[i])),
             pairwise_distance=dict(zip(OBJECTIVE_PAIRS,
                                        distances[i][len(kinds):])),
+            objective_at_analytic=dict(zip(kinds, values[i])),
+            stationarity_residual=residuals[i],
         ))
     return outcomes
 
@@ -396,7 +412,8 @@ def cross_objective_equivalence(problem: FilterProblem,
 
     The three minimizations run as one lockstep batch, and each keeps its
     four-field :class:`OptimizationReport` in ``reports``; the first of them
-    in :class:`ObjectiveKind` order that fails raises its error.
+    in :class:`ObjectiveKind` order that fails raises its error, then a
+    singular ``S``, then the first value at the analytic gain that fails.
     """
     equivalence, = equivalence_batch([problem], config)
     if isinstance(equivalence, GainlabError):

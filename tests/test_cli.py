@@ -97,6 +97,8 @@ class TestCheck:
         assert code == 0
         assert "analytic gain:" in out
         assert "gradient check" in out
+        for kind in ObjectiveKind:
+            assert f"\n  {kind.value}: relative error " in out
         assert "stationarity residual" in out
         assert "result: PASS" in out
 
@@ -122,6 +124,22 @@ class TestCheck:
         assert "stationarity residual" in captured.out
         assert lines[-1] == "result: FAIL"
 
+    def test_gradient_check_error_fails_the_check(self, capsys, monkeypatch):
+        # a kind whose gradient check raises prints nan and the error
+        finite_differences = objectives._finite_differences
+        def failing(batch, gains):
+            grads, errors = finite_differences(batch, gains)
+            return grads, {**errors, 1: NotPositiveDefinite("synthetic")}
+        monkeypatch.setattr(objectives, "_finite_differences", failing)
+        code = main(["check", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert "  logdet: relative error nan" in lines
+        assert "  error: synthetic" in lines
+        assert lines[-1] == "result: FAIL"
+
     def test_singular_posterior_fails_the_check_without_traceback(
             self, capsys):
         # a log-det posterior at cond 1e20 passes its Cholesky check but is
@@ -131,6 +149,26 @@ class TestCheck:
         assert code == 1
         assert captured.err == ""
         assert captured.out.splitlines()[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["check", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1", "--instances", "5"],
+])
+def test_negative_seed_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("must be a non-negative integer\n")
+
+
+@pytest.mark.parametrize("flags", [["--state-dim", "0"], ["--cond", "0.5"]])
+def test_check_rejects_config_as_run_does(flags, capsys):
+    assert main(["check"] + flags) == 2
+    checked = capsys.readouterr()
+    assert main(["run"] + flags) == 2
+    assert capsys.readouterr() == checked
 
 
 class TestGradcheck:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gainlab import matrix_core
+from gainlab import experiment, matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
 from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
@@ -14,7 +14,7 @@ from gainlab.objectives import (ObjectiveKind, _Batch,
 from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
                                equivalence_batch, minimize_batch, minimize_objective,
                                stationarity_residual, trace_gradient)
-from gainlab.experiment import make_problem, mix_seed
+from gainlab.experiment import ExperimentConfig, make_problem, mix_seed
 
 from conftest import (seeded_gain, seeded_problem, singular_innovation_stack,
                       starting_from)
@@ -296,15 +296,28 @@ class TestMinimizeBatch:
                                           problems, kinds):
             _assert_same_report(batched, minimize_objective(problem, kind))
 
-    def test_equivalence_batch_matches_single_problems(self):
-        problems = [make_problem(3, 2, 700 + i, 10.0) for i in range(4)]
-        for batched, problem in zip(equivalence_batch(problems), problems):
-            alone = cross_objective_equivalence(problem)
-            np.testing.assert_array_equal(batched.analytic, alone.analytic)
-            assert batched.distance_to_analytic == alone.distance_to_analytic
-            assert batched.pairwise_distance == alone.pairwise_distance
-            for kind in ObjectiveKind:
-                _assert_same_report(batched.reports[kind], alone.reports[kind])
+    def test_equivalence_batch_matches_single_problems(self, monkeypatch):
+        for n, m in ((3, 2), (1, 1), (4, 3), (8, 8)):
+            problems = [make_problem(n, m, 700 + i, 10.0) for i in range(4)]
+            for batched, problem in zip(equivalence_batch(problems), problems):
+                alone = cross_objective_equivalence(problem)
+                np.testing.assert_array_equal(batched.analytic, alone.analytic)
+                assert batched.distance_to_analytic == alone.distance_to_analytic
+                assert batched.pairwise_distance == alone.pairwise_distance
+                for kind in ObjectiveKind:
+                    _assert_same_report(batched.reports[kind],
+                                        alone.reports[kind])
+                _assert_public_evidence(batched, problem)
+        # a chunk of trials stacks its rows once, for the runs and for the
+        # evidence at the analytic gains
+        stack = _Batch.stack
+        calls = []
+        def counted(problems, kinds):
+            calls.append(len(problems))
+            return stack(problems, kinds)
+        monkeypatch.setattr(_Batch, "stack", staticmethod(counted))
+        experiment._run_chunk(ExperimentConfig(trials=5), range(5))
+        assert calls == [15]
 
     def test_failing_row_leaves_others_unchanged(self):
         # a 1e300 prior makes the trace gradient norm overflow, so no step
@@ -408,12 +421,24 @@ class TestMinimizeBatch:
             _assert_same_report(batched, alone)
 
     def test_rejects_mixed_shapes(self):
+        problems = [make_problem(2, 1, 1), make_problem(1, 2, 1)]
         with pytest.raises(DimensionMismatch):
-            minimize_batch([make_problem(2, 1, 1), make_problem(1, 2, 1)],
-                           [TRACE, TRACE])
+            minimize_batch(problems, [TRACE, TRACE])
+        with pytest.raises(DimensionMismatch):
+            equivalence_batch(problems)
 
     def test_empty_batch(self):
         assert minimize_batch([], []) == []
+
+
+def _assert_public_evidence(equivalence, problem):
+    """The evidence at the analytic gain is the public functions', bit for bit."""
+    gain = analytic_gain(problem)
+    for kind in ObjectiveKind:
+        assert equivalence.objective_at_analytic[kind] == evaluate_objective(
+            problem, gain, kind)
+    assert equivalence.stationarity_residual == stationarity_residual(problem,
+                                                                      gain)
 
 
 def reference_minimization(problem, kind, config):
@@ -526,6 +551,7 @@ class TestSingularInnovation:
             for kind, report in alone.reports.items():
                 assert outcomes[row].reports[kind].final_gain.tobytes() == (
                     report.final_gain.tobytes())
+            _assert_public_evidence(outcomes[row], problems[row])
 
 
 class TestSingularPosterior:
