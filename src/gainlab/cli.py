@@ -174,40 +174,44 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     Instance ``i`` is a problem of random shape up to ``max_dim`` x
     ``max_dim`` from the seed ``mix_seed(seed, i)``, at a gain 0.1 of a
     Gaussian draw away from its analytic gain. Returns the
-    (len(indices), len(ObjectiveKind)) errors. The problems are generated
-    as stacks (see :func:`~gainlab.experiment._make_problems`), and the
-    instances of one shape are checked as one stack, analytic gains
-    included (see :func:`_gradient_errors`). Raises the error that checking
-    the instances one at a time, in order, raises first: an instance whose
-    analytic gain fails raises that error. ``gradcheck`` calls this on each
-    chunk of :func:`~gainlab.experiment._chunks`, whose rows are sized for
-    the ``max_dim`` x ``max_dim`` shape.
+    (len(indices), len(ObjectiveKind)) errors. The instances are grouped
+    once, by shape, and each group's problems are made by one
+    :func:`~gainlab.experiment._make_problems` call and checked, analytic
+    gains included, by one :func:`_gradient_errors` call. Raises the error
+    that checking the instances one at a time, in order, raises first: an
+    instance whose analytic gain fails raises that error. ``gradcheck``
+    calls this on each chunk of :func:`~gainlab.experiment._chunks`, whose
+    rows are sized for the ``max_dim`` x ``max_dim`` shape.
     """
-    specs, noises = [], []
-    for i in indices:
+    groups = defaultdict(list)
+    for j, i in enumerate(indices):
         instance_seed = mix_seed(seed, i)
         rng = np.random.default_rng(mix_seed(instance_seed, 10))
         n = int(rng.integers(1, max_dim + 1))
         m = int(rng.integers(1, max_dim + 1))
-        specs.append((n, m, instance_seed,
-                      _GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)]))
-        noises.append(rng.standard_normal((n, m)))
+        groups[n, m].append((j, instance_seed,
+                             _GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)],
+                             rng.standard_normal((n, m))))
+    errors = np.empty((len(indices), len(ObjectiveKind)))
     failures = {}
-    shapes = defaultdict(dict)
-    for j, problem in enumerate(_make_problems(specs)):
-        if isinstance(problem, GainlabError):
-            failures[j] = problem
-        else:
-            shapes[problem.state_dim, problem.obs_dim][j] = problem
-    errors = np.empty((len(specs), len(ObjectiveKind)))
-    for members in shapes.values():
-        ids, problems = list(members), list(members.values())
+    for (n, m), members in groups.items():
+        ids, seeds, conds, noises = zip(*members)
+        built = {}
+        for j, noise, problem in zip(ids, noises,
+                                     _make_problems(n, m, seeds, conds)):
+            if isinstance(problem, GainlabError):
+                failures[j] = problem
+            else:
+                built[j] = problem, noise
+        if not built:
+            continue
+        ids = list(built)
+        problems, noises = zip(*built.values())
         gains, singular = _analytic_gains(
             np.array([p.cross for p in problems]),
             np.array([p.innovation for p in problems]))
-        gains = gains + 0.1 * np.array([noises[j] for j in ids])
-        errors[ids], group_failures = _gradient_errors(problems, gains,
-                                                       tuple(ObjectiveKind))
+        errors[ids], group_failures = _gradient_errors(
+            problems, gains + 0.1 * np.array(noises), tuple(ObjectiveKind))
         # An instance's analytic gain fails before any of its gradients.
         for k, exc in {**group_failures, **singular}.items():
             failures[ids[k]] = exc

@@ -8,7 +8,6 @@ and the trial index, giving independent streams under any parallel schedule.
 
 import json
 import sys
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -156,67 +155,37 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     the observation operator gets independent standard-Gaussian entries (it is
     rectangular, so no structure beyond linearity is imposed). The three
     matrices use independent seeds mixed from ``seed``. This is a batch of
-    one of :func:`_make_problems`.
+    one of :func:`_make_problems`, which raises the errors of out-of-range
+    arguments.
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
-    problem, = _make_problems([(state_dim, obs_dim, seed, cond_target)])
+    problem, = _make_problems(state_dim, obs_dim, [seed], [cond_target])
     if isinstance(problem, GainlabError):
         raise problem
     return problem
 
 
-def _make_problems(specs: Sequence[tuple]) -> list[Union[FilterProblem,
-                                                         GainlabError]]:
-    """:func:`make_problem` of every ``(state_dim, obs_dim, seed, cond_target)``.
+def _make_problems(state_dim: int, obs_dim: int, seeds: Sequence[int],
+                   conds: Sequence[float],
+                   ) -> list[Union[FilterProblem, GainlabError]]:
+    """:func:`make_problem` of one shape, at each seed and its condition target.
 
-    The covariances of one dimension and condition target are generated as
-    one stack (see :func:`~gainlab.matrix_core._random_spds`), and the
-    problems of one ``(state_dim, obs_dim)`` are built, and so validated, as
-    one stack (see :func:`~gainlab.kalman_update._build_problems`). Returns
-    one outcome per spec, in order: its problem, bit for bit that of
-    :func:`make_problem`, or the GainlabError that :func:`make_problem`
-    raises for it. A failing spec never disturbs the others.
+    The priors and the noises are each generated as one stack (see
+    :func:`~gainlab.matrix_core._random_spds`), which raises the
+    InvalidParameter of an out-of-range dimension or target, and the
+    problems are built, and so validated, as one stack (see
+    :func:`~gainlab.kalman_update._build_problems`). Returns one outcome per
+    seed, in order: its problem, bit for bit that of :func:`make_problem`,
+    or the GainlabError that building it alone raises. A row that fails to
+    build never disturbs the others.
     """
-    specs = list(specs)
-    priors = _grouped_spds([(n, mix_seed(seed, 0), cond)
-                            for n, _, seed, cond in specs])
-    noises = _grouped_spds([(m, mix_seed(seed, 1), cond)
-                            for _, m, seed, cond in specs])
-    outcomes = [next((x for x in pair if isinstance(x, GainlabError)), None)
-                for pair in zip(priors, noises)]
-    groups = defaultdict(list)
-    for i, (n, m, _, _) in enumerate(specs):
-        if outcomes[i] is None:
-            groups[n, m].append(i)
-    for (n, m), rows in groups.items():
-        obs_ops = np.array([np.random.default_rng(mix_seed(specs[i][2], 2))
-                            .standard_normal((m, n)) for i in rows])
-        built = _build_problems(np.array([priors[i] for i in rows]), obs_ops,
-                                np.array([noises[i] for i in rows]))
-        for i, outcome in zip(rows, built):
-            outcomes[i] = outcome
-    return outcomes
-
-
-def _grouped_spds(requests: list[tuple]) -> list:
-    """``random_spd(dim, seed, cond_target)`` of every request.
-
-    One stack per ``(dim, cond_target)``; a request gets its matrix, or the
-    InvalidParameter that :func:`random_spd` raises for it.
-    """
-    groups = defaultdict(list)
-    for i, (dim, _, cond) in enumerate(requests):
-        groups[dim, cond].append(i)
-    matrices = [None] * len(requests)
-    for (dim, cond), rows in groups.items():
-        try:
-            stack = _random_spds(dim, [requests[i][1] for i in rows], cond)
-        except InvalidParameter as exc:
-            stack = [exc] * len(rows)
-        for i, matrix in zip(rows, stack):
-            matrices[i] = matrix
-    return matrices
+    priors = _random_spds(state_dim, [mix_seed(seed, 0) for seed in seeds],
+                          conds)
+    noises = _random_spds(obs_dim, [mix_seed(seed, 1) for seed in seeds], conds)
+    obs_ops = np.array([np.random.default_rng(mix_seed(seed, 2))
+                        .standard_normal((obs_dim, state_dim)) for seed in seeds])
+    return _build_problems(priors, obs_ops, noises)
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
@@ -234,9 +203,9 @@ def _run_chunk(config: ExperimentConfig,
     leaves the other trials' records unchanged.
     """
     seeds = {index: mix_seed(config.master_seed, index) for index in indices}
-    outcomes = dict(zip(seeds, _make_problems([
-        (config.state_dim, config.obs_dim, seed, config.cond_target)
-        for seed in seeds.values()])))
+    outcomes = dict(zip(seeds, _make_problems(
+        config.state_dim, config.obs_dim, list(seeds.values()),
+        [config.cond_target] * len(seeds))))
     problems = {index: problem for index, problem in outcomes.items()
                 if isinstance(problem, FilterProblem)}
     outcomes.update(zip(problems, equivalence_batch(

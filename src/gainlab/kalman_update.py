@@ -120,21 +120,28 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
 def analytic_gain(problem: FilterProblem) -> np.ndarray:
     """Optimal gain ``P @ H.T @ inv(H @ P @ H.T + R)``, shape (n, m).
 
-    The innovation covariance ``S``, checked when the problem was built, is
-    never inverted explicitly: the gain is the solve of ``S @ X = (P @ H.T).T``,
-    transposed, which is more accurate than forming the inverse. An ``S``
-    that passed its Cholesky check but is singular to the solve, as one can
-    be near condition 1e17, raises NotPositiveDefinite.
+    A batch of one of :func:`_analytic_gains`, which raises that row's
+    failure, so this and the stacked gains of ``run`` and ``gradcheck``
+    share one solve.
     """
-    return matrix_core._solve(problem.innovation, problem.cross.T).T
+    gains, failures = _analytic_gains(problem.cross[None],
+                                      problem.innovation[None])
+    if failures:
+        raise failures[0]
+    return gains[0]
 
 
 def _analytic_gains(cross: np.ndarray, innovation: np.ndarray,
                     ) -> tuple[np.ndarray, dict]:
-    """:func:`analytic_gain` of each row of stacks of ``P H.T`` and ``S``.
+    """The analytic gain of each row of stacks of ``P H.T`` and ``S``.
 
-    Returns (gains, failures) by :func:`~gainlab.matrix_core._by_rows`: a
-    row whose ``S`` is singular to the solve fails alone, with a NaN gain.
+    The innovation covariance ``S``, checked when the problem was built, is
+    never inverted explicitly: each gain is the solve of
+    ``S @ X = (P @ H.T).T``, transposed, which is more accurate than forming
+    the inverse. Returns (gains, failures) by
+    :func:`~gainlab.matrix_core._by_rows`: a row whose ``S`` passed its
+    Cholesky check but is singular to the solve, as one can be near
+    condition 1e17, fails alone with NotPositiveDefinite and a NaN gain.
     """
     gains, failures = matrix_core._by_rows(matrix_core._solve, innovation,
                                            cross.swapaxes(-1, -2))

@@ -229,12 +229,13 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     -------
     ndarray, shape (dim, dim)
         A matrix passing ``validate_covariance``. This is a batch of one of
-        :func:`_random_spds`.
+        :func:`_random_spds`, with the one target ``cond_target``, which
+        raises the errors of out-of-range arguments.
     """
     _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    return _random_spds(dim, [seed], cond_target)[0]
+    return _random_spds(dim, [seed], [cond_target])[0]
 
 
 def _check_numbers(reals: dict, **integers) -> None:
@@ -251,18 +252,23 @@ def _check_numbers(reals: dict, **integers) -> None:
             raise InvalidParameter(f"{name} must be a real number, got {value!r}")
 
 
-def _random_spds(dim: int, seeds, cond_target: float) -> np.ndarray:
+def _random_spds(dim: int, seeds, conds) -> np.ndarray:
     """:func:`random_spd` of every seed, as one (len(seeds), dim, dim) stack.
 
-    Only the Gaussian draws are made one seed at a time. The QR
-    decompositions, sign fixes and assemblies run on the whole stack, and a
-    stacked QR or product equals the per-matrix one bit for bit, so every
-    row is the matrix :func:`random_spd` gives for its seed.
+    ``conds`` holds one condition target per seed, and is checked as one
+    array: the first target out of range raises the InvalidParameter that
+    :func:`random_spd` raises for it. Only the Gaussian draws are made one
+    seed at a time. The QR decompositions, sign fixes, eigenvalue powers and
+    assemblies run on the whole stack, and each equals its per-matrix
+    operation bit for bit, so every row is the matrix :func:`random_spd`
+    gives for its seed and target.
     """
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
-    if not np.isfinite(cond_target) or cond_target < 1.0:
-        raise InvalidParameter(f"cond_target must be >= 1, got {cond_target}")
+    targets = np.asarray(conds, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(targets) & (targets >= 1.0)))
+    if bad.size:
+        raise InvalidParameter(f"cond_target must be >= 1, got {conds[bad[0]]}")
     gauss = np.array([np.random.default_rng(seed).standard_normal((dim, dim))
                       for seed in seeds])
     q, r = np.linalg.qr(gauss)
@@ -270,5 +276,5 @@ def _random_spds(dim: int, seeds, cond_target: float) -> np.ndarray:
     # Exponents symmetric around 0 make the eigenvalue geometric mean exactly 1;
     # dim == 1 degenerates to a single unit eigenvalue.
     exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
-    eigenvalues = cond_target ** exponents
+    eigenvalues = targets[:, None, None] ** exponents
     return _symmetrize((q * eigenvalues) @ q.swapaxes(-1, -2))

@@ -303,8 +303,8 @@ class TestStackedGradcheck:
                 gain.flat[0] = poison
             return gain
         make_problems = cli._make_problems
-        def poisoned_builds(specs):
-            outcomes = make_problems(specs)
+        def poisoned_builds(*args):
+            outcomes = make_problems(*args)
             for j, problem in enumerate(outcomes):
                 poison = targets.get(problem.cross.tobytes())
                 if isinstance(poison, GainlabError):
@@ -345,18 +345,44 @@ class TestStackedGradcheck:
         # the problem whose S is singular to the analytic gain's solve
         singular = make_problem(2, 7, SINGULAR_SEED, 1e20)
         make_problems = cli._make_problems
-        def swapped(specs):
-            outcomes = make_problems(specs)
-            assert {(outcomes[i].state_dim, outcomes[i].obs_dim)
-                    for i in (10, 16, 24)} == {(2, 7)}
-            outcomes[16] = singular
-            for index, poison in poisons.items():
-                outcomes[index] = poison
+        instances = {mix_seed(4, index): index for index in range(30)}
+        def swapped(n, m, seeds, conds):
+            outcomes = make_problems(n, m, seeds, conds)
+            for row, seed in enumerate(seeds):
+                index = instances[seed]
+                if index in (10, 16, 24):
+                    assert (n, m) == (2, 7)
+                if index == 16:
+                    outcomes[row] = singular
+                outcomes[row] = poisons.get(index, outcomes[row])
             return outcomes
         monkeypatch.setattr(cli, "_make_problems", swapped)
         with pytest.raises(NotPositiveDefinite) as caught:
             cli._gradcheck_errors(4, range(30), 7)
         assert str(caught.value) == error
+
+    def test_one_generation_and_one_check_per_shape_group(self,
+                                                          monkeypatch):
+        shapes = {}
+        for index in range(40):
+            problem = gradcheck_instance(2, index, 4)[0]
+            shapes.setdefault((problem.state_dim, problem.obs_dim),
+                              []).append(mix_seed(2, index))
+        calls = []
+        make_problems, gradient_errors = cli._make_problems, cli._gradient_errors
+        def spied_builds(n, m, seeds, conds):
+            calls.append((n, m, list(seeds)))
+            return make_problems(n, m, seeds, conds)
+        def spied_checks(problems, gains, kinds):
+            calls.append((problems[0].state_dim, problems[0].obs_dim,
+                          len(problems)))
+            return gradient_errors(problems, gains, kinds)
+        monkeypatch.setattr(cli, "_make_problems", spied_builds)
+        monkeypatch.setattr(cli, "_gradient_errors", spied_checks)
+        cli._gradcheck_errors(2, range(40), 4)
+        assert len(shapes) > 1
+        assert calls == [call for (n, m), seeds in shapes.items()
+                         for call in ((n, m, seeds), (n, m, len(seeds)))]
 
     def test_group_whose_every_row_fails(self):
         # the posterior at the analytic gain 1e-13 has the pivot 1e-13

@@ -135,49 +135,71 @@ STACK_CONDS = (1.0, 10.0, 100.0, 1e4, 1e6)
 
 class TestStackedGeneration:
     def test_random_spds_match_one_at_a_time(self):
-        for dim, cond in itertools.product(range(1, 9), STACK_CONDS):
+        for dim in range(1, 9):
             seeds = [mix_seed(dim, i) for i in range(10)]
-            stack = _random_spds(dim, seeds, cond)
-            assert stack.shape == (len(seeds), dim, dim)
-            for seed, matrix in zip(seeds, stack):
-                expected = sequential_random_spd(dim, seed, cond).tobytes()
-                assert matrix.tobytes() == expected
-                assert random_spd(dim, seed, cond).tobytes() == expected
+            # one target for the whole stack, then a target per row, mixed
+            calls = [[cond] * len(seeds) for cond in STACK_CONDS]
+            calls.append([STACK_CONDS[i % len(STACK_CONDS)]
+                          for i in range(len(seeds))])
+            for conds in calls:
+                stack = _random_spds(dim, seeds, conds)
+                assert stack.shape == (len(seeds), dim, dim)
+                for seed, cond, matrix in zip(seeds, conds, stack):
+                    expected = sequential_random_spd(dim, seed, cond).tobytes()
+                    assert matrix.tobytes() == expected
+                    assert random_spd(dim, seed, cond).tobytes() == expected
 
-    @pytest.mark.parametrize("dim, cond", [(0, 10.0), (3, 0.5),
-                                           (3, float("nan"))])
+    @pytest.mark.parametrize("dim, cond", [(0, 10.0), (3, 0.5), (3, 0),
+                                           (3, float("nan")),
+                                           (3, float("inf"))])
     def test_random_spds_reject_like_random_spd(self, dim, cond):
+        # the bad target is the second row's, after a valid one
         with pytest.raises(InvalidParameter) as stacked:
-            _random_spds(dim, [1, 2], cond)
+            _random_spds(dim, [1, 2], [10.0, cond])
         with pytest.raises(InvalidParameter) as single:
             random_spd(dim, 1, cond)
         assert str(stacked.value) == str(single.value)
 
     def test_make_problems_match_make_problem(self):
-        specs = [(n, m, mix_seed(3, i), cond) for i, (n, m, cond)
-                 in enumerate(itertools.product(range(1, 9), range(1, 9),
-                                                STACK_CONDS))]
-        # failing specs among passing ones of the same dimensions and
-        # condition targets: a bad dimension or target, and a prior that
-        # FilterProblem rejects as not positive definite
-        failing = [(0, 3, 11, 10.0), (3, 0, 12, 10.0), (3, 3, 13, 0.5),
-                   (4, 3, 14, float("nan")), (4, 3, 15, 1e40),
-                   (1, 1, 16, 1e40)]
-        for offset, spec in enumerate(failing):
-            specs.insert(37 * offset + 5, spec)
-        outcomes = _make_problems(specs)
-        assert len(outcomes) == len(specs)
+        # one call per shape, its rows at mixed targets; at 4x3, a 1e40
+        # prior that FilterProblem rejects as not positive definite fails
+        # alone among passing rows, and at 1x1 the same target passes
         raised = 0
-        for spec, outcome in zip(specs, outcomes):
-            expected = sequential_problem(*spec)
-            assert _outcome(outcome) == expected
-            try:
-                alone = _matrices(make_problem(*spec))
-            except GainlabError as exc:
-                alone = type(exc), str(exc)
-            assert alone == expected
-            raised += isinstance(outcome, GainlabError)
-        assert raised == 5
+        for shape, (n, m) in enumerate(itertools.product(range(1, 9),
+                                                         range(1, 9))):
+            conds = list(STACK_CONDS)
+            seeds = [mix_seed(3, len(conds) * shape + k)
+                     for k in range(len(conds))]
+            if (n, m) in ((4, 3), (1, 1)):
+                seeds.insert(2, 15)
+                conds.insert(2, 1e40)
+            outcomes = _make_problems(n, m, seeds, conds)
+            assert len(outcomes) == len(seeds)
+            for seed, cond, outcome in zip(seeds, conds, outcomes):
+                expected = sequential_problem(n, m, seed, cond)
+                assert _outcome(outcome) == expected
+                try:
+                    alone = _matrices(make_problem(n, m, seed, cond))
+                except GainlabError as exc:
+                    alone = type(exc), str(exc)
+                assert alone == expected
+                raised += isinstance(outcome, GainlabError)
+        assert raised == 1
+
+    @pytest.mark.parametrize("n, m, cond", [(0, 3, 10.0), (3, 0, 10.0),
+                                            (3, 3, 0.5),
+                                            (4, 3, float("nan"))])
+    def test_make_problems_reject_like_make_problem(self, n, m, cond):
+        # a bad dimension or target fails the whole call: no caller mixes
+        # one with valid rows, as configs are validated and gradcheck's
+        # targets are constants
+        expected = sequential_problem(n, m, 11, cond)
+        with pytest.raises(InvalidParameter) as stacked:
+            _make_problems(n, m, [12, 11], [10.0, cond])
+        assert (type(stacked.value), str(stacked.value)) == expected
+        with pytest.raises(InvalidParameter) as alone:
+            make_problem(n, m, 11, cond)
+        assert (type(alone.value), str(alone.value)) == expected
 
 
 class TestRunTrial:
@@ -306,9 +328,9 @@ class TestRunExperiment:
         # line search fails inside the shared batch
         clean = run_experiment(SMALL)
         build = experiment._make_problems
-        def poisoned(specs):
-            problems = build(specs)
-            for i, (_, _, seed, _) in enumerate(specs):
+        def poisoned(state_dim, obs_dim, seeds, conds):
+            problems = build(state_dim, obs_dim, seeds, conds)
+            for i, seed in enumerate(seeds):
                 if seed == mix_seed(SMALL.master_seed, 2):
                     problem = problems[i]
                     problems[i] = FilterProblem(prior=1e300 * problem.prior,
