@@ -1,7 +1,9 @@
 """Command-line entry points: batch runs, single-instance checks, gradient checks.
 
 Exit codes: 0 when every check passed its threshold, 1 when at least one
-failed, 2 for configuration or I/O errors.
+failed, 2 for configuration or I/O errors. ``run`` says on stderr how many
+minimizations stopped at ``--max-iters``; that changes neither its report
+nor its exit code.
 """
 
 import argparse
@@ -78,6 +80,14 @@ def _cmd_run(args) -> int:
     if args.out != "-":
         print(f"wrote {config.output_format} report for {config.trials} trials "
               f"to {args.out}", file=sys.stderr)
+    # A minimization that stops at max_iters does not fail its trial, which
+    # compares gains only; say how many did, so that it does not pass unseen.
+    flags = [converged for record in result.trials if not record.failed
+             for converged in record.converged.values()]
+    if not all(flags):
+        print(f"gainlab: {flags.count(False)} of {len(flags)} minimizations "
+              f"stopped at --max-iters {config.max_iters} before the gradient "
+              f"norm reached --grad-tol {config.grad_tol:g}", file=sys.stderr)
     return 0 if result.all_passed() else 1
 
 
@@ -97,10 +107,12 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     calling :func:`~gainlab.objectives.objective_gradient` and then
     :func:`~gainlab.objectives.finite_difference_gradient`, raises, to the
     first error that loop raises. The error of a kind that raises is NaN,
-    and a failing problem's other errors are meaningless. One batch, with
-    values then gradients, gives the analytic gradients of every problem
-    and kind, and the stacked oracle their central differences, each on
-    the whole batch; both equal the public functions' bit for bit.
+    and a failing problem's other errors are meaningless. One batch of the
+    problems × kinds, with values then gradients, gives the analytic
+    gradients; the stacked oracle takes every ``len(kinds)``-th row of it,
+    each problem once, and evaluates each perturbed gain once for all the
+    kinds, so that it still shares only the objective formulas with the
+    gradients. Both equal the public functions' bit for bit.
     """
     batch = objectives._Batch.stack(
         [problem for problem in problems for _ in kinds],
@@ -108,7 +120,9 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     stacked = np.repeat(gains, len(kinds), axis=0)
     _, posteriors, errors = batch.values(stacked)
     analytic, singular = batch.gradients(stacked, posteriors)
-    numeric, numeric_errors = objectives._finite_differences(batch, stacked)
+    each = slice(None, None, len(kinds))
+    numeric, numeric_errors = objectives._finite_differences(
+        batch.take(each), stacked[each], kinds)
     # Row r is problem r // len(kinds) under its kind, in the loop's order;
     # at one row, the analytic gradient's errors come before the oracle's.
     raised = {**numeric_errors, **singular, **errors}

@@ -8,7 +8,6 @@ and the trial index, giving independent streams under any parallel schedule.
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence, Union
@@ -282,6 +281,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if processes == 1:
         parts = [_run_chunk(config, chunk) for chunk in chunks]
     else:
+        # Imported here, so that no other run or command pays at start-up
+        # for the process pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(partial(_run_chunk, config), chunks))
     records = [record for part in parts for record in part]

@@ -16,13 +16,16 @@ The objectives also have one stacked form, the private ``_Batch``: stacked
 problems with one objective per row, whose values cost one Joseph update and
 one Cholesky factorization for the whole stack, and whose values, errors
 and gradients are those of the public functions, bit for bit. The optimizer
-evaluates its iterates through it. So does the oracle, ``_finite_differences``:
-it takes a batch of rows with one gain each and evaluates the perturbed
-copies of every row's gain as consecutive stacks, whatever row they come
-from; :func:`finite_difference_gradient` validates its gain once, at the
-public boundary, and is a batch of one. The oracle still shares only the
-objective formulas with the closed-form gradients, exactly as a loop over
-the public evaluators would.
+evaluates its iterates through it. The oracle, ``_finite_differences``,
+shares its one evaluation, ``_Batch.evaluate``: it takes a batch with one
+row and one gain per problem, and evaluates the perturbed copies of every
+row's gain as consecutive stacks, whatever row they come from. One
+posterior per perturbed gain serves every kind asked for: its trace, the
+log-det of its one Cholesky factor, and the entropy from that log-det.
+:func:`finite_difference_gradient` validates its gain once, at the public
+boundary, and is a batch of one that asks for its one kind. The oracle still
+shares only the objective formulas with the closed-form gradients, exactly
+as a loop over the public evaluators would.
 """
 
 import enum
@@ -211,7 +214,7 @@ class _Batch:
     which lets the shared formulas take the batch in place of a problem;
     :meth:`take` slices them. Gains have the batch's shape by construction,
     and the symmetrized posterior is exactly symmetric, so neither is
-    checked again; the checks a gain can fail are kept (see :meth:`values`).
+    checked again; the checks a gain can fail are kept (see :meth:`evaluate`).
     Values and gradients take every row: a failed row's posterior is the
     identity, so no row is left out of a stack. A factorizing row's value
     is ``offset + scale * logdet`` and its gradient ``scale`` times the
@@ -257,7 +260,8 @@ class _Batch:
                              for kind in kinds]))
 
     def take(self, rows: np.ndarray) -> "_Batch":
-        """The batch of ``rows``: a boolean mask, or an array of row indices."""
+        """The batch of ``rows``: a boolean mask, an array of row indices, or
+        a slice, whose batch holds views."""
         return _Batch(self.prior[rows], self.obs_op[rows], self.obs_noise[rows],
                       self.cross[rows], self.innovation[rows],
                       self.entropy[rows], self.factored[rows])
@@ -266,46 +270,65 @@ class _Batch:
         """Objective of every row at its gain: (values, posteriors, errors).
 
         ``gains`` is a (B, n, m) stack with one gain per row. ``errors`` maps
-        a row to what the public evaluator raises at that gain:
-        InvalidParameter for a non-finite gain or, on a log-det or entropy
-        row, a non-finite posterior; NotPositiveDefinite for a posterior
-        whose Cholesky factorization breaks down or has a pivot at or below
-        ``PD_TOL``. Total-variance rows never factorize. A failed row's value
-        is meaningless, and its posterior is the identity, so that
+        a row to what the public evaluator raises at that gain: those of
+        :meth:`evaluate`, where a total-variance row never factorizes and so
+        fails only on a non-finite gain. A failed row's value is
+        meaningless, and its posterior is the identity, so that
         :meth:`gradients` can take the whole stack. A row without an error
         has the public evaluator's value, bit for bit.
         """
-        rows, owners = self._factor_rows, self._factor_ids
-        identity = self.identity
-        errors = {}
-        finite = np.isfinite(gains)
-        if not finite.all():
-            bad = ~finite.all(axis=(-2, -1))
-            gains = np.where(bad[:, None, None], 0.0, gains)
-            for row in np.flatnonzero(bad):
-                errors[int(row)] = InvalidParameter(
-                    "gain contains non-finite entries")
-        posteriors = _joseph_form(self, gains, identity)
-        others = posteriors[rows]
-        finite = np.isfinite(others)
-        if not finite.all():
-            bad = ~finite.all(axis=(-2, -1))
-            others = np.where(bad[:, None, None], identity, others)
-            for row in np.flatnonzero(bad):
-                errors.setdefault(int(owners[row]), InvalidParameter(
-                    "matrix contains non-finite entries"))
-        factors, failures = matrix_core._cholesky_factors(others)
+        owners = self._factor_ids
+        posteriors, logdets, errors, failures = self.evaluate(
+            gains, self._factor_rows)
         for row, exc in failures.items():
             errors.setdefault(int(owners[row]), exc)
-        values = self._offset + self._scale * matrix_core._log_det_of_factor(
-            factors)
+        values = self._offset + self._scale * logdets
         if len(owners) < len(gains):
             # The other rows minimize the trace and never factorize.
             factored, values = values, matrix_core._trace(posteriors)
             values[owners] = factored
         if errors:
-            posteriors[list(errors)] = identity
+            posteriors[list(errors)] = self.identity
         return values, posteriors, errors
+
+    def evaluate(self, gains: np.ndarray, rows):
+        """The posterior of every row at its gain, and the log-dets of ``rows``.
+
+        The one evaluation of :meth:`values` and of the oracle
+        :func:`_finite_differences`; it reads no row's kind. ``rows``, a
+        slice or an array of row indices, selects the posteriors to
+        factorize. Returns (posteriors, logdets, invalid, failures):
+        ``invalid`` maps each row whose gain is not finite to the
+        InvalidParameter of every public evaluator, and takes its posterior
+        at the zero gain; ``failures`` maps each position in ``rows`` whose
+        posterior fails :func:`log_generalized_variance` to its error,
+        InvalidParameter if the posterior is not finite, else the
+        NotPositiveDefinite of its Cholesky factorization. Every other
+        posterior and log-det is the public functions', bit for bit.
+        """
+        identity = self.identity
+        invalid = {}
+        finite = np.isfinite(gains)
+        if not finite.all():
+            bad = ~finite.all(axis=(-2, -1))
+            gains = np.where(bad[:, None, None], 0.0, gains)
+            for row in np.flatnonzero(bad):
+                invalid[int(row)] = InvalidParameter(
+                    "gain contains non-finite entries")
+        posteriors = _joseph_form(self, gains, identity)
+        others = posteriors[rows]
+        failures = {}
+        finite = np.isfinite(others)
+        if not finite.all():
+            bad = ~finite.all(axis=(-2, -1))
+            others = np.where(bad[:, None, None], identity, others)
+            for row in np.flatnonzero(bad):
+                failures[int(row)] = InvalidParameter(
+                    "matrix contains non-finite entries")
+        factors, breakdowns = matrix_core._cholesky_factors(others)
+        failures.update(breakdowns)
+        return (posteriors, matrix_core._log_det_of_factor(factors), invalid,
+                failures)
 
     def gradients(self, gains: np.ndarray, posteriors: np.ndarray,
                   ) -> tuple[np.ndarray, dict]:
@@ -334,12 +357,12 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
     Perturbs one gain entry at a time with step ``1e-6 * (1 + |k_ij|)``,
     which balances truncation against rounding for double precision. The
     gain is validated once; its 2·n·m perturbed copies are then evaluated as
-    a batch of one of :func:`_finite_differences`. Every value equals the
-    public evaluator's at that perturbed gain, bit for bit, so the oracle
-    shares only the objective formulas with the closed-form gradients, as
-    the public evaluators do. Of several failing perturbations, the error is
-    that of the first in entry-major order, the upward step before the
-    downward one.
+    a batch of one of :func:`_finite_differences`, which asks for this one
+    kind. Every value equals the public evaluator's at that perturbed gain,
+    bit for bit, so the oracle shares only the objective formulas with the
+    closed-form gradients, as the public evaluators do. Of several failing
+    perturbations, the error is that of the first in entry-major order, the
+    upward step before the downward one.
 
     Raises
     ------
@@ -350,47 +373,81 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
         If a perturbed posterior is not SPD (log-det and entropy).
     """
     k = problem.check_gain(gain)
-    grads, errors = _finite_differences(_Batch.stack([problem], [kind]), k[None])
+    grads, errors = _finite_differences(_Batch.stack([problem], [kind]),
+                                        k[None], (kind,))
     if errors:
         raise errors[0]
     return grads[0]
 
 
 def _finite_differences(batch: _Batch, gains: np.ndarray,
+                        kinds: Sequence[ObjectiveKind],
                         ) -> tuple[np.ndarray, dict]:
-    """:func:`finite_difference_gradient` of every row of a batch at its gain.
+    """:func:`finite_difference_gradient` of every row of a batch under every kind.
 
+    ``batch`` holds one row per problem, whose own kind is not read, and
     ``gains`` is a (B, n, m) stack of finite gains, one per row. Returns the
-    (B, n, m) central differences and the errors: a map from each row that
-    has a failing perturbation to the error :func:`finite_difference_gradient`
-    raises for it, whose gradient is then meaningless. The 2·n·m perturbed
-    gains of every row are evaluated in row order, as consecutive stacks of
-    at most ``_FD_BLOCK_ROWS`` rows, and at most ``_CHUNK_BYTES`` at
-    ``_row_bytes`` per row, whatever row they come from; each stack
-    costs one Joseph update and, where it has log-det or entropy rows, one
-    Cholesky factorization, and repeats its problems' matrices only for its
-    own rows.
+    (B · len(kinds), n, m) central differences, in which row
+    ``i * len(kinds) + j`` is row ``i`` under ``kinds[j]``, and the errors: a
+    map from each of those rows that has a failing perturbation to the error
+    :func:`finite_difference_gradient` raises for it, whose gradient is then
+    meaningless. A non-finite perturbed gain fails every kind; a non-finite
+    or not SPD perturbed posterior fails only the log-det and the entropy.
+
+    One posterior serves every kind. The 2·n·m perturbed gains of every row
+    are evaluated in row order, as consecutive stacks of at most
+    ``_FD_BLOCK_ROWS`` rows, and at most ``_CHUNK_BYTES`` at ``_row_bytes``
+    per row, whatever row they come from; each stack costs one Joseph update
+    and, where a kind is the log-det or the entropy, one Cholesky
+    factorization (see :meth:`_Batch.evaluate`), and repeats its problems'
+    matrices only for its own rows. The trace is that of each posterior, the
+    log-det that of its factor, and the entropy ``_entropy(n, 0.0) + 0.5 *
+    logdet``, the operations of :meth:`_Batch.values`.
     """
     count, n, m = gains.shape
     per_row = 2 * n * m
+    total = count * per_row
     flat = gains.reshape(count, n * m)
     steps = 1e-6 * (1.0 + np.abs(flat))
-    values = np.empty(count * per_row)
-    errors = {}
+    traced = ObjectiveKind.TOTAL_VARIANCE in kinds
+    factored = any(kind is not ObjectiveKind.TOTAL_VARIANCE for kind in kinds)
+    traces, logdets = np.empty(total), np.empty(total)
+    # The first failing perturbation of a row, for the trace and for the
+    # factorizing kinds; at one perturbation, a non-finite gain comes first.
+    invalid, failed = {}, {}
     block = min(_FD_BLOCK_ROWS, max(1, _CHUNK_BYTES // _row_bytes(n, m)))
-    for start in range(0, len(values), block):
+    for start in range(0, total, block):
         # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
         rows, perturbation = np.divmod(
-            np.arange(start, min(start + block, len(values))), per_row)
+            np.arange(start, min(start + block, total)), per_row)
         entries = perturbation // 2
         moves = steps[rows, entries]
         bumped = flat[rows]
         bumped[np.arange(len(rows)), entries] += np.where(perturbation % 2,
                                                           -moves, moves)
-        values[start:start + len(rows)], _, failures = batch.take(rows).values(
-            bumped.reshape(-1, n, m))
+        done = slice(start, start + len(rows))
+        posteriors, logdet, gain_errors, failures = batch.take(rows).evaluate(
+            bumped.reshape(-1, n, m), slice(None) if factored else slice(0))
+        if traced:
+            traces[done] = matrix_core._trace(posteriors)
+        if factored:
+            logdets[done] = logdet
+        for row in sorted(gain_errors):
+            invalid.setdefault(int(rows[row]), gain_errors[row])
+        failures.update(gain_errors)
         for row in sorted(failures):
-            errors.setdefault(int(rows[row]), failures[row])
-    values = values.reshape(count, n * m, 2)
-    grads = (values[..., 0] - values[..., 1]) / (2.0 * steps)
-    return grads.reshape(gains.shape), errors
+            failed.setdefault(int(rows[row]), failures[row])
+    grads = np.empty((count, len(kinds), n * m))
+    errors = {}
+    for j, kind in enumerate(kinds):
+        if kind is ObjectiveKind.TOTAL_VARIANCE:
+            values, kind_errors = traces, invalid
+        elif kind is ObjectiveKind.LOG_GENERALIZED_VARIANCE:
+            values, kind_errors = logdets, failed
+        else:
+            values, kind_errors = _entropy(n, 0.0) + 0.5 * logdets, failed
+        pairs = values.reshape(count, n * m, 2)
+        grads[:, j] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * steps)
+        for row, exc in kind_errors.items():
+            errors[row * len(kinds) + j] = exc
+    return grads.reshape(-1, n, m), errors

@@ -60,6 +60,25 @@ class TestRun:
         assert main(RUN_FLAGS + ["--out", str(multi), "--workers", "3"]) == 0
         assert solo.read_bytes() == multi.read_bytes()
 
+    def test_unconverged_minimizations_are_counted_on_stderr(self, capsys):
+        # a run whose minimizations stop at --max-iters still passes, on
+        # the gains, and says on stderr how many stopped there
+        code = main(["run", "--trials", "5", "--grad-tol", "1e-15",
+                     "--max-iters", "400"])
+        captured = capsys.readouterr()
+        assert code == 0
+        trials = json.loads(captured.out)["trials"]
+        flags = [flag for trial in trials for flag in trial["converged"].values()]
+        assert len(flags) == 15 and flags.count(False) > 0
+        assert captured.err == (f"gainlab: {flags.count(False)} of 15 "
+                                "minimizations stopped at --max-iters 400 "
+                                "before the gradient norm reached --grad-tol "
+                                "1e-15\n")
+
+    def test_default_run_keeps_stderr_empty(self, capsys):
+        assert main(["run"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unwritable_output_is_config_error(self, tmp_path):
         code = main(RUN_FLAGS + ["--out", str(tmp_path / "no_dir" / "r.json")])
         assert code == 2
@@ -127,8 +146,8 @@ class TestCheck:
     def test_gradient_check_error_fails_the_check(self, capsys, monkeypatch):
         # a kind whose gradient check raises prints nan and the error
         finite_differences = objectives._finite_differences
-        def failing(batch, gains):
-            grads, errors = finite_differences(batch, gains)
+        def failing(batch, gains, kinds):
+            grads, errors = finite_differences(batch, gains, kinds)
             return grads, {**errors, 1: NotPositiveDefinite("synthetic")}
         monkeypatch.setattr(objectives, "_finite_differences", failing)
         code = main(["check", "--seed", "1"])
@@ -200,6 +219,32 @@ def test_stacked_oracle_leaves_output_unchanged(argv, capsys, monkeypatch):
     monkeypatch.setattr(objectives, "_finite_differences",
                         sequential_finite_differences)
     assert _run(argv, capsys) == stacked
+
+
+def test_oracle_evaluates_one_posterior_per_perturbed_gain(monkeypatch):
+    # the gradient check's oracle evaluates 2·n·m posteriors per problem,
+    # one per perturbed gain for all three kinds, not 2·n·m per kind
+    evaluated, inside = [], []
+    joseph_form = objectives._joseph_form
+    oracle = objectives._finite_differences
+    def counted(problem, gains, identity):
+        if inside:
+            evaluated.append(len(gains))
+        return joseph_form(problem, gains, identity)
+    def spied(*args):
+        inside.append(True)
+        try:
+            return oracle(*args)
+        finally:
+            inside.clear()
+    monkeypatch.setattr(objectives, "_joseph_form", counted)
+    monkeypatch.setattr(objectives, "_finite_differences", spied)
+    problems = [make_problem(3, 2, seed) for seed in range(5)]
+    gains = np.array([cli.analytic_gain(problem) + 0.1 for problem in problems])
+    errors, failures = cli._gradient_errors(problems, gains,
+                                            tuple(ObjectiveKind))
+    assert not failures and (errors <= cli._GRADCHECK_TOL).all()
+    assert sum(evaluated) == len(problems) * 2 * 3 * 2
 
 
 def gradcheck_instance(seed, index, max_dim):
@@ -422,11 +467,12 @@ class TestStackedGradcheck:
                             8 * experiment._row_bytes(6, 6))
         target = gradcheck_instance(1, 20, 6)[0].prior
         stacked_oracle = objectives._finite_differences
-        def nan_for_target(batch, gains):
-            grads, errors = stacked_oracle(batch, gains)
-            for row in np.flatnonzero(~batch.factored):
-                if np.array_equal(batch.prior[row], target):
-                    grads[row] = np.nan
+        def nan_for_target(batch, gains, kinds):
+            grads, errors = stacked_oracle(batch, gains, kinds)
+            trace = kinds.index(ObjectiveKind.TOTAL_VARIANCE)
+            for row, prior in enumerate(batch.prior):
+                if np.array_equal(prior, target):
+                    grads[row * len(kinds) + trace] = np.nan
             return grads, errors
         monkeypatch.setattr(objectives, "_finite_differences", nan_for_target)
         code, out = _run(["gradcheck", "--seed", "1", "--instances", "40"],

@@ -1,5 +1,6 @@
 """Tests for the seeded experiment harness and report emission."""
 
+import concurrent.futures
 import itertools
 import json
 import tracemalloc
@@ -284,7 +285,8 @@ class TestRunExperiment:
                 return False
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+        # run_experiment imports the pool where it uses it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         config = replace(SMALL, trials=3)
         expected = render_report(run_experiment(config))
         assert render_report(run_experiment(config, workers=64)) == expected
@@ -446,16 +448,18 @@ class TestChunks:
     def test_oracle_blocks_sized_by_budget(self, monkeypatch):
         # 256 rows at 6x6, as many as the budget holds at 35x35
         blocks = []
-        values = objectives._Batch.values
-        def recorded(batch, gains):
+        evaluate = objectives._Batch.evaluate
+        def recorded(batch, gains, rows):
             blocks.append(len(gains))
-            return values(batch, gains)
-        monkeypatch.setattr(objectives._Batch, "values", recorded)
+            return evaluate(batch, gains, rows)
+        monkeypatch.setattr(objectives._Batch, "evaluate", recorded)
+        kinds = tuple(objectives.ObjectiveKind)
         for dim in (6, 35):
             blocks.clear()
             batch = objectives._Batch.stack([make_problem(dim, dim, 3)] * 4,
-                                            [objectives.ObjectiveKind.TOTAL_VARIANCE] * 4)
-            objectives._finite_differences(batch, np.zeros((4, dim, dim)))
+                                            kinds[:1] * 4)
+            objectives._finite_differences(batch, np.zeros((4, dim, dim)),
+                                           kinds)
             assert sum(blocks) == 4 * 2 * dim * dim
             if dim == 6:
                 assert max(blocks) == 256

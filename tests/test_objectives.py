@@ -1,5 +1,6 @@
 """Tests for the dispersion objectives, differentials, and gradients."""
 
+import itertools
 import math
 
 import numpy as np
@@ -44,24 +45,24 @@ def sequential_finite_difference_gradient(problem, gain, kind):
     return grad
 
 
-def sequential_finite_differences(batch, gains):
-    """The stacked oracle as one sequential oracle call per batch row.
+def sequential_finite_differences(batch, gains, kinds):
+    """The stacked oracle as one sequential oracle call per row and kind.
 
-    Returns the gradients and a map from each failing row to its error, as
-    ``objectives._finite_differences`` does.
+    Returns the gradients, row ``i * len(kinds) + j`` for batch row ``i``
+    under ``kinds[j]``, and a map from each failing one of those rows to its
+    error, as ``objectives._finite_differences`` does.
     """
-    grads = np.empty_like(gains)
+    grads = np.empty((len(gains) * len(kinds),) + gains.shape[1:])
     errors = {}
     for row, gain in enumerate(gains):
         problem = FilterProblem(prior=batch.prior[row], obs_op=batch.obs_op[row],
                                 obs_noise=batch.obs_noise[row])
-        kind = (ENTROPY if batch.entropy[row]
-                else LOGDET if batch.factored[row] else TRACE)
-        try:
-            grads[row] = sequential_finite_difference_gradient(problem, gain,
-                                                               kind)
-        except GainlabError as exc:
-            errors[row] = exc
+        for j, kind in enumerate(kinds):
+            try:
+                grads[row * len(kinds) + j] = (
+                    sequential_finite_difference_gradient(problem, gain, kind))
+            except GainlabError as exc:
+                errors[row * len(kinds) + j] = exc
     return grads, errors
 
 
@@ -395,8 +396,8 @@ class TestStackedOracle:
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_batch_of_many_rows_matches_sequential_loop(self, block,
                                                         monkeypatch):
-        # rows of mixed kinds, failing and passing, whose perturbations
-        # share blocks
+        # rows failing and passing, under every kind and under subsets of
+        # the kinds, whose perturbations share blocks
         monkeypatch.setattr(objectives, "_FD_BLOCK_ROWS", block)
         shapes = {}
         cases = [(problem, seeded_gain(problem, trial, master_seed=199))
@@ -406,21 +407,53 @@ class TestStackedOracle:
         for problem, gain in cases + list(_failing_cases()):
             shapes.setdefault(gain.shape, []).append((problem, gain))
         raised = 0
-        for members in shapes.values():
-            kinds = [list(ObjectiveKind)[i % 3] for i in range(len(members))]
-            batch = objectives._Batch.stack([p for p, _ in members], kinds)
+        for members, kinds in itertools.product(
+                shapes.values(),
+                [tuple(ObjectiveKind), (TRACE,), (ENTROPY, LOGDET)]):
+            batch = objectives._Batch.stack([p for p, _ in members],
+                                            [TRACE] * len(members))
             gains = np.stack([gain for _, gain in members])
-            expected, expected_errors = sequential_finite_differences(batch,
-                                                                      gains)
-            actual, errors = objectives._finite_differences(batch, gains)
+            expected, expected_errors = sequential_finite_differences(
+                batch, gains, kinds)
+            actual, errors = objectives._finite_differences(batch, gains,
+                                                            kinds)
             assert ({row: (type(exc), str(exc)) for row, exc in errors.items()}
                     == {row: (type(exc), str(exc))
                         for row, exc in expected_errors.items()})
-            for row in range(len(gains)):
+            for row in range(len(actual)):
                 if row not in errors:
                     assert actual[row].tobytes() == expected[row].tobytes()
             raised += len(errors)
         assert raised
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_errors_are_attributed_per_kind(self):
+        # one posterior serves every kind, and each kind keeps the errors
+        # of its own evaluator: a perturbed posterior that is not SPD fails
+        # the log-det and the entropy, while the trace gets its difference;
+        # a non-finite perturbed gain fails all three
+        cancelling = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
+                                   obs_noise=[[1e-20]])
+        overflowing = seeded_problem(1, master_seed=181, max_dim=3)
+        huge = seeded_gain(overflowing, 1, master_seed=181)
+        huge.flat[0] = np.finfo(float).max
+        kinds = tuple(ObjectiveKind)
+        for problem, gain, failing in [
+                (cancelling, np.array([[0.0], [1e9]]), (LOGDET, ENTROPY)),
+                (overflowing, huge, kinds)]:
+            batch = objectives._Batch.stack([problem], [TRACE])
+            grads, errors = objectives._finite_differences(batch, gain[None],
+                                                           kinds)
+            assert sorted(errors) == [kinds.index(kind) for kind in failing]
+            for j, kind in enumerate(kinds):
+                expected = _oracle_outcome(sequential_finite_difference_gradient,
+                                           problem, gain, kind)
+                if kind in failing:
+                    assert (type(errors[j]), str(errors[j])) == expected
+                else:
+                    assert grads[j].tobytes() == expected.tobytes()
+                    assert np.isfinite(grads[j]).all()
 
 
 class TestHadamardOrdering:

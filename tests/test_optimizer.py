@@ -113,6 +113,18 @@ class TestMinimizeObjective:
         assert all(v <= start + 8.0 * EPS * (1.0 + abs(start)) for v in values)
         assert values[-1] < start
 
+    def test_armijo_term_rejects_too_small_a_decrease(self):
+        # From K = 0 the gradient is -2, so the first trial step reaches
+        # K = 1 and lowers the trace from 1 to R, by 5e-5: less than the
+        # sufficient decrease 1e-4 * 0.5 * 4 = 2e-4 that the Armijo term
+        # asks. The step is rejected and halved, and K = 0.5 is accepted.
+        problem = FilterProblem(prior=[[1.0]], obs_op=[[1.0]],
+                                obs_noise=[[0.99995]])
+        report = minimize_objective(problem, TRACE,
+                                    OptimizerConfig(max_iters=1))
+        assert report.iterations == 1
+        assert report.final_gain.tolist() == [[0.5]]
+
     def test_local_minimality_at_converged_gain(self):
         problem = make_problem(4, 3, 33, 10.0)
         rng = np.random.default_rng(404)

@@ -35,9 +35,11 @@ def test_benchmark_modules_import(monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency
+    # numpy is the only runtime dependency, and the process pool is
+    # imported only by a run on more than one worker
     code = ("import sys, gainlab, gainlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
