@@ -1,9 +1,13 @@
 """Command-line entry points: batch runs, single-instance checks, gradient checks.
 
+``check`` and ``gradcheck`` share one gradient check, ``_gradient_errors``,
+at the analytic gain plus 0.1 of a seeded Gaussian draw.
+
 Exit codes: 0 when every check passed its threshold, 1 when at least one
-failed, 2 for configuration or I/O errors. ``run`` says on stderr how many
-minimizations stopped at ``--max-iters``; that changes neither its report
-nor its exit code.
+failed, 2 for configuration or I/O errors. A problem that fails to build,
+or whose analytic gain fails, is a failed check, in ``check`` as in a
+``run`` trial. ``run`` says on stderr how many minimizations stopped at
+``--max-iters``; that changes neither its report nor its exit code.
 """
 
 import argparse
@@ -96,37 +100,42 @@ def _matrix_lines(a: np.ndarray) -> str:
 
 
 def _gradient_errors(problems: Sequence[FilterProblem],
-                     gains: Sequence[np.ndarray],
-                     kinds: Sequence[ObjectiveKind]) -> tuple[np.ndarray, dict]:
-    """Relative error of the analytic gradient against central differences.
+                     noises: Sequence[np.ndarray]) -> tuple[np.ndarray, dict]:
+    """The one gradient check: analytic gradients against central differences.
 
-    ``problems`` share one shape, and ``gains[i]`` is a finite gain of
-    ``problems[i]``. Returns the (len(problems), len(kinds)) errors
-    ``||g - g_fd|| / (1 + ||g||)`` of every problem under every kind, and
-    the failures: a map from each problem for which a loop over ``kinds``,
-    calling :func:`~gainlab.objectives.objective_gradient` and then
+    ``problems`` share one shape, and ``noises[i]`` is a draw of
+    ``problems[i]``'s gain shape. Each problem is checked at its analytic
+    gain ``K*`` plus 0.1 of its draw: at ``K*`` every gradient of the form
+    ``A M B`` vanishes, a wrong one too. Returns the (len(problems), 3)
+    errors ``||g - g_fd|| / (1 + ||g||)`` under each kind, in
+    :class:`ObjectiveKind` order, and the failures: a map from each problem
+    whose ``K*`` fails to that error, and from each other problem for which
+    a loop over the kinds, calling
+    :func:`~gainlab.objectives.objective_gradient` and then
     :func:`~gainlab.objectives.finite_difference_gradient`, raises, to the
     first error that loop raises. The error of a kind that raises is NaN,
     and a failing problem's other errors are meaningless. One batch of the
-    problems × kinds, with values then gradients, gives the analytic
-    gradients; the stacked oracle takes every ``len(kinds)``-th row of it,
-    each problem once, and evaluates each perturbed gain once for all the
-    kinds, so that it still shares only the objective formulas with the
-    gradients. Both equal the public functions' bit for bit.
+    problems × kinds gives ``K*`` as one solve and the analytic gradients;
+    the stacked oracle takes every third row of it, each problem once, and
+    shares only the objective formulas with the gradients. Both equal the
+    public functions' bit for bit.
     """
+    kinds = tuple(ObjectiveKind)
     batch = objectives._Batch.stack(
         [problem for problem in problems for _ in kinds],
         [kind for _ in problems for kind in kinds])
-    stacked = np.repeat(gains, len(kinds), axis=0)
-    _, posteriors, errors = batch.values(stacked)
-    analytic, singular = batch.gradients(stacked, posteriors)
     each = slice(None, None, len(kinds))
-    numeric, numeric_errors = objectives._finite_differences(
-        batch.take(each), stacked[each], kinds)
-    # Row r is problem r // len(kinds) under its kind, in the loop's order;
-    # at one row, the analytic gradient's errors come before the oracle's.
-    raised = {**numeric_errors, **singular, **errors}
-    failures = {}
+    gains, singular = _analytic_gains(batch.cross[each], batch.innovation[each])
+    stacked = np.repeat(gains + 0.1 * np.asarray(noises), len(kinds), axis=0)
+    _, posteriors, errors = batch.values(stacked)
+    analytic, unsolved = batch.gradients(stacked, posteriors)
+    numeric, numeric_errors = objectives._finite_differences(batch.take(each),
+                                                             stacked[each])
+    # Row r is problem r // len(kinds) under its kind, in the loop's order.
+    # A problem's K* fails first; then, at one row, the analytic gradient's
+    # errors come before the oracle's.
+    raised = {**numeric_errors, **unsolved, **errors}
+    failures = dict(singular)
     for row in sorted(raised):
         failures.setdefault(row // len(kinds), raised[row])
     relative = (_frobenius_norms(analytic - numeric)
@@ -139,10 +148,16 @@ def _cmd_check(args) -> int:
     ExperimentConfig(state_dim=args.state_dim, obs_dim=args.obs_dim, trials=1,
                      master_seed=args.seed, cond_target=args.cond)  # as `run`
     seed = mix_seed(args.seed, 0)
-    problem = make_problem(args.state_dim, args.obs_dim, seed, args.cond)
-    reference = analytic_gain(problem)
     print(f"instance: state_dim={args.state_dim} obs_dim={args.obs_dim} "
           f"seed={args.seed} cond={args.cond}")
+    try:
+        problem = make_problem(args.state_dim, args.obs_dim, seed, args.cond)
+        reference = analytic_gain(problem)
+    except GainlabError as exc:
+        # As in `run`, a problem that fails to build, or whose analytic gain
+        # fails, is a failed check, not a configuration error.
+        print(f"error: {exc}\n\nresult: FAIL")
+        return 1
     print("analytic gain:")
     print(_matrix_lines(reference))
 
@@ -161,11 +176,9 @@ def _cmd_check(args) -> int:
         print(_matrix_lines(report.final_gain))
         print(f"distance to analytic gain: {distance:.3e}")
 
-    # Every gradient vanishes at the analytic gain, a wrong one too.
     noise = np.random.default_rng(mix_seed(seed, 10)).standard_normal(
         reference.shape)
-    errors, failures = _gradient_errors([problem], [reference + 0.1 * noise],
-                                        kinds)
+    errors, failures = _gradient_errors([problem], [noise])
     print("\ngradient check at analytic gain + 0.1 noise, vs central differences:")
     for kind, error in zip(kinds, errors[0]):
         ok &= bool(error <= _GRADCHECK_TOL)
@@ -190,8 +203,8 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     Gaussian draw away from its analytic gain. Returns the
     (len(indices), len(ObjectiveKind)) errors. The instances are grouped
     once, by shape, and each group's problems are made by one
-    :func:`~gainlab.experiment._make_problems` call and checked, analytic
-    gains included, by one :func:`_gradient_errors` call. Raises the error
+    :func:`~gainlab.experiment._make_problems` call and checked with their
+    draws by one :func:`_gradient_errors` call. Raises the error
     that checking the instances one at a time, in order, raises first: an
     instance whose analytic gain fails raises that error. ``gradcheck``
     calls this on each chunk of :func:`~gainlab.experiment._chunks`, whose
@@ -221,13 +234,8 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
             continue
         ids = list(built)
         problems, noises = zip(*built.values())
-        gains, singular = _analytic_gains(
-            np.array([p.cross for p in problems]),
-            np.array([p.innovation for p in problems]))
-        errors[ids], group_failures = _gradient_errors(
-            problems, gains + 0.1 * np.array(noises), tuple(ObjectiveKind))
-        # An instance's analytic gain fails before any of its gradients.
-        for k, exc in {**group_failures, **singular}.items():
+        errors[ids], group_failures = _gradient_errors(problems, noises)
+        for k, exc in group_failures.items():
             failures[ids[k]] = exc
     if failures:
         raise failures[min(failures)]

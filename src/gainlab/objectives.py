@@ -20,10 +20,10 @@ evaluates its iterates through it. The oracle, ``_finite_differences``,
 shares its one evaluation, ``_Batch.evaluate``: it takes a batch with one
 row and one gain per problem, and evaluates the perturbed copies of every
 row's gain as consecutive stacks, whatever row they come from. One
-posterior per perturbed gain serves every kind asked for: its trace, the
-log-det of its one Cholesky factor, and the entropy from that log-det.
+posterior per perturbed gain serves all three kinds: its trace, the log-det
+of its one Cholesky factor, and the entropy from that log-det.
 :func:`finite_difference_gradient` validates its gain once, at the public
-boundary, and is a batch of one that asks for its one kind. The oracle still
+boundary, and returns its kind's row of a batch of one. The oracle still
 shares only the objective formulas with the closed-form gradients, exactly
 as a loop over the public evaluators would.
 """
@@ -357,12 +357,12 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
     Perturbs one gain entry at a time with step ``1e-6 * (1 + |k_ij|)``,
     which balances truncation against rounding for double precision. The
     gain is validated once; its 2·n·m perturbed copies are then evaluated as
-    a batch of one of :func:`_finite_differences`, which asks for this one
-    kind. Every value equals the public evaluator's at that perturbed gain,
-    bit for bit, so the oracle shares only the objective formulas with the
-    closed-form gradients, as the public evaluators do. Of several failing
-    perturbations, the error is that of the first in entry-major order, the
-    upward step before the downward one.
+    a batch of one of :func:`_finite_differences`, whose row for this kind
+    it returns. Every value equals the public evaluator's at that perturbed
+    gain, bit for bit, so the oracle shares only the objective formulas
+    with the closed-form gradients, as the public evaluators do. Of several
+    failing perturbations, the error is that of the first in entry-major
+    order, the upward step before the downward one.
 
     Raises
     ------
@@ -373,23 +373,22 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
         If a perturbed posterior is not SPD (log-det and entropy).
     """
     k = problem.check_gain(gain)
-    grads, errors = _finite_differences(_Batch.stack([problem], [kind]),
-                                        k[None], (kind,))
-    if errors:
-        raise errors[0]
-    return grads[0]
+    grads, errors = _finite_differences(_Batch.stack([problem], [kind]), k[None])
+    row = list(ObjectiveKind).index(kind)
+    if row in errors:
+        raise errors[row]
+    return grads[row]
 
 
 def _finite_differences(batch: _Batch, gains: np.ndarray,
-                        kinds: Sequence[ObjectiveKind],
                         ) -> tuple[np.ndarray, dict]:
     """:func:`finite_difference_gradient` of every row of a batch under every kind.
 
     ``batch`` holds one row per problem, whose own kind is not read, and
     ``gains`` is a (B, n, m) stack of finite gains, one per row. Returns the
-    (B · len(kinds), n, m) central differences, in which row
-    ``i * len(kinds) + j`` is row ``i`` under ``kinds[j]``, and the errors: a
-    map from each of those rows that has a failing perturbation to the error
+    (B · 3, n, m) central differences, in which row ``i * 3 + j`` is row
+    ``i`` under ``ObjectiveKind``'s ``j``-th kind, and the errors: a map
+    from each of those rows that has a failing perturbation to the error
     :func:`finite_difference_gradient` raises for it, whose gradient is then
     meaningless. A non-finite perturbed gain fails every kind; a non-finite
     or not SPD perturbed posterior fails only the log-det and the entropy.
@@ -398,19 +397,17 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     are evaluated in row order, as consecutive stacks of at most
     ``_FD_BLOCK_ROWS`` rows, and at most ``_CHUNK_BYTES`` at ``_row_bytes``
     per row, whatever row they come from; each stack costs one Joseph update
-    and, where a kind is the log-det or the entropy, one Cholesky
-    factorization (see :meth:`_Batch.evaluate`), and repeats its problems'
-    matrices only for its own rows. The trace is that of each posterior, the
-    log-det that of its factor, and the entropy ``_entropy(n, 0.0) + 0.5 *
-    logdet``, the operations of :meth:`_Batch.values`.
+    and one Cholesky factorization (see :meth:`_Batch.evaluate`), and
+    repeats its problems' matrices only for its own rows. The trace is that
+    of each posterior, the log-det that of its factor, and the entropy
+    ``_entropy(n, 0.0) + 0.5 * logdet``, the operations of
+    :meth:`_Batch.values`.
     """
     count, n, m = gains.shape
     per_row = 2 * n * m
     total = count * per_row
     flat = gains.reshape(count, n * m)
     steps = 1e-6 * (1.0 + np.abs(flat))
-    traced = ObjectiveKind.TOTAL_VARIANCE in kinds
-    factored = any(kind is not ObjectiveKind.TOTAL_VARIANCE for kind in kinds)
     traces, logdets = np.empty(total), np.empty(total)
     # The first failing perturbation of a row, for the trace and for the
     # factorizing kinds; at one perturbation, a non-finite gain comes first.
@@ -426,28 +423,22 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
         bumped[np.arange(len(rows)), entries] += np.where(perturbation % 2,
                                                           -moves, moves)
         done = slice(start, start + len(rows))
-        posteriors, logdet, gain_errors, failures = batch.take(rows).evaluate(
-            bumped.reshape(-1, n, m), slice(None) if factored else slice(0))
-        if traced:
-            traces[done] = matrix_core._trace(posteriors)
-        if factored:
-            logdets[done] = logdet
+        posteriors, logdets[done], gain_errors, failures = (
+            batch.take(rows).evaluate(bumped.reshape(-1, n, m), slice(None)))
+        traces[done] = matrix_core._trace(posteriors)
         for row in sorted(gain_errors):
             invalid.setdefault(int(rows[row]), gain_errors[row])
         failures.update(gain_errors)
         for row in sorted(failures):
             failed.setdefault(int(rows[row]), failures[row])
-    grads = np.empty((count, len(kinds), n * m))
+    grads = np.empty((count, 3, n * m))
     errors = {}
-    for j, kind in enumerate(kinds):
-        if kind is ObjectiveKind.TOTAL_VARIANCE:
-            values, kind_errors = traces, invalid
-        elif kind is ObjectiveKind.LOG_GENERALIZED_VARIANCE:
-            values, kind_errors = logdets, failed
-        else:
-            values, kind_errors = _entropy(n, 0.0) + 0.5 * logdets, failed
+    # The kinds in ObjectiveKind order: trace, log-det, entropy.
+    for j, (values, kind_errors) in enumerate([
+            (traces, invalid), (logdets, failed),
+            (_entropy(n, 0.0) + 0.5 * logdets, failed)]):
         pairs = values.reshape(count, n * m, 2)
         grads[:, j] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * steps)
         for row, exc in kind_errors.items():
-            errors[row * len(kinds) + j] = exc
+            errors[row * 3 + j] = exc
     return grads.reshape(-1, n, m), errors

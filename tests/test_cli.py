@@ -146,8 +146,8 @@ class TestCheck:
     def test_gradient_check_error_fails_the_check(self, capsys, monkeypatch):
         # a kind whose gradient check raises prints nan and the error
         finite_differences = objectives._finite_differences
-        def failing(batch, gains, kinds):
-            grads, errors = finite_differences(batch, gains, kinds)
+        def failing(batch, gains):
+            grads, errors = finite_differences(batch, gains)
             return grads, {**errors, 1: NotPositiveDefinite("synthetic")}
         monkeypatch.setattr(objectives, "_finite_differences", failing)
         code = main(["check", "--seed", "1"])
@@ -158,6 +158,39 @@ class TestCheck:
         assert "  logdet: relative error nan" in lines
         assert "  error: synthetic" in lines
         assert lines[-1] == "result: FAIL"
+
+    def test_problem_that_fails_to_build_fails_the_check(self, capsys):
+        # at cond 1e40 trial 0's prior does not factorize; `run` records a
+        # failed trial and exits 1, and `check` fails its check the same way
+        code = main(["check", "--cond", "1e40"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        error = ("prior: matrix is not positive definite: Matrix is not "
+                 "positive definite")
+        assert captured.out.splitlines() == [
+            "instance: state_dim=4 obs_dim=3 seed=1 cond=1e+40",
+            f"error: {error}", "", "result: FAIL"]
+        code, out = _run(["run", "--cond", "1e40", "--trials", "1"], capsys)
+        assert code == 1
+        assert json.loads(out)["trials"][0]["error"] == (
+            f"NotPositiveDefinite: {error}")
+
+    def test_singular_innovation_fails_the_check(self, capsys, monkeypatch):
+        # trial 0 of master seed 1 gets the problem whose S is singular to
+        # the analytic gain's solve
+        mix = cli.mix_seed
+        monkeypatch.setattr(cli, "mix_seed", lambda seed, index: (
+            SINGULAR_SEED if (seed, index) == (1, 0) else mix(seed, index)))
+        code = main(["check", "--state-dim", "2", "--obs-dim", "7", "--cond",
+                     "1e20"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "instance: state_dim=2 obs_dim=7 seed=1 cond=1e+20",
+            "error: matrix is not positive definite: Singular matrix", "",
+            "result: FAIL"]
 
     def test_singular_posterior_fails_the_check_without_traceback(
             self, capsys):
@@ -240,9 +273,7 @@ def test_oracle_evaluates_one_posterior_per_perturbed_gain(monkeypatch):
     monkeypatch.setattr(objectives, "_joseph_form", counted)
     monkeypatch.setattr(objectives, "_finite_differences", spied)
     problems = [make_problem(3, 2, seed) for seed in range(5)]
-    gains = np.array([cli.analytic_gain(problem) + 0.1 for problem in problems])
-    errors, failures = cli._gradient_errors(problems, gains,
-                                            tuple(ObjectiveKind))
+    errors, failures = cli._gradient_errors(problems, np.ones((5, 3, 2)))
     assert not failures and (errors <= cli._GRADCHECK_TOL).all()
     assert sum(evaluated) == len(problems) * 2 * 3 * 2
 
@@ -415,28 +446,39 @@ class TestStackedGradcheck:
                               []).append(mix_seed(2, index))
         calls = []
         make_problems, gradient_errors = cli._make_problems, cli._gradient_errors
+        analytic_gains = cli._analytic_gains
+        inside = []
         def spied_builds(n, m, seeds, conds):
             calls.append((n, m, list(seeds)))
             return make_problems(n, m, seeds, conds)
-        def spied_checks(problems, gains, kinds):
+        def spied_checks(problems, noises):
             calls.append((problems[0].state_dim, problems[0].obs_dim,
                           len(problems)))
-            return gradient_errors(problems, gains, kinds)
+            inside.append(True)
+            try:
+                return gradient_errors(problems, noises)
+            finally:
+                inside.clear()
+        def spied_solves(cross, innovation):
+            calls.append(("solve", bool(inside), len(cross)))
+            return analytic_gains(cross, innovation)
         monkeypatch.setattr(cli, "_make_problems", spied_builds)
         monkeypatch.setattr(cli, "_gradient_errors", spied_checks)
+        monkeypatch.setattr(cli, "_analytic_gains", spied_solves)
         cli._gradcheck_errors(2, range(40), 4)
         assert len(shapes) > 1
+        # the analytic gains of a shape group are one solve, inside its check
         assert calls == [call for (n, m), seeds in shapes.items()
-                         for call in ((n, m, seeds), (n, m, len(seeds)))]
+                         for call in ((n, m, seeds), (n, m, len(seeds)),
+                                      ("solve", True, len(seeds)))]
 
     def test_group_whose_every_row_fails(self):
         # the posterior at the analytic gain 1e-13 has the pivot 1e-13
         problem = FilterProblem(prior=[[1.0]], obs_op=[[1e13]],
                                 obs_noise=[[1.0]])
-        errors, failures = cli._gradient_errors(
-            [problem], [cli.analytic_gain(problem)],
-            [ObjectiveKind.LOG_GENERALIZED_VARIANCE])
-        assert errors.shape == (1, 1) and np.isnan(errors[0, 0])
+        # a zero draw checks the analytic gain itself
+        errors, failures = cli._gradient_errors([problem], np.zeros((1, 1, 1)))
+        assert errors.shape == (1, 3) and np.isnan(errors[0, 1])
         assert list(failures) == [0]
         assert isinstance(failures[0], NotPositiveDefinite)
 
@@ -467,8 +509,9 @@ class TestStackedGradcheck:
                             8 * experiment._row_bytes(6, 6))
         target = gradcheck_instance(1, 20, 6)[0].prior
         stacked_oracle = objectives._finite_differences
-        def nan_for_target(batch, gains, kinds):
-            grads, errors = stacked_oracle(batch, gains, kinds)
+        def nan_for_target(batch, gains):
+            grads, errors = stacked_oracle(batch, gains)
+            kinds = list(ObjectiveKind)
             trace = kinds.index(ObjectiveKind.TOTAL_VARIANCE)
             for row, prior in enumerate(batch.prior):
                 if np.array_equal(prior, target):
