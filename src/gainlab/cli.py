@@ -19,9 +19,9 @@ import numpy as np
 
 from . import objectives, optimizer
 from .exceptions import GainlabError, InvalidParameter
-from .experiment import (DISTANCE_THRESHOLD, ExperimentConfig, _chunks,
-                         _make_problems, _row_bytes, emit_report, make_problem,
-                         mix_seed, run_experiment)
+from .experiment import (_MASK64, DISTANCE_THRESHOLD, ExperimentConfig,
+                         _chunks, _make_problems, _mix_seeds, _row_bytes,
+                         emit_report, make_problem, mix_seed, run_experiment)
 from .kalman_update import FilterProblem, _analytic_gains, analytic_gain
 from .matrix_core import _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind
@@ -114,16 +114,15 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     :func:`~gainlab.objectives.objective_gradient` and then
     :func:`~gainlab.objectives.finite_difference_gradient`, raises, to the
     first error that loop raises. The error of a kind that raises is NaN,
-    and a failing problem's other errors are meaningless. One batch of the
-    problems × kinds gives ``K*`` as one solve and the analytic gradients;
-    the stacked oracle takes every third row of it, each problem once, and
-    shares only the objective formulas with the gradients. Both equal the
-    public functions' bit for bit.
+    and a failing problem's other errors are meaningless. One batch, which
+    stacks each problem once and repeats it per kind, gives ``K*`` as one
+    solve and the analytic gradients; the stacked oracle takes every third
+    row of it, each problem once, and shares only the objective formulas
+    with the gradients. Both equal the public functions' bit for bit.
     """
     kinds = tuple(ObjectiveKind)
-    batch = objectives._Batch.stack(
-        [problem for problem in problems for _ in kinds],
-        [kind for _ in problems for kind in kinds])
+    batch = objectives._Batch.stack(problems, kinds * len(problems),
+                                    len(kinds))
     each = slice(None, None, len(kinds))
     gains, singular = _analytic_gains(batch.cross[each], batch.innovation[each])
     stacked = np.repeat(gains + 0.1 * np.asarray(noises), len(kinds), axis=0)
@@ -200,41 +199,38 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
 
     Instance ``i`` is a problem of random shape up to ``max_dim`` x
     ``max_dim`` from the seed ``mix_seed(seed, i)``, at a gain 0.1 of a
-    Gaussian draw away from its analytic gain. Returns the
-    (len(indices), len(ObjectiveKind)) errors. The instances are grouped
-    once, by shape, and each group's problems are made by one
-    :func:`~gainlab.experiment._make_problems` call and checked with their
-    draws by one :func:`_gradient_errors` call. Raises the error
-    that checking the instances one at a time, in order, raises first: an
-    instance whose analytic gain fails raises that error. ``gradcheck``
-    calls this on each chunk of :func:`~gainlab.experiment._chunks`, whose
-    rows are sized for the ``max_dim`` x ``max_dim`` shape.
+    Gaussian draw away from its analytic gain. Returns the (len(indices),
+    len(ObjectiveKind)) errors. The seeds are mixed as stacks (see
+    :func:`~gainlab.experiment._mix_seeds`), every problem is made by one
+    :func:`~gainlab.experiment._make_problems` call, with one covariance
+    draw per dimension and one build per shape, and each shape's problems
+    are checked with their draws by one :func:`_gradient_errors` call.
+    Raises the error that checking the instances one at a time, in order,
+    raises first: an instance whose analytic gain fails raises that error.
+    ``gradcheck`` calls this on each chunk of
+    :func:`~gainlab.experiment._chunks`, whose rows are sized for the
+    ``max_dim`` x ``max_dim`` shape.
     """
-    groups = defaultdict(list)
-    for j, i in enumerate(indices):
-        instance_seed = mix_seed(seed, i)
-        rng = np.random.default_rng(mix_seed(instance_seed, 10))
+    instance_seeds = _mix_seeds(seed & _MASK64, indices)
+    shapes, noises = [], []
+    for noise_seed in _mix_seeds(instance_seeds, 10).tolist():
+        rng = np.random.default_rng(noise_seed)
         n = int(rng.integers(1, max_dim + 1))
         m = int(rng.integers(1, max_dim + 1))
-        groups[n, m].append((j, instance_seed,
-                             _GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)],
-                             rng.standard_normal((n, m))))
+        shapes.append((n, m))
+        noises.append(rng.standard_normal((n, m)))
+    conds = [_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)] for i in indices]
+    problems = _make_problems(shapes, instance_seeds, conds)
+    groups, failures = defaultdict(list), {}
+    for j, (shape, problem) in enumerate(zip(shapes, problems)):
+        if isinstance(problem, GainlabError):
+            failures[j] = problem
+        else:
+            groups[shape].append(j)
     errors = np.empty((len(indices), len(ObjectiveKind)))
-    failures = {}
-    for (n, m), members in groups.items():
-        ids, seeds, conds, noises = zip(*members)
-        built = {}
-        for j, noise, problem in zip(ids, noises,
-                                     _make_problems(n, m, seeds, conds)):
-            if isinstance(problem, GainlabError):
-                failures[j] = problem
-            else:
-                built[j] = problem, noise
-        if not built:
-            continue
-        ids = list(built)
-        problems, noises = zip(*built.values())
-        errors[ids], group_failures = _gradient_errors(problems, noises)
+    for ids in groups.values():
+        errors[ids], group_failures = _gradient_errors(
+            [problems[j] for j in ids], [noises[j] for j in ids])
         for k, exc in group_failures.items():
             failures[ids[k]] = exc
     if failures:

@@ -8,7 +8,8 @@ and the trial index, giving independent streams under any parallel schedule.
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+from collections import defaultdict
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Union
 
@@ -55,13 +56,24 @@ def mix_seed(seed: int, index: int) -> int:
     """Output ``index`` of a splitmix64 stream seeded with ``seed``.
 
     Standard splitmix64 finalizer over the golden-ratio increment; used to
-    derive independent per-trial and per-matrix seeds. Both arguments are
-    taken as Python ints, so numpy integers do not overflow.
+    derive independent per-trial and per-matrix seeds. A batch of one of
+    :func:`_mix_seeds`; both arguments are taken modulo 2**64, as Python
+    ints, so numpy integers and seeds of 2**64 or more do not overflow.
     """
-    z = (int(seed) + (int(index) + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return int(_mix_seeds(int(seed) & _MASK64, int(index) & _MASK64)[0])
+
+
+def _mix_seeds(seeds, indices) -> np.ndarray:
+    """:func:`mix_seed` of integers in [0, 2**64), broadcast, bit for bit.
+
+    The arithmetic runs on uint64 arrays, never numpy scalars, so it wraps
+    modulo 2**64, as the masks of :func:`mix_seed` do, and does not warn.
+    """
+    z = (np.array(seeds, dtype=np.uint64, ndmin=1)
+         + (np.array(indices, dtype=np.uint64, ndmin=1) + 1) * _GOLDEN)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> shift)) * factor
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -159,32 +171,51 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
-    problem, = _make_problems(state_dim, obs_dim, [seed], [cond_target])
+    problem, = _make_problems([(state_dim, obs_dim)], [int(seed) & _MASK64],
+                              [cond_target])
     if isinstance(problem, GainlabError):
         raise problem
     return problem
 
 
-def _make_problems(state_dim: int, obs_dim: int, seeds: Sequence[int],
+def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
                    conds: Sequence[float],
                    ) -> list[Union[FilterProblem, GainlabError]]:
-    """:func:`make_problem` of one shape, at each seed and its condition target.
+    """:func:`make_problem` of each row: its ``(n, m)`` shape, seed and target.
 
-    The priors and the noises are each generated as one stack (see
+    ``seeds`` holds integers in [0, 2**64), and every row's sub-seeds are
+    mixed as one stack (see :func:`_mix_seeds`). Every covariance of one
+    dimension, prior or noise of any row, is drawn as one stack (see
     :func:`~gainlab.matrix_core._random_spds`), which raises the
-    InvalidParameter of an out-of-range dimension or target, and the
-    problems are built, and so validated, as one stack (see
-    :func:`~gainlab.kalman_update._build_problems`). Returns one outcome per
-    seed, in order: its problem, bit for bit that of :func:`make_problem`,
-    or the GainlabError that building it alone raises. A row that fails to
-    build never disturbs the others.
+    InvalidParameter of an out-of-range dimension or target, that of the
+    first row's prior first. Each shape's problems are built, and so validated,
+    as one stack (see :func:`~gainlab.kalman_update._build_problems`).
+    Returns one outcome per row, in order: its problem, bit for bit that of
+    :func:`make_problem`, or the GainlabError that building it alone
+    raises. A row that fails to build never disturbs the others.
     """
-    priors = _random_spds(state_dim, [mix_seed(seed, 0) for seed in seeds],
-                          conds)
-    noises = _random_spds(obs_dim, [mix_seed(seed, 1) for seed in seeds], conds)
-    obs_ops = np.array([np.random.default_rng(mix_seed(seed, 2))
-                        .standard_normal((obs_dim, state_dim)) for seed in seeds])
-    return _build_problems(priors, obs_ops, noises)
+    sub_seeds = _mix_seeds(seeds, [[0], [1], [2]]).tolist()
+    # Each dimension's covariances: (0, row) is a prior, (1, row) a noise.
+    wanted, groups = defaultdict(list), defaultdict(list)
+    for row, shape in enumerate(shapes):
+        groups[shape].append(row)
+        wanted[shape[0]].append((0, row))
+        wanted[shape[1]].append((1, row))
+    covariances = {}
+    for dim, keys in wanted.items():
+        covariances.update(zip(keys, _random_spds(
+            dim, [sub_seeds[k][row] for k, row in keys],
+            [conds[row] for _, row in keys])))
+    outcomes: list = [None] * len(shapes)
+    for (n, m), rows in groups.items():
+        built = _build_problems(
+            np.array([covariances[0, row] for row in rows]),
+            np.array([np.random.default_rng(sub_seeds[2][row])
+                      .standard_normal((m, n)) for row in rows]),
+            np.array([covariances[1, row] for row in rows]))
+        for row, outcome in zip(rows, built):
+            outcomes[row] = outcome
+    return outcomes
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
@@ -203,8 +234,8 @@ def _run_chunk(config: ExperimentConfig,
     """
     seeds = {index: mix_seed(config.master_seed, index) for index in indices}
     outcomes = dict(zip(seeds, _make_problems(
-        config.state_dim, config.obs_dim, list(seeds.values()),
-        [config.cond_target] * len(seeds))))
+        [(config.state_dim, config.obs_dim)] * len(seeds),
+        list(seeds.values()), [config.cond_target] * len(seeds))))
     problems = {index: problem for index, problem in outcomes.items()
                 if isinstance(problem, FilterProblem)}
     outcomes.update(zip(problems, equivalence_batch(
@@ -323,10 +354,11 @@ def render_report(result: ExperimentResult) -> str:
     if not result.trials:
         raise InvalidParameter("cannot render a report with no trial records")
     if result.config.output_format == "json":
+        # vars() holds a record's fields in order; asdict would deep-copy.
         payload = {
-            "config": asdict(result.config),
-            "trials": [asdict(r) for r in result.trials],
-            "summary": asdict(result.summary),
+            "config": vars(result.config),
+            "trials": [vars(r) for r in result.trials],
+            "summary": vars(result.summary),
         }
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines = [CSV_HEADER]

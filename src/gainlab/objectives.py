@@ -17,9 +17,9 @@ problems with one objective per row, whose values cost one Joseph update and
 one Cholesky factorization for the whole stack, and whose values, errors
 and gradients are those of the public functions, bit for bit. The optimizer
 evaluates its iterates through it. The oracle, ``_finite_differences``,
-shares its one evaluation, ``_Batch.evaluate``: it takes a batch with one
-row and one gain per problem, and evaluates the perturbed copies of every
-row's gain as consecutive stacks, whatever row they come from. One
+shares its one evaluation, ``_evaluate``, on stacks with one row and gain
+per problem: the perturbed copies of every row's gain are consecutive
+stacks of their own rows' matrices, whatever row they come from. One
 posterior per perturbed gain serves all three kinds: its trace, the log-det
 of its one Cholesky factor, and the entropy from that log-det.
 :func:`finite_difference_gradient` validates its gain once, at the public
@@ -30,6 +30,7 @@ as a loop over the public evaluators would.
 
 import enum
 import math
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -214,7 +215,7 @@ class _Batch:
     which lets the shared formulas take the batch in place of a problem;
     :meth:`take` slices them. Gains have the batch's shape by construction,
     and the symmetrized posterior is exactly symmetric, so neither is
-    checked again; the checks a gain can fail are kept (see :meth:`evaluate`).
+    checked again; the checks a gain can fail are kept (see :func:`_evaluate`).
     Values and gradients take every row: a failed row's posterior is the
     identity, so no row is left out of a stack. A factorizing row's value
     is ``offset + scale * logdet`` and its gradient ``scale`` times the
@@ -243,17 +244,21 @@ class _Batch:
 
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
-              kinds: Sequence[ObjectiveKind]) -> "_Batch":
-        """The batch whose row ``i`` is ``problems[i]`` under ``kinds[i]``.
+              kinds: Sequence[ObjectiveKind], repeats: int = 1) -> "_Batch":
+        """Row ``i`` is ``problems[i // repeats]`` under ``kinds[i]``.
 
         The problems share one shape. Each field is one ``np.array`` copy
-        of the rows, cheaper than ``np.stack`` on small matrices.
+        of the problems, cheaper than ``np.stack`` on small matrices, and
+        then one ``np.repeat`` of it when ``repeats`` is above 1.
         """
         if len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
             raise DimensionMismatch("all problems of a batch must share one shape")
-        return cls(*(np.array([getattr(problem, name) for problem in problems])
-                     for name in ("prior", "obs_op", "obs_noise", "cross",
-                                  "innovation")),
+        fields = [np.array([getattr(problem, name) for problem in problems])
+                  for name in ("prior", "obs_op", "obs_noise", "cross",
+                               "innovation")]
+        if repeats > 1:
+            fields = [np.repeat(field, repeats, axis=0) for field in fields]
+        return cls(*fields,
                    np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
                              for kind in kinds]),
                    np.array([kind is not ObjectiveKind.TOTAL_VARIANCE
@@ -271,15 +276,15 @@ class _Batch:
 
         ``gains`` is a (B, n, m) stack with one gain per row. ``errors`` maps
         a row to what the public evaluator raises at that gain: those of
-        :meth:`evaluate`, where a total-variance row never factorizes and so
+        :func:`_evaluate`, where a total-variance row never factorizes and so
         fails only on a non-finite gain. A failed row's value is
         meaningless, and its posterior is the identity, so that
         :meth:`gradients` can take the whole stack. A row without an error
         has the public evaluator's value, bit for bit.
         """
         owners = self._factor_ids
-        posteriors, logdets, errors, failures = self.evaluate(
-            gains, self._factor_rows)
+        posteriors, logdets, errors, failures = _evaluate(
+            self, gains, self._factor_rows, self.identity)
         for row, exc in failures.items():
             errors.setdefault(int(owners[row]), exc)
         values = self._offset + self._scale * logdets
@@ -290,45 +295,6 @@ class _Batch:
         if errors:
             posteriors[list(errors)] = self.identity
         return values, posteriors, errors
-
-    def evaluate(self, gains: np.ndarray, rows):
-        """The posterior of every row at its gain, and the log-dets of ``rows``.
-
-        The one evaluation of :meth:`values` and of the oracle
-        :func:`_finite_differences`; it reads no row's kind. ``rows``, a
-        slice or an array of row indices, selects the posteriors to
-        factorize. Returns (posteriors, logdets, invalid, failures):
-        ``invalid`` maps each row whose gain is not finite to the
-        InvalidParameter of every public evaluator, and takes its posterior
-        at the zero gain; ``failures`` maps each position in ``rows`` whose
-        posterior fails :func:`log_generalized_variance` to its error,
-        InvalidParameter if the posterior is not finite, else the
-        NotPositiveDefinite of its Cholesky factorization. Every other
-        posterior and log-det is the public functions', bit for bit.
-        """
-        identity = self.identity
-        invalid = {}
-        finite = np.isfinite(gains)
-        if not finite.all():
-            bad = ~finite.all(axis=(-2, -1))
-            gains = np.where(bad[:, None, None], 0.0, gains)
-            for row in np.flatnonzero(bad):
-                invalid[int(row)] = InvalidParameter(
-                    "gain contains non-finite entries")
-        posteriors = _joseph_form(self, gains, identity)
-        others = posteriors[rows]
-        failures = {}
-        finite = np.isfinite(others)
-        if not finite.all():
-            bad = ~finite.all(axis=(-2, -1))
-            others = np.where(bad[:, None, None], identity, others)
-            for row in np.flatnonzero(bad):
-                failures[int(row)] = InvalidParameter(
-                    "matrix contains non-finite entries")
-        factors, breakdowns = matrix_core._cholesky_factors(others)
-        failures.update(breakdowns)
-        return (posteriors, matrix_core._log_det_of_factor(factors), invalid,
-                failures)
 
     def gradients(self, gains: np.ndarray, posteriors: np.ndarray,
                   ) -> tuple[np.ndarray, dict]:
@@ -348,6 +314,46 @@ class _Batch:
         grads[rows] = self._scale[:, None, None] * solved
         return grads, {int(self._factor_ids[row]): exc
                        for row, exc in failures.items()}
+
+
+def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
+    """The posterior of every row at its gain, and the log-dets of ``rows``.
+
+    The one evaluation of :meth:`_Batch.values` and of the oracle
+    :func:`_finite_differences`. It reads the ``prior``, ``obs_op`` and
+    ``obs_noise`` of ``stacks``, one row per gain, and no row's kind;
+    ``identity`` is the (n, n) identity. ``rows``, a slice or an array of
+    row indices, selects the posteriors to factorize. Returns (posteriors,
+    logdets, invalid, failures): ``invalid`` maps each row whose gain is
+    not finite to the InvalidParameter of every public evaluator, and takes
+    its posterior at the zero gain; ``failures`` maps each position in
+    ``rows`` whose posterior fails :func:`log_generalized_variance` to its
+    error, InvalidParameter if the posterior is not finite, else the
+    NotPositiveDefinite of its Cholesky factorization. Every other
+    posterior and log-det is the public functions', bit for bit.
+    """
+    invalid = {}
+    finite = np.isfinite(gains)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        gains = np.where(bad[:, None, None], 0.0, gains)
+        for row in np.flatnonzero(bad):
+            invalid[int(row)] = InvalidParameter(
+                "gain contains non-finite entries")
+    posteriors = _joseph_form(stacks, gains, identity)
+    others = posteriors[rows]
+    failures = {}
+    finite = np.isfinite(others)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        others = np.where(bad[:, None, None], identity, others)
+        for row in np.flatnonzero(bad):
+            failures[int(row)] = InvalidParameter(
+                "matrix contains non-finite entries")
+    factors, breakdowns = matrix_core._cholesky_factors(others)
+    failures.update(breakdowns)
+    return (posteriors, matrix_core._log_det_of_factor(factors), invalid,
+            failures)
 
 
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
@@ -384,8 +390,9 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
                         ) -> tuple[np.ndarray, dict]:
     """:func:`finite_difference_gradient` of every row of a batch under every kind.
 
-    ``batch`` holds one row per problem, whose own kind is not read, and
-    ``gains`` is a (B, n, m) stack of finite gains, one per row. Returns the
+    ``batch`` is a :class:`_Batch`, or any object, whose ``prior``,
+    ``obs_op`` and ``obs_noise`` hold one row per problem, and ``gains`` is
+    a (B, n, m) stack of finite gains, one per row. Returns the
     (B · 3, n, m) central differences, in which row ``i * 3 + j`` is row
     ``i`` under ``ObjectiveKind``'s ``j``-th kind, and the errors: a map
     from each of those rows that has a failing perturbation to the error
@@ -397,8 +404,8 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     are evaluated in row order, as consecutive stacks of at most
     ``_FD_BLOCK_ROWS`` rows, and at most ``_CHUNK_BYTES`` at ``_row_bytes``
     per row, whatever row they come from; each stack costs one Joseph update
-    and one Cholesky factorization (see :meth:`_Batch.evaluate`), and
-    repeats its problems' matrices only for its own rows. The trace is that
+    and one Cholesky factorization (see :func:`_evaluate`) of its rows'
+    three matrices, and reads no other field. The trace is that
     of each posterior, the log-det that of its factor, and the entropy
     ``_entropy(n, 0.0) + 0.5 * logdet``, the operations of
     :meth:`_Batch.values`.
@@ -412,19 +419,23 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     # The first failing perturbation of a row, for the trace and for the
     # factorizing kinds; at one perturbation, a non-finite gain comes first.
     invalid, failed = {}, {}
-    block = min(_FD_BLOCK_ROWS, max(1, _CHUNK_BYTES // _row_bytes(n, m)))
-    for start in range(0, total, block):
+    size = min(_FD_BLOCK_ROWS, max(1, _CHUNK_BYTES // _row_bytes(n, m)))
+    identity = np.eye(n)
+    for start in range(0, total, size):
         # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
         rows, perturbation = np.divmod(
-            np.arange(start, min(start + block, total)), per_row)
+            np.arange(start, min(start + size, total)), per_row)
         entries = perturbation // 2
         moves = steps[rows, entries]
         bumped = flat[rows]
         bumped[np.arange(len(rows)), entries] += np.where(perturbation % 2,
                                                           -moves, moves)
         done = slice(start, start + len(rows))
-        posteriors, logdets[done], gain_errors, failures = (
-            batch.take(rows).evaluate(bumped.reshape(-1, n, m), slice(None)))
+        block = SimpleNamespace(prior=batch.prior[rows],
+                                obs_op=batch.obs_op[rows],
+                                obs_noise=batch.obs_noise[rows])
+        posteriors, logdets[done], gain_errors, failures = _evaluate(
+            block, bumped.reshape(-1, n, m), slice(None), identity)
         traces[done] = matrix_core._trace(posteriors)
         for row in sorted(gain_errors):
             invalid.setdefault(int(rows[row]), gain_errors[row])

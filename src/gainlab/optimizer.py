@@ -360,8 +360,7 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     if not problems:
         return []
     kinds = tuple(ObjectiveKind)
-    batch = _Batch.stack([problem for problem in problems for _ in kinds],
-                         [kind for _ in problems for kind in kinds])
+    batch = _Batch.stack(problems, kinds * len(problems), len(kinds))
     runs: list = [None] * len(batch.prior)
     _lockstep(batch, np.zeros(batch.cross.shape), config, runs)
     cross, innovation = batch.cross[::len(kinds)], batch.innovation[::len(kinds)]

@@ -233,6 +233,14 @@ class TestGradcheck:
     def test_bad_instance_count(self):
         assert main(["gradcheck", "--instances", "0"]) == 2
 
+    def test_seed_of_two_to_the_64_plus_5_is_seed_5(self, capsys):
+        # seeds are mixed modulo 2**64, so no seed overflows the uint64 mixer
+        big = _run(["gradcheck", "--seed", str(2**64 + 5), "--instances",
+                    "50"], capsys)
+        assert big == _run(["gradcheck", "--seed", "5", "--instances", "50"],
+                           capsys)
+        assert big[0] == 0 and big[1].count("[PASS]") == 3
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -422,12 +430,12 @@ class TestStackedGradcheck:
         singular = make_problem(2, 7, SINGULAR_SEED, 1e20)
         make_problems = cli._make_problems
         instances = {mix_seed(4, index): index for index in range(30)}
-        def swapped(n, m, seeds, conds):
-            outcomes = make_problems(n, m, seeds, conds)
+        def swapped(shapes, seeds, conds):
+            outcomes = make_problems(shapes, seeds, conds)
             for row, seed in enumerate(seeds):
-                index = instances[seed]
+                index = instances[int(seed)]
                 if index in (10, 16, 24):
-                    assert (n, m) == (2, 7)
+                    assert shapes[row] == (2, 7)
                 if index == 16:
                     outcomes[row] = singular
                 outcomes[row] = poisons.get(index, outcomes[row])
@@ -443,34 +451,50 @@ class TestStackedGradcheck:
         for index in range(40):
             problem = gradcheck_instance(2, index, 4)[0]
             shapes.setdefault((problem.state_dim, problem.obs_dim),
-                              []).append(mix_seed(2, index))
-        calls = []
-        make_problems, gradient_errors = cli._make_problems, cli._gradient_errors
+                              []).append(index)
+        # each dimension's covariances, priors and noises of every shape
+        dims = {}
+        for (n, m), indices in shapes.items():
+            for dim in (n, m):
+                dims[dim] = dims.get(dim, 0) + len(indices)
+        draws, builds, checks = [], [], []
+        random_spds = experiment._random_spds
+        build_problems = experiment._build_problems
+        gradient_errors = cli._gradient_errors
         analytic_gains = cli._analytic_gains
         inside = []
-        def spied_builds(n, m, seeds, conds):
-            calls.append((n, m, list(seeds)))
-            return make_problems(n, m, seeds, conds)
+        def spied_draws(dim, seeds, conds):
+            draws.append((dim, len(seeds)))
+            return random_spds(dim, seeds, conds)
+        def spied_builds(priors, obs_ops, noises):
+            builds.append((priors.shape[-1], noises.shape[-1], len(priors)))
+            return build_problems(priors, obs_ops, noises)
         def spied_checks(problems, noises):
-            calls.append((problems[0].state_dim, problems[0].obs_dim,
-                          len(problems)))
+            checks.append((problems[0].state_dim, problems[0].obs_dim,
+                           len(problems)))
             inside.append(True)
             try:
                 return gradient_errors(problems, noises)
             finally:
                 inside.clear()
         def spied_solves(cross, innovation):
-            calls.append(("solve", bool(inside), len(cross)))
+            checks.append(("solve", bool(inside), len(cross)))
             return analytic_gains(cross, innovation)
-        monkeypatch.setattr(cli, "_make_problems", spied_builds)
+        monkeypatch.setattr(experiment, "_random_spds", spied_draws)
+        monkeypatch.setattr(experiment, "_build_problems", spied_builds)
         monkeypatch.setattr(cli, "_gradient_errors", spied_checks)
         monkeypatch.setattr(cli, "_analytic_gains", spied_solves)
         cli._gradcheck_errors(2, range(40), 4)
-        assert len(shapes) > 1
+        assert len(shapes) > 1 and len(dims) < 2 * len(shapes)
+        # one draw per dimension, of all its covariances, and one build per
+        # shape, of all its problems
+        assert sorted(draws) == sorted(dims.items())
+        assert sorted(builds) == sorted((n, m, len(indices))
+                                        for (n, m), indices in shapes.items())
         # the analytic gains of a shape group are one solve, inside its check
-        assert calls == [call for (n, m), seeds in shapes.items()
-                         for call in ((n, m, seeds), (n, m, len(seeds)),
-                                      ("solve", True, len(seeds)))]
+        assert checks == [call for (n, m), indices in shapes.items()
+                          for call in ((n, m, len(indices)),
+                                       ("solve", True, len(indices)))]
 
     def test_group_whose_every_row_fails(self):
         # the posterior at the analytic gain 1e-13 has the pivot 1e-13

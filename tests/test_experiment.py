@@ -49,6 +49,33 @@ class TestSeedMixing:
         assert mix_seed(np.uint64(2**64 - 1), np.int32(5)) == mix_seed(
             2**64 - 1, 5)
 
+    def test_stacked_mixer_equals_mix_seed(self):
+        # the reference is the splitmix64 finalizer on Python ints; a seed
+        # of 2**64 or more is reduced modulo 2**64 before it becomes uint64
+        def splitmix(seed, index):
+            z = (seed + (index + 1) * 0x9E3779B97F4A7C15) % 2**64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            return z ^ (z >> 31)
+        seeds = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, 2**70]
+        indices = [0, 1, 10, 2**31, 2**63]
+        expected = [[splitmix(seed, index) for index in indices]
+                    for seed in seeds]
+        assert [[mix_seed(seed, index) for index in indices]
+                for seed in seeds] == expected
+        reduced = np.array([seed % 2**64 for seed in seeds], dtype=np.uint64)
+        stacked = experiment._mix_seeds(reduced[:, None], indices)
+        assert stacked.dtype == np.uint64
+        assert stacked.tolist() == expected
+        # numpy integers, and one seed against many indices and back
+        for seed, row in zip(reduced, expected):
+            stream = experiment._mix_seeds(seed, np.array(indices))
+            assert stream.tolist() == row
+            assert mix_seed(seed, np.int64(10)) == row[2]
+        assert experiment._mix_seeds(reduced, np.uint64(10)).tolist() == [
+            row[2] for row in expected]
+        assert mix_seed(np.int32(1), np.uint64(2**63)) == expected[1][4]
+
 
 class TestMakeProblem:
     def test_deterministic(self):
@@ -174,7 +201,7 @@ class TestStackedGeneration:
             if (n, m) in ((4, 3), (1, 1)):
                 seeds.insert(2, 15)
                 conds.insert(2, 1e40)
-            outcomes = _make_problems(n, m, seeds, conds)
+            outcomes = _make_problems([(n, m)] * len(seeds), seeds, conds)
             assert len(outcomes) == len(seeds)
             for seed, cond, outcome in zip(seeds, conds, outcomes):
                 expected = sequential_problem(n, m, seed, cond)
@@ -187,6 +214,22 @@ class TestStackedGeneration:
                 raised += isinstance(outcome, GainlabError)
         assert raised == 1
 
+    def test_mixed_shapes_in_one_call_match_make_problem(self):
+        # rows of every shape up to 5x5, interleaved, in one call; at 4x3 a
+        # 1e40 prior fails alone
+        rows = [((n, m), mix_seed(4, 25 * k + 5 * n + m),
+                 STACK_CONDS[(n + m + k) % 5])
+                for k in range(2) for n, m in itertools.product(range(1, 6),
+                                                                 repeat=2)]
+        rows.insert(7, ((4, 3), 15, 1e40))
+        shapes, seeds, conds = map(list, zip(*rows))
+        outcomes = _make_problems(shapes, seeds, conds)
+        assert len(outcomes) == len(rows)
+        for ((n, m), seed, cond), outcome in zip(rows, outcomes):
+            assert _outcome(outcome) == sequential_problem(n, m, seed, cond)
+        assert [row for row, outcome in enumerate(outcomes)
+                if isinstance(outcome, GainlabError)] == [7]
+
     @pytest.mark.parametrize("n, m, cond", [(0, 3, 10.0), (3, 0, 10.0),
                                             (3, 3, 0.5),
                                             (4, 3, float("nan"))])
@@ -196,7 +239,7 @@ class TestStackedGeneration:
         # targets are constants
         expected = sequential_problem(n, m, 11, cond)
         with pytest.raises(InvalidParameter) as stacked:
-            _make_problems(n, m, [12, 11], [10.0, cond])
+            _make_problems([(n, m)] * 2, [12, 11], [10.0, cond])
         assert (type(stacked.value), str(stacked.value)) == expected
         with pytest.raises(InvalidParameter) as alone:
             make_problem(n, m, 11, cond)
@@ -330,8 +373,8 @@ class TestRunExperiment:
         # line search fails inside the shared batch
         clean = run_experiment(SMALL)
         build = experiment._make_problems
-        def poisoned(state_dim, obs_dim, seeds, conds):
-            problems = build(state_dim, obs_dim, seeds, conds)
+        def poisoned(shapes, seeds, conds):
+            problems = build(shapes, seeds, conds)
             for i, seed in enumerate(seeds):
                 if seed == mix_seed(SMALL.master_seed, 2):
                     problem = problems[i]
@@ -448,11 +491,11 @@ class TestChunks:
     def test_oracle_blocks_sized_by_budget(self, monkeypatch):
         # 256 rows at 6x6, as many as the budget holds at 35x35
         blocks = []
-        evaluate = objectives._Batch.evaluate
-        def recorded(batch, gains, rows):
+        evaluate = objectives._evaluate
+        def recorded(stacks, gains, rows, identity):
             blocks.append(len(gains))
-            return evaluate(batch, gains, rows)
-        monkeypatch.setattr(objectives._Batch, "evaluate", recorded)
+            return evaluate(stacks, gains, rows, identity)
+        monkeypatch.setattr(objectives, "_evaluate", recorded)
         trace = objectives.ObjectiveKind.TOTAL_VARIANCE
         for dim in (6, 35):
             blocks.clear()
@@ -537,6 +580,22 @@ class TestReportRendering:
         assert len(row) == len(CSV_HEADER.split(","))
         assert row[0] == "0"
         assert row[-1] in ("true", "false")
+
+    def test_json_equals_asdict_rendering(self, result):
+        # the payload reads each record's fields in place; its bytes are
+        # those of the dataclasses.asdict rendering, None fields included
+        failed = experiment.TrialRecord(trial_index=SMALL.trials,
+                                        seed_used=2**64 - 1, failed=True,
+                                        error="NotPositiveDefinite: synthetic")
+        trials = result.trials + [failed]
+        mixed = ExperimentResult(config=SMALL, trials=trials,
+                                 summary=experiment._summarize(trials))
+        expected = json.dumps({"config": asdict(mixed.config),
+                               "trials": [asdict(r) for r in trials],
+                               "summary": asdict(mixed.summary)},
+                              indent=2, allow_nan=False) + "\n"
+        assert render_report(mixed) == expected
+        assert json.loads(expected)["trials"][-1]["iterations"] is None
 
     def test_empty_records_rejected(self):
         empty = ExperimentResult(config=SMALL, trials=[],

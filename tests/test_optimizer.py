@@ -197,6 +197,19 @@ class TestKernel:
                                               getattr(problem, name))
             assert values[row] == evaluate_objective(problem, gains[row], kind)
 
+    def test_repeated_stack_equals_stack_of_repeated_problems(self):
+        # each problem stacked once and repeated per kind is the batch of
+        # every problem listed once per kind
+        problems = [make_problem(3, 2, 70 + i, 10.0) for i in range(4)]
+        kinds = list(ObjectiveKind) * len(problems)
+        repeated = _Batch.stack(problems, kinds, len(ObjectiveKind))
+        listed = _Batch.stack([problem for problem in problems
+                               for _ in ObjectiveKind], kinds)
+        for name in ("prior", "obs_op", "obs_noise", "cross", "innovation",
+                     "entropy", "factored"):
+            assert getattr(repeated, name).tobytes() == (
+                getattr(listed, name).tobytes())
+
     def test_take_by_indices_equals_take_by_mask(self):
         problems = [make_problem(3, 2, 90 + i, 10.0) for i in range(6)]
         batch = _Batch.stack(problems, [LOGDET, TRACE, ENTROPY, TRACE, LOGDET,
@@ -321,15 +334,17 @@ class TestMinimizeBatch:
                                         alone.reports[kind])
                 _assert_public_evidence(batched, problem)
         # a chunk of trials stacks its rows once, for the runs and for the
-        # evidence at the analytic gains
+        # evidence at the analytic gains: each problem once, repeated for
+        # the three kinds
         stack = _Batch.stack
         calls = []
-        def counted(problems, kinds):
-            calls.append(len(problems))
-            return stack(problems, kinds)
+        def counted(problems, kinds, repeats=1):
+            batch = stack(problems, kinds, repeats)
+            calls.append((len(problems), repeats, len(batch.prior)))
+            return batch
         monkeypatch.setattr(_Batch, "stack", staticmethod(counted))
         experiment._run_chunk(ExperimentConfig(trials=5), range(5))
-        assert calls == [15]
+        assert calls == [(5, 3, 15)]
 
     def test_failing_row_leaves_others_unchanged(self):
         # a 1e300 prior makes the trace gradient norm overflow, so no step
