@@ -126,14 +126,14 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     each = slice(None, None, len(kinds))
     gains, singular = _analytic_gains(batch.cross[each], batch.innovation[each])
     stacked = np.repeat(gains + 0.1 * np.asarray(noises), len(kinds), axis=0)
-    _, posteriors, errors = batch.values(stacked)
-    analytic, unsolved = batch.gradients(stacked, posteriors)
+    with np.errstate(invalid="ignore"):
+        _, analytic, errors = batch.evaluate(stacked)
     numeric, numeric_errors = objectives._finite_differences(batch.take(each),
                                                              stacked[each])
     # Row r is problem r // len(kinds) under its kind, in the loop's order.
     # A problem's K* fails first; then, at one row, the analytic gradient's
     # errors come before the oracle's.
-    raised = {**numeric_errors, **unsolved, **errors}
+    raised = {**numeric_errors, **errors}
     failures = dict(singular)
     for row in sorted(raised):
         failures.setdefault(row // len(kinds), raised[row])

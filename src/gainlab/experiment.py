@@ -227,12 +227,14 @@ def _run_chunk(config: ExperimentConfig,
                indices: Sequence[int]) -> list[TrialRecord]:
     """Run the trials ``indices``, with all their minimizations in one batch.
 
-    The problems are built as stacks and go to one
+    The trial seeds are mixed as one stack (see :func:`_mix_seeds`), the
+    problems are built as stacks and go to one
     :func:`~gainlab.optimizer.equivalence_batch`, whose reports hold every
     record's evidence. A trial that raises becomes a failed record and
     leaves the other trials' records unchanged.
     """
-    seeds = {index: mix_seed(config.master_seed, index) for index in indices}
+    seeds = dict(zip(indices, _mix_seeds(config.master_seed & _MASK64,
+                                         indices).tolist()))
     outcomes = dict(zip(seeds, _make_problems(
         [(config.state_dim, config.obs_dim)] * len(seeds),
         list(seeds.values()), [config.cond_target] * len(seeds))))

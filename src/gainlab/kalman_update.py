@@ -138,13 +138,14 @@ def _analytic_gains(cross: np.ndarray, innovation: np.ndarray,
     The innovation covariance ``S``, checked when the problem was built, is
     never inverted explicitly: each gain is the solve of
     ``S @ X = (P @ H.T).T``, transposed, which is more accurate than forming
-    the inverse. Returns (gains, failures) by
-    :func:`~gainlab.matrix_core._by_rows`: a row whose ``S`` passed its
+    the inverse. Returns (gains, failures) by one
+    :func:`~gainlab.matrix_core._solves`: a row whose ``S`` passed its
     Cholesky check but is singular to the solve, as one can be near
     condition 1e17, fails alone with NotPositiveDefinite and a NaN gain.
     """
-    gains, failures = matrix_core._by_rows(matrix_core._solve, innovation,
-                                           cross.swapaxes(-1, -2))
+    with np.errstate(invalid="ignore"):
+        gains, failures = matrix_core._solves(innovation,
+                                              cross.swapaxes(-1, -2))
     return gains.swapaxes(-1, -2), failures
 
 

@@ -2,12 +2,16 @@
 
 Determinant, log-determinant and positive-definiteness checks all route
 through a single Cholesky factorization, the one source of truth for what
-counts as a valid covariance matrix.
+counts as a valid covariance matrix. Every Cholesky factorization and
+linear solve of the package goes through one of two row kernels here,
+``_cholesky_factors`` and ``_solves``: one LAPACK call per stack, each row
+failing alone.
 """
 
 import numbers
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 
@@ -82,58 +86,73 @@ def _cholesky_factor(a: np.ndarray) -> np.ndarray:
 
     The trusted core of :func:`cholesky`: no input checks, the same
     breakdown handling and the same pivot floor. ``a`` may be a stack, which
-    fails as a whole when any one of its matrices does.
+    fails as a whole, with the error of its first failing matrix.
     """
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    lowest = factor.diagonal(0, -2, -1).min(initial=np.inf)
-    if lowest <= PD_TOL:
-        raise NotPositiveDefinite(
-            f"Cholesky pivot {float(lowest):.3e} at or below floor {PD_TOL:g}")
-    return factor
+    with np.errstate(invalid="ignore"):
+        factors, failures = _cholesky_factors(a.reshape(-1, *a.shape[-2:]))
+    if failures:
+        raise failures[min(failures)]
+    return factors.reshape(a.shape)
+
+
+# The two row kernels call numpy's own LAPACK gufuncs, those that its linalg
+# Cholesky and solve call, without their wrappers: one call per stack, in
+# which LAPACK fills a failed row with NaN. A failure raises numpy's
+# ``invalid`` flag, which callers hide with np.errstate(invalid="ignore"),
+# once per batch.
+_BREAKDOWN = "matrix is not positive definite: Matrix is not positive definite"
+_SINGULAR = "matrix is not positive definite: Singular matrix"
 
 
 def _cholesky_factors(a: np.ndarray,
                       ) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
-    """:func:`_cholesky_factor` of each matrix in a stack, by :func:`_by_rows`."""
-    return _by_rows(_cholesky_factor, a)
+    """:func:`_cholesky_factor` of each matrix of a (B, n, n) stack.
 
-
-def _by_rows(core, *stacks) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
-    """``core`` of whole stacks: (results, failures), each row's as on its own.
-
-    ``core`` takes a matrix of each stack, or the whole stacks, which fail
-    with NotPositiveDefinite when any one row does; only then are the rows
-    taken one at a time. The failures map each row that raises to its
-    error, and that row's result is NaN.
+    Returns the factors, each that of numpy's linalg Cholesky bit for bit,
+    and the failures: a map from each row that breaks down (its factor is
+    NaN) or whose smallest pivot is at or below ``PD_TOL`` to its error. A
+    failed row's factor is meaningless.
     """
-    try:
-        return core(*stacks), {}
-    except NotPositiveDefinite:
-        results = np.full_like(stacks[-1], np.nan)
+    factors = _umath_linalg.cholesky_lo(a, signature="d->d")
+    pivots = factors.diagonal(0, -2, -1)
     failures = {}
-    for row, matrices in enumerate(zip(*stacks)):
-        try:
-            results[row] = core(*matrices)
-        except NotPositiveDefinite as exc:
-            failures[row] = exc
-    return results, failures
+    # A NaN pivot fails the comparison, so one minimum finds any failure.
+    if not pivots.min(initial=np.inf) > PD_TOL:
+        lowest = pivots.min(axis=-1)
+        for row in (~(lowest > PD_TOL)).nonzero()[0]:
+            pivot = float(lowest[row])
+            failures[int(row)] = NotPositiveDefinite(
+                f"Cholesky pivot {pivot:.3e} at or below floor {PD_TOL:g}"
+                if pivot <= PD_TOL else _BREAKDOWN)
+    return factors, failures
+
+
+def _solves(a: np.ndarray, b: np.ndarray,
+            ) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
+    """The solve of ``a @ x = b`` by row, for (B, n, n) and (B, n, k) stacks.
+
+    Returns the solutions, each row's bit for bit that of numpy's linalg
+    solve of that row alone, and the failures. Near condition 1e17, an
+    ``a`` can pass its Cholesky check and still be singular to the LU
+    solve: that row's solution is NaN, and it fails alone with
+    NotPositiveDefinite.
+    """
+    solutions = _umath_linalg.solve(a, b, signature="dd->d")
+    return solutions, {
+        int(row): NotPositiveDefinite(_SINGULAR)
+        for row in np.isnan(solutions[:, 0, 0]).nonzero()[0]}
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for an ``a`` that passed its Cholesky check.
+    """The solve of ``a @ x = b`` for an ``a`` that passed its Cholesky check.
 
-    Both may be stacks, and a stacked solve equals the per-row solves bit
-    for bit. Near condition 1e17, ``a`` can pass the check and still be
-    singular to the LU solve; that raises NotPositiveDefinite, for the whole
-    of a stack (see :func:`_by_rows`).
+    A batch of one of :func:`_solves`, which raises its failure.
     """
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+    with np.errstate(invalid="ignore"):
+        solutions, failures = _solves(a[None], b[None])
+    if failures:
+        raise failures[0]
+    return solutions[0]
 
 
 def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:

@@ -13,11 +13,12 @@ the log-determinant, together with a central finite-difference gradient
 that serves as an independent numerical oracle.
 
 The objectives also have one stacked form, the private ``_Batch``: stacked
-problems with one objective per row, whose values cost one Joseph update and
-one Cholesky factorization for the whole stack, and whose values, errors
-and gradients are those of the public functions, bit for bit. The optimizer
-evaluates its iterates through it. The oracle, ``_finite_differences``,
-shares its one evaluation, ``_evaluate``, on stacks with one row and gain
+problems with one objective per row, whose one evaluation gives the values,
+gradients and errors of every row at its gain, those of the public
+functions bit for bit, from one Joseph update, one Cholesky factorization
+and one solve for the whole stack. The optimizer evaluates its iterates
+through it. The oracle, ``_finite_differences``, shares its one
+evaluation, ``_evaluate``, on stacks with one row and gain
 per problem: the perturbed copies of every row's gain are consecutive
 stacks of their own rows' matrices, whatever row they come from. One
 posterior per perturbed gain serves all three kinds: its trace, the log-det
@@ -216,8 +217,8 @@ class _Batch:
     :meth:`take` slices them. Gains have the batch's shape by construction,
     and the symmetrized posterior is exactly symmetric, so neither is
     checked again; the checks a gain can fail are kept (see :func:`_evaluate`).
-    Values and gradients take every row: a failed row's posterior is the
-    identity, so no row is left out of a stack. A factorizing row's value
+    An evaluation takes every row, as LAPACK fails a row alone (see
+    :func:`~gainlab.matrix_core._solves`). A factorizing row's value
     is ``offset + scale * logdet`` and its gradient ``scale`` times the
     solve, from per-row arrays set once per batch: 0 and 1 for the log-det,
     which change no bit, and the entropy's constant and 0.5, the operations
@@ -271,55 +272,41 @@ class _Batch:
                       self.cross[rows], self.innovation[rows],
                       self.entropy[rows], self.factored[rows])
 
-    def values(self, gains: np.ndarray):
-        """Objective of every row at its gain: (values, posteriors, errors).
+    def evaluate(self, gains: np.ndarray):
+        """Every row at its gain: (values, gradients, errors).
 
-        ``gains`` is a (B, n, m) stack with one gain per row. ``errors`` maps
-        a row to what the public evaluator raises at that gain: those of
-        :func:`_evaluate`, where a total-variance row never factorizes and so
-        fails only on a non-finite gain. A failed row's value is
-        meaningless, and its posterior is the identity, so that
-        :meth:`gradients` can take the whole stack. A row without an error
-        has the public evaluator's value, bit for bit.
+        ``gains`` is a (B, n, m) stack with one gain per row. Each row takes
+        the steps of its public evaluator and of :func:`objective_gradient`,
+        without the checks. ``errors`` maps a row to the first error they
+        raise at that gain: those of :func:`_evaluate`, where a
+        total-variance row never factorizes and so fails only on a
+        non-finite gain, then the NotPositiveDefinite of a posterior
+        singular to the gradient's solve. A failed row's value and gradient
+        are meaningless; every other row's are the public functions', bit
+        for bit. Callers hold ``np.errstate(invalid="ignore")``, as a failed
+        row raises that flag.
         """
-        owners = self._factor_ids
+        rows, owners = self._factor_rows, self._factor_ids
         posteriors, logdets, errors, failures = _evaluate(
-            self, gains, self._factor_rows, self.identity)
-        for row, exc in failures.items():
-            errors.setdefault(int(owners[row]), exc)
+            self, gains, rows, self.identity)
+        grads = 2.0 * _bracket(gains, self.cross, self.innovation)
+        solved, singular = matrix_core._solves(posteriors[rows], grads[rows])
+        grads[rows] = self._scale[:, None, None] * solved
+        for failed in (failures, singular):
+            for row, exc in failed.items():
+                errors.setdefault(int(owners[row]), exc)
         values = self._offset + self._scale * logdets
         if len(owners) < len(gains):
             # The other rows minimize the trace and never factorize.
             factored, values = values, matrix_core._trace(posteriors)
             values[owners] = factored
-        if errors:
-            posteriors[list(errors)] = self.identity
-        return values, posteriors, errors
-
-    def gradients(self, gains: np.ndarray, posteriors: np.ndarray,
-                  ) -> tuple[np.ndarray, dict]:
-        """Gradient of every row at its gain, from finite gains.
-
-        Each row takes the steps of :func:`objective_gradient` for its kind,
-        without the checks, and returns the gradients and the failures: a map
-        from each row whose posterior is singular to the solve to the
-        NotPositiveDefinite of :func:`objective_gradient`. Any other row whose
-        posterior :meth:`values` returned at the same gain without an error
-        gets the public gradient, bit for bit; the rest are meaningless.
-        """
-        rows = self._factor_rows
-        grads = 2.0 * _bracket(gains, self.cross, self.innovation)
-        solved, failures = matrix_core._by_rows(matrix_core._solve,
-                                                posteriors[rows], grads[rows])
-        grads[rows] = self._scale[:, None, None] * solved
-        return grads, {int(self._factor_ids[row]): exc
-                       for row, exc in failures.items()}
+        return values, grads, errors
 
 
 def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
     """The posterior of every row at its gain, and the log-dets of ``rows``.
 
-    The one evaluation of :meth:`_Batch.values` and of the oracle
+    The one evaluation of :meth:`_Batch.evaluate` and of the oracle
     :func:`_finite_differences`. It reads the ``prior``, ``obs_op`` and
     ``obs_noise`` of ``stacks``, one row per gain, and no row's kind;
     ``identity`` is the (n, n) identity. ``rows``, a slice or an array of
@@ -408,7 +395,7 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     three matrices, and reads no other field. The trace is that
     of each posterior, the log-det that of its factor, and the entropy
     ``_entropy(n, 0.0) + 0.5 * logdet``, the operations of
-    :meth:`_Batch.values`.
+    :meth:`_Batch.evaluate`.
     """
     count, n, m = gains.shape
     per_row = 2 * n * m
@@ -421,27 +408,29 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     invalid, failed = {}, {}
     size = min(_FD_BLOCK_ROWS, max(1, _CHUNK_BYTES // _row_bytes(n, m)))
     identity = np.eye(n)
-    for start in range(0, total, size):
-        # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
-        rows, perturbation = np.divmod(
-            np.arange(start, min(start + size, total)), per_row)
-        entries = perturbation // 2
-        moves = steps[rows, entries]
-        bumped = flat[rows]
-        bumped[np.arange(len(rows)), entries] += np.where(perturbation % 2,
-                                                          -moves, moves)
-        done = slice(start, start + len(rows))
-        block = SimpleNamespace(prior=batch.prior[rows],
-                                obs_op=batch.obs_op[rows],
-                                obs_noise=batch.obs_noise[rows])
-        posteriors, logdets[done], gain_errors, failures = _evaluate(
-            block, bumped.reshape(-1, n, m), slice(None), identity)
-        traces[done] = matrix_core._trace(posteriors)
-        for row in sorted(gain_errors):
-            invalid.setdefault(int(rows[row]), gain_errors[row])
-        failures.update(gain_errors)
-        for row in sorted(failures):
-            failed.setdefault(int(rows[row]), failures[row])
+    # A failed factorization raises numpy's invalid flag (see matrix_core).
+    with np.errstate(invalid="ignore"):
+        for start in range(0, total, size):
+            # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
+            rows, perturbation = np.divmod(
+                np.arange(start, min(start + size, total)), per_row)
+            entries = perturbation // 2
+            moves = steps[rows, entries]
+            bumped = flat[rows]
+            bumped[np.arange(len(rows)), entries] += np.where(
+                perturbation % 2, -moves, moves)
+            done = slice(start, start + len(rows))
+            block = SimpleNamespace(prior=batch.prior[rows],
+                                    obs_op=batch.obs_op[rows],
+                                    obs_noise=batch.obs_noise[rows])
+            posteriors, logdets[done], gain_errors, failures = _evaluate(
+                block, bumped.reshape(-1, n, m), slice(None), identity)
+            traces[done] = matrix_core._trace(posteriors)
+            for row in sorted(gain_errors):
+                invalid.setdefault(int(rows[row]), gain_errors[row])
+            failures.update(gain_errors)
+            for row in sorted(failures):
+                failed.setdefault(int(rows[row]), failures[row])
     grads = np.empty((count, 3, n * m))
     errors = {}
     # The kinds in ObjectiveKind order: trace, log-det, entropy.

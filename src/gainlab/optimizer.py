@@ -136,8 +136,8 @@ def minimize_batch(problems: Sequence[FilterProblem],
     All problems must share one (state_dim, obs_dim) shape, and every
     minimization starts from the zero gain. The minimizations run in
     lockstep, each by the rule of :func:`minimize_objective`: in every
-    round, all unfinished rows evaluate one trial step and then their
-    gradients together, and each row's state moves under the mask of rows
+    round, all unfinished rows evaluate their value and gradient at one
+    trial step together, and each row's state moves under the mask of rows
     that accepted. A row leaves the batch when it converges, reaches
     ``max_iters`` or fails.
 
@@ -162,98 +162,95 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
     """The rounds of :func:`minimize_batch` from the stacked start ``gains``.
 
     Row ``i`` writes its OptimizationReport or error to ``outcomes[i]``. A
-    round is one pass of whole-stack calls, and each row's arithmetic that
-    of :func:`minimize_objective`'s rule, operation for operation.
+    round is one pass of whole-stack calls, with one evaluation of every
+    row at its trial gain, and each row's arithmetic that of
+    :func:`minimize_objective`'s rule, operation for operation. The rounds
+    hold one ``np.errstate(invalid="ignore")``, which a failed row's LAPACK
+    call and a non-finite trial's gradient need (see :meth:`_Batch.evaluate`).
     """
-    values, posteriors, errors = batch.values(gains)
-    for row, exc in errors.items():
-        outcomes[row] = exc
-    ids = np.setdiff1d(np.arange(len(gains)), list(errors))
-    batch, gains, posteriors = batch.take(ids), gains[ids], posteriors[ids]
-    grads, singular = batch.gradients(gains, posteriors)
-    gnorms = np.sqrt(_row_dots(grads, grads))
-    steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
-    iterations = np.zeros(len(ids), dtype=np.intp)
-    # The working rows' state, one array per quantity, which finished rows
-    # leave with one take. ``window`` keeps a row's last _DESCENT_WINDOW
-    # accepted values, -inf if unfilled, the current one in slot
-    # iterations % _DESCENT_WINDOW.
-    window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
-    window[:, 0] = values[ids]
-    ended = list(singular)
-    for row, exc in singular.items():
-        outcomes[ids[row]] = exc
-
-    while True:
-        # A row ends when it stops, when backtracking has exhausted its
-        # step, or with an error, which is its outcome already (``ended``).
-        stopped = (gnorms <= config.grad_tol) | (iterations >= config.max_iters)
-        done = stopped | ~(steps >= _MIN_STEP)
-        if ended:
-            done[ended] = True
-        if np.count_nonzero(done):
-            for row in np.flatnonzero(done):
-                if outcomes[ids[row]] is not None:
-                    continue
-                outcomes[ids[row]] = OptimizationReport(
-                    final_gain=gains[row].copy(),
-                    final_objective=float(
-                        window[row, iterations[row] % _DESCENT_WINDOW]),
-                    iterations=int(iterations[row]),
-                    converged=bool(gnorms[row] <= config.grad_tol),
-                ) if stopped[row] else LineSearchFailed(
-                    f"no acceptable step above {_MIN_STEP:g} at iteration "
-                    f"{iterations[row]} (gradient norm {gnorms[row]:.3e})")
-            keep = ~done
-            batch = batch.take(keep)
-            ids, gains, grads, gnorms, steps, iterations, window = (
-                state[keep] for state in (ids, gains, grads, gnorms, steps,
-                                          iterations, window))
-        if not len(ids):
-            return
-
-        trials = gains - steps[:, None, None] * grads
-        trial_values, posteriors, errors = batch.values(trials)
-        reference = window.max(axis=1)
-        accepted = trial_values <= (
-            reference - _ARMIJO_C * steps * gnorms * gnorms
-            + 8.0 * _EPS * (1.0 + np.abs(reference)))
-        ended = []
+    with np.errstate(invalid="ignore"):
+        values, grads, errors = batch.evaluate(gains)
         for row, exc in errors.items():
-            # A step into a posterior that is not SPD is rejected like an
-            # Armijo failure; an invalid iterate ends the minimization.
-            accepted[row] = False
-            if isinstance(exc, InvalidParameter):
-                outcomes[ids[row]] = exc
-                ended.append(row)
-
-        # Every row computes a gradient, a rejected one at its current gain
-        # so that no failed trial enters the stack; it keeps its gain and
-        # gradient. A posterior singular to the solve rejects its step, as a
-        # failed Cholesky check does. ``moved`` is a view of ``accepted``.
-        moved = accepted[:, None, None]
-        new_gains = np.where(moved, trials, gains)
-        new_grads, singular = batch.gradients(new_gains, posteriors)
-        for row in singular:
-            if accepted[row]:
-                accepted[row] = False
-                new_gains[row] = gains[row]
-        new_grads = np.where(moved, new_grads, grads)
-        # An accepted row's next trial step is the Barzilai-Borwein estimate
-        # <s, y> / <y, y> where both are positive, else the step just
-        # accepted. A rejected row's s is zero, so the division in place
-        # leaves its step, which it halves.
-        changes = new_grads - grads
-        sy = _row_dots(new_gains - gains, changes)
-        yy = _row_dots(changes, changes)
-        np.divide(sy, yy, out=steps, where=np.minimum(sy, yy) > 0.0)
-        steps = np.where(accepted, _clip_step(steps), steps * _BACKTRACK_FACTOR)
-
-        gains, grads = new_gains, new_grads
+            outcomes[row] = exc
+        ids = np.setdiff1d(np.arange(len(gains)), list(errors))
+        batch, gains, grads = batch.take(ids), gains[ids], grads[ids]
         gnorms = np.sqrt(_row_dots(grads, grads))
-        iterations += accepted
-        window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
-            trial_values[accepted])
+        steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
+        iterations = np.zeros(len(ids), dtype=np.intp)
+        # The working rows' state, one array per quantity, which finished
+        # rows leave with one take. ``window`` keeps a row's last
+        # _DESCENT_WINDOW accepted values, -inf if unfilled, the current one
+        # in slot iterations % _DESCENT_WINDOW.
+        window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
+        window[:, 0] = values[ids]
+        ended = []
+
+        while True:
+            # A row ends when it stops, when backtracking has exhausted its
+            # step, or with an error, which is its outcome already (``ended``).
+            stopped = ((gnorms <= config.grad_tol)
+                       | (iterations >= config.max_iters))
+            done = stopped | ~(steps >= _MIN_STEP)
+            if ended:
+                done[ended] = True
+            if np.count_nonzero(done):
+                for row in np.flatnonzero(done):
+                    if outcomes[ids[row]] is not None:
+                        continue
+                    outcomes[ids[row]] = OptimizationReport(
+                        final_gain=gains[row].copy(),
+                        final_objective=float(
+                            window[row, iterations[row] % _DESCENT_WINDOW]),
+                        iterations=int(iterations[row]),
+                        converged=bool(gnorms[row] <= config.grad_tol),
+                    ) if stopped[row] else LineSearchFailed(
+                        f"no acceptable step above {_MIN_STEP:g} at iteration "
+                        f"{iterations[row]} (gradient norm {gnorms[row]:.3e})")
+                keep = ~done
+                batch = batch.take(keep)
+                ids, gains, grads, gnorms, steps, iterations, window = (
+                    state[keep] for state in (ids, gains, grads, gnorms, steps,
+                                              iterations, window))
+            if not len(ids):
+                return
+
+            trials = gains - steps[:, None, None] * grads
+            trial_values, trial_grads, errors = batch.evaluate(trials)
+            reference = window.max(axis=1)
+            accepted = trial_values <= (
+                reference - _ARMIJO_C * steps * gnorms * gnorms
+                + 8.0 * _EPS * (1.0 + np.abs(reference)))
+            ended = []
+            for row, exc in errors.items():
+                # A step into a posterior that is not SPD, or singular to
+                # the gradient's solve, is rejected like an Armijo failure;
+                # an invalid iterate ends the minimization.
+                accepted[row] = False
+                if isinstance(exc, InvalidParameter):
+                    outcomes[ids[row]] = exc
+                    ended.append(row)
+
+            # A rejected row keeps its gain and gradient, and its trial's
+            # gradient is thrown away.
+            moved = accepted[:, None, None]
+            new_gains = np.where(moved, trials, gains)
+            new_grads = np.where(moved, trial_grads, grads)
+            # An accepted row's next trial step is the Barzilai-Borwein
+            # estimate <s, y> / <y, y> where both are positive, else the
+            # step just accepted. A rejected row's s is zero, so the
+            # division in place leaves its step, which it halves.
+            changes = new_grads - grads
+            sy = _row_dots(new_gains - gains, changes)
+            yy = _row_dots(changes, changes)
+            np.divide(sy, yy, out=steps, where=np.minimum(sy, yy) > 0.0)
+            steps = np.where(accepted, _clip_step(steps),
+                             steps * _BACKTRACK_FACTOR)
+
+            gains, grads = new_gains, new_grads
+            gnorms = np.sqrt(_row_dots(grads, grads))
+            iterations += accepted
+            window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
+                trial_values[accepted])
 
 
 def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
@@ -293,11 +290,12 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
 
     This is a batch of one for :func:`minimize_batch`, which evaluates the
     validating public functions' formulas on stacked iterates: a round costs
-    one Joseph update, one Cholesky factorization with the same pivot floor
-    for the log-det and entropy rows, and one stacked gradient. Values,
-    gradients and iterates are bit for bit those of this rule written as a
-    loop over :func:`~gainlab.objectives.evaluate_objective` and
-    :func:`~gainlab.objectives.objective_gradient`.
+    one evaluation at the trial gains, of one Joseph update, one Cholesky
+    factorization with the same pivot floor and one solve for the log-det
+    and entropy rows, and one stacked gradient, which a rejected row throws
+    away. Values, gradients and iterates are bit for bit those of this rule
+    written as a loop over :func:`~gainlab.objectives.evaluate_objective`
+    and :func:`~gainlab.objectives.objective_gradient`.
 
     Raises
     ------
@@ -369,8 +367,9 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     analytic[list(singular)] = 0.0
     # Each analytic gain is a transposed solve, and every row at it keeps
     # that layout, and so the products of the public functions.
-    values, _, errors = batch.values(np.repeat(
-        analytic.swapaxes(-1, -2), len(kinds), axis=0).swapaxes(-1, -2))
+    with np.errstate(invalid="ignore"):
+        values, _, errors = batch.evaluate(np.repeat(
+            analytic.swapaxes(-1, -2), len(kinds), axis=0).swapaxes(-1, -2))
     values = values.reshape(len(problems), len(kinds)).tolist()
     residuals = _frobenius_norms(_bracket(analytic, cross, innovation)).tolist()
     # After its runs, a problem fails on a singular S, or else on its first

@@ -85,10 +85,15 @@ class TestRun:
 
     def test_singular_innovation_is_a_failed_trial(self, capsys, monkeypatch):
         # trial 2 of master seed 1 gets the problem whose S is singular to
-        # the solve; one iteration, so that its minimizations succeed
-        mix = experiment.mix_seed
-        monkeypatch.setattr(experiment, "mix_seed", lambda seed, index: (
-            SINGULAR_SEED if (seed, index) == (1, 2) else mix(seed, index)))
+        # the solve; one iteration, so that its minimizations succeed. The
+        # trial seeds are mixed as one stack from the master seed alone.
+        mix = experiment._mix_seeds
+        def injected(seeds, indices):
+            mixed = mix(seeds, indices)
+            if np.ndim(seeds) == 0 and seeds == 1:
+                mixed[np.asarray(indices) == 2] = SINGULAR_SEED
+            return mixed
+        monkeypatch.setattr(experiment, "_mix_seeds", injected)
         code, out = _run(["run", "--state-dim", "2", "--obs-dim", "7",
                           "--cond", "1e20", "--trials", "3", "--max-iters",
                           "1"], capsys)

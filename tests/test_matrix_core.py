@@ -1,6 +1,8 @@
 """Tests for the dense SPD utilities."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,92 @@ class TestCholesky:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             matrix_core.cholesky(np.ones((2, 3)))
+
+
+def _kernel_stack(dim):
+    """Good SPD rows around a breakdown row (1), a row whose smallest
+    Cholesky pivot is 1e-15 (3) and a row singular to the LU solve (5)."""
+    good = [matrix_core.random_spd(dim, seed, 100.0) for seed in range(4)]
+    ones = [1.0] * (dim - 1)
+    singular = np.ones((dim, dim)) if dim > 1 else np.zeros((1, 1))
+    return np.array([good[0], np.diag(ones + [-1.0]), good[1],
+                     np.diag(ones + [1e-30]), good[2], singular, good[3]])
+
+
+def _linalg_error(call):
+    """The message gainlab gives the LinAlgError of ``call``, or None."""
+    try:
+        call()
+    except np.linalg.LinAlgError as exc:
+        return f"matrix is not positive definite: {exc}"
+    return None
+
+
+class TestRowKernels:
+    """One LAPACK call per stack: each row is numpy's linalg result for
+    that row alone, bit for bit, and each failing row fails alone."""
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_cholesky_rows_match_numpy_alone(self, dim):
+        stack = _kernel_stack(dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                factors, failures = matrix_core._cholesky_factors(stack)
+        assert sorted(failures) == [1, 3, 5]
+        assert str(failures[1]) == ("matrix is not positive definite: "
+                                    "Matrix is not positive definite")
+        assert str(failures[3]) == ("Cholesky pivot 1.000e-15 at or below "
+                                    "floor 1e-12")
+        for row, a in enumerate(stack):
+            if row in failures:
+                assert isinstance(failures[row], NotPositiveDefinite)
+                expected = _linalg_error(lambda: np.linalg.cholesky(a))
+                if expected is None:
+                    pivot = np.linalg.cholesky(a).diagonal().min()
+                    assert pivot <= matrix_core.PD_TOL
+                    expected = (f"Cholesky pivot {pivot:.3e} at or below "
+                                f"floor {matrix_core.PD_TOL:g}")
+                assert str(failures[row]) == expected
+                with pytest.raises(NotPositiveDefinite,
+                                   match=re.escape(expected)):
+                    matrix_core._cholesky_factor(a)
+            else:
+                assert factors[row].tobytes() == (
+                    np.linalg.cholesky(a).tobytes())
+                assert matrix_core._cholesky_factor(a).tobytes() == (
+                    factors[row].tobytes())
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_solve_rows_match_numpy_alone(self, dim):
+        stack = _kernel_stack(dim)
+        b = np.random.default_rng(dim).standard_normal((len(stack), dim, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                solutions, failures = matrix_core._solves(stack, b)
+        assert list(failures) == [5]
+        message = "matrix is not positive definite: Singular matrix"
+        assert str(failures[5]) == message
+        assert _linalg_error(lambda: np.linalg.solve(stack[5], b[5])) == (
+            message)
+        assert np.isnan(solutions[5]).all()
+        with pytest.raises(NotPositiveDefinite, match=re.escape(message)):
+            matrix_core._solve(stack[5], b[5])
+        for row in (0, 1, 2, 3, 4, 6):
+            assert solutions[row].tobytes() == (
+                np.linalg.solve(stack[row], b[row]).tobytes())
+            assert matrix_core._solve(stack[row], b[row]).tobytes() == (
+                solutions[row].tobytes())
+
+    def test_raising_forms_leak_no_warning(self):
+        # _cholesky_factor and _solve hold their own errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite):
+                matrix_core._cholesky_factor(-np.eye(3))
+            with pytest.raises(NotPositiveDefinite):
+                matrix_core._solve(np.ones((3, 3)), np.eye(3))
 
 
 class TestLogDet:

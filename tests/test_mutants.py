@@ -20,30 +20,34 @@ GATES = {
     "gradcheck": ["gradcheck", "--instances", "100"],
 }
 
-_GRADIENTS = objectives._Batch.gradients
+_EVALUATE = objectives._Batch.evaluate
 _ANALYTIC_GAINS = kalman_update._analytic_gains
 _BRACKET = objectives._bracket
 
 
-def _without_posterior(batch, gains, posteriors):
+def _without_posterior(batch, gains):
     """The log-det gradient as ``2 M``, with ``inv(P_posterior)`` dropped."""
-    identities = np.broadcast_to(batch.identity, posteriors.shape)
-    return _GRADIENTS(batch, gains, identities)
+    values, grads, errors = _EVALUATE(batch, gains)
+    rows = batch.factored
+    scale = np.where(batch.entropy, 0.5, 1.0)[rows, None, None]
+    grads[rows] = scale * (2.0 * _BRACKET(gains, batch.cross,
+                                          batch.innovation))[rows]
+    return values, grads, errors
 
 
-def _entropy_not_halved(batch, gains, posteriors):
-    grads, failures = _GRADIENTS(batch, gains, posteriors)
+def _entropy_not_halved(batch, gains):
+    values, grads, errors = _EVALUATE(batch, gains)
     grads[batch.entropy] *= 2.0
-    return grads, failures
+    return values, grads, errors
 
 
-def _innovation_on_the_right(batch, gains, posteriors):
+def _innovation_on_the_right(batch, gains):
     """The log-det gradient as ``2 M inv(S)`` in place of ``inv(P_posterior) 2 M``."""
-    grads, failures = _without_posterior(batch, gains, posteriors)
+    values, grads, errors = _without_posterior(batch, gains)
     rows = batch.factored
     grads[rows] = np.linalg.solve(batch.innovation[rows],
                                   grads[rows].swapaxes(-1, -2)).swapaxes(-1, -2)
-    return grads, failures
+    return values, grads, errors
 
 
 def _log_det_unscaled(factor):
@@ -70,11 +74,11 @@ def _bracket_against_half_innovation(gain, cross, innovation):
 # name: (the modules or classes that hold it, name patched, replacement)
 MUTANTS = {
     "logdet_gradient_without_posterior":
-        (objectives._Batch, "gradients", _without_posterior),
+        (objectives._Batch, "evaluate", _without_posterior),
     "entropy_gradient_not_halved":
-        (objectives._Batch, "gradients", _entropy_not_halved),
+        (objectives._Batch, "evaluate", _entropy_not_halved),
     "logdet_gradient_innovation_on_the_right":
-        (objectives._Batch, "gradients", _innovation_on_the_right),
+        (objectives._Batch, "evaluate", _innovation_on_the_right),
     "log_det_of_factor_without_factor_2":
         (matrix_core, "_log_det_of_factor", _log_det_unscaled),
     # patched where objectives imports it, so that the stacked values change

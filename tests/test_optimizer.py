@@ -189,7 +189,7 @@ class TestKernel:
                                           False]
         gains = np.stack([seeded_gain(problem, row, master_seed=83)
                           for row, problem in enumerate(problems)])
-        values, _, errors = batch.values(gains)
+        values, _, errors = batch.evaluate(gains)
         assert errors == {}
         for row, (problem, kind) in enumerate(zip(problems, kinds)):
             for name in ("prior", "obs_op", "obs_noise", "cross", "innovation"):
@@ -222,8 +222,8 @@ class TestKernel:
                                           getattr(by_mask, name))
         gains = np.stack([seeded_gain(problems[row], row, master_seed=89)
                           for row in (0, 2, 3)])
-        expected, _, _ = by_mask.values(gains)
-        assert by_index.values(gains)[0].tobytes() == expected.tobytes()
+        expected, _, _ = by_mask.evaluate(gains)
+        assert by_index.evaluate(gains)[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     def test_bit_identical_to_public_functions(self, kind):
@@ -238,14 +238,14 @@ class TestKernel:
                 gains = np.stack([seeded_gain(problem, 10 * trial + row,
                                               master_seed=149)
                                   for row in range(len(kinds))])
-                values, posteriors, errors = batch.values(gains)
+                values, _, errors = batch.evaluate(gains)
                 assert errors == {}
                 for row, row_kind in enumerate(kinds):
                     assert values[row] == evaluate_objective(
                         problem, gains[row], row_kind)
                 for rows in (np.arange(len(kinds)), np.array([1, 2, 4])):
-                    grads, failures = batch.take(rows).gradients(
-                        gains[rows], posteriors[rows])
+                    _, grads, failures = batch.take(rows).evaluate(
+                        gains[rows])
                     assert failures == {}
                     for grad, row in zip(grads, rows):
                         np.testing.assert_array_equal(
@@ -259,7 +259,8 @@ class TestKernel:
         batch = _stacked(problem, kinds)
         gains = np.zeros((len(kinds), problem.state_dim, problem.obs_dim))
         gains[1::2, -1, 0] = bad
-        _, _, errors = batch.values(gains)
+        with np.errstate(invalid="ignore"):
+            _, _, errors = batch.evaluate(gains)
         assert sorted(errors) == list(range(1, len(kinds), 2))
         assert all(isinstance(exc, InvalidParameter) for exc in errors.values())
         for kind in ObjectiveKind:
@@ -274,7 +275,8 @@ class TestKernel:
         gain = np.array([[0.0], [1e9]])
         kinds = [ENTROPY, TRACE, LOGDET]
         batch = _stacked(problem, kinds)
-        _, _, errors = batch.values(np.stack([gain] * len(kinds)))
+        with np.errstate(invalid="ignore"):
+            _, _, errors = batch.evaluate(np.stack([gain] * len(kinds)))
         for row, kind in enumerate(kinds):
             if kind is TRACE:
                 # the total variance never factorizes
@@ -287,7 +289,9 @@ class TestKernel:
 
     def test_gradients_pass_over_a_singular_posterior(self):
         # at the gain (0, 2^30) the posterior rounds to
-        # [[1, -2^30], [-2^30, 2^60]], which is exactly singular
+        # [[1, -2^30], [-2^30, 2^60]], which is exactly singular: the row
+        # fails its Cholesky check, which its singular solve does not
+        # override, and the other rows' gradients are the public ones
         singular = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
                                  obs_noise=[[1e-20]])
         problems = [make_problem(2, 1, 170 + i, 10.0) for i in range(4)]
@@ -299,12 +303,13 @@ class TestKernel:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(joseph_update(singular, gains[2]), np.eye(2))
         batch = _Batch.stack(problems, kinds)
-        _, posteriors, errors = batch.values(gains)
+        with np.errstate(invalid="ignore"):
+            _, grads, errors = batch.evaluate(gains)
         assert list(errors) == [2]
         assert isinstance(errors[2], NotPositiveDefinite)
-        np.testing.assert_array_equal(posteriors[2], np.eye(2))
-        grads, failures = batch.gradients(gains, posteriors)
-        assert failures == {}
+        with pytest.raises(NotPositiveDefinite) as raised:
+            evaluate_objective(singular, gains[2], ENTROPY)
+        assert str(errors[2]) == str(raised.value)
         for row, (problem, kind) in enumerate(zip(problems, kinds)):
             if row != 2:
                 np.testing.assert_array_equal(
@@ -381,12 +386,13 @@ class TestMinimizeBatch:
             if 2 <= calls["values"] <= 7:
                 failures = {**failures, 0: NotPositiveDefinite("poisoned")}
             return factors, failures
-        gradients = _Batch.gradients
-        def counted(batch, gains, posteriors):
+        evaluate = _Batch.evaluate
+        def counted(batch, gains):
+            result = evaluate(batch, gains)
             calls["moved"] += 2 <= calls["values"] <= 7
-            return gradients(batch, gains, posteriors)
+            return result
         monkeypatch.setattr(matrix_core, "_cholesky_factors", poisoned)
-        monkeypatch.setattr(_Batch, "gradients", counted)
+        monkeypatch.setattr(_Batch, "evaluate", counted)
         outcomes = minimize_batch(problems, kinds)
         assert calls["moved"] == 6
         assert outcomes[0].converged
@@ -540,19 +546,31 @@ class TestReferenceLoop:
                     outcome.iterations, outcome.converged) == expected
 
 
-def _run_with_trial(monkeypatch, problems, kinds, edit):
-    """minimize_batch with ``edit(values, posteriors, errors)`` applied to
-    the second round's trial evaluation, in which every row still works."""
-    values_of = _Batch.values
+def _run_with_trial(monkeypatch, problems, kinds, edit=None,
+                    singular=False):
+    """minimize_batch with the second round's trial evaluation, in which
+    every row still works, edited: if ``singular``, the posterior of row 0,
+    which factorizes, is zero to its gradient's solve, and then
+    ``edit(values, errors)`` is applied to the evaluation's results."""
+    evaluate, solves = _Batch.evaluate, matrix_core._solves
     calls = []
+    def zeroed(posteriors, grads):
+        posteriors = posteriors.copy()
+        posteriors[0] = 0.0
+        return solves(posteriors, grads)
     def edited(batch, gains):
-        values, posteriors, errors = values_of(batch, gains)
         calls.append(len(gains))
-        if len(calls) == 3:
-            assert calls == [len(problems)] * 3
-            edit(values, posteriors, errors)
-        return values, posteriors, errors
-    monkeypatch.setattr(_Batch, "values", edited)
+        if len(calls) != 3:
+            return evaluate(batch, gains)
+        assert calls == [len(problems)] * 3
+        if singular:
+            monkeypatch.setattr(matrix_core, "_solves", zeroed)
+        values, grads, errors = evaluate(batch, gains)
+        monkeypatch.setattr(matrix_core, "_solves", solves)
+        if edit:
+            edit(values, errors)
+        return values, grads, errors
+    monkeypatch.setattr(_Batch, "evaluate", edited)
     outcomes = minimize_batch(problems, kinds)
     monkeypatch.undo()
     return outcomes
@@ -588,13 +606,14 @@ class TestSingularPosterior:
     def test_public_gradients_raise_not_positive_definite(self, monkeypatch):
         # at cond 1e20 the second log-det step meets such a posterior
         problem = make_problem(4, 3, mix_seed(2, 0), 1e20)
-        gradients = _Batch.gradients
+        evaluate = _Batch.evaluate
         singular = []
-        def recorded(batch, gains, posteriors):
-            grads, failures = gradients(batch, gains, posteriors)
-            singular.extend(gains[row].copy() for row in failures)
-            return grads, failures
-        monkeypatch.setattr(_Batch, "gradients", recorded)
+        def recorded(batch, gains):
+            values, grads, errors = evaluate(batch, gains)
+            singular.extend(gains[row].copy() for row, exc in errors.items()
+                            if str(exc).endswith("Singular matrix"))
+            return values, grads, errors
+        monkeypatch.setattr(_Batch, "evaluate", recorded)
         with pytest.raises(LineSearchFailed):
             minimize_objective(problem, LOGDET)
         assert len(singular) == 1
@@ -605,16 +624,22 @@ class TestSingularPosterior:
             with pytest.raises(NotPositiveDefinite, match="Singular matrix"):
                 call()
 
-    def test_gradients_fail_the_singular_row_alone(self):
+    def test_gradients_fail_the_singular_row_alone(self, monkeypatch):
         problems = [make_problem(3, 2, 200 + i, 10.0) for i in range(4)]
         kinds = [LOGDET, ENTROPY, TRACE, LOGDET]
         batch = _Batch.stack(problems, kinds)
         gains = np.stack([seeded_gain(p, i) for i, p in enumerate(problems)])
-        _, posteriors, _ = batch.values(gains)
-        expected, failures = batch.gradients(gains, posteriors)
+        _, expected, failures = batch.evaluate(gains)
         assert failures == {}
-        posteriors[1] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        grads, failures = batch.gradients(gains, posteriors)
+        solves = matrix_core._solves
+        def singular(posteriors, grads):
+            # row 1 is the solve's row 1, as only row 2 does not factorize
+            posteriors = posteriors.copy()
+            posteriors[1] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            return solves(posteriors, grads)
+        monkeypatch.setattr(matrix_core, "_solves", singular)
+        with np.errstate(invalid="ignore"):
+            _, grads, failures = batch.evaluate(gains)
         assert list(failures) == [1]
         assert isinstance(failures[1], NotPositiveDefinite)
         for row in (0, 2, 3):
@@ -624,14 +649,10 @@ class TestSingularPosterior:
             self, monkeypatch):
         problems = [make_problem(4, 3, 210 + i, 10.0) for i in range(4)]
         kinds = [LOGDET, TRACE, ENTROPY, LOGDET]
-        plain = _run_with_trial(monkeypatch, problems, kinds,
-                                lambda *_: None)
-        def singular(values, posteriors, errors):
-            posteriors[0] = 0.0
-        def not_spd(values, posteriors, errors):
+        plain = _run_with_trial(monkeypatch, problems, kinds)
+        def not_spd(values, errors):
             errors[0] = NotPositiveDefinite("poisoned")
-            posteriors[0] = np.eye(4)
-        solved = _run_with_trial(monkeypatch, problems, kinds, singular)
+        solved = _run_with_trial(monkeypatch, problems, kinds, singular=True)
         factored = _run_with_trial(monkeypatch, problems, kinds, not_spd)
         assert solved[0].iterations != plain[0].iterations
         for a, b in zip(solved, factored):
@@ -642,15 +663,12 @@ class TestSingularPosterior:
     def test_rejected_rows_discarded_trial_never_fails_it(self, monkeypatch):
         problems = [make_problem(4, 3, 220 + i, 10.0) for i in range(3)]
         kinds = [LOGDET, TRACE, ENTROPY]
-        def rejected(values, posteriors, errors):
+        def rejected(values, errors):
             values[0] = np.inf
-        def rejected_singular(values, posteriors, errors):
-            values[0] = np.inf
-            posteriors[0] = 0.0
         for a, b in zip(
                 _run_with_trial(monkeypatch, problems, kinds, rejected),
-                _run_with_trial(monkeypatch, problems, kinds,
-                                rejected_singular)):
+                _run_with_trial(monkeypatch, problems, kinds, rejected,
+                                singular=True)):
             _assert_same_report(a, b)
 
 
