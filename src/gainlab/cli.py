@@ -23,7 +23,7 @@ from .experiment import (_MASK64, DISTANCE_THRESHOLD, ExperimentConfig,
                          _chunks, _make_problems, _mix_seeds, _row_bytes,
                          emit_report, make_problem, mix_seed, run_experiment)
 from .kalman_update import FilterProblem, _analytic_gains, analytic_gain
-from .matrix_core import _frobenius_norms, frobenius_norm
+from .matrix_core import _frobenius_norms, _generators, frobenius_norm
 from .objectives import ObjectiveKind
 
 _GRADCHECK_TOL = 1e-5
@@ -175,7 +175,7 @@ def _cmd_check(args) -> int:
         print(_matrix_lines(report.final_gain))
         print(f"distance to analytic gain: {distance:.3e}")
 
-    noise = np.random.default_rng(mix_seed(seed, 10)).standard_normal(
+    noise = next(_generators([mix_seed(seed, 10)])).standard_normal(
         reference.shape)
     errors, failures = _gradient_errors([problem], [noise])
     print("\ngradient check at analytic gain + 0.1 noise, vs central differences:")
@@ -201,7 +201,9 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     ``max_dim`` from the seed ``mix_seed(seed, i)``, at a gain 0.1 of a
     Gaussian draw away from its analytic gain. Returns the (len(indices),
     len(ObjectiveKind)) errors. The seeds are mixed as stacks (see
-    :func:`~gainlab.experiment._mix_seeds`), every problem is made by one
+    :func:`~gainlab.experiment._mix_seeds`), every instance's shape and
+    gain draws come from one :func:`~gainlab.matrix_core._generators`
+    call, every problem is made by one
     :func:`~gainlab.experiment._make_problems` call, with one covariance
     draw per dimension and one build per shape, and each shape's problems
     are checked with their draws by one :func:`_gradient_errors` call.
@@ -213,12 +215,11 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     """
     instance_seeds = _mix_seeds(seed & _MASK64, indices)
     shapes, noises = [], []
-    for noise_seed in _mix_seeds(instance_seeds, 10).tolist():
-        rng = np.random.default_rng(noise_seed)
-        n = int(rng.integers(1, max_dim + 1))
-        m = int(rng.integers(1, max_dim + 1))
+    for generator in _generators(_mix_seeds(instance_seeds, 10).tolist()):
+        n = int(generator.integers(1, max_dim + 1))
+        m = int(generator.integers(1, max_dim + 1))
         shapes.append((n, m))
-        noises.append(rng.standard_normal((n, m)))
+        noises.append(generator.standard_normal((n, m)))
     conds = [_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)] for i in indices]
     problems = _make_problems(shapes, instance_seeds, conds)
     groups, failures = defaultdict(list), {}

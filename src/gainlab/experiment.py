@@ -11,13 +11,14 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem, _build_problems
-from .matrix_core import _check_numbers, _random_spds
+from .matrix_core import _check_numbers, _generators, _random_spds
 from .objectives import _CHUNK_BYTES, ObjectiveKind, _row_bytes
 from .optimizer import EquivalenceReport, OptimizerConfig, equivalence_batch
 
@@ -184,15 +185,17 @@ def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
     """:func:`make_problem` of each row: its ``(n, m)`` shape, seed and target.
 
     ``seeds`` holds integers in [0, 2**64), and every row's sub-seeds are
-    mixed as one stack (see :func:`_mix_seeds`). Every covariance of one
-    dimension, prior or noise of any row, is drawn as one stack (see
-    :func:`~gainlab.matrix_core._random_spds`), which raises the
-    InvalidParameter of an out-of-range dimension or target, that of the
-    first row's prior first. Each shape's problems are built, and so validated,
-    as one stack (see :func:`~gainlab.kalman_update._build_problems`).
-    Returns one outcome per row, in order: its problem, bit for bit that of
-    :func:`make_problem`, or the GainlabError that building it alone
-    raises. A row that fails to build never disturbs the others.
+    mixed as one stack (see :func:`_mix_seeds`) and seeded by one
+    :func:`~gainlab.matrix_core._generators` call, in the order they are
+    drawn. Every covariance of one dimension, prior or noise of any row, is
+    drawn as one stack (see :func:`~gainlab.matrix_core._random_spds`),
+    which raises the InvalidParameter of an out-of-range dimension or
+    target, that of the first row's prior first. Each shape's problems are
+    built, and so validated, as one stack (see
+    :func:`~gainlab.kalman_update._build_problems`). Returns one outcome per
+    row, in order: its problem, bit for bit that of :func:`make_problem`, or
+    the GainlabError that building it alone raises. A row that fails to
+    build never disturbs the others.
     """
     sub_seeds = _mix_seeds(seeds, [[0], [1], [2]]).tolist()
     # Each dimension's covariances: (0, row) is a prior, (1, row) a noise.
@@ -201,17 +204,20 @@ def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
         groups[shape].append(row)
         wanted[shape[0]].append((0, row))
         wanted[shape[1]].append((1, row))
+    generators = _generators(
+        [sub_seeds[k][row] for keys in wanted.values() for k, row in keys]
+        + [sub_seeds[2][row] for rows in groups.values() for row in rows])
     covariances = {}
     for dim, keys in wanted.items():
         covariances.update(zip(keys, _random_spds(
-            dim, [sub_seeds[k][row] for k, row in keys],
+            dim, islice(generators, len(keys)),
             [conds[row] for _, row in keys])))
     outcomes: list = [None] * len(shapes)
     for (n, m), rows in groups.items():
         built = _build_problems(
             np.array([covariances[0, row] for row in rows]),
-            np.array([np.random.default_rng(sub_seeds[2][row])
-                      .standard_normal((m, n)) for row in rows]),
+            np.array([generator.standard_normal((m, n))
+                      for generator in islice(generators, len(rows))]),
             np.array([covariances[1, row] for row in rows]))
         for row, outcome in zip(rows, built):
             outcomes[row] = outcome

@@ -8,6 +8,7 @@ are built and checked as stacks (``_build_problems``); a lone
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -89,7 +90,8 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
     whole stacks, or, should a row fail, on each row alone. Returns each
     row's problem, bit for bit the one built alone, or the GainlabError that
     building it alone raises. The stacks, which the caller hands over,
-    become the problems' read-only arrays.
+    become the problems' read-only arrays, and each problem records them
+    and its row, so that :func:`_stacks` hands them on whole.
     """
     try:
         matrix_core._check_covariance(priors, "prior")
@@ -113,8 +115,27 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
     problems = [FilterProblem.__new__(FilterProblem) for _ in priors]
     for row, problem in enumerate(problems):
         vars(problem).update({name: stack[row] for name, stack in fields.items()},
-                             state_dim=priors.shape[-1], obs_dim=noises.shape[-1])
+                             state_dim=priors.shape[-1], obs_dim=noises.shape[-1],
+                             _built=(fields, row))
     return problems
+
+
+def _stacks(problems) -> Optional[dict]:
+    """The stacks of the one build whose rows, in order, are ``problems``.
+
+    Returns the read-only ``prior``, ``obs_op``, ``obs_noise``, ``cross``
+    and ``innovation`` stacks of the :func:`_build_problems` call that made
+    every one of the problems, in the order of its rows and no other, or
+    None when no call did.
+    """
+    stacks = problems[0]._built[0]
+    if len(stacks["prior"]) != len(problems):
+        return None
+    for row, problem in enumerate(problems):
+        built, at = problem._built
+        if built is not stacks or at != row:
+            return None
+    return stacks
 
 
 def analytic_gain(problem: FilterProblem) -> np.ndarray:

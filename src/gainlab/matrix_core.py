@@ -5,7 +5,9 @@ through a single Cholesky factorization, the one source of truth for what
 counts as a valid covariance matrix. Every Cholesky factorization and
 linear solve of the package goes through one of two row kernels here,
 ``_cholesky_factors`` and ``_solves``: one LAPACK call per stack, each row
-failing alone.
+failing alone. Every random stream of the package is seeded here, by
+``_generators``: one hash of a whole stack of seeds gives each seed numpy's
+own default generator state.
 """
 
 import numbers
@@ -254,7 +256,7 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    return _random_spds(dim, [seed], [cond_target])[0]
+    return _random_spds(dim, _generators([seed]), [cond_target])[0]
 
 
 def _check_numbers(reals: dict, **integers) -> None:
@@ -271,11 +273,12 @@ def _check_numbers(reals: dict, **integers) -> None:
             raise InvalidParameter(f"{name} must be a real number, got {value!r}")
 
 
-def _random_spds(dim: int, seeds, conds) -> np.ndarray:
-    """:func:`random_spd` of every seed, as one (len(seeds), dim, dim) stack.
+def _random_spds(dim: int, generators, conds) -> np.ndarray:
+    """:func:`random_spd` of every seed, as one (len(conds), dim, dim) stack.
 
-    ``conds`` holds one condition target per seed, and is checked as one
-    array: the first target out of range raises the InvalidParameter that
+    ``generators`` yields, in order, one generator of :func:`_generators`
+    per target, and ``conds`` holds the targets, checked as one array: the
+    first target out of range raises the InvalidParameter that
     :func:`random_spd` raises for it. Only the Gaussian draws are made one
     seed at a time. The QR decompositions, sign fixes, eigenvalue powers and
     assemblies run on the whole stack, and each equals its per-matrix
@@ -288,8 +291,8 @@ def _random_spds(dim: int, seeds, conds) -> np.ndarray:
     bad = np.flatnonzero(~(np.isfinite(targets) & (targets >= 1.0)))
     if bad.size:
         raise InvalidParameter(f"cond_target must be >= 1, got {conds[bad[0]]}")
-    gauss = np.array([np.random.default_rng(seed).standard_normal((dim, dim))
-                      for seed in seeds])
+    gauss = np.array([generator.standard_normal((dim, dim))
+                      for generator in generators])
     q, r = np.linalg.qr(gauss)
     q = q * np.where(r.diagonal(0, -2, -1) >= 0.0, 1.0, -1.0)[:, None, :]
     # Exponents symmetric around 0 make the eigenvalue geometric mean exactly 1;
@@ -297,3 +300,127 @@ def _random_spds(dim: int, seeds, conds) -> np.ndarray:
     exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
     eigenvalues = targets[:, None, None] ** exponents
     return _symmetrize((q * eigenvalues) @ q.swapaxes(-1, -2))
+
+
+# numpy's default seeding, which is fixed: the hash of SeedSequence
+# (numpy.random.bit_generator), over a pool of four uint32 words, then
+# PCG64's seeding (O'Neill 2014, pcg64_srandom) from four uint64 words of
+# that pool. Every operand of the hash is a uint32 array, so the arithmetic
+# wraps modulo 2**32, under numpy 1's casting as under numpy 2's, and never
+# warns; its scalars are 0-d arrays, which numpy operates on faster than on
+# np.uint32 scalars.
+_POOL_SIZE = 4
+_XSHIFT = np.array(16, dtype=np.uint32)
+_MIX_MULT_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_MULT_R = np.array(0x4973F715, dtype=np.uint32)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """The uint32 constants of ``count`` steps of one hash stream.
+
+    Step ``k`` XORs its word with ``before[k]``, multiplies it by
+    ``after[k]``, the stream's next constant, and XORs it with its top half
+    shifted down (see :func:`_hashmix`). Returns (before, after), which
+    depend on the step alone, never on the seed.
+    """
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return (np.array(constants[:-1], dtype=np.uint32),
+            np.array(constants[1:], dtype=np.uint32))
+
+
+_ENTROPY_STREAM = (0x43B0D7E5, 0x931E8875)
+_ENTROPY_CONSTANTS = _hash_constants(*_ENTROPY_STREAM, _POOL_SIZE * _POOL_SIZE)
+# The entropy stream hashes one word into each pool word. Then the mixing
+# round of each pool word in turn hashes it into the three others, in
+# ascending order, with the stream's next three steps; a round's constants
+# hold zeros in its own word's place, whose mix is discarded.
+_FILL_CONSTANTS = [steps[:_POOL_SIZE] for steps in _ENTROPY_CONSTANTS]
+_ROUND_CONSTANTS = [
+    [np.insert(steps[_POOL_SIZE + 3 * src:_POOL_SIZE + 3 * src + 3], src, 0)
+     for steps in _ENTROPY_CONSTANTS]
+    for src in range(_POOL_SIZE)]
+# generate_state(4, np.uint64) hashes the pool twice over, into 8 words.
+_STATE_CONSTANTS = [
+    steps.reshape(2, _POOL_SIZE)
+    for steps in _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)]
+
+
+def _hashmix(words: np.ndarray, before: np.ndarray,
+             after: np.ndarray) -> np.ndarray:
+    """Hash steps of :func:`_hash_constants`, broadcast over ``words``."""
+    words = (words ^ before) * after
+    return words ^ (words >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    z = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return z ^ (z >> _XSHIFT)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
+
+    ``seeds`` are integers of any size, at least 0. Returns the
+    (len(seeds), 4) little-endian uint64 words, bit for bit, from one hash
+    of a (len(seeds), words) uint32 stack, as SeedSequence hashes each seed:
+    its entropy words, least significant first and padded with zeros to
+    the pool's four; the pool mixing, one whole-stack round per pool word;
+    the words past the fourth of a seed wider than 128 bits; then the
+    pool's state.
+    """
+    seeds = [int(seed) for seed in seeds]
+    width = max(_POOL_SIZE, -(-max(seeds, default=0).bit_length() // 32))
+    # One seed's bytes at a time, as _generators takes one row's Python ints
+    # at a time: all of them at once would raise a gradcheck chunk's peak
+    # memory.
+    buffer = bytearray()
+    for seed in seeds:
+        buffer += seed.to_bytes(4 * width, "little")
+    entropy = np.frombuffer(buffer, dtype="<u4").reshape(
+        len(seeds), width).astype(np.uint32)
+    pool = _hashmix(entropy[:, :_POOL_SIZE], *_FILL_CONSTANTS)
+    for src, constants in enumerate(_ROUND_CONSTANTS):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    if width > _POOL_SIZE:
+        words = np.array([-(-seed.bit_length() // 32) for seed in seeds])
+        before, after = _hash_constants(*_ENTROPY_STREAM, _POOL_SIZE * width)
+        for src in range(_POOL_SIZE, width):
+            steps = slice(_POOL_SIZE * src, _POOL_SIZE * (src + 1))
+            hashed = _hashmix(entropy[:, src, None], before[steps],
+                              after[steps])
+            pool = np.where((words > src)[:, None], _mix(pool, hashed), pool)
+    state = _hashmix(pool[:, None], *_STATE_CONSTANTS).astype("<u4")
+    return state.reshape(len(seeds), 2 * _POOL_SIZE).view("<u8")
+
+
+def _generators(seeds):
+    """Yield, for each seed in order, numpy's default generator of that seed.
+
+    ``seeds`` are integers of any size, at least 0. Each yielded generator
+    is in the state of ``np.random.Generator(np.random.PCG64(seed))``, so its
+    draws are that generator's, bit for bit: PCG64 is seeded from the words
+    of :func:`_seed_words`, all hashed at the first yield, as
+    ``pcg64_srandom`` seeds it, in 128-bit Python ints. Every yield is one
+    generator, whose bit generator's state is set anew at each yield: use
+    each up before the next one is yielded.
+    """
+    words = _seed_words(seeds)
+    bit_generator = np.random.PCG64(0)  # its state is replaced below
+    generator = np.random.Generator(bit_generator)
+    for row in words:
+        high, low, seq_high, seq_low = row.tolist()
+        increment = ((seq_high << 65) | (seq_low << 1) | 1) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((increment + (high << 64 | low))
+                                * _PCG64_MULTIPLIER + increment) & _MASK128,
+                      "inc": increment},
+            "has_uint32": 0, "uinteger": 0}
+        yield generator

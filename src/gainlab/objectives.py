@@ -38,7 +38,7 @@ import numpy as np
 
 from . import matrix_core
 from .exceptions import DimensionMismatch, InvalidParameter
-from .kalman_update import FilterProblem, _joseph_form, joseph_update
+from .kalman_update import FilterProblem, _joseph_form, _stacks, joseph_update
 
 __all__ = [
     "ObjectiveKind",
@@ -248,15 +248,22 @@ class _Batch:
               kinds: Sequence[ObjectiveKind], repeats: int = 1) -> "_Batch":
         """Row ``i`` is ``problems[i // repeats]`` under ``kinds[i]``.
 
-        The problems share one shape. Each field is one ``np.array`` copy
-        of the problems, cheaper than ``np.stack`` on small matrices, and
-        then one ``np.repeat`` of it when ``repeats`` is above 1.
+        The problems share one shape. When they are the rows of one build,
+        in order (see :func:`~gainlab.kalman_update._stacks`), each field
+        is that build's stack, uncopied; otherwise it is one ``np.array``
+        copy of the problems, cheaper than ``np.stack`` on small matrices.
+        Either is then repeated by one ``np.repeat`` when ``repeats`` is
+        above 1.
         """
-        if len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
+        names = ("prior", "obs_op", "obs_noise", "cross", "innovation")
+        stacks = _stacks(problems)
+        if stacks is not None:
+            fields = [stacks[name] for name in names]
+        elif len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
             raise DimensionMismatch("all problems of a batch must share one shape")
-        fields = [np.array([getattr(problem, name) for problem in problems])
-                  for name in ("prior", "obs_op", "obs_noise", "cross",
-                               "innovation")]
+        else:
+            fields = [np.array([getattr(problem, name) for problem in problems])
+                      for name in names]
         if repeats > 1:
             fields = [np.repeat(field, repeats, axis=0) for field in fields]
         return cls(*fields,

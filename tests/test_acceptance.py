@@ -18,7 +18,7 @@ import pytest
 
 from gainlab import matrix_core
 from gainlab.exceptions import GainlabError
-from gainlab.kalman_update import analytic_gain, joseph_update
+from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
 from gainlab.objectives import (ObjectiveKind, differential_entropy,
                                 directional_logdet_differential,
                                 evaluate_objective, finite_difference_gradient,
@@ -243,3 +243,75 @@ def test_criterion_10_cli_reports_are_byte_identical(tmp_path):
     _verdict(10, identical, "reports byte-identical across two invocations "
                             "and worker counts 1, 2, 4")
     assert identical
+
+
+def _uniform_error_entropy(k, sigma_x, sigma_v):
+    """Exact entropy, in nats, of ``e = (1 - k) x - k v`` with H = 1.
+
+    ``x`` and ``v`` are independent zero-mean uniforms of standard
+    deviations ``sigma_x`` and ``sigma_v``. A uniform of standard deviation
+    s has width s sqrt(12), and the sum of two independent uniforms of
+    widths w1 >= w2 has the trapezoidal density whose entropy is
+    ``log w1 + w2 / (2 w1)``.
+    """
+    widths = np.sqrt(12.0) * np.array([np.abs(1.0 - k) * sigma_x,
+                                       np.abs(k) * sigma_v])
+    w1, w2 = widths.max(axis=0), widths.min(axis=0)
+    return np.log(w1) + w2 / (2.0 * w1)
+
+
+def _trapezoid_entropy(w1, w2, points=200_001):
+    """The same entropy by integrating ``-f log f`` over the trapezoidal
+    density of the sum: 1/w1 on the plateau, falling linearly to 0."""
+    t = np.linspace(-(w1 + w2) / 2.0, (w1 + w2) / 2.0, points)
+    density = np.minimum(1.0 / w1, ((w1 + w2) / 2.0 - np.abs(t)) / (w1 * w2))
+    terms = -density * np.log(np.where(density > 0.0, density, 1.0))
+    return float(np.sum((terms[1:] + terms[:-1]) / 2.0) * (t[1] - t[0]))
+
+
+@pytest.mark.parametrize("sigma_x, sigma_v, apart", [(2.0, 1.0, True),
+                                                     (1.5, 1.0, True),
+                                                     (1.0, 1.0, False)])
+def test_criterion_11_entropy_fact_needs_gaussian_errors(sigma_x, sigma_v,
+                                                         apart):
+    """A negative control: the entropy part of the fact is Gaussian.
+
+    With uniform prior and noise errors, the linear posterior error has the
+    covariance of the Gaussian case but another entropy, whose minimizer
+    leaves K* unless the two widths are equal. The covariance measures,
+    trace and log-det, and gainlab's Gaussian entropy stay minimized at K*.
+    """
+    problem = FilterProblem(prior=[[sigma_x ** 2]], obs_op=[[1.0]],
+                            obs_noise=[[sigma_v ** 2]])
+    k_star = float(analytic_gain(problem)[0, 0])
+    ks = np.linspace(-0.5, 1.5, 2001)
+    step = ks[1] - ks[0]
+    uniform = _uniform_error_entropy(ks, sigma_x, sigma_v)
+    k_uniform = float(ks[np.argmin(uniform)])
+    for k in (k_star, 0.3, 0.9):
+        widths = sorted(np.sqrt(12.0) * np.array([abs(1.0 - k) * sigma_x,
+                                                  abs(k) * sigma_v]))
+        assert _trapezoid_entropy(widths[1], widths[0]) == pytest.approx(
+            float(_uniform_error_entropy(k, sigma_x, sigma_v)), abs=1e-8)
+    covariance_minimizers = {}
+    for kind in ObjectiveKind:
+        values = [evaluate_objective(problem, np.array([[k]]), kind)
+                  for k in ks]
+        covariance_minimizers[kind] = float(ks[np.argmin(values)])
+        if kind is ENTROPY:
+            # a Gaussian has the largest entropy of its variance
+            assert (uniform < np.array(values)).all()
+    gap = abs(k_uniform - k_star)
+    ok = (gap >= 0.05 if apart else gap <= 1e-12) and all(
+        abs(k - k_star) <= step / 2 for k in covariance_minimizers.values())
+    _verdict(11, ok, f"sigma_x {sigma_x:g}, sigma_v {sigma_v:g}: uniform "
+                     f"errors' entropy minimized at k = {k_uniform:.4f}, "
+                     f"K* = {k_star:.4f}; trace, log-det and Gaussian "
+                     f"entropy minimized at "
+                     f"{sorted(set(covariance_minimizers.values()))}")
+    if apart:
+        assert gap >= 0.05
+    else:
+        assert gap <= 1e-12
+    for k in covariance_minimizers.values():
+        assert abs(k - k_star) <= step / 2

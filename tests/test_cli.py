@@ -468,9 +468,9 @@ class TestStackedGradcheck:
         gradient_errors = cli._gradient_errors
         analytic_gains = cli._analytic_gains
         inside = []
-        def spied_draws(dim, seeds, conds):
-            draws.append((dim, len(seeds)))
-            return random_spds(dim, seeds, conds)
+        def spied_draws(dim, generators, conds):
+            draws.append((dim, len(conds)))
+            return random_spds(dim, generators, conds)
         def spied_builds(priors, obs_ops, noises):
             builds.append((priors.shape[-1], noises.shape[-1], len(priors)))
             return build_problems(priors, obs_ops, noises)

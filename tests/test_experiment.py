@@ -20,7 +20,7 @@ from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
                                 mix_seed, render_report, run_experiment,
                                 run_trial)
 from gainlab.kalman_update import FilterProblem
-from gainlab.matrix_core import _random_spds, random_spd
+from gainlab.matrix_core import _generators, _random_spds, random_spd
 
 from conftest import starting_from
 
@@ -170,7 +170,7 @@ class TestStackedGeneration:
             calls.append([STACK_CONDS[i % len(STACK_CONDS)]
                           for i in range(len(seeds))])
             for conds in calls:
-                stack = _random_spds(dim, seeds, conds)
+                stack = _random_spds(dim, _generators(seeds), conds)
                 assert stack.shape == (len(seeds), dim, dim)
                 for seed, cond, matrix in zip(seeds, conds, stack):
                     expected = sequential_random_spd(dim, seed, cond).tobytes()
@@ -183,7 +183,7 @@ class TestStackedGeneration:
     def test_random_spds_reject_like_random_spd(self, dim, cond):
         # the bad target is the second row's, after a valid one
         with pytest.raises(InvalidParameter) as stacked:
-            _random_spds(dim, [1, 2], [10.0, cond])
+            _random_spds(dim, _generators([1, 2]), [10.0, cond])
         with pytest.raises(InvalidParameter) as single:
             random_spd(dim, 1, cond)
         assert str(stacked.value) == str(single.value)

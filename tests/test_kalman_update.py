@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gainlab import matrix_core
+from gainlab import matrix_core, objectives
 from gainlab.exceptions import (DimensionMismatch, GainlabError,
                                 InvalidParameter, NotPositiveDefinite)
 from gainlab.experiment import make_problem
 from gainlab.kalman_update import (FilterProblem, _analytic_gains,
-                                   _build_problems, analytic_gain,
+                                   _build_problems, _stacks, analytic_gain,
                                    joseph_update)
 
 from conftest import (SINGULAR_SEED, make_scalar, seeded_gain, seeded_problem,
@@ -165,6 +165,24 @@ class TestStackedBuild:
         assert lone_warnings
         for outcome, expected in zip(stacked, lone):
             _assert_same_outcome(outcome, expected)
+
+    def test_batch_of_one_build_holds_its_stacks(self):
+        problems = _stacked(_good_rows(5))
+        kinds = [objectives.ObjectiveKind.TOTAL_VARIANCE] * 5
+        stacks = _stacks(problems)
+        batch = objectives._Batch.stack(problems, kinds)
+        assert all(getattr(batch, name) is stacks[name] for name in FIELDS)
+        # any other list is copied: part of a build, its rows reordered or
+        # repeated, rows of two builds, or a problem built alone
+        others = [problems[:4], problems[::-1], problems[:1] * 5,
+                  problems[:3] + _stacked(_good_rows(2, 40)),
+                  problems[:4] + [FilterProblem(*_good_rows(1)[0])]]
+        for listed in others:
+            assert _stacks(listed) is None
+            batch = objectives._Batch.stack(listed, kinds)
+            for name in FIELDS:
+                assert getattr(batch, name).tobytes() == np.array(
+                    [getattr(problem, name) for problem in listed]).tobytes()
 
     def test_stacked_analytic_gains_match_one_at_a_time(self):
         for n, m in ((1, 1), (4, 3), (2, 5), (8, 8)):

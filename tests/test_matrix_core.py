@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gainlab import matrix_core
+from gainlab.cli import main
 from gainlab.exceptions import DimensionMismatch, InvalidParameter, NotPositiveDefinite
+from gainlab.experiment import _mix_seeds
 
 
 class TestCholesky:
@@ -255,6 +257,44 @@ class TestRandomSpd:
     def test_output_is_valid_covariance(self, seed, dim):
         a = matrix_core.random_spd(dim, seed, cond_target=100.0)
         matrix_core.validate_covariance(a)
+
+
+# One to four 32-bit words fill SeedSequence's pool of four; the last four
+# seeds, which random_spd accepts too, are 3, 3, 5 and 7 words wide.
+PIN_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+             + _mix_seeds(29, range(300)).tolist()
+             + [2**64, 2**70, 2**128 + 3, 2**200])
+
+
+def _start(generator):
+    """A generator's state, then a Gaussian draw and three integer draws."""
+    return (generator.bit_generator.state,
+            generator.standard_normal((3, 4)).tobytes(),
+            [int(generator.integers(1, 7)) for _ in range(3)])
+
+
+class TestGenerators:
+    """The one seeding home against numpy's own seeding of each seed."""
+
+    def test_one_call_matches_default_rng(self):
+        # seeds of every width in one hash, each generator used up in turn
+        generators = matrix_core._generators(PIN_SEEDS)
+        for seed, generator in zip(PIN_SEEDS, generators, strict=True):
+            assert _start(generator) == _start(np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**128 + 3, 2**200])
+    def test_lone_seed_matches_default_rng(self, seed):
+        generator, = matrix_core._generators([seed])
+        assert _start(generator) == _start(np.random.default_rng(seed))
+
+    def test_commands_seed_without_default_rng(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.random.default_rng was called")
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        for argv in (["run", "--trials", "5"], ["check", "--seed", "1"],
+                     ["gradcheck", "--instances", "50"]):
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFrobeniusNorms:
