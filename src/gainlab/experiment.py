@@ -186,12 +186,12 @@ def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
 
     ``seeds`` holds integers in [0, 2**64), and every row's sub-seeds are
     mixed as one stack (see :func:`_mix_seeds`) and seeded by one
-    :func:`~gainlab.matrix_core._generators` call, in the order they are
-    drawn. Every covariance of one dimension, prior or noise of any row, is
-    drawn as one stack (see :func:`~gainlab.matrix_core._random_spds`),
-    which raises the InvalidParameter of an out-of-range dimension or
-    target, that of the first row's prior first. Each shape's problems are
-    built, and so validated, as one stack (see
+    :func:`~gainlab.matrix_core._generators` call. Every covariance of one
+    dimension, prior or noise of any row, is drawn as one stack (see
+    :func:`~gainlab.matrix_core._random_spds`), which raises the
+    InvalidParameter of an out-of-range dimension or target, that of the
+    first row's prior first. Each shape's problems are built, and so
+    validated, as one stack (see
     :func:`~gainlab.kalman_update._build_problems`). Returns one outcome per
     row, in order: its problem, bit for bit that of :func:`make_problem`, or
     the GainlabError that building it alone raises. A row that fails to

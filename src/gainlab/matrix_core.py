@@ -6,8 +6,8 @@ counts as a valid covariance matrix. Every Cholesky factorization and
 linear solve of the package goes through one of two row kernels here,
 ``_cholesky_factors`` and ``_solves``: one LAPACK call per stack, each row
 failing alone. Every random stream of the package is seeded here, by
-``_generators``: one hash of a whole stack of seeds gives each seed numpy's
-own default generator state.
+``_generators``: one hash of a whole stack of seeds gives each seed the
+words from which numpy seeds its own default generator.
 """
 
 import numbers
@@ -302,19 +302,15 @@ def _random_spds(dim: int, generators, conds) -> np.ndarray:
     return _symmetrize((q * eigenvalues) @ q.swapaxes(-1, -2))
 
 
-# numpy's default seeding, which is fixed: the hash of SeedSequence
-# (numpy.random.bit_generator), over a pool of four uint32 words, then
-# PCG64's seeding (O'Neill 2014, pcg64_srandom) from four uint64 words of
-# that pool. Every operand of the hash is a uint32 array, so the arithmetic
-# wraps modulo 2**32, under numpy 1's casting as under numpy 2's, and never
-# warns; its scalars are 0-d arrays, which numpy operates on faster than on
-# np.uint32 scalars.
+# SeedSequence's hash (numpy.random.bit_generator), which is fixed: a
+# seed's uint32 words go into a pool of four, from which PCG64 takes four
+# uint64 words. Every operand is a uint32 array, so the arithmetic wraps
+# modulo 2**32 under numpy 1's casting as under numpy 2's and never warns;
+# its scalars are 0-d arrays, faster in numpy than np.uint32 scalars.
 _POOL_SIZE = 4
 _XSHIFT = np.array(16, dtype=np.uint32)
 _MIX_MULT_L = np.array(0xCA01F9DD, dtype=np.uint32)
 _MIX_MULT_R = np.array(0x4973F715, dtype=np.uint32)
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, count: int):
@@ -366,18 +362,17 @@ def _seed_words(seeds) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
 
     ``seeds`` are integers of any size, at least 0. Returns the
-    (len(seeds), 4) little-endian uint64 words, bit for bit, from one hash
-    of a (len(seeds), words) uint32 stack, as SeedSequence hashes each seed:
-    its entropy words, least significant first and padded with zeros to
-    the pool's four; the pool mixing, one whole-stack round per pool word;
-    the words past the fourth of a seed wider than 128 bits; then the
-    pool's state.
+    (len(seeds), 4) native uint64 words, bit for bit, from one hash of a
+    (len(seeds), words) uint32 stack, as SeedSequence hashes each seed: its
+    entropy words, least significant first and padded with zeros to the
+    pool's four; the pool mixing, one whole-stack round per pool word; the
+    words past the fourth of a seed wider than 128 bits; then the pool's
+    state.
     """
     seeds = [int(seed) for seed in seeds]
     width = max(_POOL_SIZE, -(-max(seeds, default=0).bit_length() // 32))
-    # One seed's bytes at a time, as _generators takes one row's Python ints
-    # at a time: all of them at once would raise a gradcheck chunk's peak
-    # memory.
+    # One seed's bytes at a time: all of them at once would raise a
+    # gradcheck chunk's peak memory.
     buffer = bytearray()
     for seed in seeds:
         buffer += seed.to_bytes(4 * width, "little")
@@ -397,30 +392,34 @@ def _seed_words(seeds) -> np.ndarray:
                               after[steps])
             pool = np.where((words > src)[:, None], _mix(pool, hashed), pool)
     state = _hashmix(pool[:, None], *_STATE_CONSTANTS).astype("<u4")
-    return state.reshape(len(seeds), 2 * _POOL_SIZE).view("<u8")
+    return state.reshape(-1, 2 * _POOL_SIZE).view("<u8").astype(np.uint64)
+
+
+class _HashedWords:
+    """A seed sequence whose state is one seed's row of :func:`_seed_words`.
+
+    It answers only PCG64's request, 4 uint64 words: a numpy that seeds
+    otherwise would drift from ``default_rng``. :func:`_generators` registers
+    it as an ``ISeedSequence``, so importing gainlab skips numpy.random.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(f"gainlab seeds PCG64 from {_POOL_SIZE} uint64 "
+                               f"words, not {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 def _generators(seeds):
-    """Yield, for each seed in order, numpy's default generator of that seed.
+    """Yield, for each seed in order, a new generator equal to numpy's default.
 
-    ``seeds`` are integers of any size, at least 0. Each yielded generator
-    is in the state of ``np.random.Generator(np.random.PCG64(seed))``, so its
-    draws are that generator's, bit for bit: PCG64 is seeded from the words
-    of :func:`_seed_words`, all hashed at the first yield, as
-    ``pcg64_srandom`` seeds it, in 128-bit Python ints. Every yield is one
-    generator, whose bit generator's state is set anew at each yield: use
-    each up before the next one is yielded.
+    ``seeds`` are integers of any size, at least 0. Each generator is
+    ``np.random.default_rng(seed)`` bit for bit, its PCG64 seeded by numpy
+    from :func:`_seed_words`.
     """
-    words = _seed_words(seeds)
-    bit_generator = np.random.PCG64(0)  # its state is replaced below
-    generator = np.random.Generator(bit_generator)
-    for row in words:
-        high, low, seq_high, seq_low = row.tolist()
-        increment = ((seq_high << 65) | (seq_low << 1) | 1) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((increment + (high << 64 | low))
-                                * _PCG64_MULTIPLIER + increment) & _MASK128,
-                      "inc": increment},
-            "has_uint32": 0, "uinteger": 0}
-        yield generator
+    np.random.bit_generator.ISeedSequence.register(_HashedWords)
+    for words in _seed_words(seeds):
+        yield np.random.Generator(np.random.PCG64(_HashedWords(words)))

@@ -297,6 +297,25 @@ class TestGenerators:
         assert capsys.readouterr().err == ""
 
 
+class TestHashedSeeding:
+    """Each yielded generator is its own, and numpy seeds it from the hash."""
+
+    def test_kept_generators_draw_out_of_order(self):
+        seeds = [5, 2**64 - 1, 0, 2**70]
+        kept = list(matrix_core._generators(seeds))
+        references = [np.random.default_rng(seed) for seed in seeds]
+        for i in [3, 0, 2, 1, 0, 3, 1, 2]:
+            assert (kept[i].standard_normal(4).tobytes()
+                    == references[i].standard_normal(4).tobytes())
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_other_state_requests_raise(self, n_words, dtype):
+        words = matrix_core._HashedWords(matrix_core._seed_words([7])[0])
+        with pytest.raises(RuntimeError, match="from 4 uint64 words, not "):
+            words.generate_state(n_words, dtype)
+
+
 class TestFrobeniusNorms:
     @pytest.mark.parametrize("count", [0, 5])
     def test_rows_match_frobenius_norm(self, count):
