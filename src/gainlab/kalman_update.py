@@ -194,8 +194,8 @@ def _joseph_form(problem: FilterProblem, gain: np.ndarray,
     ``obs_op`` and ``obs_noise`` are (B, n, n), (B, m, n) and (B, m, m)
     arrays, with ``gain`` a (B, n, m) stack. Each row of the result equals
     the update of that row on its own, bit for bit. ``identity`` is the
-    (n, n) identity, passed in so that callers evaluating many gains build it
-    once.
+    (n, n) identity, or a stack of one per row, which the subtraction need
+    not broadcast; callers evaluating many gains build it once.
     """
     ikh = identity - gain @ problem.obs_op
     updated = (ikh @ problem.prior @ ikh.swapaxes(-1, -2)

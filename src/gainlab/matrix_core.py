@@ -119,8 +119,8 @@ def _cholesky_factors(a: np.ndarray,
     pivots = factors.diagonal(0, -2, -1)
     failures = {}
     # A NaN pivot fails the comparison, so one minimum finds any failure.
-    if not pivots.min(initial=np.inf) > PD_TOL:
-        lowest = pivots.min(axis=-1)
+    if not np.minimum.reduce(pivots, axis=None, initial=np.inf) > PD_TOL:
+        lowest = np.minimum.reduce(pivots, axis=-1)
         for row in (~(lowest > PD_TOL)).nonzero()[0]:
             pivot = float(lowest[row])
             failures[int(row)] = NotPositiveDefinite(
@@ -190,7 +190,7 @@ def _log_det_of_factor(factor: np.ndarray):
     ``factor`` may be one factor or a stack of them; a stack gives one
     log-determinant per row.
     """
-    return 2.0 * np.log(factor.diagonal(0, -2, -1)).sum(axis=-1)
+    return 2.0 * np.add.reduce(np.log(factor.diagonal(0, -2, -1)), axis=-1)
 
 
 def det(a: np.ndarray) -> float:
@@ -205,7 +205,7 @@ def trace(a: np.ndarray) -> float:
 
 def _trace(a: np.ndarray):
     """Trace of a square matrix, or of each matrix in a stack."""
-    return a.diagonal(0, -2, -1).sum(axis=-1)
+    return np.add.reduce(a.diagonal(0, -2, -1), axis=-1)
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:

@@ -234,7 +234,8 @@ class _Batch:
         self.innovation = innovation
         self.entropy = entropy
         self.factored = factored
-        self.identity = np.eye(prior.shape[-1])
+        # One identity per row, so that ``I - K H`` need not broadcast.
+        self.identity = np.repeat(np.eye(prior.shape[-1])[None], len(prior), 0)
         # The rows to factorize, found once per batch; when every row
         # factorizes, they are taken as whole arrays, views and not copies.
         self._factor_ids = np.flatnonzero(factored)
@@ -242,6 +243,7 @@ class _Batch:
         entropic = entropy[self._factor_rows]
         self._offset = np.where(entropic, _entropy(prior.shape[-1], 0.0), 0.0)
         self._scale = np.where(entropic, 0.5, 1.0)
+        self._grad_scale = self._scale[:, None, None]
 
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
@@ -298,15 +300,17 @@ class _Batch:
             self, gains, rows, self.identity)
         grads = 2.0 * _bracket(gains, self.cross, self.innovation)
         solved, singular = matrix_core._solves(posteriors[rows], grads[rows])
-        grads[rows] = self._scale[:, None, None] * solved
         for failed in (failures, singular):
             for row, exc in failed.items():
                 errors.setdefault(int(owners[row]), exc)
         values = self._offset + self._scale * logdets
-        if len(owners) < len(gains):
-            # The other rows minimize the trace and never factorize.
-            factored, values = values, matrix_core._trace(posteriors)
-            values[owners] = factored
+        solved = self._grad_scale * solved
+        if len(owners) == len(gains):
+            return values, solved, errors
+        # The other rows minimize the trace and never factorize.
+        grads[rows] = solved
+        factored, values = values, matrix_core._trace(posteriors)
+        values[owners] = factored
         return values, grads, errors
 
 
@@ -316,34 +320,36 @@ def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
     The one evaluation of :meth:`_Batch.evaluate` and of the oracle
     :func:`_finite_differences`. It reads the ``prior``, ``obs_op`` and
     ``obs_noise`` of ``stacks``, one row per gain, and no row's kind;
-    ``identity`` is the (n, n) identity. ``rows``, a slice or an array of
-    row indices, selects the posteriors to factorize. Returns (posteriors,
-    logdets, invalid, failures): ``invalid`` maps each row whose gain is
-    not finite to the InvalidParameter of every public evaluator, and takes
-    its posterior at the zero gain; ``failures`` maps each position in
-    ``rows`` whose posterior fails :func:`log_generalized_variance` to its
-    error, InvalidParameter if the posterior is not finite, else the
-    NotPositiveDefinite of its Cholesky factorization. Every other
-    posterior and log-det is the public functions', bit for bit.
+    ``identity`` is that of :func:`_joseph_form`. ``rows``, a slice or an
+    array of row indices, selects the posteriors to factorize. Returns
+    (posteriors, logdets, invalid, failures): ``invalid`` maps each row
+    whose gain is not finite to the InvalidParameter of every public
+    evaluator, and takes its posterior at the zero gain; ``failures`` maps
+    each position in ``rows`` whose posterior fails
+    :func:`log_generalized_variance` to its error, InvalidParameter if the
+    posterior is not finite, else the NotPositiveDefinite of its Cholesky
+    factorization. Every other posterior and log-det is the public
+    functions', bit for bit.
     """
-    invalid = {}
-    finite = np.isfinite(gains)
-    if not finite.all():
-        bad = ~finite.all(axis=(-2, -1))
-        gains = np.where(bad[:, None, None], 0.0, gains)
-        for row in np.flatnonzero(bad):
-            invalid[int(row)] = InvalidParameter(
-                "gain contains non-finite entries")
     posteriors = _joseph_form(stacks, gains, identity)
     others = posteriors[rows]
-    failures = {}
-    finite = np.isfinite(others)
-    if not finite.all():
-        bad = ~finite.all(axis=(-2, -1))
-        others = np.where(bad[:, None, None], identity, others)
-        for row in np.flatnonzero(bad):
-            failures[int(row)] = InvalidParameter(
-                "matrix contains non-finite entries")
+    invalid, failures = {}, {}
+    # A non-finite gain entry makes a diagonal entry of its row's posterior
+    # non-finite, so the gains are checked only when a posterior is not.
+    if not np.logical_and.reduce(np.isfinite(posteriors), axis=None):
+        bad = ~np.isfinite(gains).all(axis=(-2, -1))
+        if bad.any():
+            posteriors = _joseph_form(
+                stacks, np.where(bad[:, None, None], 0.0, gains), identity)
+            others = posteriors[rows]
+            invalid = {int(row): InvalidParameter(
+                "gain contains non-finite entries")
+                for row in np.flatnonzero(bad)}
+        bad = ~np.isfinite(others).all(axis=(-2, -1))
+        others = np.where(bad[:, None, None], np.eye(others.shape[-1]), others)
+        failures = {int(row): InvalidParameter(
+            "matrix contains non-finite entries")
+            for row in np.flatnonzero(bad)}
     factors, breakdowns = matrix_core._cholesky_factors(others)
     failures.update(breakdowns)
     return (posteriors, matrix_core._log_det_of_factor(factors), invalid,

@@ -183,13 +183,17 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
         # in slot iterations % _DESCENT_WINDOW.
         window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
         window[:, 0] = values[ids]
-        ended = []
+        ended, everyone, rounds = [], np.arange(len(ids)), 0
 
         while True:
             # A row ends when it stops, when backtracking has exhausted its
             # step, or with an error, which is its outcome already (``ended``).
-            stopped = ((gnorms <= config.grad_tol)
-                       | (iterations >= config.max_iters))
+            # A row gains at most one iteration a round, so none reaches
+            # ``max_iters`` before as many rounds have run.
+            stopped = gnorms <= config.grad_tol
+            if rounds >= config.max_iters:
+                stopped |= iterations >= config.max_iters
+            rounds += 1
             done = stopped | ~(steps >= _MIN_STEP)
             if ended:
                 done[ended] = True
@@ -211,12 +215,13 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                 ids, gains, grads, gnorms, steps, iterations, window = (
                     state[keep] for state in (ids, gains, grads, gnorms, steps,
                                               iterations, window))
+                everyone = everyone[:len(ids)]
             if not len(ids):
                 return
 
             trials = gains - steps[:, None, None] * grads
             trial_values, trial_grads, errors = batch.evaluate(trials)
-            reference = window.max(axis=1)
+            reference = np.maximum.reduce(window, axis=1)
             accepted = trial_values <= (
                 reference - _ARMIJO_C * steps * gnorms * gnorms
                 + 8.0 * _EPS * (1.0 + np.abs(reference)))
@@ -231,26 +236,33 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                     ended.append(row)
 
             # A rejected row keeps its gain and gradient, and its trial's
-            # gradient is thrown away.
-            moved = accepted[:, None, None]
-            new_gains = np.where(moved, trials, gains)
-            new_grads = np.where(moved, trial_grads, grads)
+            # gradient is thrown away; a round that every row accepted
+            # selects nothing.
+            rejected = np.count_nonzero(accepted) < len(ids)
+            if rejected:
+                moved = accepted[:, None, None]
+                trials = np.where(moved, trials, gains)
+                trial_grads = np.where(moved, trial_grads, grads)
             # An accepted row's next trial step is the Barzilai-Borwein
             # estimate <s, y> / <y, y> where both are positive, else the
             # step just accepted. A rejected row's s is zero, so the
             # division in place leaves its step, which it halves.
-            changes = new_grads - grads
-            sy = _row_dots(new_gains - gains, changes)
+            changes = trial_grads - grads
+            sy = _row_dots(trials - gains, changes)
             yy = _row_dots(changes, changes)
             np.divide(sy, yy, out=steps, where=np.minimum(sy, yy) > 0.0)
-            steps = np.where(accepted, _clip_step(steps),
-                             steps * _BACKTRACK_FACTOR)
+            steps = (np.where(accepted, _clip_step(steps),
+                              steps * _BACKTRACK_FACTOR)
+                     if rejected else _clip_step(steps))
 
-            gains, grads = new_gains, new_grads
+            gains, grads = trials, trial_grads
             gnorms = np.sqrt(_row_dots(grads, grads))
             iterations += accepted
-            window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
-                trial_values[accepted])
+            if rejected:
+                window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
+                    trial_values[accepted])
+            else:
+                window[everyone, iterations % _DESCENT_WINDOW] = trial_values
 
 
 def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,

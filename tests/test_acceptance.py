@@ -8,6 +8,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import gainlab
 from gainlab import matrix_core
 from gainlab.exceptions import GainlabError
 from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
@@ -225,6 +227,10 @@ def test_criterion_09_perturbations_never_improve_converged_gains(equivalence_su
 def test_criterion_10_cli_reports_are_byte_identical(tmp_path):
     exe = shutil.which("gainlab")
     base_cmd = [exe] if exe else [sys.executable, "-m", "gainlab.cli"]
+    # The subprocess imports the gainlab that this test imported.
+    src = os.path.dirname(os.path.dirname(gainlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["run", "--state-dim", "3", "--obs-dim", "2", "--trials", "10",
              "--seed", "41", "--cond", "10"]
 
@@ -234,7 +240,7 @@ def test_criterion_10_cli_reports_are_byte_identical(tmp_path):
                         ("workers4", ["--workers", "4"])):
         target = tmp_path / f"{name}.json"
         proc = subprocess.run(base_cmd + flags + ["--out", str(target)] + extra,
-                              capture_output=True)
+                              capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs[name] = target.read_bytes()
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainlab import experiment, matrix_core
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
-from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
+from gainlab.kalman_update import (FilterProblem, _joseph_form, analytic_gain,
+                                   joseph_update)
 from gainlab.objectives import (ObjectiveKind, _Batch,
                                 directional_logdet_differential,
                                 evaluate_objective, finite_difference_gradient,
@@ -254,18 +257,58 @@ class TestKernel:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_gain(self, bad):
+        # every kind at a finite gain, at a gain with one non-finite entry,
+        # and at a finite gain whose posterior overflows: the trace never
+        # factorizes, so only the log-det and entropy rows fail on that one.
+        # Each row fails alike in the batch and in a batch of its own.
         problem = seeded_problem(2, master_seed=151)
-        kinds = list(ObjectiveKind) * 2
+        kinds = list(ObjectiveKind) * 3
         batch = _stacked(problem, kinds)
         gains = np.zeros((len(kinds), problem.state_dim, problem.obs_dim))
-        gains[1::2, -1, 0] = bad
-        with np.errstate(invalid="ignore"):
+        gains[3:6, -1, 0] = bad
+        gains[6:] = 1e200
+        with np.errstate(invalid="ignore", over="ignore"):
             _, _, errors = batch.evaluate(gains)
-        assert sorted(errors) == list(range(1, len(kinds), 2))
-        assert all(isinstance(exc, InvalidParameter) for exc in errors.values())
+            for row, kind in enumerate(kinds):
+                _, _, alone = _stacked(problem, [kind]).evaluate(
+                    gains[row:row + 1])
+                try:
+                    evaluate_objective(problem, gains[row], kind)
+                except InvalidParameter as exc:
+                    assert str(errors.pop(row)) == str(alone.pop(0)) == (
+                        str(exc))
+                assert alone == {}
+        assert errors == {}
         for kind in ObjectiveKind:
-            with pytest.raises(InvalidParameter):
-                evaluate_objective(problem, gains[1], kind)
+            with pytest.raises(InvalidParameter,
+                               match="^gain contains non-finite entries$"):
+                evaluate_objective(problem, gains[3], kind)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                InvalidParameter, match="^matrix contains non-finite entries$"):
+            evaluate_objective(problem, gains[6], LOGDET)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(1, 1), (2, 5), (5, 2), (4, 3), (8, 8)]),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([np.inf, -np.inf, np.nan]),
+           st.sampled_from([0.0, 1e-3, 1.0, 1e3]), st.data())
+    def test_non_finite_gain_entry_reaches_posterior_diagonal(
+            self, shape, seed, bad, scale, data):
+        # _evaluate checks the gains only when a posterior is not finite,
+        # so every non-finite gain must make its row's posterior so, in a
+        # stack with a per-row identity and alone with a broadcast one
+        n, m = shape
+        problem = make_problem(n, m, seed, 10.0)
+        batch = _stacked(problem, [TRACE] * 3)
+        gains = scale * np.random.default_rng(seed).standard_normal((3, n, m))
+        gains[1, data.draw(st.integers(0, n - 1)),
+              data.draw(st.integers(0, m - 1))] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            stacked = _joseph_form(batch, gains, batch.identity)
+            alone = _joseph_form(problem, gains[1], np.eye(n))
+        assert not np.isfinite(stacked[1].diagonal()).all()
+        assert not np.isfinite(alone.diagonal()).all()
+        assert np.isfinite(stacked[[0, 2]]).all()
 
     def test_rejects_posterior_that_is_not_spd(self):
         # 1e18 + 1.01 rounds to 1e18, so the posterior's Schur complement
@@ -530,20 +573,23 @@ class TestReferenceLoop:
         ((8, 8), 100.0)])
     def test_batch_equals_one_row_loop_of_public_functions(self, shape,
                                                            cond):
-        config = OptimizerConfig(max_iters=300)
+        # at max_iters 1 and 2, the cap, which the lockstep first tests
+        # after max_iters rounds, stops the rows that accepted every round
         problems = [make_problem(*shape, seed, cond) for seed in range(4)]
         rows = [(problem, kind) for problem in problems
                 for kind in ObjectiveKind]
-        outcomes = minimize_batch([problem for problem, _ in rows],
-                                  [kind for _, kind in rows], config)
-        for (problem, kind), outcome in zip(rows, outcomes):
-            expected = reference_minimization(problem, kind, config)
-            if isinstance(expected, Exception):
-                assert type(outcome) is type(expected)
-                assert str(outcome) == str(expected)
-                continue
-            assert (outcome.final_gain.tobytes(), outcome.final_objective,
-                    outcome.iterations, outcome.converged) == expected
+        for max_iters in (1, 2, 300):
+            config = OptimizerConfig(max_iters=max_iters)
+            outcomes = minimize_batch([problem for problem, _ in rows],
+                                      [kind for _, kind in rows], config)
+            for (problem, kind), outcome in zip(rows, outcomes):
+                expected = reference_minimization(problem, kind, config)
+                if isinstance(expected, Exception):
+                    assert type(outcome) is type(expected)
+                    assert str(outcome) == str(expected)
+                    continue
+                assert (outcome.final_gain.tobytes(), outcome.final_objective,
+                        outcome.iterations, outcome.converged) == expected
 
 
 def _run_with_trial(monkeypatch, problems, kinds, edit=None,
