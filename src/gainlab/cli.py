@@ -175,7 +175,7 @@ def _cmd_check(args) -> int:
         print(_matrix_lines(report.final_gain))
         print(f"distance to analytic gain: {distance:.3e}")
 
-    noise = next(_generators([mix_seed(seed, 10)])).standard_normal(
+    noise = next(_generators(_mix_seeds(seed, 10))).standard_normal(
         reference.shape)
     errors, failures = _gradient_errors([problem], [noise])
     print("\ngradient check at analytic gain + 0.1 noise, vs central differences:")
@@ -215,7 +215,7 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     """
     instance_seeds = _mix_seeds(seed & _MASK64, indices)
     shapes, noises = [], []
-    for generator in _generators(_mix_seeds(instance_seeds, 10).tolist()):
+    for generator in _generators(_mix_seeds(instance_seeds, 10)):
         n = int(generator.integers(1, max_dim + 1))
         m = int(generator.integers(1, max_dim + 1))
         shapes.append((n, m))

@@ -166,8 +166,10 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     Prior and noise covariances come from :func:`gainlab.matrix_core.random_spd`;
     the observation operator gets independent standard-Gaussian entries (it is
     rectangular, so no structure beyond linearity is imposed). The three
-    matrices use independent seeds mixed from ``seed``. This is a batch of
-    one of :func:`_make_problems`, which raises the errors of out-of-range
+    matrices use independent seeds mixed from ``seed``, which must be at
+    least 0; a seed of 2**64 or more is taken modulo 2**64, as
+    :func:`mix_seed` takes it. This is a batch of one of
+    :func:`_make_problems`, which raises the errors of out-of-range
     arguments.
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
@@ -185,8 +187,8 @@ def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
     """:func:`make_problem` of each row: its ``(n, m)`` shape, seed and target.
 
     ``seeds`` holds integers in [0, 2**64), and every row's sub-seeds are
-    mixed as one stack (see :func:`_mix_seeds`) and seeded by one
-    :func:`~gainlab.matrix_core._generators` call. Every covariance of one
+    mixed as one uint64 stack (see :func:`_mix_seeds`), which one
+    :func:`~gainlab.matrix_core._generators` call seeds. Every covariance of one
     dimension, prior or noise of any row, is drawn as one stack (see
     :func:`~gainlab.matrix_core._random_spds`), which raises the
     InvalidParameter of an out-of-range dimension or target, that of the
@@ -197,16 +199,16 @@ def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
     the GainlabError that building it alone raises. A row that fails to
     build never disturbs the others.
     """
-    sub_seeds = _mix_seeds(seeds, [[0], [1], [2]]).tolist()
+    sub_seeds = _mix_seeds(seeds, [[0], [1], [2]])
     # Each dimension's covariances: (0, row) is a prior, (1, row) a noise.
     wanted, groups = defaultdict(list), defaultdict(list)
     for row, shape in enumerate(shapes):
         groups[shape].append(row)
         wanted[shape[0]].append((0, row))
         wanted[shape[1]].append((1, row))
-    generators = _generators(
-        [sub_seeds[k][row] for keys in wanted.values() for k, row in keys]
-        + [sub_seeds[2][row] for rows in groups.values() for row in rows])
+    order = [key for keys in wanted.values() for key in keys]
+    order += [(2, row) for rows in groups.values() for row in rows]
+    generators = _generators(sub_seeds[tuple(zip(*order))])
     covariances = {}
     for dim, keys in wanted.items():
         covariances.update(zip(keys, _random_spds(

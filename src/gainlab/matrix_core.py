@@ -5,9 +5,10 @@ through a single Cholesky factorization, the one source of truth for what
 counts as a valid covariance matrix. Every Cholesky factorization and
 linear solve of the package goes through one of two row kernels here,
 ``_cholesky_factors`` and ``_solves``: one LAPACK call per stack, each row
-failing alone. Every random stream of the package is seeded here, by
-``_generators``: one hash of a whole stack of seeds gives each seed the
-words from which numpy seeds its own default generator.
+failing alone. The package's own random streams are seeded here, by
+``_generators``: one hash of a whole uint64 stack of seeds gives each seed
+the words from which numpy seeds its own default generator; ``random_spd``,
+which takes a seed of any size, calls ``np.random.default_rng`` directly.
 """
 
 import numbers
@@ -242,7 +243,8 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     dim : int
         Matrix dimension, at least 1.
     seed : int
-        Seed, at least 0; identical arguments give bit-identical output.
+        Seed of any size, at least 0, given to ``np.random.default_rng``;
+        identical arguments give bit-identical output.
     cond_target : float, optional
         Ratio of the extreme eigenvalues; must be >= 1.
 
@@ -254,16 +256,14 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
         raises the errors of out-of-range arguments.
     """
     _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    return _random_spds(dim, _generators([seed]), [cond_target])[0]
+    return _random_spds(dim, [np.random.default_rng(seed)], [cond_target])[0]
 
 
 def _check_numbers(reals: dict, **integers) -> None:
     """Raise InvalidParameter for an argument of the wrong type.
 
     Each of ``integers`` must be an int, numpy integers included, and each
-    of ``reals`` a real number; a bool is neither.
+    of ``reals`` a real number; a bool is neither. A ``seed`` must be >= 0.
     """
     for name, value in integers.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -271,19 +271,21 @@ def _check_numbers(reals: dict, **integers) -> None:
     for name, value in reals.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    if integers.get("seed", 0) < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {integers['seed']}")
 
 
 def _random_spds(dim: int, generators, conds) -> np.ndarray:
     """:func:`random_spd` of every seed, as one (len(conds), dim, dim) stack.
 
-    ``generators`` yields, in order, one generator of :func:`_generators`
-    per target, and ``conds`` holds the targets, checked as one array: the
-    first target out of range raises the InvalidParameter that
-    :func:`random_spd` raises for it. Only the Gaussian draws are made one
-    seed at a time. The QR decompositions, sign fixes, eigenvalue powers and
-    assemblies run on the whole stack, and each equals its per-matrix
-    operation bit for bit, so every row is the matrix :func:`random_spd`
-    gives for its seed and target.
+    ``generators`` yields, in order, one generator per target, that of
+    :func:`_generators` or ``np.random.default_rng`` for its seed, and
+    ``conds`` holds the targets, checked as one array: the first target out
+    of range raises the InvalidParameter that :func:`random_spd` raises for
+    it. Only the Gaussian draws are made one seed at a time. The QR
+    decompositions, sign fixes, eigenvalue powers and assemblies run on the
+    whole stack, and each equals its per-matrix operation bit for bit, so
+    every row is the matrix :func:`random_spd` gives for its seed and target.
     """
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
@@ -328,8 +330,7 @@ def _hash_constants(init: int, mult: int, count: int):
             np.array(constants[1:], dtype=np.uint32))
 
 
-_ENTROPY_STREAM = (0x43B0D7E5, 0x931E8875)
-_ENTROPY_CONSTANTS = _hash_constants(*_ENTROPY_STREAM, _POOL_SIZE * _POOL_SIZE)
+_ENTROPY_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE ** 2)
 # The entropy stream hashes one word into each pool word. Then the mixing
 # round of each pool word in turn hashes it into the three others, in
 # ascending order, with the stream's next three steps; a round's constants
@@ -358,39 +359,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z ^ (z >> _XSHIFT)
 
 
-def _seed_words(seeds) -> np.ndarray:
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
 
-    ``seeds`` are integers of any size, at least 0. Returns the
-    (len(seeds), 4) native uint64 words, bit for bit, from one hash of a
-    (len(seeds), words) uint32 stack, as SeedSequence hashes each seed: its
-    entropy words, least significant first and padded with zeros to the
-    pool's four; the pool mixing, one whole-stack round per pool word; the
-    words past the fourth of a seed wider than 128 bits; then the pool's
-    state.
+    ``seeds`` is a uint64 array, as :func:`~gainlab.experiment._mix_seeds`
+    makes. Returns the (len(seeds), 4) native uint64 words, bit for bit,
+    from one hash of the (len(seeds), 4) uint32 stack of SeedSequence's
+    entropy, each seed's two words, least significant first, padded with two
+    zeros; the pool mixing is one whole-stack round per pool word.
     """
-    seeds = [int(seed) for seed in seeds]
-    width = max(_POOL_SIZE, -(-max(seeds, default=0).bit_length() // 32))
-    # One seed's bytes at a time: all of them at once would raise a
-    # gradcheck chunk's peak memory.
-    buffer = bytearray()
-    for seed in seeds:
-        buffer += seed.to_bytes(4 * width, "little")
-    entropy = np.frombuffer(buffer, dtype="<u4").reshape(
-        len(seeds), width).astype(np.uint32)
-    pool = _hashmix(entropy[:, :_POOL_SIZE], *_FILL_CONSTANTS)
+    entropy = np.zeros((len(seeds), _POOL_SIZE), dtype=np.uint32)
+    entropy[:, :2] = np.asarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
+    pool = _hashmix(entropy, *_FILL_CONSTANTS)
     for src, constants in enumerate(_ROUND_CONSTANTS):
         mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
         mixed[:, src] = pool[:, src]
         pool = mixed
-    if width > _POOL_SIZE:
-        words = np.array([-(-seed.bit_length() // 32) for seed in seeds])
-        before, after = _hash_constants(*_ENTROPY_STREAM, _POOL_SIZE * width)
-        for src in range(_POOL_SIZE, width):
-            steps = slice(_POOL_SIZE * src, _POOL_SIZE * (src + 1))
-            hashed = _hashmix(entropy[:, src, None], before[steps],
-                              after[steps])
-            pool = np.where((words > src)[:, None], _mix(pool, hashed), pool)
     state = _hashmix(pool[:, None], *_STATE_CONSTANTS).astype("<u4")
     return state.reshape(-1, 2 * _POOL_SIZE).view("<u8").astype(np.uint64)
 
@@ -413,12 +397,11 @@ class _HashedWords:
         return self.words
 
 
-def _generators(seeds):
+def _generators(seeds: np.ndarray):
     """Yield, for each seed in order, a new generator equal to numpy's default.
 
-    ``seeds`` are integers of any size, at least 0. Each generator is
-    ``np.random.default_rng(seed)`` bit for bit, its PCG64 seeded by numpy
-    from :func:`_seed_words`.
+    ``seeds`` is a uint64 array; each generator is ``default_rng(seed)``
+    bit for bit, its PCG64 seeded by numpy from :func:`_seed_words`.
     """
     np.random.bit_generator.ISeedSequence.register(_HashedWords)
     for words in _seed_words(seeds):

@@ -98,6 +98,7 @@ class TestMakeProblem:
         ((2, True, 1, 10.0), "obs_dim must be an int, got True"),
         ((2, 2, 1.5, 10.0), "seed must be an int, got 1.5"),
         ((2, 2, "1", 10.0), "seed must be an int, got '1'"),
+        ((2, 2, -1, 10.0), "seed must be >= 0, got -1"),
     ])
     def test_rejects_bad_types(self, args, message):
         with pytest.raises(InvalidParameter) as raised:
@@ -176,6 +177,15 @@ class TestStackedGeneration:
                     expected = sequential_random_spd(dim, seed, cond).tobytes()
                     assert matrix.tobytes() == expected
                     assert random_spd(dim, seed, cond).tobytes() == expected
+
+    @pytest.mark.parametrize("seed", [2**64, 2**70, 2**128 + 3, 2**200],
+                             ids=["2**64", "2**70", "2**128+3", "2**200"])
+    def test_random_spd_of_wide_seed(self, seed):
+        # seeds of 3, 3, 5 and 7 32-bit words, which only random_spd takes
+        for dim in (1, 3, 6):
+            for cond in STACK_CONDS:
+                assert (random_spd(dim, seed, cond).tobytes()
+                        == sequential_random_spd(dim, seed, cond).tobytes())
 
     @pytest.mark.parametrize("dim, cond", [(0, 10.0), (3, 0.5), (3, 0),
                                            (3, float("nan")),

@@ -259,11 +259,12 @@ class TestRandomSpd:
         matrix_core.validate_covariance(a)
 
 
-# One to four 32-bit words fill SeedSequence's pool of four; the last four
-# seeds, which random_spd accepts too, are 3, 3, 5 and 7 words wide.
-PIN_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-             + _mix_seeds(29, range(300)).tolist()
-             + [2**64, 2**70, 2**128 + 3, 2**200])
+# A uint64 seed's two 32-bit words and two zeros fill SeedSequence's pool
+# of four; the edges set and clear each word's lowest and highest bits. The
+# wider seeds that random_spd accepts are pinned in test_experiment.py.
+UINT64_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+PIN_SEEDS = np.concatenate([np.array(UINT64_EDGES, dtype=np.uint64),
+                            _mix_seeds(29, range(300))])
 
 
 def _start(generator):
@@ -277,14 +278,14 @@ class TestGenerators:
     """The one seeding home against numpy's own seeding of each seed."""
 
     def test_one_call_matches_default_rng(self):
-        # seeds of every width in one hash, each generator used up in turn
+        # every edge and mixed seed in one hash, each generator used up in turn
         generators = matrix_core._generators(PIN_SEEDS)
         for seed, generator in zip(PIN_SEEDS, generators, strict=True):
-            assert _start(generator) == _start(np.random.default_rng(seed))
+            assert _start(generator) == _start(np.random.default_rng(int(seed)))
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**128 + 3, 2**200])
+    @pytest.mark.parametrize("seed", UINT64_EDGES)
     def test_lone_seed_matches_default_rng(self, seed):
-        generator, = matrix_core._generators([seed])
+        generator, = matrix_core._generators(np.array([seed], dtype=np.uint64))
         assert _start(generator) == _start(np.random.default_rng(seed))
 
     def test_commands_seed_without_default_rng(self, capsys, monkeypatch):
@@ -301,8 +302,8 @@ class TestHashedSeeding:
     """Each yielded generator is its own, and numpy seeds it from the hash."""
 
     def test_kept_generators_draw_out_of_order(self):
-        seeds = [5, 2**64 - 1, 0, 2**70]
-        kept = list(matrix_core._generators(seeds))
+        seeds = [5, 2**64 - 1, 0, 2**63]
+        kept = list(matrix_core._generators(np.array(seeds, dtype=np.uint64)))
         references = [np.random.default_rng(seed) for seed in seeds]
         for i in [3, 0, 2, 1, 0, 3, 1, 2]:
             assert (kept[i].standard_normal(4).tobytes()
@@ -311,9 +312,17 @@ class TestHashedSeeding:
     @pytest.mark.parametrize("n_words, dtype", [
         (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
     def test_other_state_requests_raise(self, n_words, dtype):
-        words = matrix_core._HashedWords(matrix_core._seed_words([7])[0])
+        words = matrix_core._HashedWords(
+            matrix_core._seed_words(np.array([7], dtype=np.uint64))[0])
         with pytest.raises(RuntimeError, match="from 4 uint64 words, not "):
             words.generate_state(n_words, dtype)
+
+    def test_words_match_seed_sequence(self):
+        words = matrix_core._seed_words(np.array(UINT64_EDGES, dtype=np.uint64))
+        assert words.dtype == np.uint64
+        for seed, row in zip(UINT64_EDGES, words, strict=True):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestFrobeniusNorms:

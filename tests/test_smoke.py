@@ -35,16 +35,21 @@ def test_benchmark_modules_import(monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency, and the process pool is
-    # imported only by a run on more than one worker
-    code = ("import sys, gainlab, gainlab.cli; "
+    # numpy is the only runtime dependency, the process pool is imported
+    # only by a run on more than one worker, and numpy.random only by the
+    # first seeding (numpy 1 imports it with numpy itself)
+    code = ("import sys, numpy; "
+            "random = lambda: {m for m in sys.modules "
+            "if m.split('.')[:2] == ['numpy', 'random']}; "
+            "before = random(); import gainlab, gainlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
+            "('scipy', 'multiprocessing') or m == 'concurrent.futures.process')); "
+            "print(sorted(random() - before))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_exports_resolve():
