@@ -197,31 +197,29 @@ def _cmd_check(args) -> int:
 def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
     """Relative gradient errors of the gradcheck instances ``indices``.
 
-    Instance ``i`` is a problem of random shape up to ``max_dim`` x
-    ``max_dim`` from the seed ``mix_seed(seed, i)``, at a gain 0.1 of a
-    Gaussian draw away from its analytic gain. Returns the (len(indices),
-    len(ObjectiveKind)) errors. The seeds are mixed as stacks (see
-    :func:`~gainlab.experiment._mix_seeds`), every instance's shape and
-    gain draws come from one :func:`~gainlab.matrix_core._generators`
-    call, every problem is made by one
-    :func:`~gainlab.experiment._make_problems` call, with one covariance
-    draw per dimension and one build per shape, and each shape's problems
-    are checked with their draws by one :func:`_gradient_errors` call.
-    Raises the error that checking the instances one at a time, in order,
-    raises first: an instance whose analytic gain fails raises that error.
-    ``gradcheck`` calls this on each chunk of
-    :func:`~gainlab.experiment._chunks`, whose rows are sized for the
+    Instance ``i`` draws from the one stream of ``mix_seed(seed, i)``, in
+    order, its n and m up to ``max_dim``, an (n, m) gain noise, and the
+    draws of its problem (see :func:`~gainlab.experiment._make_problems`),
+    and is checked 0.1 of its noise away from its analytic gain. Returns
+    the (len(indices), len(ObjectiveKind)) errors. One
+    :func:`~gainlab.matrix_core._generators` call seeds every stream, one
+    ``_make_problems`` call makes every problem, and one
+    :func:`_gradient_errors` call checks each shape's problems. Raises the
+    error that checking the instances one at a time, in order, raises
+    first: an instance whose analytic gain fails raises that error. Called
+    on each chunk of :func:`~gainlab.experiment._chunks`, sized for the
     ``max_dim`` x ``max_dim`` shape.
     """
-    instance_seeds = _mix_seeds(seed & _MASK64, indices)
-    shapes, noises = [], []
-    for generator in _generators(_mix_seeds(instance_seeds, 10)):
+    shapes, noises, draws = [], [], []
+    for generator in _generators(_mix_seeds(seed & _MASK64, indices)):
         n = int(generator.integers(1, max_dim + 1))
         m = int(generator.integers(1, max_dim + 1))
         shapes.append((n, m))
         noises.append(generator.standard_normal((n, m)))
+        draws.append([generator.standard_normal(size)
+                      for size in ((n, n), (m, m), (m, n))])
     conds = [_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)] for i in indices]
-    problems = _make_problems(shapes, instance_seeds, conds)
+    problems = _make_problems(shapes, draws, conds)
     groups, failures = defaultdict(list), {}
     for j, (shape, problem) in enumerate(zip(shapes, problems)):
         if isinstance(problem, GainlabError):
@@ -247,10 +245,8 @@ def _cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise InvalidParameter("--seed must be a non-negative integer")
     worst = np.zeros(len(ObjectiveKind))
-    # Instances are generated and checked in chunks, which bounds the memory
-    # for any --instances: a chunk's problems, gains and gradients grow as
-    # the square of --max-dim, so its row size is that of the largest shape.
-    # The oracle's stacks are sized by the same budget.
+    # Chunks bound the memory for any --instances: a chunk's arrays, and the
+    # oracle's stacks, are sized for the largest shape, --max-dim squared.
     for indices in _chunks(args.instances, 1,
                            _row_bytes(args.max_dim, args.max_dim)):
         # np.maximum, unlike max(), keeps a NaN error, which then fails.

@@ -11,7 +11,6 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -163,63 +162,73 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
                  cond_target: float = 10.0) -> FilterProblem:
     """Seeded random filter problem.
 
-    Prior and noise covariances come from :func:`gainlab.matrix_core.random_spd`;
-    the observation operator gets independent standard-Gaussian entries (it is
-    rectangular, so no structure beyond linearity is imposed). The three
-    matrices use independent seeds mixed from ``seed``, which must be at
-    least 0; a seed of 2**64 or more is taken modulo 2**64, as
-    :func:`mix_seed` takes it. This is a batch of one of
-    :func:`_make_problems`, which raises the errors of out-of-range
-    arguments.
+    Prior and noise covariances are those of
+    :func:`gainlab.matrix_core.random_spd`; the observation operator gets
+    independent standard-Gaussian entries (it is rectangular, so no
+    structure beyond linearity is imposed). The three matrices draw from the
+    sub-streams ``mix_seed(seed, 0..2)`` in turn; ``seed`` must be at least
+    0, and one of 2**64 or more is taken modulo 2**64, as :func:`mix_seed`
+    takes it. A batch of one of :func:`_trial_problems`, which raises the
+    errors of out-of-range arguments.
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
-    problem, = _make_problems([(state_dim, obs_dim)], [int(seed) & _MASK64],
-                              [cond_target])
+    problem, = _trial_problems((state_dim, obs_dim), [int(seed) & _MASK64],
+                               cond_target)
     if isinstance(problem, GainlabError):
         raise problem
     return problem
 
 
-def _make_problems(shapes: Sequence[tuple[int, int]], seeds,
+def _trial_problems(shape: tuple[int, int], seeds, cond_target: float,
+                    ) -> list[Union[FilterProblem, GainlabError]]:
+    """:func:`make_problem` of each of ``seeds``, integers in [0, 2**64).
+
+    One :func:`~gainlab.matrix_core._generators` call seeds every seed's
+    sub-streams ``mix_seed(seed, 0..2)``: prior, noise and operator.
+    """
+    n, m = (max(dim, 0) for dim in shape)  # for _make_problems to reject
+    generators = _generators(_mix_seeds(
+        np.asarray(seeds, dtype=np.uint64)[:, None], [0, 1, 2]).ravel())
+    draws = [(prior.standard_normal((n, n)), noise.standard_normal((m, m)),
+              obs.standard_normal((m, n)))
+             for prior, noise, obs in zip(*[generators] * 3)]
+    return _make_problems([shape] * len(draws), draws,
+                          [cond_target] * len(draws))
+
+
+def _make_problems(shapes: Sequence[tuple[int, int]], draws,
                    conds: Sequence[float],
                    ) -> list[Union[FilterProblem, GainlabError]]:
-    """:func:`make_problem` of each row: its ``(n, m)`` shape, seed and target.
+    """The problem of each row: its ``(n, m)`` shape, draws and target.
 
-    ``seeds`` holds integers in [0, 2**64), and every row's sub-seeds are
-    mixed as one uint64 stack (see :func:`_mix_seeds`), which one
-    :func:`~gainlab.matrix_core._generators` call seeds. Every covariance of one
-    dimension, prior or noise of any row, is drawn as one stack (see
-    :func:`~gainlab.matrix_core._random_spds`), which raises the
-    InvalidParameter of an out-of-range dimension or target, that of the
-    first row's prior first. Each shape's problems are built, and so
-    validated, as one stack (see
+    ``draws[row]`` holds the row's Gaussian draws: (n, n) for its prior,
+    (m, m) for its noise, and its (m, n) observation operator. Every
+    covariance of one dimension, prior or noise of any row, is assembled
+    as one stack (see :func:`~gainlab.matrix_core._random_spds`), which
+    raises the InvalidParameter of an out-of-range dimension or target,
+    that of the first row's prior first. Each shape's problems are built,
+    and so validated, as one stack (see
     :func:`~gainlab.kalman_update._build_problems`). Returns one outcome per
-    row, in order: its problem, bit for bit that of :func:`make_problem`, or
-    the GainlabError that building it alone raises. A row that fails to
-    build never disturbs the others.
+    row, in order: its problem, bit for bit the one built alone, or the
+    GainlabError that building it alone raises.
     """
-    sub_seeds = _mix_seeds(seeds, [[0], [1], [2]])
     # Each dimension's covariances: (0, row) is a prior, (1, row) a noise.
     wanted, groups = defaultdict(list), defaultdict(list)
     for row, shape in enumerate(shapes):
         groups[shape].append(row)
         wanted[shape[0]].append((0, row))
         wanted[shape[1]].append((1, row))
-    order = [key for keys in wanted.values() for key in keys]
-    order += [(2, row) for rows in groups.values() for row in rows]
-    generators = _generators(sub_seeds[tuple(zip(*order))])
     covariances = {}
     for dim, keys in wanted.items():
         covariances.update(zip(keys, _random_spds(
-            dim, islice(generators, len(keys)),
+            dim, np.array([draws[row][kind] for kind, row in keys]),
             [conds[row] for _, row in keys])))
     outcomes: list = [None] * len(shapes)
     for (n, m), rows in groups.items():
         built = _build_problems(
             np.array([covariances[0, row] for row in rows]),
-            np.array([generator.standard_normal((m, n))
-                      for generator in islice(generators, len(rows))]),
+            np.array([draws[row][2] for row in rows]),
             np.array([covariances[1, row] for row in rows]))
         for row, outcome in zip(rows, built):
             outcomes[row] = outcome
@@ -236,22 +245,20 @@ def _run_chunk(config: ExperimentConfig,
     """Run the trials ``indices``, with all their minimizations in one batch.
 
     The trial seeds are mixed as one stack (see :func:`_mix_seeds`), the
-    problems are built as stacks and go to one
+    problems are drawn and built as stacks and go to one
     :func:`~gainlab.optimizer.equivalence_batch`, whose reports hold every
     record's evidence. A trial that raises becomes a failed record and
     leaves the other trials' records unchanged.
     """
-    seeds = dict(zip(indices, _mix_seeds(config.master_seed & _MASK64,
-                                         indices).tolist()))
-    outcomes = dict(zip(seeds, _make_problems(
-        [(config.state_dim, config.obs_dim)] * len(seeds),
-        list(seeds.values()), [config.cond_target] * len(seeds))))
+    seeds = _mix_seeds(config.master_seed & _MASK64, indices)
+    outcomes = dict(zip(indices, _trial_problems(
+        (config.state_dim, config.obs_dim), seeds, config.cond_target)))
     problems = {index: problem for index, problem in outcomes.items()
                 if isinstance(problem, FilterProblem)}
     outcomes.update(zip(problems, equivalence_batch(
         list(problems.values()), config.optimizer_config())))
-    return [_trial_record(index, seeds[index], outcomes[index])
-            for index in indices]
+    return [_trial_record(index, seed, outcomes[index])
+            for index, seed in zip(indices, seeds.tolist())]
 
 
 def _trial_record(index: int, seed: int,

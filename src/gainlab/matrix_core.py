@@ -9,6 +9,9 @@ failing alone. The package's own random streams are seeded here, by
 ``_generators``: one hash of a whole uint64 stack of seeds gives each seed
 the words from which numpy seeds its own default generator; ``random_spd``,
 which takes a seed of any size, calls ``np.random.default_rng`` directly.
+A trial draws its prior, noise and operator from three sub-streams
+``mix_seed(seed, 0..2)``; a gradcheck instance draws its n, m, gain noise,
+prior, noise and operator, in that order, from one stream.
 """
 
 import numbers
@@ -243,8 +246,8 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     dim : int
         Matrix dimension, at least 1.
     seed : int
-        Seed of any size, at least 0, given to ``np.random.default_rng``;
-        identical arguments give bit-identical output.
+        Seed of any size, at least 0; the Gaussian matrix is the one draw of
+        ``np.random.default_rng(seed)``, so equal arguments give equal bits.
     cond_target : float, optional
         Ratio of the extreme eigenvalues; must be >= 1.
 
@@ -252,11 +255,13 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
     -------
     ndarray, shape (dim, dim)
         A matrix passing ``validate_covariance``. This is a batch of one of
-        :func:`_random_spds`, with the one target ``cond_target``, which
-        raises the errors of out-of-range arguments.
+        :func:`_random_spds`, of its draw and ``cond_target``, which raises
+        the errors of out-of-range arguments.
     """
     _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
-    return _random_spds(dim, [np.random.default_rng(seed)], [cond_target])[0]
+    size = max(dim, 0)  # draws nothing for _random_spds to reject
+    return _random_spds(dim, np.random.default_rng(seed).standard_normal(
+        (1, size, size)), [cond_target])[0]
 
 
 def _check_numbers(reals: dict, **integers) -> None:
@@ -275,17 +280,15 @@ def _check_numbers(reals: dict, **integers) -> None:
         raise InvalidParameter(f"seed must be >= 0, got {integers['seed']}")
 
 
-def _random_spds(dim: int, generators, conds) -> np.ndarray:
-    """:func:`random_spd` of every seed, as one (len(conds), dim, dim) stack.
+def _random_spds(dim: int, gauss: np.ndarray, conds) -> np.ndarray:
+    """:func:`random_spd` of each (dim, dim) Gaussian draw of ``gauss``.
 
-    ``generators`` yields, in order, one generator per target, that of
-    :func:`_generators` or ``np.random.default_rng`` for its seed, and
     ``conds`` holds the targets, checked as one array: the first target out
     of range raises the InvalidParameter that :func:`random_spd` raises for
-    it. Only the Gaussian draws are made one seed at a time. The QR
-    decompositions, sign fixes, eigenvalue powers and assemblies run on the
-    whole stack, and each equals its per-matrix operation bit for bit, so
-    every row is the matrix :func:`random_spd` gives for its seed and target.
+    it. The QR decompositions, sign fixes, eigenvalue powers and assemblies
+    run on the whole stack, and each equals its per-matrix operation bit for
+    bit, so every row is the matrix :func:`random_spd` gives for its draw
+    and target.
     """
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
@@ -293,8 +296,6 @@ def _random_spds(dim: int, generators, conds) -> np.ndarray:
     bad = np.flatnonzero(~(np.isfinite(targets) & (targets >= 1.0)))
     if bad.size:
         raise InvalidParameter(f"cond_target must be >= 1, got {conds[bad[0]]}")
-    gauss = np.array([generator.standard_normal((dim, dim))
-                      for generator in generators])
     q, r = np.linalg.qr(gauss)
     q = q * np.where(r.diagonal(0, -2, -1) >= 0.0, 1.0, -1.0)[:, None, :]
     # Exponents symmetric around 0 make the eigenvalue geometric mean exactly 1;

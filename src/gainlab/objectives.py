@@ -18,15 +18,11 @@ gradients and errors of every row at its gain, those of the public
 functions bit for bit, from one Joseph update, one Cholesky factorization
 and one solve for the whole stack. The optimizer evaluates its iterates
 through it. The oracle, ``_finite_differences``, shares its one
-evaluation, ``_evaluate``, on stacks with one row and gain
-per problem: the perturbed copies of every row's gain are consecutive
-stacks of their own rows' matrices, whatever row they come from. One
-posterior per perturbed gain serves all three kinds: its trace, the log-det
-of its one Cholesky factor, and the entropy from that log-det.
-:func:`finite_difference_gradient` validates its gain once, at the public
-boundary, and returns its kind's row of a batch of one. The oracle still
-shares only the objective formulas with the closed-form gradients, exactly
-as a loop over the public evaluators would.
+evaluation, ``_evaluate``, on stacks with one row and gain per problem:
+the perturbed copies of every row's gain are consecutive stacks of their
+own rows' matrices, whatever row they come from. One posterior per
+perturbed gain serves all three kinds: its trace, the log-det of its one
+Cholesky factor, and the entropy from that log-det.
 """
 
 import enum

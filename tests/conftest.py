@@ -5,7 +5,7 @@ import pytest
 
 import gainlab.optimizer as optimizer
 from gainlab.experiment import make_problem, mix_seed
-from gainlab.kalman_update import analytic_gain
+from gainlab.kalman_update import FilterProblem, analytic_gain
 
 CONDITIONS = (1.0, 10.0, 100.0)
 # make_problem(2, 7, SINGULAR_SEED, 1e20) builds: its innovation covariance S
@@ -23,6 +23,28 @@ def seeded_problem(trial: int, master_seed: int = 5, max_dim: int = 8,
     m = int(rng.integers(1, max_dim + 1))
     cond = conditions[trial % len(conditions)]
     return make_problem(n, m, seed, cond)
+
+
+def spd_of_draw(gauss, cond_target):
+    """random_spd's matrix from its Gaussian draw, with 2-D operations only."""
+    dim = len(gauss)
+    q, r = np.linalg.qr(gauss)
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
+    spd = (q * cond_target ** exponents) @ q.T
+    return (spd + spd.T) / 2.0
+
+
+def one_stream_problem(rng, state_dim, obs_dim, cond_target):
+    """The problem of the next draws of ``rng``, as a gradcheck instance
+    takes them: the prior's Gaussian, the noise's Gaussian, then the
+    observation operator."""
+    prior = spd_of_draw(rng.standard_normal((state_dim, state_dim)),
+                        cond_target)
+    noise = spd_of_draw(rng.standard_normal((obs_dim, obs_dim)), cond_target)
+    return FilterProblem(prior=prior,
+                         obs_op=rng.standard_normal((obs_dim, state_dim)),
+                         obs_noise=noise)
 
 
 def singular_innovation_stack():
@@ -46,7 +68,6 @@ def scalar_problem():
 
 
 def make_scalar(prior: float, obs: float, noise: float):
-    from gainlab.kalman_update import FilterProblem
     return FilterProblem(prior=[[prior]], obs_op=[[obs]], obs_noise=[[noise]])
 
 

@@ -13,7 +13,7 @@ from gainlab.kalman_update import FilterProblem
 from gainlab.matrix_core import frobenius_norm
 from gainlab.objectives import ObjectiveKind, objective_gradient
 
-from conftest import SINGULAR_SEED
+from conftest import SINGULAR_SEED, one_stream_problem
 from test_objectives import (sequential_finite_difference_gradient,
                              sequential_finite_differences)
 
@@ -292,14 +292,16 @@ def test_oracle_evaluates_one_posterior_per_perturbed_gain(monkeypatch):
 
 
 def gradcheck_instance(seed, index, max_dim):
-    """Problem and gain noise of gradcheck instance ``index``, one at a time."""
-    instance_seed = mix_seed(seed, index)
-    rng = np.random.default_rng(mix_seed(instance_seed, 10))
+    """Problem and gain noise of gradcheck instance ``index``, one at a time.
+
+    Its one stream yields n, m, the gain noise, then its problem's draws.
+    """
+    rng = np.random.default_rng(mix_seed(seed, index))
     n = int(rng.integers(1, max_dim + 1))
     m = int(rng.integers(1, max_dim + 1))
+    noise = rng.standard_normal((n, m))
     conds = cli._GRADCHECK_CONDS
-    problem = make_problem(n, m, instance_seed, conds[index % len(conds)])
-    return problem, rng.standard_normal((n, m))
+    return one_stream_problem(rng, n, m, conds[index % len(conds)]), noise
 
 
 def sequential_gradcheck_errors(seed, indices, max_dim):
@@ -430,16 +432,18 @@ class TestStackedGradcheck:
     ])
     def test_singular_innovation_fails_its_instance_in_order(
             self, poisons, error, monkeypatch):
-        # instances 10, 16 and 24 of seed 4 are one 2x7 group, and 16 gets
-        # the problem whose S is singular to the analytic gain's solve
+        # instances 13, 16 and 18 of seed 18 are one 2x7 group, and 16 gets
+        # the problem whose S is singular to the analytic gain's solve; an
+        # instance is told by its observation operator's draw
         singular = make_problem(2, 7, SINGULAR_SEED, 1e20)
         make_problems = cli._make_problems
-        instances = {mix_seed(4, index): index for index in range(30)}
-        def swapped(shapes, seeds, conds):
-            outcomes = make_problems(shapes, seeds, conds)
-            for row, seed in enumerate(seeds):
-                index = instances[int(seed)]
-                if index in (10, 16, 24):
+        instances = {gradcheck_instance(18, index, 7)[0].obs_op.tobytes():
+                     index for index in range(30)}
+        def swapped(shapes, draws, conds):
+            outcomes = make_problems(shapes, draws, conds)
+            for row, (_, _, obs_op) in enumerate(draws):
+                index = instances[obs_op.tobytes()]
+                if index in (13, 16, 18):
                     assert shapes[row] == (2, 7)
                 if index == 16:
                     outcomes[row] = singular
@@ -447,7 +451,7 @@ class TestStackedGradcheck:
             return outcomes
         monkeypatch.setattr(cli, "_make_problems", swapped)
         with pytest.raises(NotPositiveDefinite) as caught:
-            cli._gradcheck_errors(4, range(30), 7)
+            cli._gradcheck_errors(18, range(30), 7)
         assert str(caught.value) == error
 
     def test_one_generation_and_one_check_per_shape_group(self,
@@ -462,15 +466,19 @@ class TestStackedGradcheck:
         for (n, m), indices in shapes.items():
             for dim in (n, m):
                 dims[dim] = dims.get(dim, 0) + len(indices)
-        draws, builds, checks = [], [], []
+        seedings, assemblies, builds, checks = [], [], [], []
+        generators = cli._generators
         random_spds = experiment._random_spds
         build_problems = experiment._build_problems
         gradient_errors = cli._gradient_errors
         analytic_gains = cli._analytic_gains
         inside = []
-        def spied_draws(dim, generators, conds):
-            draws.append((dim, len(conds)))
-            return random_spds(dim, generators, conds)
+        def spied_seedings(seeds):
+            seedings.append(seeds.tolist())
+            return generators(seeds)
+        def spied_assemblies(dim, gauss, conds):
+            assemblies.append((dim, len(gauss), len(conds)))
+            return random_spds(dim, gauss, conds)
         def spied_builds(priors, obs_ops, noises):
             builds.append((priors.shape[-1], noises.shape[-1], len(priors)))
             return build_problems(priors, obs_ops, noises)
@@ -485,15 +493,19 @@ class TestStackedGradcheck:
         def spied_solves(cross, innovation):
             checks.append(("solve", bool(inside), len(cross)))
             return analytic_gains(cross, innovation)
-        monkeypatch.setattr(experiment, "_random_spds", spied_draws)
+        monkeypatch.setattr(cli, "_generators", spied_seedings)
+        monkeypatch.setattr(experiment, "_random_spds", spied_assemblies)
         monkeypatch.setattr(experiment, "_build_problems", spied_builds)
         monkeypatch.setattr(cli, "_gradient_errors", spied_checks)
         monkeypatch.setattr(cli, "_analytic_gains", spied_solves)
         cli._gradcheck_errors(2, range(40), 4)
         assert len(shapes) > 1 and len(dims) < 2 * len(shapes)
-        # one draw per dimension, of all its covariances, and one build per
-        # shape, of all its problems
-        assert sorted(draws) == sorted(dims.items())
+        # one seeding, of one stream per instance
+        assert seedings == [[mix_seed(2, index) for index in range(40)]]
+        # one assembly per dimension, of all its covariances, and one build
+        # per shape, of all its problems
+        assert sorted(assemblies) == sorted((dim, count, count)
+                                            for dim, count in dims.items())
         assert sorted(builds) == sorted((n, m, len(indices))
                                         for (n, m), indices in shapes.items())
         # the analytic gains of a shape group are one solve, inside its check

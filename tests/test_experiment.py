@@ -20,9 +20,9 @@ from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
                                 mix_seed, render_report, run_experiment,
                                 run_trial)
 from gainlab.kalman_update import FilterProblem
-from gainlab.matrix_core import _generators, _random_spds, random_spd
+from gainlab.matrix_core import _random_spds, random_spd
 
-from conftest import starting_from
+from conftest import spd_of_draw, starting_from
 
 
 SMALL = ExperimentConfig(state_dim=3, obs_dim=2, trials=6, master_seed=9,
@@ -118,12 +118,8 @@ def sequential_random_spd(dim, seed, cond_target):
 
     The reference the stacked generator must equal bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
-    spd = (q * cond_target ** exponents) @ q.T
-    return (spd + spd.T) / 2.0
+    gauss = np.random.default_rng(seed).standard_normal((dim, dim))
+    return spd_of_draw(gauss, cond_target)
 
 
 def sequential_problem(state_dim, obs_dim, seed, cond_target):
@@ -148,6 +144,14 @@ def sequential_problem(state_dim, obs_dim, seed, cond_target):
     return _matrices(problem)
 
 
+def trial_draws(state_dim, obs_dim, seed):
+    """A trial's draws, from its sub-streams ``mix_seed(seed, 0..2)``; a
+    dimension below 1 draws nothing."""
+    n, m = max(state_dim, 0), max(obs_dim, 0)
+    return tuple(np.random.default_rng(mix_seed(seed, k)).standard_normal(size)
+                 for k, size in enumerate(((n, n), (m, m), (m, n))))
+
+
 def _matrices(problem):
     return tuple(a.tobytes() for a in (problem.prior, problem.obs_op,
                                        problem.obs_noise))
@@ -170,8 +174,10 @@ class TestStackedGeneration:
             calls = [[cond] * len(seeds) for cond in STACK_CONDS]
             calls.append([STACK_CONDS[i % len(STACK_CONDS)]
                           for i in range(len(seeds))])
+            gauss = np.array([np.random.default_rng(seed).standard_normal(
+                (dim, dim)) for seed in seeds])
             for conds in calls:
-                stack = _random_spds(dim, _generators(seeds), conds)
+                stack = _random_spds(dim, gauss, conds)
                 assert stack.shape == (len(seeds), dim, dim)
                 for seed, cond, matrix in zip(seeds, conds, stack):
                     expected = sequential_random_spd(dim, seed, cond).tobytes()
@@ -193,7 +199,7 @@ class TestStackedGeneration:
     def test_random_spds_reject_like_random_spd(self, dim, cond):
         # the bad target is the second row's, after a valid one
         with pytest.raises(InvalidParameter) as stacked:
-            _random_spds(dim, _generators([1, 2]), [10.0, cond])
+            _random_spds(dim, np.zeros((2, dim, dim)), [10.0, cond])
         with pytest.raises(InvalidParameter) as single:
             random_spd(dim, 1, cond)
         assert str(stacked.value) == str(single.value)
@@ -211,7 +217,9 @@ class TestStackedGeneration:
             if (n, m) in ((4, 3), (1, 1)):
                 seeds.insert(2, 15)
                 conds.insert(2, 1e40)
-            outcomes = _make_problems([(n, m)] * len(seeds), seeds, conds)
+            outcomes = _make_problems([(n, m)] * len(seeds),
+                                      [trial_draws(n, m, s) for s in seeds],
+                                      conds)
             assert len(outcomes) == len(seeds)
             for seed, cond, outcome in zip(seeds, conds, outcomes):
                 expected = sequential_problem(n, m, seed, cond)
@@ -233,7 +241,8 @@ class TestStackedGeneration:
                                                                  repeat=2)]
         rows.insert(7, ((4, 3), 15, 1e40))
         shapes, seeds, conds = map(list, zip(*rows))
-        outcomes = _make_problems(shapes, seeds, conds)
+        outcomes = _make_problems(
+            shapes, [trial_draws(n, m, s) for (n, m), s, _ in rows], conds)
         assert len(outcomes) == len(rows)
         for ((n, m), seed, cond), outcome in zip(rows, outcomes):
             assert _outcome(outcome) == sequential_problem(n, m, seed, cond)
@@ -241,6 +250,7 @@ class TestStackedGeneration:
                 if isinstance(outcome, GainlabError)] == [7]
 
     @pytest.mark.parametrize("n, m, cond", [(0, 3, 10.0), (3, 0, 10.0),
+                                            (-2, 3, 10.0), (3, -1, 10.0),
                                             (3, 3, 0.5),
                                             (4, 3, float("nan"))])
     def test_make_problems_reject_like_make_problem(self, n, m, cond):
@@ -249,11 +259,24 @@ class TestStackedGeneration:
         # targets are constants
         expected = sequential_problem(n, m, 11, cond)
         with pytest.raises(InvalidParameter) as stacked:
-            _make_problems([(n, m)] * 2, [12, 11], [10.0, cond])
+            _make_problems([(n, m)] * 2,
+                           [trial_draws(n, m, s) for s in (12, 11)],
+                           [10.0, cond])
         assert (type(stacked.value), str(stacked.value)) == expected
         with pytest.raises(InvalidParameter) as alone:
             make_problem(n, m, 11, cond)
         assert (type(alone.value), str(alone.value)) == expected
+
+    def test_trial_problems_match_make_problem(self):
+        # one call per shape and target; a 1e40 target fails every row but
+        # those of the 1x1 call
+        seeds = [mix_seed(6, k) for k in range(6)]
+        for shape in ((1, 1), (4, 3), (2, 7), (8, 8)):
+            for cond in (10.0, 1e4, 1e40):
+                outcomes = experiment._trial_problems(
+                    shape, np.array(seeds, dtype=np.uint64), cond)
+                assert [_outcome(outcome) for outcome in outcomes] == [
+                    sequential_problem(*shape, seed, cond) for seed in seeds]
 
 
 class TestRunTrial:
@@ -382,9 +405,9 @@ class TestRunExperiment:
         # a 1e300 prior overflows the trace gradient norm, so that trial's
         # line search fails inside the shared batch
         clean = run_experiment(SMALL)
-        build = experiment._make_problems
-        def poisoned(shapes, seeds, conds):
-            problems = build(shapes, seeds, conds)
+        build = experiment._trial_problems
+        def poisoned(shape, seeds, cond):
+            problems = build(shape, seeds, cond)
             for i, seed in enumerate(seeds):
                 if seed == mix_seed(SMALL.master_seed, 2):
                     problem = problems[i]
@@ -392,7 +415,7 @@ class TestRunExperiment:
                                                 obs_op=problem.obs_op,
                                                 obs_noise=problem.obs_noise)
             return problems
-        monkeypatch.setattr(experiment, "_make_problems", poisoned)
+        monkeypatch.setattr(experiment, "_trial_problems", poisoned)
         with np.errstate(over="ignore", invalid="ignore"):
             result = run_experiment(SMALL)
         self._assert_only_trial_failed(result, clean, 2,

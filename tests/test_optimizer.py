@@ -19,8 +19,8 @@ from gainlab.optimizer import (OptimizerConfig, cross_objective_equivalence,
                                stationarity_residual, trace_gradient)
 from gainlab.experiment import ExperimentConfig, make_problem, mix_seed
 
-from conftest import (seeded_gain, seeded_problem, singular_innovation_stack,
-                      starting_from)
+from conftest import (one_stream_problem, seeded_gain, seeded_problem,
+                      singular_innovation_stack, starting_from)
 
 LOGDET = ObjectiveKind.LOG_GENERALIZED_VARIANCE
 ENTROPY = ObjectiveKind.DIFFERENTIAL_ENTROPY
@@ -780,3 +780,32 @@ class TestCrossObjectiveEquivalence:
             problem = make_problem(3 + trial % 3, 2 + trial % 2, 900 + trial, 10.0)
             equivalence = cross_objective_equivalence(problem)
             assert equivalence.pairwise_distance[(LOGDET, ENTROPY)] <= 1e-9
+
+
+class TestHardProblems:
+    """Problems whose prior, noise and operator are drawn, in that order,
+    from one ``default_rng(seed)`` stream, on which the minimizer falls
+    short. ``make_problem`` keeps its three sub-streams until it does not."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "BB stalls: log-det and entropy stop at max_iters 5000, 0.313 from "
+        "the analytic gain; the log-det needs 10,064 iterations"))
+    def test_cond_10_problem_passes_at_the_default_config(self):
+        # trial 3 of batch 147 of the default_4x3 benchmark at seed 1, had
+        # make_problem drawn from one stream; the trace converges in 23
+        problem = one_stream_problem(
+            np.random.default_rng(11344339322003725509), 4, 3, 10.0)
+        equivalence, = equivalence_batch([problem], OptimizerConfig())
+        assert all(distance <= experiment.DISTANCE_THRESHOLD
+                   for distance in equivalence.distance_to_analytic.values())
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "log-det and entropy stop at max_iters 5000, 5.6e-7 apart"))
+    def test_logdet_and_entropy_minimizers_meet_at_tight_tolerance(self):
+        # trial 20 of the acceptance suite (SUITE_SEED 5), had make_problem
+        # drawn from one stream; criterion 3's bound
+        problem = one_stream_problem(
+            np.random.default_rng(2118876895552091609), 8, 7, 100.0)
+        equivalence, = equivalence_batch([problem],
+                                         OptimizerConfig(grad_tol=1e-10))
+        assert equivalence.pairwise_distance[(LOGDET, ENTROPY)] <= 1e-8
