@@ -13,6 +13,7 @@ or whose analytic gain fails, is a failed check, in ``check`` as in a
 import argparse
 import sys
 from collections import defaultdict
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -117,8 +118,9 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     and a failing problem's other errors are meaningless. One batch, which
     stacks each problem once and repeats it per kind, gives ``K*`` as one
     solve and the analytic gradients; the stacked oracle takes every third
-    row of it, each problem once, and shares only the objective formulas
-    with the gradients. Both equal the public functions' bit for bit.
+    row of its prior, operator and noise, each problem once, and shares
+    only the objective formulas with the gradients. Both equal the public
+    functions' bit for bit.
     """
     kinds = tuple(ObjectiveKind)
     batch = objectives._Batch.stack(problems, kinds * len(problems),
@@ -128,8 +130,9 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     stacked = np.repeat(gains + 0.1 * np.asarray(noises), len(kinds), axis=0)
     with np.errstate(invalid="ignore"):
         _, analytic, errors = batch.evaluate(stacked)
-    numeric, numeric_errors = objectives._finite_differences(batch.take(each),
-                                                             stacked[each])
+    numeric, numeric_errors = objectives._finite_differences(
+        SimpleNamespace(prior=batch.prior[each], obs_op=batch.obs_op[each],
+                        obs_noise=batch.obs_noise[each]), stacked[each])
     # Row r is problem r // len(kinds) under its kind, in the loop's order.
     # A problem's K* fails first; then, at one row, the analytic gradient's
     # errors come before the oracle's.

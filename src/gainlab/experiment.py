@@ -295,6 +295,16 @@ def _summarize(records: list[TrialRecord]) -> SummaryRecord:
     )
 
 
+def _trial_bytes(state_dim: int, obs_dim: int) -> int:
+    """Bytes a ``run`` trial holds at most: its :func:`_row_bytes`, and four
+    times its three rows' inverse Hessians of 8·(n·m)² bytes each (see
+    :func:`~gainlab.optimizer.minimize_batch`), for the inverses and a
+    round's products with them. By tracemalloc a chunk's peak less its
+    ``_row_bytes`` is 3.4-3.6 times the inverses at 4x3, and 2.7-2.9 at
+    8x8, 12x12 and 20x20."""
+    return _row_bytes(state_dim, obs_dim) + 96 * (state_dim * obs_dim) ** 2
+
+
 def _chunks(rows: int, workers: int, row_bytes: int) -> list[range]:
     """Contiguous chunks of ``range(rows)``, near-equal in size.
 
@@ -324,7 +334,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if type(workers) is not int or workers < 1:
         raise InvalidParameter(f"workers must be an int >= 1, got {workers!r}")
     chunks = _chunks(config.trials, workers,
-                     _row_bytes(config.state_dim, config.obs_dim))
+                     _trial_bytes(config.state_dim, config.obs_dim))
     processes = min(workers, len(chunks))
     if processes == 1:
         parts = [_run_chunk(config, chunk) for chunk in chunks]

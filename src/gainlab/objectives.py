@@ -57,10 +57,12 @@ _FD_BLOCK_ROWS = 256
 
 
 def _row_bytes(state_dim: int, obs_dim: int) -> int:
-    """Bytes a trial or a gradcheck instance of this shape holds at most:
-    20 float64 blocks of ``(state_dim + obs_dim)²``. By tracemalloc a trial
-    peaks at 19.6 of them at 4x3, 15 at 8x8 and 12.8 at 20x20, and an
-    instance at about 10."""
+    """Bytes a gradcheck instance of this shape holds at most, and a trial
+    besides its optimizer's inverse Hessians (see
+    :func:`~gainlab.experiment._trial_bytes`): 20 float64 blocks of
+    ``(state_dim + obs_dim)²``. By tracemalloc a trial without them peaks
+    at 19.6 of them at 4x3, 15 at 8x8 and 12.8 at 20x20, and an instance at
+    about 10."""
     return 160 * (state_dim + obs_dim) ** 2
 
 

@@ -1,20 +1,21 @@
 """Gain-matrix minimization of the dispersion objectives, with convergence reports.
 
-The minimizer is deliberately first-order: the descent direction is always the
-negative analytic gradient, so every iteration exercises the closed-form
-gradient of the chosen objective. Step sizes come from the Barzilai-Borwein
-spectral estimate and are safeguarded by Armijo backtracking; see
-:func:`minimize_objective` for the exact acceptance rule. This module holds
-the descent only: the objective values and gradients, stacked or not, come
-from :mod:`gainlab.objectives`.
+The minimizer is quasi-Newton: each row keeps a dense BFGS approximation of
+its inverse Hessian over the flattened gain, built only from the row's own
+closed-form gradients, so every iteration exercises the closed-form gradient
+of the chosen objective and nothing else. Steps are safeguarded by
+nonmonotone Armijo backtracking; see :func:`minimize_objective` for the
+exact rule. This module holds the descent only: the objective values and
+gradients, stacked or not, come from :mod:`gainlab.objectives`.
 
 There is one minimizer, :func:`minimize_batch`. It runs many minimizations,
-all from the zero gain, in lockstep on stacked ``(B, n, m)`` gains and
-``(B, n, n)`` posteriors, and every row keeps its own objective, step,
-backtracking, descent window, iteration count and outcome. Each row's
-iterates equal those it gets in a batch of its own, bit for bit, so results
-do not depend on how problems are batched. :func:`minimize_objective` is a
-batch of one and :func:`cross_objective_equivalence` a batch of three.
+all from the zero gain, in lockstep on stacked ``(B, n, m)`` gains,
+``(B, n, n)`` posteriors and ``(B, n·m, n·m)`` inverse Hessians, and every
+row keeps its own objective, step, backtracking, curvature, descent window,
+iteration count and outcome. Each row's iterates equal those it gets in a
+batch of its own, bit for bit, so results do not depend on how problems are
+batched. :func:`minimize_objective` is a batch of one and
+:func:`cross_objective_equivalence` a batch of three.
 """
 
 import math
@@ -44,13 +45,14 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _MIN_STEP = 1e-16
-_BB_STEP_RANGE = (1e-12, 1e12)
 _DESCENT_WINDOW = 10
-# Armijo sufficient-decrease constant, backtracking factor, and the norm of
-# the first trial displacement.
+# Armijo sufficient-decrease constant, backtracking factor, the norm of the
+# first trial displacement, and the margin by which <s, y> must exceed zero,
+# relative to ||s|| ||y||, for a curvature pair to update the inverse Hessian.
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _INITIAL_STEP = 1.0
+_CURVATURE_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,36 @@ def stationarity_residual(problem: FilterProblem, gain: np.ndarray) -> float:
                                               problem.innovation))
 
 
-def _clip_step(steps: np.ndarray) -> np.ndarray:
-    """Steps clipped into ``_BB_STEP_RANGE``; NaN stays NaN."""
-    return np.minimum(np.maximum(steps, _BB_STEP_RANGE[0]), _BB_STEP_RANGE[1])
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius inner product of each pair of rows of two stacks."""
     return np.add.reduce(a * b, axis=(-2, -1))
+
+
+def _bfgs_update(inverses: np.ndarray, paired: np.ndarray, rows: np.ndarray,
+                 s: np.ndarray, y: np.ndarray, sy: np.ndarray,
+                 yy: np.ndarray) -> None:
+    """Update the inverse Hessians of ``rows`` in place by their pairs.
+
+    ``s`` and ``y`` are the flattened displacements and gradient changes of
+    every row, and ``sy`` and ``yy`` their inner products. A row's first
+    pair replaces its identity by ``(sy / yy) I`` (Nocedal & Wright, eq.
+    6.20), and sets ``paired``. The update is the BFGS inverse update
+    ``(I - r s y.T) H (I - r y s.T) + r s s.T``, ``r = 1 / sy``, written as
+    the one rank-2 product ``[u s] [s u].T = u s.T + s u.T`` with
+    ``u = (sy + y.T H y) / (2 sy²) s - H y / sy``.
+    """
+    first = rows & ~paired
+    if np.count_nonzero(first):
+        inverses[first] = (sy / yy)[first, None, None] * np.eye(s.shape[-1])
+        paired |= first
+    if np.count_nonzero(rows) == len(rows):
+        rows = slice(None)
+    s, y, sy = s[rows], y[rows], sy[rows]
+    hy = np.matmul(inverses[rows], y[:, :, None])[..., 0]
+    yhy = np.add.reduce(y * hy, axis=-1)
+    u = (0.5 * (sy + yhy) / (sy * sy))[:, None] * s - hy / sy[:, None]
+    inverses[rows] += np.matmul(np.stack((u, s), axis=-1),
+                                np.stack((s, u), axis=1))
 
 
 def minimize_batch(problems: Sequence[FilterProblem],
@@ -175,13 +199,18 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
         ids = np.setdiff1d(np.arange(len(gains)), list(errors))
         batch, gains, grads = batch.take(ids), gains[ids], grads[ids]
         gnorms = np.sqrt(_row_dots(grads, grads))
-        steps = _clip_step(_INITIAL_STEP / np.maximum(gnorms, _MIN_STEP))
+        steps = _INITIAL_STEP / np.maximum(gnorms, _MIN_STEP)
         iterations = np.zeros(len(ids), dtype=np.intp)
         # The working rows' state, one array per quantity, which finished
         # rows leave with one take. ``window`` keeps a row's last
         # _DESCENT_WINDOW accepted values, -inf if unfilled, the current one
-        # in slot iterations % _DESCENT_WINDOW.
+        # in slot iterations % _DESCENT_WINDOW. ``inverses`` holds each
+        # row's inverse Hessian over its flattened gain, the identity until
+        # ``paired`` says it has stored a curvature pair.
+        size = gains.shape[-2] * gains.shape[-1]
         window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
+        inverses = np.repeat(np.eye(size)[None], len(ids), 0)
+        paired = np.zeros(len(ids), dtype=bool)
         window[:, 0] = values[ids]
         ended, everyone, rounds = [], np.arange(len(ids)), 0
 
@@ -212,18 +241,24 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                         f"{iterations[row]} (gradient norm {gnorms[row]:.3e})")
                 keep = ~done
                 batch = batch.take(keep)
-                ids, gains, grads, gnorms, steps, iterations, window = (
+                (ids, gains, grads, gnorms, steps, iterations, window,
+                 inverses, paired) = (
                     state[keep] for state in (ids, gains, grads, gnorms, steps,
-                                              iterations, window))
+                                              iterations, window, inverses,
+                                              paired))
                 everyone = everyone[:len(ids)]
             if not len(ids):
                 return
 
-            trials = gains - steps[:, None, None] * grads
+            flat = grads.reshape(-1, size)
+            directions = -np.matmul(inverses, flat[:, :, None])[..., 0]
+            slopes = np.add.reduce(flat * directions, axis=-1)
+            trials = gains + steps[:, None, None] * directions.reshape(
+                gains.shape)
             trial_values, trial_grads, errors = batch.evaluate(trials)
             reference = np.maximum.reduce(window, axis=1)
             accepted = trial_values <= (
-                reference - _ARMIJO_C * steps * gnorms * gnorms
+                reference + _ARMIJO_C * steps * slopes
                 + 8.0 * _EPS * (1.0 + np.abs(reference)))
             ended = []
             for row, exc in errors.items():
@@ -243,20 +278,26 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                 moved = accepted[:, None, None]
                 trials = np.where(moved, trials, gains)
                 trial_grads = np.where(moved, trial_grads, grads)
-            # An accepted row's next trial step is the Barzilai-Borwein
-            # estimate <s, y> / <y, y> where both are positive, else the
-            # step just accepted. A rejected row's s is zero, so the
-            # division in place leaves its step, which it halves.
-            changes = trial_grads - grads
-            sy = _row_dots(trials - gains, changes)
-            yy = _row_dots(changes, changes)
-            np.divide(sy, yy, out=steps, where=np.minimum(sy, yy) > 0.0)
-            steps = (np.where(accepted, _clip_step(steps),
-                              steps * _BACKTRACK_FACTOR)
-                     if rejected else _clip_step(steps))
+            # A pair updates its row's inverse Hessian where <s, y> is
+            # positive by a margin, as the log-det is not convex; a rejected
+            # row's s and y are zero, so it never does.
+            s = (trials - gains).reshape(-1, size)
+            y = (trial_grads - grads).reshape(-1, size)
+            sy = np.add.reduce(s * y, axis=-1)
+            yy = np.add.reduce(y * y, axis=-1)
+            curved = sy > (_CURVATURE_MARGIN * np.sqrt(np.add.reduce(
+                s * s, axis=-1)) * np.sqrt(yy))
+            if np.count_nonzero(curved):
+                _bfgs_update(inverses, paired, curved, s, y, sy, yy)
 
             gains, grads = trials, trial_grads
             gnorms = np.sqrt(_row_dots(grads, grads))
+            # An accepted row tries the unit quasi-Newton step, or, until it
+            # has a pair, the first trial's displacement; a rejected row
+            # halves its step.
+            steps = np.where(accepted, np.where(
+                paired, 1.0, _INITIAL_STEP / np.maximum(gnorms, _MIN_STEP)),
+                steps * _BACKTRACK_FACTOR)
             iterations += accepted
             if rejected:
                 window[accepted, iterations[accepted] % _DESCENT_WINDOW] = (
@@ -268,31 +309,37 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
 def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
                        config: OptimizerConfig = OptimizerConfig(),
                        ) -> OptimizationReport:
-    """Minimize an objective over the gain by safeguarded gradient descent.
+    """Minimize an objective over the gain by safeguarded BFGS descent.
 
     The descent starts from the zero gain and returns the four-field
-    :class:`OptimizationReport`. Each iteration steps along the negative
-    analytic gradient. The trial step is the Barzilai-Borwein estimate
-    ``<s, y> / <y, y>`` from the previous displacement/gradient-change pair
-    and is multiplied by ``_BACKTRACK_FACTOR`` = 0.5 until accepted. The
-    first iteration, which has no spectral information yet, uses
-    ``_INITIAL_STEP / ||g||`` so that the first trial displacement has norm
+    :class:`OptimizationReport`. Each iteration steps along ``d = -H g``,
+    with ``g`` the closed-form gradient flattened to ``n·m`` entries and
+    ``H`` a dense BFGS approximation of the inverse Hessian (Nocedal &
+    Wright, *Numerical Optimization*, ch. 6). ``H`` is the identity until the
+    first curvature pair is stored, and is built only from the minimization's
+    own displacements ``s`` and gradient changes ``y``: after an accepted
+    step, a pair with ``<s, y> > _CURVATURE_MARGIN * ||s|| ||y||`` (1e-10;
+    the log-det is not convex) first replaces the identity by
+    ``(<s, y> / <y, y>) I``, eq. 6.20, then applies the BFGS inverse update;
+    any other pair leaves ``H`` as it is. So the search reads neither ``S``
+    nor the posterior, and the closed-form gradient is all it exercises.
+    Until it has stored a pair, an iteration's trial step is
+    ``_INITIAL_STEP / ||g||``, so that the trial displacement has norm
     ``_INITIAL_STEP`` = 1.0 regardless of objective scaling (this keeps
-    minimization paths of affinely related objectives aligned).
+    minimization paths of affinely related objectives aligned); after it,
+    the unit step ``t = 1``. A rejected step is multiplied by
+    ``_BACKTRACK_FACTOR`` = 0.5.
 
     Acceptance is the nonmonotone (watchdog) Armijo condition of
     Grippo-Lucidi-Lampariello: a step ``t`` is accepted when
 
-        ``f(k - t g) <= max(recent f) - _ARMIJO_C * t * ||g||^2 + slack``
+        ``f(k + t d) <= max(recent f) + _ARMIJO_C * t * <g, d> + slack``
 
     with ``_ARMIJO_C`` = 1e-4, the reference value taken over the last 10
     accepted iterates and a slack of a few ulps of the reference, so rounding
-    noise in the objective cannot veto progress. The window lets the spectral
-    step take its characteristic transient objective increases, without which
-    the iteration degrades to plain gradient descent and provably stalls on
-    ill-conditioned instances; the running window maximum is still
-    non-increasing, so every iterate stays at or below the starting objective
-    (up to accumulated slack). The three step constants are fixed, not
+    noise in the objective cannot veto progress. The running window maximum
+    is non-increasing, so every iterate stays at or below the starting
+    objective (up to accumulated slack). The four constants are fixed, not
     settings.
 
     Steps whose objective evaluation raises NotPositiveDefinite are rejected
@@ -305,9 +352,11 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     one evaluation at the trial gains, of one Joseph update, one Cholesky
     factorization with the same pivot floor and one solve for the log-det
     and entropy rows, and one stacked gradient, which a rejected row throws
-    away. Values, gradients and iterates are bit for bit those of this rule
-    written as a loop over :func:`~gainlab.objectives.evaluate_objective`
-    and :func:`~gainlab.objectives.objective_gradient`.
+    away, and one product of each row's ``H`` with its gradient and, for
+    the rows that store a pair, one rank-2 update. Values, gradients and
+    iterates are bit for bit those of this rule written as a loop over
+    :func:`~gainlab.objectives.evaluate_objective` and
+    :func:`~gainlab.objectives.objective_gradient`.
 
     Raises
     ------

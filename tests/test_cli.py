@@ -132,9 +132,9 @@ class TestCheck:
         assert "minimized entropy" in capsys.readouterr().out
 
     def test_failed_minimization_fails_the_check(self, capsys):
-        # the log-det and entropy line searches give up at cond 1e12; that
-        # is a failed check, not a configuration error
-        code = main(["check", "--seed", "3", "--cond", "1e12"])
+        # the log-det and entropy line searches give up at cond 1e16, seed
+        # 2; that is a failed check, not a configuration error
+        code = main(["check", "--seed", "2", "--cond", "1e16"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""

@@ -320,7 +320,7 @@ class TestRunExperiment:
 
     def test_chunking_does_not_change_output(self, monkeypatch):
         expected = render_report(run_experiment(SMALL))
-        row_bytes = experiment._row_bytes(SMALL.state_dim, SMALL.obs_dim)
+        row_bytes = experiment._trial_bytes(SMALL.state_dim, SMALL.obs_dim)
         for chunk in (1, 4):
             monkeypatch.setattr(experiment, "_CHUNK_BYTES", chunk * row_bytes)
             assert len(experiment._chunks(SMALL.trials, 1, row_bytes)) == (
@@ -330,7 +330,7 @@ class TestRunExperiment:
     def test_one_chunk_where_there_were_three(self, monkeypatch):
         # gainlab run --trials 120, three chunks at 50 trials per chunk
         config = ExperimentConfig(trials=120)
-        row_bytes = experiment._row_bytes(4, 3)
+        row_bytes = experiment._trial_bytes(4, 3)
         assert len(experiment._chunks(120, 1, row_bytes)) == 1
         expected = render_report(run_experiment(config))
         monkeypatch.setattr(experiment, "_CHUNK_BYTES", 50 * row_bytes)
@@ -341,7 +341,7 @@ class TestRunExperiment:
         # stopped early, so that unconverged trials are compared too
         config = ExperimentConfig(state_dim=8, obs_dim=8, trials=4,
                                   master_seed=3, cond_target=100.0,
-                                  max_iters=300)
+                                  max_iters=50)
         result = run_experiment(config)
         assert not all(all(r.converged.values()) for r in result.trials)
         for record in result.trials:
@@ -500,10 +500,23 @@ class TestChunks:
         assert len(experiment._chunks(100, 1, experiment._row_bytes(8, 8))) == 1
         assert len(experiment._chunks(500, 1, experiment._row_bytes(6, 6))) == 1
 
+    def test_run_budget_counts_the_inverse_hessians(self):
+        # gradcheck, which holds none, keeps its 500 instances at --max-dim
+        # 6 in one chunk; a run trial adds its three rows' n·m x n·m
+        # inverse Hessians, so the heavy 8x8 batch of 100 trials takes 4
+        assert experiment._trial_bytes(4, 3) > experiment._row_bytes(4, 3)
+        assert len(experiment._chunks(50, 1, experiment._trial_bytes(4, 3))) == 1
+        assert len(experiment._chunks(100, 1,
+                                      experiment._trial_bytes(8, 8))) == 4
+
     def test_run_chunk_peak_within_budget(self):
-        # the largest 20x20 chunk, stopped early: the peak comes first
-        config = ExperimentConfig(state_dim=20, obs_dim=20, max_iters=10)
-        rows = experiment._CHUNK_BYTES // experiment._row_bytes(20, 20)
+        # the largest 12x12 chunk, of 5 trials, stopped early: the peak
+        # comes first; at 20x20 a trial's inverse Hessians alone fill a
+        # third of the budget, and a chunk is one trial
+        config = ExperimentConfig(state_dim=12, obs_dim=12, max_iters=10)
+        rows = experiment._CHUNK_BYTES // experiment._trial_bytes(12, 12)
+        assert rows == 5
+        assert experiment._CHUNK_BYTES // experiment._trial_bytes(20, 20) == 0
         peak = _peak_bytes(partial(experiment._run_chunk, config), range(rows))
         assert peak <= experiment._CHUNK_BYTES
 

@@ -94,12 +94,12 @@ MUTANTS = {
 }
 
 # Every descent field that vanishes where the bracket M does carries the
-# optimizer to the analytic gain, and `run` compares only gains, not
-# objective values.
+# optimizer to the analytic gain, its BFGS curvature built from that field,
+# and `run` compares only gains, not objective values.
 _RUN_BLIND = pytest.mark.xfail(
     strict=True, reason="run checks only where the gradient vanishes")
 # The nonmonotone reference is the largest of the last 10 values, so a
-# trial's value lies far outside the band of +-1e-4 t ||g||^2 around it,
+# trial's value lies far outside the band of +-1e-4 t |<g, d>| around it,
 # and the term's sign decides no step the gates take.
 _SEARCH_BLIND = pytest.mark.xfail(
     strict=True, reason="the Armijo term's sign decides no step taken")
@@ -120,7 +120,7 @@ TABLE = [
     pytest.param("log_det_of_factor_without_factor_2", "run", marks=_RUN_BLIND),
     ("joseph_form_without_noise_term", "check"),
     ("joseph_form_without_noise_term", "gradcheck"),
-    # `run` kills this mutant too, but only after about 20 s of minimizations
+    # `run` kills this mutant too, but only after about 22 s of minimizations
     # that run to max_iters, so it is left out of the table.
     ("analytic_gains_against_half_innovation", "run"),
     ("analytic_gains_against_half_innovation", "check"),
@@ -129,8 +129,8 @@ TABLE = [
                      "gradcheck compares gradients at any gain, and the "
                      "analytic gain is only where it draws them"))),
     ("bracket_against_half_innovation", "gradcheck"),
-    # `run` and `check` kill this mutant too, but only after about 45 s and
-    # 20 s of minimizations, so they are left out of the table.
+    # `run` and `check` kill this mutant too, but only after about 40 s and
+    # 17 s of minimizations, so they are left out of the table.
     pytest.param("armijo_condition_sign_flipped", "run", marks=_SEARCH_BLIND),
     pytest.param("armijo_condition_sign_flipped", "check", marks=_SEARCH_BLIND),
     pytest.param("armijo_condition_sign_flipped", "gradcheck",
