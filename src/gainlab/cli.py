@@ -218,9 +218,14 @@ def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
         n = int(generator.integers(1, max_dim + 1))
         m = int(generator.integers(1, max_dim + 1))
         shapes.append((n, m))
-        noises.append(generator.standard_normal((n, m)))
-        draws.append([generator.standard_normal(size)
-                      for size in ((n, n), (m, m), (m, n))])
+        # The (n, m) noise and the (n, n), (m, m) and (m, n) draws, in order:
+        # a Generator fills values in order, so one call gives four's bytes.
+        k = n * m
+        flat = generator.standard_normal(2 * k + n * n + m * m)
+        noises.append(flat[:k].reshape(n, m))
+        draws.append([flat[k:k + n * n].reshape(n, n),
+                      flat[k + n * n:-k].reshape(m, m),
+                      flat[-k:].reshape(m, n)])
     conds = [_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)] for i in indices]
     problems = _make_problems(shapes, draws, conds)
     groups, failures = defaultdict(list), {}

@@ -224,7 +224,7 @@ class _Batch:
     """
 
     def __init__(self, prior, obs_op, obs_noise, cross, innovation, entropy,
-                 factored):
+                 factored, identity=None):
         self.prior = prior
         self.obs_op = obs_op
         self.obs_noise = obs_noise
@@ -232,8 +232,10 @@ class _Batch:
         self.innovation = innovation
         self.entropy = entropy
         self.factored = factored
-        # One identity per row, so that ``I - K H`` need not broadcast.
-        self.identity = np.repeat(np.eye(prior.shape[-1])[None], len(prior), 0)
+        # One identity per row, so that ``I - K H`` need not broadcast; a
+        # taken batch slices its parent's.
+        self.identity = np.repeat(np.eye(prior.shape[-1])[None], len(prior),
+                                  0) if identity is None else identity
         # The rows to factorize, found once per batch; when every row
         # factorizes, they are taken as whole arrays, views and not copies.
         self._factor_ids = np.flatnonzero(factored)
@@ -277,7 +279,8 @@ class _Batch:
         a slice, whose batch holds views."""
         return _Batch(self.prior[rows], self.obs_op[rows], self.obs_noise[rows],
                       self.cross[rows], self.innovation[rows],
-                      self.entropy[rows], self.factored[rows])
+                      self.entropy[rows], self.factored[rows],
+                      self.identity[rows])
 
     def evaluate(self, gains: np.ndarray):
         """Every row at its gain: (values, gradients, errors).
@@ -319,7 +322,8 @@ def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
     :func:`_finite_differences`. It reads the ``prior``, ``obs_op`` and
     ``obs_noise`` of ``stacks``, one row per gain, and no row's kind;
     ``identity`` is that of :func:`_joseph_form`. ``rows``, a slice or an
-    array of row indices, selects the posteriors to factorize. Returns
+    array of row indices, selects the posteriors to factorize; when it
+    selects none, nothing is factorized. Returns
     (posteriors, logdets, invalid, failures): ``invalid`` maps each row
     whose gain is not finite to the InvalidParameter of every public
     evaluator, and takes its posterior at the zero gain; ``failures`` maps
@@ -348,6 +352,8 @@ def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
         failures = {int(row): InvalidParameter(
             "matrix contains non-finite entries")
             for row in np.flatnonzero(bad)}
+    if not len(others):
+        return posteriors, np.empty(0), invalid, failures
     factors, breakdowns = matrix_core._cholesky_factors(others)
     failures.update(breakdowns)
     return (posteriors, matrix_core._log_det_of_factor(factors), invalid,
@@ -377,7 +383,9 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
         If a perturbed posterior is not SPD (log-det and entropy).
     """
     k = problem.check_gain(gain)
-    grads, errors = _finite_differences(_Batch.stack([problem], [kind]), k[None])
+    grads, errors = _finite_differences(
+        _Batch.stack([problem], [kind]), k[None],
+        kind is not ObjectiveKind.TOTAL_VARIANCE)
     row = list(ObjectiveKind).index(kind)
     if row in errors:
         raise errors[row]
@@ -385,7 +393,7 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
 
 
 def _finite_differences(batch: _Batch, gains: np.ndarray,
-                        ) -> tuple[np.ndarray, dict]:
+                        factorize: bool = True) -> tuple[np.ndarray, dict]:
     """:func:`finite_difference_gradient` of every row of a batch under every kind.
 
     ``batch`` is a :class:`_Batch`, or any object, whose ``prior``,
@@ -406,14 +414,17 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     three matrices, and reads no other field. The trace is that
     of each posterior, the log-det that of its factor, and the entropy
     ``_entropy(n, 0.0) + 0.5 * logdet``, the operations of
-    :meth:`_Batch.evaluate`.
+    :meth:`_Batch.evaluate`. Unless ``factorize``, no posterior is
+    factorized: the log-det and entropy rows are NaN, and only a
+    non-finite perturbed gain fails.
     """
     count, n, m = gains.shape
     per_row = 2 * n * m
     total = count * per_row
     flat = gains.reshape(count, n * m)
     steps = 1e-6 * (1.0 + np.abs(flat))
-    traces, logdets = np.empty(total), np.empty(total)
+    traces, logdets = np.empty(total), np.full(total, np.nan)
+    factored = slice(None) if factorize else slice(0)
     # The first failing perturbation of a row, for the trace and for the
     # factorizing kinds; at one perturbation, a non-finite gain comes first.
     invalid, failed = {}, {}
@@ -434,8 +445,8 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
             block = SimpleNamespace(prior=batch.prior[rows],
                                     obs_op=batch.obs_op[rows],
                                     obs_noise=batch.obs_noise[rows])
-            posteriors, logdets[done], gain_errors, failures = _evaluate(
-                block, bumped.reshape(-1, n, m), slice(None), identity)
+            posteriors, logdets[done][factored], gain_errors, failures = (
+                _evaluate(block, bumped.reshape(-1, n, m), factored, identity))
             traces[done] = matrix_core._trace(posteriors)
             for row in sorted(gain_errors):
                 invalid.setdefault(int(rows[row]), gain_errors[row])

@@ -119,36 +119,41 @@ def stationarity_residual(problem: FilterProblem, gain: np.ndarray) -> float:
                                               problem.innovation))
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner product of each pair of rows of two stacks."""
-    return np.add.reduce(a * b, axis=(-2, -1))
-
-
 def _bfgs_update(inverses: np.ndarray, paired: np.ndarray, rows: np.ndarray,
-                 s: np.ndarray, y: np.ndarray, sy: np.ndarray,
-                 yy: np.ndarray) -> None:
+                 pairs: np.ndarray, sy: np.ndarray, yy: np.ndarray) -> None:
     """Update the inverse Hessians of ``rows`` in place by their pairs.
 
-    ``s`` and ``y`` are the flattened displacements and gradient changes of
-    every row, and ``sy`` and ``yy`` their inner products. A row's first
-    pair replaces its identity by ``(sy / yy) I`` (Nocedal & Wright, eq.
-    6.20), and sets ``paired``. The update is the BFGS inverse update
+    ``pairs`` stacks each row's flattened displacement ``s`` and gradient
+    change ``y`` as (B, 2, n·m), and ``sy`` and ``yy`` are their inner
+    products. A row's first pair replaces its identity by ``(sy / yy) I``
+    (Nocedal & Wright, eq. 6.20), and sets ``paired``, None once every row
+    has a pair. The update is the BFGS inverse update
     ``(I - r s y.T) H (I - r y s.T) + r s s.T``, ``r = 1 / sy``, written as
     the one rank-2 product ``[u s] [s u].T = u s.T + s u.T`` with
     ``u = (sy + y.T H y) / (2 sy²) s - H y / sy``.
+
+    The whole stack is updated. A row outside ``rows`` takes zero ``s`` and
+    ``y`` and ``sy = 1``, so that nothing divides by zero and it adds an
+    exact zero term, which keeps its bytes as no ``H`` holds ``-0.0``: it
+    starts with ``+0.0`` off the diagonal, ``(sy / yy) I`` keeps that, and
+    in round-to-nearest ``h + x`` is ``-0.0`` only when ``h`` is. A stacked
+    ``np.matmul`` gives each row what it gives that row alone.
     """
-    first = rows & ~paired
-    if np.count_nonzero(first):
-        inverses[first] = (sy / yy)[first, None, None] * np.eye(s.shape[-1])
-        paired |= first
-    if np.count_nonzero(rows) == len(rows):
-        rows = slice(None)
-    s, y, sy = s[rows], y[rows], sy[rows]
-    hy = np.matmul(inverses[rows], y[:, :, None])[..., 0]
+    if paired is not None:
+        first = rows & ~paired
+        if np.count_nonzero(first):
+            inverses[first] = (sy[first] / yy[first])[:, None, None] * (
+                np.eye(pairs.shape[-1]))
+            paired |= first
+    if np.count_nonzero(rows) < len(rows):
+        sy = np.where(rows, sy, 1.0)
+        pairs = np.where(rows[:, None, None], pairs, 0.0)
+    s, y = pairs[:, 0], pairs[:, 1]
+    hy = np.matmul(inverses, y[:, :, None])[..., 0]
     yhy = np.add.reduce(y * hy, axis=-1)
     u = (0.5 * (sy + yhy) / (sy * sy))[:, None] * s - hy / sy[:, None]
-    inverses[rows] += np.matmul(np.stack((u, s), axis=-1),
-                                np.stack((s, u), axis=1))
+    inverses += np.matmul(np.concatenate((u[:, :, None], s[:, :, None]), -1),
+                          np.concatenate((s[:, None], u[:, None]), 1))
 
 
 def minimize_batch(problems: Sequence[FilterProblem],
@@ -194,11 +199,14 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
     """
     with np.errstate(invalid="ignore"):
         values, grads, errors = batch.evaluate(gains)
-        for row, exc in errors.items():
-            outcomes[row] = exc
-        ids = np.setdiff1d(np.arange(len(gains)), list(errors))
-        batch, gains, grads = batch.take(ids), gains[ids], grads[ids]
-        gnorms = np.sqrt(_row_dots(grads, grads))
+        ids = np.arange(len(gains))
+        if errors:
+            for row, exc in errors.items():
+                outcomes[row] = exc
+            ids = np.setdiff1d(ids, list(errors))
+            batch, gains, grads = batch.take(ids), gains[ids], grads[ids]
+            values = values[ids]
+        gnorms = np.sqrt(np.add.reduce(grads * grads, axis=(-2, -1)))
         steps = _INITIAL_STEP / np.maximum(gnorms, _MIN_STEP)
         iterations = np.zeros(len(ids), dtype=np.intp)
         # The working rows' state, one array per quantity, which finished
@@ -211,8 +219,11 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
         window = np.full((len(ids), _DESCENT_WINDOW), -np.inf)
         inverses = np.repeat(np.eye(size)[None], len(ids), 0)
         paired = np.zeros(len(ids), dtype=bool)
-        window[:, 0] = values[ids]
+        window[:, 0] = values
         ended, everyone, rounds = [], np.arange(len(ids)), 0
+        # Once every working row has stored a pair, ``settled`` skips the
+        # first-pair test of the update and of the step rule.
+        settled = False
 
         while True:
             # A row ends when it stops, when backtracking has exhausted its
@@ -227,18 +238,20 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
             if ended:
                 done[ended] = True
             if np.count_nonzero(done):
-                for row in np.flatnonzero(done):
-                    if outcomes[ids[row]] is not None:
+                rows = np.flatnonzero(done)
+                counts = iterations[rows]
+                for row, gain, value, count, gnorm, stop in zip(
+                        ids[rows].tolist(), gains[rows],
+                        window[rows, counts % _DESCENT_WINDOW].tolist(),
+                        counts.tolist(), gnorms[rows].tolist(),
+                        stopped[rows].tolist()):
+                    if outcomes[row] is not None:
                         continue
-                    outcomes[ids[row]] = OptimizationReport(
-                        final_gain=gains[row].copy(),
-                        final_objective=float(
-                            window[row, iterations[row] % _DESCENT_WINDOW]),
-                        iterations=int(iterations[row]),
-                        converged=bool(gnorms[row] <= config.grad_tol),
-                    ) if stopped[row] else LineSearchFailed(
+                    outcomes[row] = OptimizationReport(
+                        gain, value, count, gnorm <= config.grad_tol,
+                    ) if stop else LineSearchFailed(
                         f"no acceptable step above {_MIN_STEP:g} at iteration "
-                        f"{iterations[row]} (gradient norm {gnorms[row]:.3e})")
+                        f"{count} (gradient norm {gnorm:.3e})")
                 keep = ~done
                 batch = batch.take(keep)
                 (ids, gains, grads, gnorms, steps, iterations, window,
@@ -280,22 +293,25 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                 trial_grads = np.where(moved, trial_grads, grads)
             # A pair updates its row's inverse Hessian where <s, y> is
             # positive by a margin, as the log-det is not convex; a rejected
-            # row's s and y are zero, so it never does.
-            s = (trials - gains).reshape(-1, size)
-            y = (trial_grads - grads).reshape(-1, size)
-            sy = np.add.reduce(s * y, axis=-1)
-            yy = np.add.reduce(y * y, axis=-1)
-            curved = sy > (_CURVATURE_MARGIN * np.sqrt(np.add.reduce(
-                s * s, axis=-1)) * np.sqrt(yy))
+            # row's s and y are zero, so it never does. ``dots`` holds each
+            # row's <s, s>, <s, y>, <y, s> and <y, y>.
+            pairs = np.concatenate((trials - gains, trial_grads - grads),
+                                   1).reshape(-1, 2, size)
+            dots = np.add.reduce(pairs[:, :, None] * pairs[:, None], axis=-1)
+            sy, yy = dots[:, 0, 1], dots[:, 1, 1]
+            curved = sy > (_CURVATURE_MARGIN * np.sqrt(dots[:, 0, 0])
+                           * np.sqrt(yy))
             if np.count_nonzero(curved):
-                _bfgs_update(inverses, paired, curved, s, y, sy, yy)
+                _bfgs_update(inverses, None if settled else paired, curved,
+                             pairs, sy, yy)
 
             gains, grads = trials, trial_grads
-            gnorms = np.sqrt(_row_dots(grads, grads))
+            gnorms = np.sqrt(np.add.reduce(grads * grads, axis=(-2, -1)))
             # An accepted row tries the unit quasi-Newton step, or, until it
             # has a pair, the first trial's displacement; a rejected row
             # halves its step.
-            steps = np.where(accepted, np.where(
+            settled = settled or np.count_nonzero(paired) == len(ids)
+            steps = np.where(accepted, 1.0 if settled else np.where(
                 paired, 1.0, _INITIAL_STEP / np.maximum(gnorms, _MIN_STEP)),
                 steps * _BACKTRACK_FACTOR)
             iterations += accepted
@@ -352,8 +368,9 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     one evaluation at the trial gains, of one Joseph update, one Cholesky
     factorization with the same pivot floor and one solve for the log-det
     and entropy rows, and one stacked gradient, which a rejected row throws
-    away, and one product of each row's ``H`` with its gradient and, for
-    the rows that store a pair, one rank-2 update. Values, gradients and
+    away, and one product of each row's ``H`` with its gradient and, when
+    some row stores a pair, one rank-2 update of every ``H``, an exact zero
+    for the rows that store none. Values, gradients and
     iterates are bit for bit those of this rule written as a loop over
     :func:`~gainlab.objectives.evaluate_objective` and
     :func:`~gainlab.objectives.objective_gradient`.

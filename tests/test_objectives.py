@@ -452,9 +452,8 @@ class TestStackedOracle:
                     assert np.isfinite(grads[j]).all()
 
     def test_trace_never_inherits_a_log_det_failure(self):
-        # the oracle factorizes every perturbed posterior for all three
-        # kinds; at this gain one is not SPD in floats, which fails only
-        # the log-det and the entropy
+        # at this gain one perturbed posterior is not SPD in floats, which
+        # fails only the log-det and the entropy
         problem = FilterProblem(prior=np.eye(2), obs_op=[[1.0, 0.0]],
                                 obs_noise=[[1e-20]])
         gain = np.array([[0.0], [1e9]])
@@ -465,6 +464,25 @@ class TestStackedOracle:
         for kind in (LOGDET, ENTROPY):
             with pytest.raises(NotPositiveDefinite):
                 finite_difference_gradient(problem, gain, kind)
+
+
+    def test_trace_oracle_factorizes_nothing(self, monkeypatch):
+        # a trace call reads only the posteriors' traces, which are those
+        # of the stacked oracle of all three kinds, bit for bit
+        problem = seeded_problem(3, master_seed=211, max_dim=4)
+        gain = seeded_gain(problem, 3, master_seed=211)
+        batch = objectives._Batch.stack([problem], [TRACE])
+        expected = objectives._finite_differences(batch, gain[None])[0][0]
+        factorize, calls = matrix_core._cholesky_factors, []
+        def spy(a):
+            calls.append(len(a))
+            return factorize(a)
+        monkeypatch.setattr(matrix_core, "_cholesky_factors", spy)
+        grad = finite_difference_gradient(problem, gain, TRACE)
+        assert calls == []
+        assert grad.tobytes() == expected.tobytes()
+        finite_difference_gradient(problem, gain, LOGDET)
+        assert calls == [2 * gain.size]
 
 
 class TestHadamardOrdering:

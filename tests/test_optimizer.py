@@ -1,5 +1,7 @@
 """Tests for the gain-matrix minimizer and cross-objective equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,21 @@ class TestKernel:
                      "entropy", "factored"):
             assert getattr(repeated, name).tobytes() == (
                 getattr(listed, name).tobytes())
+
+    def test_take_equals_a_fresh_stack_of_its_rows(self):
+        problems = [make_problem(3, 2, 95 + i, 10.0) for i in range(6)]
+        kinds = [LOGDET, TRACE, ENTROPY, TRACE, ENTROPY, LOGDET]
+        batch = _Batch.stack(problems, kinds)
+        for rows in (np.array([True, False, True, True, False, True]),
+                     np.array([4, 2, 0]), slice(1, 5), np.array([3, 1])):
+            taken = batch.take(rows)
+            ids = np.arange(len(problems))[rows]
+            fresh = _Batch.stack([problems[i] for i in ids],
+                                 [kinds[i] for i in ids])
+            for name in ("identity", "_offset", "_scale", "_grad_scale",
+                         "_factor_ids"):
+                assert getattr(taken, name).tobytes() == (
+                    getattr(fresh, name).tobytes())
 
     def test_take_by_indices_equals_take_by_mask(self):
         problems = [make_problem(3, 2, 90 + i, 10.0) for i in range(6)]
@@ -580,6 +597,21 @@ def reference_minimization(problem, kind, config):
             bool(gnorm <= config.grad_tol))
 
 
+def _assert_batch_equals_reference(problems, config):
+    """Every problem under every kind, as one batch, against the loop."""
+    rows = [(problem, kind) for problem in problems for kind in ObjectiveKind]
+    outcomes = minimize_batch([problem for problem, _ in rows],
+                              [kind for _, kind in rows], config)
+    for (problem, kind), outcome in zip(rows, outcomes):
+        expected = reference_minimization(problem, kind, config)
+        if isinstance(expected, Exception):
+            assert type(outcome) is type(expected)
+            assert str(outcome) == str(expected)
+            continue
+        assert (outcome.final_gain.tobytes(), outcome.final_objective,
+                outcome.iterations, outcome.converged) == expected
+
+
 class TestReferenceLoop:
     @pytest.mark.parametrize("shape, cond", [
         ((4, 3), 10.0), ((4, 3), 1e4), ((2, 5), 1e4), ((1, 1), 10.0),
@@ -589,20 +621,23 @@ class TestReferenceLoop:
         # at max_iters 1 and 2, the cap, which the lockstep first tests
         # after max_iters rounds, stops the rows that accepted every round
         problems = [make_problem(*shape, seed, cond) for seed in range(4)]
-        rows = [(problem, kind) for problem in problems
-                for kind in ObjectiveKind]
         for max_iters in (1, 2, 300):
-            config = OptimizerConfig(max_iters=max_iters)
-            outcomes = minimize_batch([problem for problem, _ in rows],
-                                      [kind for _, kind in rows], config)
-            for (problem, kind), outcome in zip(rows, outcomes):
-                expected = reference_minimization(problem, kind, config)
-                if isinstance(expected, Exception):
-                    assert type(outcome) is type(expected)
-                    assert str(outcome) == str(expected)
-                    continue
-                assert (outcome.final_gain.tobytes(), outcome.final_objective,
-                        outcome.iterations, outcome.converged) == expected
+            _assert_batch_equals_reference(problems,
+                                           OptimizerConfig(max_iters=max_iters))
+
+    def test_large_batch_equals_one_row_loop(self, monkeypatch):
+        # 60 rows, whose rounds store pairs on part of a stack of at least
+        # 50 rows, which the update then takes whole
+        update, partial = optimizer._bfgs_update, []
+        def spy(inverses, paired, rows, *args):
+            if len(rows) >= 50 and not rows.all():
+                partial.append(len(rows))
+            return update(inverses, paired, rows, *args)
+        monkeypatch.setattr(optimizer, "_bfgs_update", spy)
+        _assert_batch_equals_reference(
+            [make_problem(4, 3, seed, 10.0) for seed in range(20)],
+            OptimizerConfig(max_iters=300))
+        assert partial
 
 
 def _run_with_trial(monkeypatch, problems, kinds, edit=None,
@@ -867,7 +902,8 @@ class TestBfgsUpdate:
         selected = np.array([True, True, False, True, False, True])
         paired = np.array([False, True, True, False, False, True])
         updated = inverses.copy()
-        optimizer._bfgs_update(updated, paired, selected, s, y, sy, yy)
+        optimizer._bfgs_update(updated, paired, selected, np.stack((s, y), 1),
+                               sy, yy)
         assert paired.tolist() == [True, True, True, True, False, True]
         for row in range(rows):
             if not selected[row]:
@@ -881,3 +917,48 @@ class TestBfgsUpdate:
             # the secant equation H+ y = s
             np.testing.assert_allclose(updated[row] @ y[row], s[row],
                                        rtol=1e-12, atol=1e-12)
+
+    def test_partial_mask_is_the_gathered_update_bit_for_bit(self):
+        # rows 1 and 4 were rejected (s = y = 0, so sy = 0) and rows 2 and 5
+        # accepted a pair that is not curved; the whole-stack update must
+        # divide by no zero, keep those rows' bytes, and give the others
+        # the update of the selected rows gathered, with row 3's first pair
+        rng = np.random.default_rng(67)
+        size, count = 12, 8
+        inverses = np.stack([matrix_core.random_spd(size, seed, 100.0)
+                             for seed in range(count)])
+        inverses[3] = np.eye(size)
+        s = rng.standard_normal((count, size))
+        y = s + 0.1 * rng.standard_normal((count, size))
+        s[[1, 4]], y[[1, 4]] = 0.0, 0.0
+        # row 5's <s, y> is positive but below the margin
+        y[2], y[5] = -y[2], y[5] - (s[5] @ y[5]) / (s[5] @ s[5]) * s[5]
+        y[5] += 1e-12 * s[5]
+        sy = np.add.reduce(s * y, axis=-1)
+        yy = np.add.reduce(y * y, axis=-1)
+        selected = sy > (1e-10 * np.sqrt(np.add.reduce(s * s, axis=-1))
+                         * np.sqrt(yy))
+        assert selected.tolist() == [True, False, False, True, False, False,
+                                     True, True]
+        paired = np.array([True, False, True, False, False, True, True, True])
+        updated = inverses.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                optimizer._bfgs_update(updated, paired, selected,
+                                       np.stack((s, y), 1), sy, yy)
+        assert paired.tolist() == [True, False, True, True, False, True,
+                                   True, True]
+        expected = inverses.copy()
+        expected[3] = sy[3] / yy[3] * np.eye(size)
+        rows = np.flatnonzero(selected)
+        s, y, sy = s[rows], y[rows], sy[rows]
+        hy = np.matmul(expected[rows], y[:, :, None])[..., 0]
+        yhy = np.add.reduce(y * hy, axis=-1)
+        u = (0.5 * (sy + yhy) / (sy * sy))[:, None] * s - hy / sy[:, None]
+        expected[rows] += np.matmul(np.stack((u, s), axis=-1),
+                                    np.stack((s, u), axis=1))
+        for row in range(count):
+            assert updated[row].tobytes() == expected[row].tobytes()
+            if not selected[row]:
+                assert updated[row].tobytes() == inverses[row].tobytes()
