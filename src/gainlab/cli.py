@@ -118,7 +118,7 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     and a failing problem's other errors are meaningless. One batch, which
     stacks each problem once and repeats it per kind, gives ``K*`` as one
     solve and the analytic gradients; the stacked oracle takes every third
-    row of its prior, operator and noise, each problem once, and shares
+    row of its two Joseph operands, each problem once, and shares
     only the objective formulas with the gradients. Both equal the public
     functions' bit for bit.
     """
@@ -131,8 +131,8 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     with np.errstate(invalid="ignore"):
         _, analytic, errors = batch.evaluate(stacked)
     numeric, numeric_errors = objectives._finite_differences(
-        SimpleNamespace(prior=batch.prior[each], obs_op=batch.obs_op[each],
-                        obs_noise=batch.obs_noise[each]), stacked[each])
+        SimpleNamespace(joint_cov=batch.joint_cov[each],
+                        joint_op=batch.joint_op[each]), stacked[each])
     # Row r is problem r // len(kinds) under its kind, in the loop's order.
     # A problem's K* fails first; then, at one row, the analytic gradient's
     # errors come before the oracle's.

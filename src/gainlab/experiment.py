@@ -299,9 +299,9 @@ def _trial_bytes(state_dim: int, obs_dim: int) -> int:
     """Bytes a ``run`` trial holds at most: its :func:`_row_bytes`, and four
     times its three rows' inverse Hessians of 8·(n·m)² bytes each (see
     :func:`~gainlab.optimizer.minimize_batch`), for the inverses and a
-    round's products with them. By tracemalloc a chunk's peak less its
-    ``_row_bytes`` is 3.4-3.6 times the inverses at 4x3, and 2.7-2.9 at
-    8x8, 12x12 and 20x20."""
+    round's products with them. By tracemalloc a chunk of as many trials
+    as the budget holds peaks, less its ``_row_bytes``, at 3.8 times the
+    inverses at 4x3, 2.2 at 8x8 and 2.0 at 20x20."""
     return _row_bytes(state_dim, obs_dim) + 96 * (state_dim * obs_dim) ** 2
 
 

@@ -40,6 +40,9 @@ class FilterProblem:
         computed once and read-only, like the three matrices above. ``S`` is
         symmetric only to rounding; it is checked here, once, for finite
         entries and by a Cholesky factorization with the pivot floor ``PD_TOL``.
+    joint_cov, joint_op : ndarray, shapes (n+m, n+m) and (m, n+m)
+        ``W = blockdiag(P, R)`` and ``F = [H, -I]`` of :func:`_joseph_form`,
+        of which the first three are views.
     """
 
     prior: np.ndarray
@@ -49,6 +52,8 @@ class FilterProblem:
     obs_dim: int = field(init=False)
     cross: np.ndarray = field(init=False, repr=False)
     innovation: np.ndarray = field(init=False, repr=False)
+    joint_cov: np.ndarray = field(init=False, repr=False)
+    joint_op: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         prior = matrix_core._check_square(self.prior, "prior")
@@ -64,8 +69,7 @@ class FilterProblem:
             raise DimensionMismatch(
                 f"obs_op has {obs_op.shape[0]} rows but obs_noise is "
                 f"{obs_noise.shape[0]}x{obs_noise.shape[0]}")
-        built, = _build_problems(prior[None].copy(), obs_op[None].copy(),
-                                 obs_noise[None].copy())
+        built, = _build_problems(prior[None], obs_op[None], obs_noise[None])
         if isinstance(built, GainlabError):
             raise built
         vars(self).update(vars(built))
@@ -89,9 +93,10 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
     The checks of :class:`FilterProblem` but the shape checks run on the
     whole stacks, or, should a row fail, on each row alone. Returns each
     row's problem, bit for bit the one built alone, or the GainlabError that
-    building it alone raises. The stacks, which the caller hands over,
-    become the problems' read-only arrays, and each problem records them
-    and its row, so that :func:`_stacks` hands them on whole.
+    building it alone raises. The caller's stacks are copied once, into
+    read-only ``joint_cov`` and ``joint_op`` stacks, and each problem
+    records its arrays' stacks and its row, so that :func:`_stacks` hands
+    them on whole.
     """
     try:
         matrix_core._check_covariance(priors, "prior")
@@ -108,14 +113,19 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
             return [exc]
         return [_build_problems(priors[[row]], obs_ops[[row]], noises[[row]])[0]
                 for row in range(len(priors))]
-    fields = dict(prior=priors, obs_op=obs_ops, obs_noise=noises, cross=cross,
-                  innovation=innovation)
-    for stack in fields.values():
+    # Each row's W = blockdiag(P, R) above its F = [H, -I].
+    n, m = priors.shape[-1], noises.shape[-1]
+    joint = np.zeros((len(priors), n + 2 * m, n + m))
+    joint[:, :n, :n], joint[:, n:n + m, n:] = priors, noises
+    joint[:, n + m:, :n], joint[:, n + m:, n:] = obs_ops, -np.eye(m)
+    for stack in (joint, cross, innovation):
         stack.flags.writeable = False
+    fields = dict(prior=joint[:, :n, :n], obs_noise=joint[:, n:n + m, n:],
+                  obs_op=joint[:, n + m:, :n], joint_cov=joint[:, :n + m],
+                  joint_op=joint[:, n + m:], cross=cross, innovation=innovation)
     problems = [FilterProblem.__new__(FilterProblem) for _ in priors]
-    for row, problem in enumerate(problems):
-        vars(problem).update({name: stack[row] for name, stack in fields.items()},
-                             state_dim=priors.shape[-1], obs_dim=noises.shape[-1],
+    for row, (problem, *views) in enumerate(zip(problems, *fields.values())):
+        vars(problem).update(zip(fields, views), state_dim=n, obs_dim=m,
                              _built=(fields, row))
     return problems
 
@@ -123,10 +133,9 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
 def _stacks(problems) -> Optional[dict]:
     """The stacks of the one build whose rows, in order, are ``problems``.
 
-    Returns the read-only ``prior``, ``obs_op``, ``obs_noise``, ``cross``
-    and ``innovation`` stacks of the :func:`_build_problems` call that made
-    every one of the problems, in the order of its rows and no other, or
-    None when no call did.
+    Returns the read-only stacks of every :class:`FilterProblem` array of
+    the :func:`_build_problems` call that made every one of the problems,
+    in the order of its rows and no other, or None when no call did.
     """
     stacks = problems[0]._built[0]
     if len(stacks["prior"]) != len(problems):
@@ -179,25 +188,26 @@ def joseph_update(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
     degeneracy as NotPositiveDefinite at that point.
 
     The gain is validated against the problem on every call. The optimizer
-    skips that check: it evaluates the same formula on its stacked iterates,
-    which it validates only for finiteness.
+    skips that check: it evaluates the same :func:`_joseph_form` on its
+    stacked iterates, which it validates only for finiteness.
     """
     gain = problem.check_gain(gain)
-    return _joseph_form(problem, gain, np.eye(problem.state_dim))
+    return _joseph_form(problem, gain, np.eye(len(gain), sum(gain.shape)))
 
 
 def _joseph_form(problem: FilterProblem, gain: np.ndarray,
-                 identity: np.ndarray) -> np.ndarray:
+                 select: np.ndarray) -> np.ndarray:
     """The Joseph update of a gain already checked against ``problem``.
 
-    ``problem`` may also be a stack of problems: any object whose ``prior``,
-    ``obs_op`` and ``obs_noise`` are (B, n, n), (B, m, n) and (B, m, m)
+    The two terms are one block product, symmetrized: with the problem's
+    ``W = blockdiag(P, R)`` (``joint_cov``) and ``F = [H, -I]``
+    (``joint_op``), and ``select`` the (n, n+m) ``E = [I, 0]``,
+    ``A = E - K F = [I - K H, K]`` and ``A W A.T`` is the update.
+    ``problem`` may also be a stack of problems: any object whose
+    ``joint_cov`` and ``joint_op`` are (B, n+m, n+m) and (B, m, n+m)
     arrays, with ``gain`` a (B, n, m) stack. Each row of the result equals
-    the update of that row on its own, bit for bit. ``identity`` is the
-    (n, n) identity, or a stack of one per row, which the subtraction need
-    not broadcast; callers evaluating many gains build it once.
+    the update of that row on its own, bit for bit. ``select`` may be one
+    ``E`` per row, which the subtraction need not broadcast.
     """
-    ikh = identity - gain @ problem.obs_op
-    updated = (ikh @ problem.prior @ ikh.swapaxes(-1, -2)
-               + gain @ problem.obs_noise @ gain.swapaxes(-1, -2))
-    return matrix_core._symmetrize(updated)
+    a = select - gain @ problem.joint_op
+    return matrix_core._symmetrize(a @ problem.joint_cov @ a.swapaxes(-1, -2))

@@ -18,9 +18,8 @@ gradients and errors of every row at its gain, those of the public
 functions bit for bit, from one Joseph update, one Cholesky factorization
 and one solve for the whole stack. The optimizer evaluates its iterates
 through it. The oracle, ``_finite_differences``, shares its one
-evaluation, ``_evaluate``, on stacks with one row and gain per problem:
-the perturbed copies of every row's gain are consecutive stacks of their
-own rows' matrices, whatever row they come from. One posterior per
+evaluation, ``_evaluate``, on stacks of whole rows: the perturbed
+copies of a row's gain share its ``W`` and ``F``, broadcast. One posterior per
 perturbed gain serves all three kinds: its trace, the log-det of its one
 Cholesky factor, and the entropy from that log-det.
 """
@@ -60,9 +59,9 @@ def _row_bytes(state_dim: int, obs_dim: int) -> int:
     """Bytes a gradcheck instance of this shape holds at most, and a trial
     besides its optimizer's inverse Hessians (see
     :func:`~gainlab.experiment._trial_bytes`): 20 float64 blocks of
-    ``(state_dim + obs_dim)²``. By tracemalloc a trial without them peaks
-    at 19.6 of them at 4x3, 15 at 8x8 and 12.8 at 20x20, and an instance at
-    about 10."""
+    ``(state_dim + obs_dim)²``. By tracemalloc, in a chunk of as many
+    instances of one shape as the budget holds, an instance peaks at 19.8
+    of them at 4x3, 17.9 at 8x8 and 17.4 at 20x20."""
     return 160 * (state_dim + obs_dim) ** 2
 
 
@@ -147,7 +146,7 @@ def directional_logdet_differential(problem: FilterProblem, gain: np.ndarray,
     :func:`logdet_gradient` with the direction. Each gain is checked once.
     """
     k = problem.check_gain(gain)
-    posterior = _joseph_form(problem, k, np.eye(problem.state_dim))
+    posterior = _joseph_form(problem, k, np.eye(len(k), sum(k.shape)))
     matrix_core.cholesky(posterior)
     dposterior = _differential(problem, k,
                                problem.check_gain(dgain, name="dgain"))
@@ -174,7 +173,7 @@ def objective_gradient(problem: FilterProblem, gain: np.ndarray,
     grad = 2.0 * _bracket(k, problem.cross, problem.innovation)
     if kind is ObjectiveKind.TOTAL_VARIANCE:
         return grad
-    posterior = _joseph_form(problem, k, np.eye(problem.state_dim))
+    posterior = _joseph_form(problem, k, np.eye(len(k), sum(k.shape)))
     matrix_core.cholesky(posterior)
     grad = matrix_core._solve(posterior, grad)
     return 0.5 * grad if kind is ObjectiveKind.DIFFERENTIAL_ENTROPY else grad
@@ -208,42 +207,41 @@ class _Batch:
     Rows are in the caller's order, and each row's kind is data:
     ``factored[row]`` is set where the row minimizes the log-determinant or
     the entropy, whose values factorize the posterior, and ``entropy[row]``
-    where it minimizes the entropy. ``prior``, ``obs_op``, ``obs_noise``,
-    ``cross`` and ``innovation`` are the stacked matrices and gain-free
-    terms of problems that :class:`FilterProblem` validated and computed,
-    which lets the shared formulas take the batch in place of a problem;
-    :meth:`take` slices them. Gains have the batch's shape by construction,
-    and the symmetrized posterior is exactly symmetric, so neither is
-    checked again; the checks a gain can fail are kept (see :func:`_evaluate`).
-    An evaluation takes every row, as LAPACK fails a row alone (see
-    :func:`~gainlab.matrix_core._solves`). A factorizing row's value
-    is ``offset + scale * logdet`` and its gradient ``scale`` times the
-    solve, from per-row arrays set once per batch: 0 and 1 for the log-det,
-    which change no bit, and the entropy's constant and 0.5, the operations
-    of ``_entropy``. A batch whose rows all factorize computes no trace.
+    where it minimizes the entropy. Every operand is a view of one static
+    per-row slab, which :meth:`take` gathers whole: the ``joint_cov``,
+    ``joint_op``, ``cross`` and ``innovation`` of a problem, so that the
+    shared formulas take the batch in place of a problem, ``2c S``
+    and ``2c P H.T``, then ``c`` and an offset, with ``c`` 0.5 for the
+    entropy and 1 otherwise. A factorizing row's value is
+    ``offset + c * logdet``, the operations of ``_entropy``, and a gradient
+    the solve of ``K (2c S) - 2c P H.T``, or that bracket: the public ones
+    bit for bit, as ``c`` is a power of two. ``select`` holds one ``E`` of
+    :func:`_joseph_form` per row, so that ``E - K F`` need not broadcast.
+    Gains have the batch's shape by construction, and the symmetrized
+    posterior is exactly symmetric, so neither is checked again; the checks
+    a gain can fail are kept (see :func:`_evaluate`). An evaluation takes
+    every row, as LAPACK fails a row alone (see
+    :func:`~gainlab.matrix_core._solves`). A batch whose rows all factorize
+    computes no trace.
     """
 
-    def __init__(self, prior, obs_op, obs_noise, cross, innovation, entropy,
-                 factored, identity=None):
-        self.prior = prior
-        self.obs_op = obs_op
-        self.obs_noise = obs_noise
-        self.cross = cross
-        self.innovation = innovation
-        self.entropy = entropy
-        self.factored = factored
-        # One identity per row, so that ``I - K H`` need not broadcast; a
-        # taken batch slices its parent's.
-        self.identity = np.repeat(np.eye(prior.shape[-1])[None], len(prior),
-                                  0) if identity is None else identity
+    def __init__(self, slab, flags, select):
+        self._slab, self._flags, self.select = slab, flags, select[:len(slab)]
+        self.entropy, self.factored = flags
+        n, joint = select.shape[1:]
+        m, views, start = joint - n, [], 0
+        for shape in ((joint, joint), (m, joint)) + ((n, m), (m, m)) * 2:
+            views.append(slab[:, start:start + shape[0] * shape[1]].reshape(
+                -1, *shape))
+            start += shape[0] * shape[1]
+        (self.joint_cov, self.joint_op, self.cross, self.innovation,
+         self._cross2, self._innovation2) = views
         # The rows to factorize, found once per batch; when every row
         # factorizes, they are taken as whole arrays, views and not copies.
-        self._factor_ids = np.flatnonzero(factored)
-        self._factor_rows = slice(None) if factored.all() else self._factor_ids
-        entropic = entropy[self._factor_rows]
-        self._offset = np.where(entropic, _entropy(prior.shape[-1], 0.0), 0.0)
-        self._scale = np.where(entropic, 0.5, 1.0)
-        self._grad_scale = self._scale[:, None, None]
+        self._factor_ids = np.flatnonzero(self.factored)
+        self._factor_rows = (slice(None) if len(self._factor_ids) == len(slab)
+                             else self._factor_ids)
+        self._scale, self._offset = slab[self._factor_rows, -2:].T
 
     @classmethod
     def stack(cls, problems: Sequence[FilterProblem],
@@ -251,13 +249,12 @@ class _Batch:
         """Row ``i`` is ``problems[i // repeats]`` under ``kinds[i]``.
 
         The problems share one shape. When they are the rows of one build,
-        in order (see :func:`~gainlab.kalman_update._stacks`), each field
-        is that build's stack, uncopied; otherwise it is one ``np.array``
+        in order (see :func:`~gainlab.kalman_update._stacks`), each operand
+        is read from that build's stack; otherwise from one ``np.array``
         copy of the problems, cheaper than ``np.stack`` on small matrices.
-        Either is then repeated by one ``np.repeat`` when ``repeats`` is
-        above 1.
+        Their slab is then repeated ``repeats`` times by one ``np.repeat``.
         """
-        names = ("prior", "obs_op", "obs_noise", "cross", "innovation")
+        names = ("joint_cov", "joint_op", "cross", "innovation")
         stacks = _stacks(problems)
         if stacks is not None:
             fields = [stacks[name] for name in names]
@@ -266,21 +263,24 @@ class _Batch:
         else:
             fields = [np.array([getattr(problem, name) for problem in problems])
                       for name in names]
-        if repeats > 1:
-            fields = [np.repeat(field, repeats, axis=0) for field in fields]
-        return cls(*fields,
-                   np.array([kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
-                             for kind in kinds]),
-                   np.array([kind is not ObjectiveKind.TOTAL_VARIANCE
-                             for kind in kinds]))
+        n, m = fields[2].shape[1:]
+        flags = np.array([[kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
+                           for kind in kinds],
+                          [kind is not ObjectiveKind.TOTAL_VARIANCE
+                           for kind in kinds]])
+        scale = np.where(flags[0], 0.5, 1.0)[:, None]
+        slab = np.repeat(np.concatenate(
+            [field.reshape(len(problems), -1) for field in fields], 1),
+            repeats, 0)
+        return cls(np.concatenate((
+            slab, 2.0 * scale * slab[:, -n * m - m * m:], scale,
+            np.where(flags[0], _entropy(n, 0.0), 0.0)[:, None]), 1), flags,
+            np.repeat(np.eye(n, n + m)[None], len(kinds), 0))
 
     def take(self, rows: np.ndarray) -> "_Batch":
         """The batch of ``rows``: a boolean mask, an array of row indices, or
         a slice, whose batch holds views."""
-        return _Batch(self.prior[rows], self.obs_op[rows], self.obs_noise[rows],
-                      self.cross[rows], self.innovation[rows],
-                      self.entropy[rows], self.factored[rows],
-                      self.identity[rows])
+        return _Batch(self._slab[rows], self._flags[:, rows], self.select)
 
     def evaluate(self, gains: np.ndarray):
         """Every row at its gain: (values, gradients, errors).
@@ -297,15 +297,14 @@ class _Batch:
         row raises that flag.
         """
         rows, owners = self._factor_rows, self._factor_ids
-        posteriors, logdets, errors, failures = _evaluate(
-            self, gains, rows, self.identity)
-        grads = 2.0 * _bracket(gains, self.cross, self.innovation)
-        solved, singular = matrix_core._solves(posteriors[rows], grads[rows])
+        posteriors, factored, logdets, errors, failures = _evaluate(
+            self, gains, rows, self.select)
+        grads = _bracket(gains, self._cross2, self._innovation2)
+        solved, singular = matrix_core._solves(factored, grads[rows])
         for failed in (failures, singular):
             for row, exc in failed.items():
                 errors.setdefault(int(owners[row]), exc)
         values = self._offset + self._scale * logdets
-        solved = self._grad_scale * solved
         if len(owners) == len(gains):
             return values, solved, errors
         # The other rows minimize the trace and never factorize.
@@ -315,16 +314,18 @@ class _Batch:
         return values, grads, errors
 
 
-def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
+def _evaluate(stacks, gains: np.ndarray, rows, select: np.ndarray):
     """The posterior of every row at its gain, and the log-dets of ``rows``.
 
     The one evaluation of :meth:`_Batch.evaluate` and of the oracle
-    :func:`_finite_differences`. It reads the ``prior``, ``obs_op`` and
-    ``obs_noise`` of ``stacks``, one row per gain, and no row's kind;
-    ``identity`` is that of :func:`_joseph_form`. ``rows``, a slice or an
+    :func:`_finite_differences`. It reads the ``joint_cov`` and
+    ``joint_op`` of ``stacks``, one row per gain, and no row's kind;
+    ``select`` is that of :func:`_joseph_form`; (k, q, n, m) gains against
+    (k, 1, ...) operands are the k·q gains in order. ``rows``, a slice or an
     array of row indices, selects the posteriors to factorize; when it
-    selects none, nothing is factorized. Returns
-    (posteriors, logdets, invalid, failures): ``invalid`` maps each row
+    selects none, nothing is factorized. Returns (posteriors, factored,
+    logdets, invalid, failures): ``factored`` holds the posteriors of
+    ``rows``, the identity for any not finite; ``invalid`` maps each row
     whose gain is not finite to the InvalidParameter of every public
     evaluator, and takes its posterior at the zero gain; ``failures`` maps
     each position in ``rows`` whose posterior fails
@@ -333,7 +334,8 @@ def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
     factorization. Every other posterior and log-det is the public
     functions', bit for bit.
     """
-    posteriors = _joseph_form(stacks, gains, identity)
+    n = select.shape[-2]
+    posteriors = _joseph_form(stacks, gains, select).reshape(-1, n, n)
     others = posteriors[rows]
     invalid, failures = {}, {}
     # A non-finite gain entry makes a diagonal entry of its row's posterior
@@ -342,7 +344,8 @@ def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
         bad = ~np.isfinite(gains).all(axis=(-2, -1))
         if bad.any():
             posteriors = _joseph_form(
-                stacks, np.where(bad[:, None, None], 0.0, gains), identity)
+                stacks, np.where(bad[..., None, None], 0.0, gains),
+                select).reshape(-1, n, n)
             others = posteriors[rows]
             invalid = {int(row): InvalidParameter(
                 "gain contains non-finite entries")
@@ -353,11 +356,11 @@ def _evaluate(stacks, gains: np.ndarray, rows, identity: np.ndarray):
             "matrix contains non-finite entries")
             for row in np.flatnonzero(bad)}
     if not len(others):
-        return posteriors, np.empty(0), invalid, failures
+        return posteriors, others, np.empty(0), invalid, failures
     factors, breakdowns = matrix_core._cholesky_factors(others)
     failures.update(breakdowns)
-    return (posteriors, matrix_core._log_det_of_factor(factors), invalid,
-            failures)
+    return (posteriors, others, matrix_core._log_det_of_factor(factors),
+            invalid, failures)
 
 
 def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
@@ -396,8 +399,8 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
                         factorize: bool = True) -> tuple[np.ndarray, dict]:
     """:func:`finite_difference_gradient` of every row of a batch under every kind.
 
-    ``batch`` is a :class:`_Batch`, or any object, whose ``prior``,
-    ``obs_op`` and ``obs_noise`` hold one row per problem, and ``gains`` is
+    ``batch`` is a :class:`_Batch`, or any object, whose ``joint_cov`` and
+    ``joint_op`` hold one row per problem, and ``gains`` is
     a (B, n, m) stack of finite gains, one per row. Returns the
     (B · 3, n, m) central differences, in which row ``i * 3 + j`` is row
     ``i`` under ``ObjectiveKind``'s ``j``-th kind, and the errors: a map
@@ -407,11 +410,11 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     or not SPD perturbed posterior fails only the log-det and the entropy.
 
     One posterior serves every kind. The 2·n·m perturbed gains of every row
-    are evaluated in row order, as consecutive stacks of at most
-    ``_FD_BLOCK_ROWS`` rows, and at most ``_CHUNK_BYTES`` at ``_row_bytes``
-    per row, whatever row they come from; each stack costs one Joseph update
-    and one Cholesky factorization (see :func:`_evaluate`) of its rows'
-    three matrices, and reads no other field. The trace is that
+    are evaluated in row order, as stacks of at most ``_FD_BLOCK_ROWS``
+    gains, and at most ``_CHUNK_BYTES`` at ``_row_bytes`` per gain, of as
+    many whole rows as fit, or of runs of one row's; each stack costs one
+    Joseph update, with each row's two operands broadcast over its gains,
+    and one Cholesky factorization (see :func:`_evaluate`). The trace is that
     of each posterior, the log-det that of its factor, and the entropy
     ``_entropy(n, 0.0) + 0.5 * logdet``, the operations of
     :meth:`_Batch.evaluate`. Unless ``factorize``, no posterior is
@@ -420,39 +423,39 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     """
     count, n, m = gains.shape
     per_row = 2 * n * m
-    total = count * per_row
-    flat = gains.reshape(count, n * m)
-    steps = 1e-6 * (1.0 + np.abs(flat))
-    traces, logdets = np.empty(total), np.full(total, np.nan)
+    flat = gains.reshape(count, 1, n * m)
+    steps = 1e-6 * (1.0 + np.abs(flat[:, 0]))
+    # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
+    entries = np.arange(per_row) // 2
+    moves = steps[:, entries]
+    moves[:, 1::2] *= -1.0
+    traces, logdets = np.full((2, count, per_row), np.nan)
     factored = slice(None) if factorize else slice(0)
     # The first failing perturbation of a row, for the trace and for the
     # factorizing kinds; at one perturbation, a non-finite gain comes first.
     invalid, failed = {}, {}
     size = min(_FD_BLOCK_ROWS, max(1, _CHUNK_BYTES // _row_bytes(n, m)))
-    identity = np.eye(n)
+    span, width = max(1, size // per_row), min(size, per_row)
+    ids, select = np.arange(width), np.eye(n, n + m)
     # A failed factorization raises numpy's invalid flag (see matrix_core).
     with np.errstate(invalid="ignore"):
-        for start in range(0, total, size):
-            # Perturbation p of a row moves entry p // 2 up, or down if p is odd.
-            rows, perturbation = np.divmod(
-                np.arange(start, min(start + size, total)), per_row)
-            entries = perturbation // 2
-            moves = steps[rows, entries]
-            bumped = flat[rows]
-            bumped[np.arange(len(rows)), entries] += np.where(
-                perturbation % 2, -moves, moves)
-            done = slice(start, start + len(rows))
-            block = SimpleNamespace(prior=batch.prior[rows],
-                                    obs_op=batch.obs_op[rows],
-                                    obs_noise=batch.obs_noise[rows])
-            posteriors, logdets[done][factored], gain_errors, failures = (
-                _evaluate(block, bumped.reshape(-1, n, m), factored, identity))
-            traces[done] = matrix_core._trace(posteriors)
-            for row in sorted(gain_errors):
-                invalid.setdefault(int(rows[row]), gain_errors[row])
-            failures.update(gain_errors)
-            for row in sorted(failures):
-                failed.setdefault(int(rows[row]), failures[row])
+        for start in range(0, count, span):
+            rows = slice(start, start + span)
+            block = SimpleNamespace(joint_cov=batch.joint_cov[rows, None],
+                                    joint_op=batch.joint_op[rows, None])
+            for first in range(0, per_row, width):
+                cols, q = slice(first, first + width), min(width, per_row - first)
+                bumped = flat[rows].repeat(q, 1)
+                bumped[:, ids[:q], entries[cols]] += moves[rows, cols]
+                posteriors, _, values, gain_errors, failures = _evaluate(
+                    block, bumped.reshape(len(bumped), q, n, m), factored, select)
+                traces[rows, cols] = matrix_core._trace(posteriors).reshape(-1, q)
+                logdets[rows, cols][factored] = values.reshape(-1, q)
+                for row in sorted(gain_errors):
+                    invalid.setdefault(start + row // q, gain_errors[row])
+                failures.update(gain_errors)
+                for row in sorted(failures):
+                    failed.setdefault(start + row // q, failures[row])
     grads = np.empty((count, 3, n * m))
     errors = {}
     # The kinds in ObjectiveKind order: trace, log-det, entropy.

@@ -53,6 +53,8 @@ _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _INITIAL_STEP = 1.0
 _CURVATURE_MARGIN = 1e-10
+# The two patterns of the BFGS update's 2x2 core C (see _bfgs_update).
+_CORNER, _EXCHANGE = np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2)[::-1]
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,14 @@ def _bfgs_update(inverses: np.ndarray, paired: np.ndarray, rows: np.ndarray,
                  pairs: np.ndarray, sy: np.ndarray, yy: np.ndarray) -> None:
     """Update the inverse Hessians of ``rows`` in place by their pairs.
 
-    ``pairs`` stacks each row's flattened displacement ``s`` and gradient
-    change ``y`` as (B, 2, n·m), and ``sy`` and ``yy`` are their inner
-    products. A row's first pair replaces its identity by ``(sy / yy) I``
-    (Nocedal & Wright, eq. 6.20), and sets ``paired``, None once every row
-    has a pair. The update is the BFGS inverse update
+    ``pairs`` stacks each row's flattened displacement ``s``, gradient
+    change ``y`` and new gradient as (B, 3, n·m), and ``sy`` and ``yy`` are
+    entries of their Gram matrix. A row's first pair replaces its identity
+    by ``(sy / yy) I`` (Nocedal & Wright, eq. 6.20), and sets ``paired``,
+    None once every row has a pair. The update is the BFGS inverse update
     ``(I - r s y.T) H (I - r y s.T) + r s s.T``, ``r = 1 / sy``, written as
-    the one rank-2 product ``[u s] [s u].T = u s.T + s u.T`` with
-    ``u = (sy + y.T H y) / (2 sy²) s - H y / sy``.
+    ``V C V.T`` with ``V = [s, H y]`` and the 2x2
+    ``C = r [[1 + r y.T H y, -1], [-1, 0]]``, ``y.T H y`` one product.
 
     The whole stack is updated. A row outside ``rows`` takes zero ``s`` and
     ``y`` and ``sy = 1``, so that nothing divides by zero and it adds an
@@ -148,12 +150,13 @@ def _bfgs_update(inverses: np.ndarray, paired: np.ndarray, rows: np.ndarray,
     if np.count_nonzero(rows) < len(rows):
         sy = np.where(rows, sy, 1.0)
         pairs = np.where(rows[:, None, None], pairs, 0.0)
-    s, y = pairs[:, 0], pairs[:, 1]
-    hy = np.matmul(inverses, y[:, :, None])[..., 0]
-    yhy = np.add.reduce(y * hy, axis=-1)
-    u = (0.5 * (sy + yhy) / (sy * sy))[:, None] * s - hy / sy[:, None]
-    inverses += np.matmul(np.concatenate((u[:, :, None], s[:, :, None]), -1),
-                          np.concatenate((s[:, None], u[:, None]), 1))
+    y = pairs[:, 1, :, None]
+    hy = np.matmul(inverses, y)
+    r = (1.0 / sy)[:, None, None]
+    c = r * (_CORNER * (1.0 + r * np.matmul(y.swapaxes(-1, -2), hy))
+             - _EXCHANGE)
+    v = np.concatenate((pairs[:, 0, :, None], hy), -1)
+    inverses += np.matmul(np.matmul(v, c), v.swapaxes(-1, -2))
 
 
 def minimize_batch(problems: Sequence[FilterProblem],
@@ -263,15 +266,16 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
             if not len(ids):
                 return
 
+            # Each row moves by t H g, down its slope <g, t H g>.
             flat = grads.reshape(-1, size)
-            directions = -np.matmul(inverses, flat[:, :, None])[..., 0]
-            slopes = np.add.reduce(flat * directions, axis=-1)
-            trials = gains + steps[:, None, None] * directions.reshape(
-                gains.shape)
+            moves = steps[:, None] * np.matmul(inverses,
+                                               flat[:, :, None])[..., 0]
+            slopes = np.matmul(flat[:, None], moves[:, :, None])[:, 0, 0]
+            trials = gains - moves.reshape(gains.shape)
             trial_values, trial_grads, errors = batch.evaluate(trials)
             reference = np.maximum.reduce(window, axis=1)
             accepted = trial_values <= (
-                reference + _ARMIJO_C * steps * slopes
+                reference - _ARMIJO_C * slopes
                 + 8.0 * _EPS * (1.0 + np.abs(reference)))
             ended = []
             for row, exc in errors.items():
@@ -293,20 +297,20 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
                 trial_grads = np.where(moved, trial_grads, grads)
             # A pair updates its row's inverse Hessian where <s, y> is
             # positive by a margin, as the log-det is not convex; a rejected
-            # row's s and y are zero, so it never does. ``dots`` holds each
-            # row's <s, s>, <s, y>, <y, s> and <y, y>.
-            pairs = np.concatenate((trials - gains, trial_grads - grads),
-                                   1).reshape(-1, 2, size)
-            dots = np.add.reduce(pairs[:, :, None] * pairs[:, None], axis=-1)
-            sy, yy = dots[:, 0, 1], dots[:, 1, 1]
-            curved = sy > (_CURVATURE_MARGIN * np.sqrt(dots[:, 0, 0])
-                           * np.sqrt(yy))
+            # row's s and y are zero, so it never does. One Gram product of
+            # each row's s, y and new gradient, and one sqrt, give the
+            # curvature test's terms and the gradient norm.
+            pairs = np.concatenate((trials - gains, trial_grads - grads,
+                                    trial_grads), 1).reshape(-1, 3, size)
+            gram = np.matmul(pairs, pairs.swapaxes(-1, -2))
+            sy, yy = gram[:, 0, 1], gram[:, 1, 1]
+            norms = np.sqrt(gram.diagonal(0, -2, -1))
+            curved = sy > _CURVATURE_MARGIN * norms[:, 0] * norms[:, 1]
             if np.count_nonzero(curved):
                 _bfgs_update(inverses, None if settled else paired, curved,
                              pairs, sy, yy)
 
-            gains, grads = trials, trial_grads
-            gnorms = np.sqrt(np.add.reduce(grads * grads, axis=(-2, -1)))
+            gains, grads, gnorms = trials, trial_grads, norms[:, 2]
             # An accepted row tries the unit quasi-Newton step, or, until it
             # has a pair, the first trial's displacement; a rejected row
             # halves its step.
@@ -365,13 +369,14 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
 
     This is a batch of one for :func:`minimize_batch`, which evaluates the
     validating public functions' formulas on stacked iterates: a round costs
-    one evaluation at the trial gains, of one Joseph update, one Cholesky
-    factorization with the same pivot floor and one solve for the log-det
-    and entropy rows, and one stacked gradient, which a rejected row throws
-    away, and one product of each row's ``H`` with its gradient and, when
-    some row stores a pair, one rank-2 update of every ``H``, an exact zero
-    for the rows that store none. Values, gradients and
-    iterates are bit for bit those of this rule written as a loop over
+    one evaluation at the trial gains (one block Joseph product, one
+    Cholesky factorization with the same pivot floor and one solve for the
+    log-det and entropy rows, and one stacked gradient, which a rejected
+    row throws away), the products ``H g`` and ``<g, t H g>``, one Gram
+    product of ``[s, y, g]`` and, when some row stores a pair, one
+    ``V C V.T`` update of every ``H``, an exact zero for the rows that
+    store none. Values, gradients and iterates are bit for bit those of
+    this rule written as a loop over
     :func:`~gainlab.objectives.evaluate_objective` and
     :func:`~gainlab.objectives.objective_gradient`.
 
@@ -437,7 +442,7 @@ def equivalence_batch(problems: Sequence[FilterProblem],
         return []
     kinds = tuple(ObjectiveKind)
     batch = _Batch.stack(problems, kinds * len(problems), len(kinds))
-    runs: list = [None] * len(batch.prior)
+    runs: list = [None] * len(kinds) * len(problems)
     _lockstep(batch, np.zeros(batch.cross.shape), config, runs)
     cross, innovation = batch.cross[::len(kinds)], batch.innovation[::len(kinds)]
     analytic, singular = _analytic_gains(cross, innovation)

@@ -79,7 +79,8 @@ def starting_from(monkeypatch, start):
     """
     lockstep = optimizer._lockstep
     def patched(batch, gains, config, outcomes):
-        for prior, gain in zip(batch.prior, gains):
-            start(prior, gain)
+        n = gains.shape[-2]
+        for joint_cov, gain in zip(batch.joint_cov, gains):
+            start(joint_cov[:n, :n], gain)
         return lockstep(batch, gains, config, outcomes)
     monkeypatch.setattr(optimizer, "_lockstep", patched)

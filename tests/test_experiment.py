@@ -535,12 +535,13 @@ class TestChunks:
         assert peak <= experiment._CHUNK_BYTES
 
     def test_oracle_blocks_sized_by_budget(self, monkeypatch):
-        # 256 rows at 6x6, as many as the budget holds at 35x35
+        # three whole rows of 72 perturbed gains at 6x6, as many as 256
+        # hold, and as many gains as the budget holds at 35x35
         blocks = []
         evaluate = objectives._evaluate
-        def recorded(stacks, gains, rows, identity):
-            blocks.append(len(gains))
-            return evaluate(stacks, gains, rows, identity)
+        def recorded(stacks, gains, rows, select):
+            blocks.append(gains[..., 0, 0].size)
+            return evaluate(stacks, gains, rows, select)
         monkeypatch.setattr(objectives, "_evaluate", recorded)
         trace = objectives.ObjectiveKind.TOTAL_VARIANCE
         for dim in (6, 35):
@@ -550,7 +551,7 @@ class TestChunks:
             objectives._finite_differences(batch, np.zeros((4, dim, dim)))
             assert sum(blocks) == 4 * 2 * dim * dim
             if dim == 6:
-                assert max(blocks) == 256
+                assert max(blocks) == 3 * 72
             else:
                 assert max(blocks) * objectives._row_bytes(dim, dim) <= (
                     objectives._CHUNK_BYTES)

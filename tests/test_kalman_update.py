@@ -10,8 +10,8 @@ from gainlab.exceptions import (DimensionMismatch, GainlabError,
                                 InvalidParameter, NotPositiveDefinite)
 from gainlab.experiment import make_problem
 from gainlab.kalman_update import (FilterProblem, _analytic_gains,
-                                   _build_problems, _stacks, analytic_gain,
-                                   joseph_update)
+                                   _build_problems, _joseph_form, _stacks,
+                                   analytic_gain, joseph_update)
 
 from conftest import (SINGULAR_SEED, make_scalar, seeded_gain, seeded_problem,
                       singular_innovation_stack)
@@ -64,7 +64,10 @@ class TestFilterProblem:
             joseph_update(problem, bad)
 
 
-FIELDS = ("prior", "obs_op", "obs_noise", "cross", "innovation")
+FIELDS = ("prior", "obs_op", "obs_noise", "cross", "innovation", "joint_cov",
+          "joint_op")
+# The problem arrays that a batch's slab holds.
+BATCH_FIELDS = ("joint_cov", "joint_op", "cross", "innovation")
 
 
 def _good_rows(count, seed=0):
@@ -171,16 +174,18 @@ class TestStackedBuild:
         kinds = [objectives.ObjectiveKind.TOTAL_VARIANCE] * 5
         stacks = _stacks(problems)
         batch = objectives._Batch.stack(problems, kinds)
-        assert all(getattr(batch, name) is stacks[name] for name in FIELDS)
-        # any other list is copied: part of a build, its rows reordered or
-        # repeated, rows of two builds, or a problem built alone
+        for name in BATCH_FIELDS:
+            assert getattr(batch, name).tobytes() == stacks[name].tobytes()
+        # any other list is copied from its problems: part of a build, its
+        # rows reordered or repeated, rows of two builds, or a problem built
+        # alone
         others = [problems[:4], problems[::-1], problems[:1] * 5,
                   problems[:3] + _stacked(_good_rows(2, 40)),
                   problems[:4] + [FilterProblem(*_good_rows(1)[0])]]
         for listed in others:
             assert _stacks(listed) is None
-            batch = objectives._Batch.stack(listed, kinds)
-            for name in FIELDS:
+            batch = objectives._Batch.stack(listed, kinds[:len(listed)])
+            for name in BATCH_FIELDS:
                 assert getattr(batch, name).tobytes() == np.array(
                     [getattr(problem, name) for problem in listed]).tobytes()
 
@@ -318,3 +323,56 @@ class TestJosephUpdate:
                                    obs_noise=4.5 * problem.obs_noise)
             delta = np.max(np.abs(analytic_gain(problem) - analytic_gain(scaled)))
             assert delta <= 1e-12
+
+
+def _two_term_joseph(problem, gain):
+    """The Joseph update written out as its two terms, symmetrized."""
+    ikh = np.eye(problem.state_dim) - gain @ problem.obs_op
+    return matrix_core._symmetrize(ikh @ problem.prior @ ikh.T
+                                   + gain @ problem.obs_noise @ gain.T)
+
+
+class TestBlockJosephForm:
+    """``A W A.T`` with ``A = [I - K H, K]`` and ``W = blockdiag(P, R)``
+    against the two terms ``(I - K H) P (I - K H).T + K R K.T``."""
+
+    # The difference is measured against the scale at which the products
+    # round, (||I - K H||² + ||K||²)(||P|| + ||R||) in Frobenius norms: over
+    # these cells with 40 seeds each, the worst was 1.08e-16, at 1x1. The
+    # bound is one float64 epsilon, about twice that. Relative to the
+    # posterior itself the forms differ by up to 6e-10 at 1x20, cond 1e8,
+    # where K R K.T cancels.
+    BOUND = float(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("cond", [10.0, 1e4, 1e8])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 20), (20, 1), (2, 5),
+                                       (5, 2), (4, 3), (8, 8), (12, 7),
+                                       (20, 20)])
+    def test_block_product_equals_the_two_terms(self, shape, cond):
+        for seed in range(10):
+            problem = make_problem(*shape, seed, cond)
+            rng = np.random.default_rng(seed)
+            best = analytic_gain(problem)
+            for scale in (0.0, 1e-3, 1.0, 10.0):
+                gain = best + scale * rng.standard_normal(best.shape)
+                expected = _two_term_joseph(problem, gain)
+                ikh = np.eye(problem.state_dim) - gain @ problem.obs_op
+                rounding = ((np.linalg.norm(ikh) ** 2 + np.linalg.norm(gain) ** 2)
+                            * (np.linalg.norm(problem.prior)
+                               + np.linalg.norm(problem.obs_noise)))
+                error = np.linalg.norm(joseph_update(problem, gain) - expected)
+                assert error <= self.BOUND * rounding
+
+    def test_zero_gain_gives_the_prior_exactly(self):
+        # E - 0 F is E = [I, 0] exactly, so E W E.T is P bit for bit, alone
+        # and in a stacked batch, where every minimization starts
+        for shape in ((1, 1), (4, 3), (2, 5), (8, 8), (20, 20)):
+            problems = [make_problem(*shape, seed, 1e4) for seed in range(3)]
+            zero = np.zeros(shape)
+            batch = objectives._Batch.stack(
+                problems, [objectives.ObjectiveKind.TOTAL_VARIANCE] * 3)
+            stacked = _joseph_form(batch, np.zeros((3,) + shape), batch.select)
+            for problem, posterior in zip(problems, stacked):
+                assert joseph_update(problem, zero).tobytes() == (
+                    problem.prior.tobytes())
+                assert posterior.tobytes() == problem.prior.tobytes()

@@ -55,10 +55,13 @@ def _log_det_unscaled(factor):
     return np.log(factor.diagonal(0, -2, -1)).sum(axis=-1)
 
 
-def _joseph_without_noise(problem, gain, identity):
-    """The Joseph update without its ``K R K.T`` term."""
-    ikh = identity - gain @ problem.obs_op
-    return matrix_core._symmetrize(ikh @ problem.prior @ ikh.swapaxes(-1, -2))
+def _joseph_without_noise(problem, gain, select):
+    """The Joseph update without its ``K R K.T`` term: the block product
+    ``A W A.T`` with the R block of ``W = blockdiag(P, R)`` dropped."""
+    joint = problem.joint_cov.copy()
+    joint[..., gain.shape[-2]:, gain.shape[-2]:] = 0.0
+    a = select - gain @ problem.joint_op
+    return matrix_core._symmetrize(a @ joint @ a.swapaxes(-1, -2))
 
 
 def _gains_against_half_innovation(cross, innovation):

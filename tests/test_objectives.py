@@ -54,9 +54,11 @@ def sequential_finite_differences(batch, gains):
     kinds = tuple(ObjectiveKind)
     grads = np.empty((len(gains) * len(kinds),) + gains.shape[1:])
     errors = {}
+    n = gains.shape[-2]
     for row, gain in enumerate(gains):
-        problem = FilterProblem(prior=batch.prior[row], obs_op=batch.obs_op[row],
-                                obs_noise=batch.obs_noise[row])
+        joint_cov, joint_op = batch.joint_cov[row], batch.joint_op[row]
+        problem = FilterProblem(prior=joint_cov[:n, :n], obs_op=joint_op[:, :n],
+                                obs_noise=joint_cov[n:, n:])
         for j, kind in enumerate(kinds):
             try:
                 grads[row * len(kinds) + j] = (
