@@ -21,10 +21,10 @@ import numpy as np
 from . import objectives, optimizer
 from .exceptions import GainlabError, InvalidParameter
 from .experiment import (_MASK64, DISTANCE_THRESHOLD, ExperimentConfig,
-                         _chunks, _make_problems, _mix_seeds, _row_bytes,
-                         emit_report, make_problem, mix_seed, run_experiment)
+                         _chunks, _make_problems, _row_bytes, emit_report,
+                         make_problem, mix_seed, run_experiment)
 from .kalman_update import FilterProblem, _analytic_gains, analytic_gain
-from .matrix_core import _frobenius_norms, _generators, frobenius_norm
+from .matrix_core import _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind
 
 _GRADCHECK_TOL = 1e-5
@@ -178,7 +178,7 @@ def _cmd_check(args) -> int:
         print(_matrix_lines(report.final_gain))
         print(f"distance to analytic gain: {distance:.3e}")
 
-    noise = next(_generators(_mix_seeds(seed, 10))).standard_normal(
+    noise = np.random.default_rng(mix_seed(seed, 10)).standard_normal(
         reference.shape)
     errors, failures = _gradient_errors([problem], [noise])
     print("\ngradient check at analytic gain + 0.1 noise, vs central differences:")
@@ -197,35 +197,34 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _gradcheck_errors(seed: int, indices: range, max_dim: int) -> np.ndarray:
+def _gradcheck_errors(rng: "np.random.Generator", indices: range,
+                      max_dim: int) -> np.ndarray:
     """Relative gradient errors of the gradcheck instances ``indices``.
 
-    Instance ``i`` draws from the one stream of ``mix_seed(seed, i)``, in
-    order, its n and m up to ``max_dim``, an (n, m) gain noise, and the
-    draws of its problem (see :func:`~gainlab.experiment._make_problems`),
-    and is checked 0.1 of its noise away from its analytic gain. Returns
-    the (len(indices), len(ObjectiveKind)) errors. One
-    :func:`~gainlab.matrix_core._generators` call seeds every stream, one
-    ``_make_problems`` call makes every problem, and one
-    :func:`_gradient_errors` call checks each shape's problems. Raises the
-    error that checking the instances one at a time, in order, raises
-    first: an instance whose analytic gain fails raises that error. Called
-    on each chunk of :func:`~gainlab.experiment._chunks`, sized for the
-    ``max_dim`` x ``max_dim`` shape.
+    The instances are the next ``len(indices)`` of the command's one stream
+    ``rng``: each draws from it, in order, its n and m up to ``max_dim``,
+    an (n, m) gain noise, and the draws of its problem (see
+    :func:`~gainlab.experiment._make_problems`), and is checked 0.1 of its
+    noise away from its analytic gain; instance ``i``'s condition target
+    is ``_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)]``. Returns the
+    (len(indices), len(ObjectiveKind)) errors. One ``_make_problems`` call
+    makes every problem, and one :func:`_gradient_errors` call checks each
+    shape's problems. Raises the error that checking the instances one at
+    a time, in order, raises first: an instance whose analytic gain fails
+    raises that error. Called on each chunk of
+    :func:`~gainlab.experiment._chunks`, sized for the ``max_dim`` x
+    ``max_dim`` shape, in order.
     """
     shapes, noises, draws = [], [], []
-    for generator in _generators(_mix_seeds(seed & _MASK64, indices)):
-        n = int(generator.integers(1, max_dim + 1))
-        m = int(generator.integers(1, max_dim + 1))
+    for _ in indices:
+        n = int(rng.integers(1, max_dim + 1))
+        m = int(rng.integers(1, max_dim + 1))
         shapes.append((n, m))
-        # The (n, m) noise and the (n, n), (m, m) and (m, n) draws, in order:
-        # a Generator fills values in order, so one call gives four's bytes.
-        k = n * m
-        flat = generator.standard_normal(2 * k + n * n + m * m)
-        noises.append(flat[:k].reshape(n, m))
-        draws.append([flat[k:k + n * n].reshape(n, n),
-                      flat[k + n * n:-k].reshape(m, m),
-                      flat[-k:].reshape(m, n)])
+        # The noise, then the problem's draws: a Generator fills values in
+        # order, so one call gives the bytes of the separate draws.
+        flat = rng.standard_normal(n * m + n * n + m * m + m * n)
+        noises.append(flat[:n * m].reshape(n, m))
+        draws.append(flat[n * m:])
     conds = [_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)] for i in indices]
     problems = _make_problems(shapes, draws, conds)
     groups, failures = defaultdict(list), {}
@@ -252,13 +251,14 @@ def _cmd_gradcheck(args) -> int:
         raise InvalidParameter("--instances must be >= 1")
     if args.seed < 0:
         raise InvalidParameter("--seed must be a non-negative integer")
+    rng = np.random.default_rng(args.seed & _MASK64)
     worst = np.zeros(len(ObjectiveKind))
     # Chunks bound the memory for any --instances: a chunk's arrays, and the
     # oracle's stacks, are sized for the largest shape, --max-dim squared.
     for indices in _chunks(args.instances, 1,
                            _row_bytes(args.max_dim, args.max_dim)):
         # np.maximum, unlike max(), keeps a NaN error, which then fails.
-        worst = np.maximum(worst, _gradcheck_errors(args.seed, indices,
+        worst = np.maximum(worst, _gradcheck_errors(rng, indices,
                                                     args.max_dim).max(axis=0))
     ok = True
     for kind, error in zip(ObjectiveKind, worst):

@@ -4,6 +4,8 @@ Every trial is a pure function of the experiment configuration and its own
 index, so a report is reproducible byte-for-byte no matter how trials are
 scheduled. Per-trial seeds come from a splitmix-style mix of the master seed
 and the trial index, giving independent streams under any parallel schedule.
+A trial draws its prior's Gaussian, its noise's Gaussian and its observation
+operator, in that order, from one stream ``np.random.default_rng(seed)``.
 """
 
 import json
@@ -17,7 +19,7 @@ import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
 from .kalman_update import FilterProblem, _build_problems
-from .matrix_core import _check_numbers, _generators, _random_spds
+from .matrix_core import _check_numbers, _random_spds
 from .objectives import _CHUNK_BYTES, ObjectiveKind, _row_bytes
 from .optimizer import EquivalenceReport, OptimizerConfig, equivalence_batch
 
@@ -165,11 +167,11 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     Prior and noise covariances are those of
     :func:`gainlab.matrix_core.random_spd`; the observation operator gets
     independent standard-Gaussian entries (it is rectangular, so no
-    structure beyond linearity is imposed). The three matrices draw from the
-    sub-streams ``mix_seed(seed, 0..2)`` in turn; ``seed`` must be at least
-    0, and one of 2**64 or more is taken modulo 2**64, as :func:`mix_seed`
-    takes it. A batch of one of :func:`_trial_problems`, which raises the
-    errors of out-of-range arguments.
+    structure beyond linearity is imposed). The three draws come, in that
+    order, from the one stream ``np.random.default_rng(seed)``; ``seed``
+    must be at least 0, and one of 2**64 or more is taken modulo 2**64, as
+    :func:`mix_seed` takes it. A batch of one of :func:`_trial_problems`,
+    which raises the errors of out-of-range arguments.
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
@@ -184,15 +186,12 @@ def _trial_problems(shape: tuple[int, int], seeds, cond_target: float,
                     ) -> list[Union[FilterProblem, GainlabError]]:
     """:func:`make_problem` of each of ``seeds``, integers in [0, 2**64).
 
-    One :func:`~gainlab.matrix_core._generators` call seeds every seed's
-    sub-streams ``mix_seed(seed, 0..2)``: prior, noise and operator.
+    Each seed's stream ``np.random.default_rng(seed)`` gives its problem's
+    draws in one call.
     """
     n, m = (max(dim, 0) for dim in shape)  # for _make_problems to reject
-    generators = _generators(_mix_seeds(
-        np.asarray(seeds, dtype=np.uint64)[:, None], [0, 1, 2]).ravel())
-    draws = [(prior.standard_normal((n, n)), noise.standard_normal((m, m)),
-              obs.standard_normal((m, n)))
-             for prior, noise, obs in zip(*[generators] * 3)]
+    draws = [np.random.default_rng(int(seed)).standard_normal(
+        n * n + m * m + m * n) for seed in seeds]
     return _make_problems([shape] * len(draws), draws,
                           [cond_target] * len(draws))
 
@@ -202,8 +201,9 @@ def _make_problems(shapes: Sequence[tuple[int, int]], draws,
                    ) -> list[Union[FilterProblem, GainlabError]]:
     """The problem of each row: its ``(n, m)`` shape, draws and target.
 
-    ``draws[row]`` holds the row's Gaussian draws: (n, n) for its prior,
-    (m, m) for its noise, and its (m, n) observation operator. Every
+    ``draws[row]`` is the row's flat Gaussian vector of n² + m² + m·n
+    values: those of its (n, n) prior, its (m, m) noise and its (m, n)
+    observation operator, in that order. Every
     covariance of one dimension, prior or noise of any row, is assembled
     as one stack (see :func:`~gainlab.matrix_core._random_spds`), which
     raises the InvalidParameter of an out-of-range dimension or target,
@@ -214,21 +214,26 @@ def _make_problems(shapes: Sequence[tuple[int, int]], draws,
     GainlabError that building it alone raises.
     """
     # Each dimension's covariances: (0, row) is a prior, (1, row) a noise.
-    wanted, groups = defaultdict(list), defaultdict(list)
-    for row, shape in enumerate(shapes):
-        groups[shape].append(row)
-        wanted[shape[0]].append((0, row))
-        wanted[shape[1]].append((1, row))
+    wanted, groups, split = defaultdict(list), defaultdict(list), []
+    for row, (n, m) in enumerate(shapes):
+        groups[n, m].append(row)
+        wanted[n].append((0, row))
+        wanted[m].append((1, row))
+        n, m = max(n, 0), max(m, 0)  # empty draws, for _random_spds to reject
+        flat = draws[row]
+        split.append((flat[:n * n].reshape(n, n),
+                      flat[n * n:n * n + m * m].reshape(m, m),
+                      flat[n * n + m * m:].reshape(m, n)))
     covariances = {}
     for dim, keys in wanted.items():
         covariances.update(zip(keys, _random_spds(
-            dim, np.array([draws[row][kind] for kind, row in keys]),
+            dim, np.array([split[row][kind] for kind, row in keys]),
             [conds[row] for _, row in keys])))
     outcomes: list = [None] * len(shapes)
     for (n, m), rows in groups.items():
         built = _build_problems(
             np.array([covariances[0, row] for row in rows]),
-            np.array([draws[row][2] for row in rows]),
+            np.array([split[row][2] for row in rows]),
             np.array([covariances[1, row] for row in rows]))
         for row, outcome in zip(rows, built):
             outcomes[row] = outcome

@@ -5,13 +5,8 @@ through a single Cholesky factorization, the one source of truth for what
 counts as a valid covariance matrix. Every Cholesky factorization and
 linear solve of the package goes through one of two row kernels here,
 ``_cholesky_factors`` and ``_solves``: one LAPACK call per stack, each row
-failing alone. The package's own random streams are seeded here, by
-``_generators``: one hash of a whole uint64 stack of seeds gives each seed
-the words from which numpy seeds its own default generator; ``random_spd``,
-which takes a seed of any size, calls ``np.random.default_rng`` directly.
-A trial draws its prior, noise and operator from three sub-streams
-``mix_seed(seed, 0..2)``; a gradcheck instance draws its n, m, gain noise,
-prior, noise and operator, in that order, from one stream.
+failing alone. ``random_spd`` draws its Gaussian matrix from numpy's own
+``np.random.default_rng(seed)``, as every random stream of the package does.
 """
 
 import numbers
@@ -303,107 +298,3 @@ def _random_spds(dim: int, gauss: np.ndarray, conds) -> np.ndarray:
     exponents = (np.arange(dim) - (dim - 1) / 2.0) / max(dim - 1, 1)
     eigenvalues = targets[:, None, None] ** exponents
     return _symmetrize((q * eigenvalues) @ q.swapaxes(-1, -2))
-
-
-# SeedSequence's hash (numpy.random.bit_generator), which is fixed: a
-# seed's uint32 words go into a pool of four, from which PCG64 takes four
-# uint64 words. Every operand is a uint32 array, so the arithmetic wraps
-# modulo 2**32 under numpy 1's casting as under numpy 2's and never warns;
-# its scalars are 0-d arrays, faster in numpy than np.uint32 scalars.
-_POOL_SIZE = 4
-_XSHIFT = np.array(16, dtype=np.uint32)
-_MIX_MULT_L = np.array(0xCA01F9DD, dtype=np.uint32)
-_MIX_MULT_R = np.array(0x4973F715, dtype=np.uint32)
-
-
-def _hash_constants(init: int, mult: int, count: int):
-    """The uint32 constants of ``count`` steps of one hash stream.
-
-    Step ``k`` XORs its word with ``before[k]``, multiplies it by
-    ``after[k]``, the stream's next constant, and XORs it with its top half
-    shifted down (see :func:`_hashmix`). Returns (before, after), which
-    depend on the step alone, never on the seed.
-    """
-    constants = [init]
-    for _ in range(count):
-        constants.append(constants[-1] * mult & 0xFFFFFFFF)
-    return (np.array(constants[:-1], dtype=np.uint32),
-            np.array(constants[1:], dtype=np.uint32))
-
-
-_ENTROPY_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE ** 2)
-# The entropy stream hashes one word into each pool word. Then the mixing
-# round of each pool word in turn hashes it into the three others, in
-# ascending order, with the stream's next three steps; a round's constants
-# hold zeros in its own word's place, whose mix is discarded.
-_FILL_CONSTANTS = [steps[:_POOL_SIZE] for steps in _ENTROPY_CONSTANTS]
-_ROUND_CONSTANTS = [
-    [np.insert(steps[_POOL_SIZE + 3 * src:_POOL_SIZE + 3 * src + 3], src, 0)
-     for steps in _ENTROPY_CONSTANTS]
-    for src in range(_POOL_SIZE)]
-# generate_state(4, np.uint64) hashes the pool twice over, into 8 words.
-_STATE_CONSTANTS = [
-    steps.reshape(2, _POOL_SIZE)
-    for steps in _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)]
-
-
-def _hashmix(words: np.ndarray, before: np.ndarray,
-             after: np.ndarray) -> np.ndarray:
-    """Hash steps of :func:`_hash_constants`, broadcast over ``words``."""
-    words = (words ^ before) * after
-    return words ^ (words >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
-    z = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return z ^ (z >> _XSHIFT)
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
-
-    ``seeds`` is a uint64 array, as :func:`~gainlab.experiment._mix_seeds`
-    makes. Returns the (len(seeds), 4) native uint64 words, bit for bit,
-    from one hash of the (len(seeds), 4) uint32 stack of SeedSequence's
-    entropy, each seed's two words, least significant first, padded with two
-    zeros; the pool mixing is one whole-stack round per pool word.
-    """
-    entropy = np.zeros((len(seeds), _POOL_SIZE), dtype=np.uint32)
-    entropy[:, :2] = np.asarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
-    pool = _hashmix(entropy, *_FILL_CONSTANTS)
-    for src, constants in enumerate(_ROUND_CONSTANTS):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    state = _hashmix(pool[:, None], *_STATE_CONSTANTS).astype("<u4")
-    return state.reshape(-1, 2 * _POOL_SIZE).view("<u8").astype(np.uint64)
-
-
-class _HashedWords:
-    """A seed sequence whose state is one seed's row of :func:`_seed_words`.
-
-    It answers only PCG64's request, 4 uint64 words: a numpy that seeds
-    otherwise would drift from ``default_rng``. :func:`_generators` registers
-    it as an ``ISeedSequence``, so importing gainlab skips numpy.random.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
-            raise RuntimeError(f"gainlab seeds PCG64 from {_POOL_SIZE} uint64 "
-                               f"words, not {n_words} of {np.dtype(dtype)}")
-        return self.words
-
-
-def _generators(seeds: np.ndarray):
-    """Yield, for each seed in order, a new generator equal to numpy's default.
-
-    ``seeds`` is a uint64 array; each generator is ``default_rng(seed)``
-    bit for bit, its PCG64 seeded by numpy from :func:`_seed_words`.
-    """
-    np.random.bit_generator.ISeedSequence.register(_HashedWords)
-    for words in _seed_words(seeds):
-        yield np.random.Generator(np.random.PCG64(_HashedWords(words)))

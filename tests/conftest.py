@@ -10,8 +10,9 @@ from gainlab.kalman_update import FilterProblem, analytic_gain
 CONDITIONS = (1.0, 10.0, 100.0)
 # make_problem(2, 7, SINGULAR_SEED, 1e20) builds: its innovation covariance S
 # passes the Cholesky check, but the LU solve of the analytic gain finds it
-# singular.
-SINGULAR_SEED = 4072691067807443344
+# singular. Seeds 0 to 19,999 build 1,459 such problems, and 54 of them are
+# singular; 45 is the first.
+SINGULAR_SEED = 45
 
 
 def seeded_problem(trial: int, master_seed: int = 5, max_dim: int = 8,
@@ -36,9 +37,9 @@ def spd_of_draw(gauss, cond_target):
 
 
 def one_stream_problem(rng, state_dim, obs_dim, cond_target):
-    """The problem of the next draws of ``rng``, as a gradcheck instance
-    takes them: the prior's Gaussian, the noise's Gaussian, then the
-    observation operator."""
+    """The problem of the next draws of ``rng``, as a trial and a gradcheck
+    instance take them: the prior's Gaussian, the noise's Gaussian, then
+    the observation operator."""
     prior = spd_of_draw(rng.standard_normal((state_dim, state_dim)),
                         cond_target)
     noise = spd_of_draw(rng.standard_normal((obs_dim, obs_dim)), cond_target)

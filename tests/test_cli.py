@@ -8,7 +8,7 @@ import pytest
 from gainlab import cli, experiment, objectives
 from gainlab.cli import main
 from gainlab.exceptions import GainlabError, NotPositiveDefinite
-from gainlab.experiment import make_problem, mix_seed
+from gainlab.experiment import make_problem
 from gainlab.kalman_update import FilterProblem
 from gainlab.matrix_core import frobenius_norm
 from gainlab.objectives import ObjectiveKind, objective_gradient
@@ -133,8 +133,8 @@ class TestCheck:
 
     def test_failed_minimization_fails_the_check(self, capsys):
         # the log-det and entropy line searches give up at cond 1e20, seed
-        # 2; that is a failed check, not a configuration error
-        code = main(["check", "--seed", "2", "--cond", "1e20"])
+        # 141; that is a failed check, not a configuration error
+        code = main(["check", "--seed", "141", "--cond", "1e20"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""
@@ -198,12 +198,20 @@ class TestCheck:
             "result: FAIL"]
 
     def test_singular_posterior_fails_the_check_without_traceback(
-            self, capsys):
-        # a log-det posterior at cond 1e20 passes its Cholesky check but is
-        # singular to the gradient's solve; that rejects the step
-        code = main(["check", "--cond", "1e20", "--seed", "2"])
+            self, capsys, monkeypatch):
+        # a log-det posterior at cond 1e20, seed 141, passes its Cholesky
+        # check but is singular to the gradient's solve; that rejects the step
+        evaluate = objectives._Batch.evaluate
+        singular = []
+        def recorded(batch, gains):
+            values, grads, errors = evaluate(batch, gains)
+            singular.extend(row for row, exc in errors.items()
+                            if str(exc).endswith("Singular matrix"))
+            return values, grads, errors
+        monkeypatch.setattr(objectives._Batch, "evaluate", recorded)
+        code = main(["check", "--cond", "1e20", "--seed", "141"])
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 1 and singular
         assert captured.err == ""
         assert captured.out.splitlines()[-1] == "result: FAIL"
 
@@ -239,7 +247,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--instances", "0"]) == 2
 
     def test_seed_of_two_to_the_64_plus_5_is_seed_5(self, capsys):
-        # seeds are mixed modulo 2**64, so no seed overflows the uint64 mixer
+        # the command's stream is default_rng(seed mod 2**64)
         big = _run(["gradcheck", "--seed", str(2**64 + 5), "--instances",
                     "50"], capsys)
         assert big == _run(["gradcheck", "--seed", "5", "--instances", "50"],
@@ -291,20 +299,27 @@ def test_oracle_evaluates_one_posterior_per_perturbed_gain(monkeypatch):
     assert sum(evaluated) == len(problems) * 2 * 3 * 2
 
 
-def gradcheck_instance(seed, index, max_dim):
-    """Problem and gain noise of gradcheck instance ``index``, one at a time.
+def gradcheck_instances(rng, indices, max_dim):
+    """Yield the problem and gain noise of each gradcheck instance in turn.
 
-    Its one stream yields n, m, the gain noise, then its problem's draws.
+    The instances ``indices`` are the next draws of the command's one stream
+    ``rng``: each takes n, m, its gain noise, then its problem's draws.
     """
-    rng = np.random.default_rng(mix_seed(seed, index))
-    n = int(rng.integers(1, max_dim + 1))
-    m = int(rng.integers(1, max_dim + 1))
-    noise = rng.standard_normal((n, m))
     conds = cli._GRADCHECK_CONDS
-    return one_stream_problem(rng, n, m, conds[index % len(conds)]), noise
+    for index in indices:
+        n = int(rng.integers(1, max_dim + 1))
+        m = int(rng.integers(1, max_dim + 1))
+        noise = rng.standard_normal((n, m))
+        yield one_stream_problem(rng, n, m, conds[index % len(conds)]), noise
 
 
-def sequential_gradcheck_errors(seed, indices, max_dim):
+def first_instances(seed, count, max_dim):
+    """The problems of the first ``count`` gradcheck instances of ``seed``."""
+    return [problem for problem, _ in gradcheck_instances(
+        np.random.default_rng(seed), range(count), max_dim)]
+
+
+def sequential_gradcheck_errors(rng, indices, max_dim):
     """The gradcheck instances checked one at a time, through public calls.
 
     The reference the stacked check must equal bit for bit, errors included:
@@ -312,8 +327,7 @@ def sequential_gradcheck_errors(seed, indices, max_dim):
     gradient before the central differences.
     """
     errors = []
-    for index in indices:
-        problem, noise = gradcheck_instance(seed, index, max_dim)
+    for problem, noise in gradcheck_instances(rng, indices, max_dim):
         gain = cli.analytic_gain(problem) + 0.1 * noise
         row = []
         for kind in ObjectiveKind:
@@ -327,7 +341,7 @@ def sequential_gradcheck_errors(seed, indices, max_dim):
 
 def _errors_outcome(errors, seed, indices, max_dim):
     try:
-        return errors(seed, indices, max_dim).tobytes()
+        return errors(np.random.default_rng(seed), indices, max_dim).tobytes()
     except GainlabError as exc:
         return type(exc), str(exc)
 
@@ -346,6 +360,37 @@ class TestStackedGradcheck:
     def test_errors_bit_identical_to_sequential_loop(self):
         expected = _assert_same_errors(5, range(400), 8)
         assert isinstance(expected, bytes)
+
+    def test_chunks_leave_output_unchanged(self, capsys, monkeypatch):
+        # the command's one stream runs on from chunk to chunk
+        argv = ["gradcheck", "--seed", "3", "--instances", "40"]
+        whole = _run(argv, capsys)
+        monkeypatch.setattr(experiment, "_CHUNK_BYTES",
+                            7 * experiment._row_bytes(6, 6))
+        chunked = cli._gradcheck_errors
+        checked = []
+        def recorded(rng, indices, max_dim):
+            checked.append(indices)
+            return chunked(rng, indices, max_dim)
+        monkeypatch.setattr(cli, "_gradcheck_errors", recorded)
+        assert _run(argv, capsys) == whole
+        assert len(checked) == 6
+
+    def test_fewer_instances_check_the_first_ones(self, capsys, monkeypatch):
+        chunked = cli._gradcheck_errors
+        rows = []
+        def recorded(rng, indices, max_dim):
+            errors = chunked(rng, indices, max_dim)
+            rows.append(errors)
+            return errors
+        monkeypatch.setattr(cli, "_gradcheck_errors", recorded)
+        errors = {}
+        for count in (100, 40):
+            rows.clear()
+            assert _run(["gradcheck", "--instances", str(count)],
+                        capsys)[0] == 0
+            errors[count] = np.concatenate(rows)
+        assert errors[40].tobytes() == errors[100][:40].tobytes()
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_blocks_straddling_instances(self, block, monkeypatch):
@@ -379,7 +424,8 @@ class TestStackedGradcheck:
                                                   capsys, monkeypatch):
         monkeypatch.setattr(experiment, "_CHUNK_BYTES",
                             chunk * experiment._row_bytes(6, 6))
-        targets = {gradcheck_instance(4, index, 6)[0].cross.tobytes(): poison
+        instances = first_instances(4, 40, 6)
+        targets = {instances[index].cross.tobytes(): poison
                    for index, poison in poisons.items()}
         # One at a time, a poisoned instance's analytic gain raises the
         # error or gets the entry; stacked, the error fails its build and
@@ -432,33 +478,32 @@ class TestStackedGradcheck:
     ])
     def test_singular_innovation_fails_its_instance_in_order(
             self, poisons, error, monkeypatch):
-        # instances 13, 16 and 18 of seed 18 are one 2x7 group, and 16 gets
+        # instances 14, 19 and 21 of seed 310 are one 2x7 group, and 19 gets
         # the problem whose S is singular to the analytic gain's solve; an
-        # instance is told by its observation operator's draw
+        # instance is told by its observation operator
         singular = make_problem(2, 7, SINGULAR_SEED, 1e20)
         make_problems = cli._make_problems
-        instances = {gradcheck_instance(18, index, 7)[0].obs_op.tobytes():
-                     index for index in range(30)}
+        instances = {problem.obs_op.tobytes(): index for index, problem
+                     in enumerate(first_instances(310, 30, 7))}
         def swapped(shapes, draws, conds):
             outcomes = make_problems(shapes, draws, conds)
-            for row, (_, _, obs_op) in enumerate(draws):
-                index = instances[obs_op.tobytes()]
-                if index in (13, 16, 18):
+            for row, outcome in enumerate(outcomes):
+                index = instances[outcome.obs_op.tobytes()]
+                if index in (14, 19, 21):
                     assert shapes[row] == (2, 7)
-                if index == 16:
+                if index == 19:
                     outcomes[row] = singular
                 outcomes[row] = poisons.get(index, outcomes[row])
             return outcomes
         monkeypatch.setattr(cli, "_make_problems", swapped)
         with pytest.raises(NotPositiveDefinite) as caught:
-            cli._gradcheck_errors(18, range(30), 7)
+            cli._gradcheck_errors(np.random.default_rng(310), range(30), 7)
         assert str(caught.value) == error
 
     def test_one_generation_and_one_check_per_shape_group(self,
                                                           monkeypatch):
         shapes = {}
-        for index in range(40):
-            problem = gradcheck_instance(2, index, 4)[0]
+        for index, problem in enumerate(first_instances(2, 40, 4)):
             shapes.setdefault((problem.state_dim, problem.obs_dim),
                               []).append(index)
         # each dimension's covariances, priors and noises of every shape
@@ -466,16 +511,12 @@ class TestStackedGradcheck:
         for (n, m), indices in shapes.items():
             for dim in (n, m):
                 dims[dim] = dims.get(dim, 0) + len(indices)
-        seedings, assemblies, builds, checks = [], [], [], []
-        generators = cli._generators
+        assemblies, builds, checks = [], [], []
         random_spds = experiment._random_spds
         build_problems = experiment._build_problems
         gradient_errors = cli._gradient_errors
         analytic_gains = cli._analytic_gains
         inside = []
-        def spied_seedings(seeds):
-            seedings.append(seeds.tolist())
-            return generators(seeds)
         def spied_assemblies(dim, gauss, conds):
             assemblies.append((dim, len(gauss), len(conds)))
             return random_spds(dim, gauss, conds)
@@ -493,15 +534,12 @@ class TestStackedGradcheck:
         def spied_solves(cross, innovation):
             checks.append(("solve", bool(inside), len(cross)))
             return analytic_gains(cross, innovation)
-        monkeypatch.setattr(cli, "_generators", spied_seedings)
         monkeypatch.setattr(experiment, "_random_spds", spied_assemblies)
         monkeypatch.setattr(experiment, "_build_problems", spied_builds)
         monkeypatch.setattr(cli, "_gradient_errors", spied_checks)
         monkeypatch.setattr(cli, "_analytic_gains", spied_solves)
-        cli._gradcheck_errors(2, range(40), 4)
+        cli._gradcheck_errors(np.random.default_rng(2), range(40), 4)
         assert len(shapes) > 1 and len(dims) < 2 * len(shapes)
-        # one seeding, of one stream per instance
-        assert seedings == [[mix_seed(2, index) for index in range(40)]]
         # one assembly per dimension, of all its covariances, and one build
         # per shape, of all its problems
         assert sorted(assemblies) == sorted((dim, count, count)
@@ -536,9 +574,9 @@ class TestStackedGradcheck:
         assert expected[0] is NotPositiveDefinite
         chunked = cli._gradcheck_errors
         checked = []
-        def recorded(seed, indices, max_dim):
+        def recorded(rng, indices, max_dim):
             checked.append(indices)
-            return chunked(seed, indices, max_dim)
+            return chunked(rng, indices, max_dim)
         monkeypatch.setattr(cli, "_gradcheck_errors", recorded)
         assert main(["gradcheck", "--seed", "6", "--instances", "40"]) == 2
         assert capsys.readouterr().err == f"gainlab: error: {expected[1]}\n"
@@ -548,7 +586,7 @@ class TestStackedGradcheck:
         # max() would skip the NaN of instance 20 and report a pass
         monkeypatch.setattr(experiment, "_CHUNK_BYTES",
                             8 * experiment._row_bytes(6, 6))
-        target = gradcheck_instance(1, 20, 6)[0].prior
+        target = first_instances(1, 40, 6)[20].prior
         stacked_oracle = objectives._finite_differences
         def nan_for_target(batch, gains):
             grads, errors = stacked_oracle(batch, gains)

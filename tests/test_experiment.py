@@ -22,7 +22,7 @@ from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
 from gainlab.kalman_update import FilterProblem
 from gainlab.matrix_core import _random_spds, random_spd
 
-from conftest import spd_of_draw, starting_from
+from conftest import one_stream_problem, spd_of_draw, starting_from
 
 
 SMALL = ExperimentConfig(state_dim=3, obs_dim=2, trials=6, master_seed=9,
@@ -105,8 +105,22 @@ class TestMakeProblem:
             make_problem(*args)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("seed", [0, 1, 77, 2**32, 2**63, 2**64 - 1])
+    def test_draws_from_one_default_rng_stream(self, seed):
+        # the prior's Gaussian, the noise's, then the observation operator
+        for (n, m), cond in itertools.product(((1, 1), (4, 3), (2, 7), (8, 8)),
+                                              (1.0, 10.0, 1e4)):
+            expected = one_stream_problem(np.random.default_rng(seed), n, m,
+                                          cond)
+            assert _matrices(make_problem(n, m, seed, cond)) == (
+                _matrices(expected))
+
+    def test_seed_taken_modulo_two_to_the_64(self):
+        assert _matrices(make_problem(4, 3, 2**64 + 5, 10.0)) == _matrices(
+            make_problem(4, 3, 5, 10.0))
+
     def test_accepts_numpy_numbers(self):
-        # a numpy seed is mixed as the int it stands for
+        # a numpy seed is taken as the int it stands for
         expected = make_problem(4, 3, 77, 10.0)
         actual = make_problem(np.int64(4), np.int32(3), np.int64(77),
                               np.float64(10.0))
@@ -123,7 +137,7 @@ def sequential_random_spd(dim, seed, cond_target):
 
 
 def sequential_problem(state_dim, obs_dim, seed, cond_target):
-    """make_problem from sequential_random_spd: the class and text of its
+    """make_problem from one_stream_problem: the class and text of its
     error, or its three matrices."""
     try:
         for dim in (state_dim, obs_dim):
@@ -132,24 +146,18 @@ def sequential_problem(state_dim, obs_dim, seed, cond_target):
             if not np.isfinite(cond_target) or cond_target < 1.0:
                 raise InvalidParameter(
                     f"cond_target must be >= 1, got {cond_target}")
-        rng = np.random.default_rng(mix_seed(seed, 2))
-        problem = FilterProblem(
-            prior=sequential_random_spd(state_dim, mix_seed(seed, 0),
-                                        cond_target),
-            obs_op=rng.standard_normal((obs_dim, state_dim)),
-            obs_noise=sequential_random_spd(obs_dim, mix_seed(seed, 1),
-                                            cond_target))
+        problem = one_stream_problem(np.random.default_rng(seed), state_dim,
+                                     obs_dim, cond_target)
     except GainlabError as exc:
         return type(exc), str(exc)
     return _matrices(problem)
 
 
 def trial_draws(state_dim, obs_dim, seed):
-    """A trial's draws, from its sub-streams ``mix_seed(seed, 0..2)``; a
+    """A trial's flat draw, from its one stream ``default_rng(seed)``; a
     dimension below 1 draws nothing."""
     n, m = max(state_dim, 0), max(obs_dim, 0)
-    return tuple(np.random.default_rng(mix_seed(seed, k)).standard_normal(size)
-                 for k, size in enumerate(((n, n), (m, m), (m, n))))
+    return np.random.default_rng(seed).standard_normal(n * n + m * m + m * n)
 
 
 def _matrices(problem):
@@ -522,7 +530,8 @@ class TestChunks:
 
     def test_gradcheck_chunk_peak_within_budget(self):
         rows = experiment._CHUNK_BYTES // experiment._row_bytes(20, 20)
-        peak = _peak_bytes(partial(cli._gradcheck_errors, 1, max_dim=20),
+        peak = _peak_bytes(partial(cli._gradcheck_errors,
+                                   np.random.default_rng(1), max_dim=20),
                            range(rows))
         assert peak <= experiment._CHUNK_BYTES
 
@@ -530,7 +539,8 @@ class TestChunks:
         # at --max-dim 35 the oracle's stacks of perturbed gains, sized by
         # the same budget, would otherwise set the peak
         rows = experiment._CHUNK_BYTES // experiment._row_bytes(35, 35)
-        peak = _peak_bytes(partial(cli._gradcheck_errors, 1, max_dim=35),
+        peak = _peak_bytes(partial(cli._gradcheck_errors,
+                                   np.random.default_rng(1), max_dim=35),
                            range(rows))
         assert peak <= experiment._CHUNK_BYTES
 

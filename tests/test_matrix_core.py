@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gainlab import matrix_core
-from gainlab.cli import main
 from gainlab.exceptions import DimensionMismatch, InvalidParameter, NotPositiveDefinite
-from gainlab.experiment import _mix_seeds
 
 
 class TestCholesky:
@@ -257,72 +255,6 @@ class TestRandomSpd:
     def test_output_is_valid_covariance(self, seed, dim):
         a = matrix_core.random_spd(dim, seed, cond_target=100.0)
         matrix_core.validate_covariance(a)
-
-
-# A uint64 seed's two 32-bit words and two zeros fill SeedSequence's pool
-# of four; the edges set and clear each word's lowest and highest bits. The
-# wider seeds that random_spd accepts are pinned in test_experiment.py.
-UINT64_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-PIN_SEEDS = np.concatenate([np.array(UINT64_EDGES, dtype=np.uint64),
-                            _mix_seeds(29, range(300))])
-
-
-def _start(generator):
-    """A generator's state, then a Gaussian draw and three integer draws."""
-    return (generator.bit_generator.state,
-            generator.standard_normal((3, 4)).tobytes(),
-            [int(generator.integers(1, 7)) for _ in range(3)])
-
-
-class TestGenerators:
-    """The one seeding home against numpy's own seeding of each seed."""
-
-    def test_one_call_matches_default_rng(self):
-        # every edge and mixed seed in one hash, each generator used up in turn
-        generators = matrix_core._generators(PIN_SEEDS)
-        for seed, generator in zip(PIN_SEEDS, generators, strict=True):
-            assert _start(generator) == _start(np.random.default_rng(int(seed)))
-
-    @pytest.mark.parametrize("seed", UINT64_EDGES)
-    def test_lone_seed_matches_default_rng(self, seed):
-        generator, = matrix_core._generators(np.array([seed], dtype=np.uint64))
-        assert _start(generator) == _start(np.random.default_rng(seed))
-
-    def test_commands_seed_without_default_rng(self, capsys, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("np.random.default_rng was called")
-        monkeypatch.setattr(np.random, "default_rng", refused)
-        for argv in (["run", "--trials", "5"], ["check", "--seed", "1"],
-                     ["gradcheck", "--instances", "50"]):
-            assert main(argv) == 0
-        assert capsys.readouterr().err == ""
-
-
-class TestHashedSeeding:
-    """Each yielded generator is its own, and numpy seeds it from the hash."""
-
-    def test_kept_generators_draw_out_of_order(self):
-        seeds = [5, 2**64 - 1, 0, 2**63]
-        kept = list(matrix_core._generators(np.array(seeds, dtype=np.uint64)))
-        references = [np.random.default_rng(seed) for seed in seeds]
-        for i in [3, 0, 2, 1, 0, 3, 1, 2]:
-            assert (kept[i].standard_normal(4).tobytes()
-                    == references[i].standard_normal(4).tobytes())
-
-    @pytest.mark.parametrize("n_words, dtype", [
-        (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
-    def test_other_state_requests_raise(self, n_words, dtype):
-        words = matrix_core._HashedWords(
-            matrix_core._seed_words(np.array([7], dtype=np.uint64))[0])
-        with pytest.raises(RuntimeError, match="from 4 uint64 words, not "):
-            words.generate_state(n_words, dtype)
-
-    def test_words_match_seed_sequence(self):
-        words = matrix_core._seed_words(np.array(UINT64_EDGES, dtype=np.uint64))
-        assert words.dtype == np.uint64
-        for seed, row in zip(UINT64_EDGES, words, strict=True):
-            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            assert row.tobytes() == expected.tobytes()
 
 
 class TestFrobeniusNorms:
