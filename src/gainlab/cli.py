@@ -6,24 +6,24 @@ at the analytic gain plus 0.1 of a seeded Gaussian draw.
 Exit codes: 0 when every check passed its threshold, 1 when at least one
 failed, 2 for configuration or I/O errors. A problem that fails to build,
 or whose analytic gain fails, is a failed check, in ``check`` as in a
-``run`` trial. ``run`` says on stderr how many minimizations stopped at
-``--max-iters``; that changes neither its report nor its exit code.
+``run`` trial. ``run`` says on stderr how many minimizations stopped before
+the gradient norm reached ``--grad-tol``, and why: at ``--max-iters``, or
+stalled where an accepted step left the gain unchanged; that changes
+neither its report nor its exit code.
 """
 
 import argparse
 import sys
 from collections import defaultdict
-from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
 from . import objectives, optimizer
 from .exceptions import GainlabError, InvalidParameter
 from .experiment import (_MASK64, DISTANCE_THRESHOLD, ExperimentConfig,
-                         _chunks, _make_problems, _row_bytes, emit_report,
-                         make_problem, mix_seed, run_experiment)
-from .kalman_update import FilterProblem, _analytic_gains, analytic_gain
+                         _chunks, _make_problems, _row_bytes, _trial_problems,
+                         emit_report, mix_seed, run_experiment)
+from .kalman_update import _analytic_gains, _problem, analytic_gain
 from .matrix_core import _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind
 
@@ -85,14 +85,19 @@ def _cmd_run(args) -> int:
     if args.out != "-":
         print(f"wrote {config.output_format} report for {config.trials} trials "
               f"to {args.out}", file=sys.stderr)
-    # A minimization that stops at max_iters does not fail its trial, which
-    # compares gains only; say how many did, so that it does not pass unseen.
-    flags = [converged for record in result.trials if not record.failed
-             for converged in record.converged.values()]
-    if not all(flags):
-        print(f"gainlab: {flags.count(False)} of {len(flags)} minimizations "
-              f"stopped at --max-iters {config.max_iters} before the gradient "
-              f"norm reached --grad-tol {config.grad_tol:g}", file=sys.stderr)
+    # A minimization that stops unconverged does not fail its trial, which
+    # compares gains only; say how many did, and why, so that it does not
+    # pass unseen. One that stopped short of max_iters stalled.
+    stops = [record.iterations[kind] >= config.max_iters
+             for record in result.trials if not record.failed
+             for kind, converged in record.converged.items() if not converged]
+    if stops:
+        runs = 3 * sum(not record.failed for record in result.trials)
+        print(f"gainlab: {len(stops)} of {runs} minimizations stopped before "
+              f"the gradient norm reached --grad-tol {config.grad_tol:g}: "
+              f"{stops.count(True)} at --max-iters {config.max_iters}, "
+              f"{stops.count(False)} stalled where an accepted step left the "
+              f"gain unchanged", file=sys.stderr)
     return 0 if result.all_passed() else 1
 
 
@@ -100,14 +105,14 @@ def _matrix_lines(a: np.ndarray) -> str:
     return np.array2string(a, precision=12, suppress_small=False)
 
 
-def _gradient_errors(problems: Sequence[FilterProblem],
-                     noises: Sequence[np.ndarray]) -> tuple[np.ndarray, dict]:
+def _gradient_errors(stacks, noises: np.ndarray) -> tuple[np.ndarray, dict]:
     """The one gradient check: analytic gradients against central differences.
 
-    ``problems`` share one shape, and ``noises[i]`` is a draw of
-    ``problems[i]``'s gain shape. Each problem is checked at its analytic
-    gain ``K*`` plus 0.1 of its draw: at ``K*`` every gradient of the form
-    ``A M B`` vanishes, a wrong one too. Returns the (len(problems), 3)
+    ``stacks`` holds problems of one shape, as a build gives them (see
+    :func:`~gainlab.kalman_update._build_problems`), and ``noises[i]`` is
+    a draw of problem ``i``'s gain shape. Each problem is checked at its
+    analytic gain ``K*`` plus 0.1 of its draw: at ``K*`` every gradient of
+    the form ``A M B`` vanishes, a wrong one too. Returns the (B, 3)
     errors ``||g - g_fd|| / (1 + ||g||)`` under each kind, in
     :class:`ObjectiveKind` order, and the failures: a map from each problem
     whose ``K*`` fails to that error, and from each other problem for which
@@ -115,24 +120,20 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     :func:`~gainlab.objectives.objective_gradient` and then
     :func:`~gainlab.objectives.finite_difference_gradient`, raises, to the
     first error that loop raises. The error of a kind that raises is NaN,
-    and a failing problem's other errors are meaningless. One batch, which
-    stacks each problem once and repeats it per kind, gives ``K*`` as one
-    solve and the analytic gradients; the stacked oracle takes every third
-    row of its two Joseph operands, each problem once, and shares
-    only the objective formulas with the gradients. Both equal the public
-    functions' bit for bit.
+    and a failing problem's other errors are meaningless. ``K*`` is one
+    solve, and one batch, which repeats each problem per kind, gives the
+    analytic gradients; the stacked oracle takes each problem once, and
+    shares only the objective formulas with the gradients. Both equal the
+    public functions' bit for bit.
     """
-    kinds = tuple(ObjectiveKind)
-    batch = objectives._Batch.stack(problems, kinds * len(problems),
-                                    len(kinds))
-    each = slice(None, None, len(kinds))
-    gains, singular = _analytic_gains(batch.cross[each], batch.innovation[each])
-    stacked = np.repeat(gains + 0.1 * np.asarray(noises), len(kinds), axis=0)
+    kinds, count = tuple(ObjectiveKind), len(stacks.cross)
+    batch = objectives._Batch.stack(stacks, kinds * count, len(kinds))
+    gains, singular = _analytic_gains(stacks.cross, stacks.innovation)
+    gains += 0.1 * noises
     with np.errstate(invalid="ignore"):
-        _, analytic, errors = batch.evaluate(stacked)
-    numeric, numeric_errors = objectives._finite_differences(
-        SimpleNamespace(joint_cov=batch.joint_cov[each],
-                        joint_op=batch.joint_op[each]), stacked[each])
+        _, analytic, errors = batch.evaluate(np.repeat(gains, len(kinds),
+                                                       axis=0))
+    numeric, numeric_errors = objectives._finite_differences(stacks, gains)
     # Row r is problem r // len(kinds) under its kind, in the loop's order.
     # A problem's K* fails first; then, at one row, the analytic gradient's
     # errors come before the oracle's.
@@ -143,7 +144,7 @@ def _gradient_errors(problems: Sequence[FilterProblem],
     relative = (_frobenius_norms(analytic - numeric)
                 / (1.0 + _frobenius_norms(analytic)))
     relative[list(raised)] = np.nan
-    return relative.reshape(len(problems), len(kinds)), failures
+    return relative.reshape(count, len(kinds)), failures
 
 
 def _cmd_check(args) -> int:
@@ -152,8 +153,12 @@ def _cmd_check(args) -> int:
     seed = mix_seed(args.seed, 0)
     print(f"instance: state_dim={args.state_dim} obs_dim={args.obs_dim} "
           f"seed={args.seed} cond={args.cond}")
+    stacks, errors = _trial_problems((args.state_dim, args.obs_dim), [seed],
+                                     args.cond)
     try:
-        problem = make_problem(args.state_dim, args.obs_dim, seed, args.cond)
+        if errors:
+            raise errors[0]
+        problem = _problem(stacks, 0)
         reference = analytic_gain(problem)
     except GainlabError as exc:
         # As in `run`, a problem that fails to build, or whose analytic gain
@@ -180,7 +185,7 @@ def _cmd_check(args) -> int:
 
     noise = np.random.default_rng(mix_seed(seed, 10)).standard_normal(
         reference.shape)
-    errors, failures = _gradient_errors([problem], [noise])
+    errors, failures = _gradient_errors(stacks, noise[None])
     print("\ngradient check at analytic gain + 0.1 noise, vs central differences:")
     for kind, error in zip(kinds, errors[0]):
         ok &= bool(error <= _GRADCHECK_TOL)
@@ -207,38 +212,39 @@ def _gradcheck_errors(rng: "np.random.Generator", indices: range,
     :func:`~gainlab.experiment._make_problems`), and is checked 0.1 of its
     noise away from its analytic gain; instance ``i``'s condition target
     is ``_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)]``. Returns the
-    (len(indices), len(ObjectiveKind)) errors. One ``_make_problems`` call
-    makes every problem, and one :func:`_gradient_errors` call checks each
-    shape's problems. Raises the error that checking the instances one at
-    a time, in order, raises first: an instance whose analytic gain fails
-    raises that error. Called on each chunk of
-    :func:`~gainlab.experiment._chunks`, sized for the ``max_dim`` x
-    ``max_dim`` shape, in order.
+    (len(indices), len(ObjectiveKind)) errors. The instances are grouped
+    by shape, one ``_make_problems`` call builds every group's stacks, and
+    one :func:`_gradient_errors` call checks each group. Raises the error
+    that checking the instances one at a time, in order, raises first: an
+    instance whose analytic gain fails raises that error. Called on each
+    chunk of :func:`~gainlab.experiment._chunks`, sized for the
+    ``max_dim`` x ``max_dim`` shape, in order.
     """
-    shapes, noises, draws = [], [], []
-    for _ in indices:
+    rows, flats = defaultdict(list), defaultdict(list)
+    for j, i in enumerate(indices):
         n = int(rng.integers(1, max_dim + 1))
         m = int(rng.integers(1, max_dim + 1))
-        shapes.append((n, m))
+        rows[n, m].append(j)
         # The noise, then the problem's draws: a Generator fills values in
         # order, so one call gives the bytes of the separate draws.
-        flat = rng.standard_normal(n * m + n * n + m * m + m * n)
-        noises.append(flat[:n * m].reshape(n, m))
-        draws.append(flat[n * m:])
+        flats[n, m].append(rng.standard_normal(n * m + n * n + m * m + m * n))
+    groups = {shape: np.array(flat) for shape, flat in flats.items()}
     conds = [_GRADCHECK_CONDS[i % len(_GRADCHECK_CONDS)] for i in indices]
-    problems = _make_problems(shapes, draws, conds)
-    groups, failures = defaultdict(list), {}
-    for j, (shape, problem) in enumerate(zip(shapes, problems)):
-        if isinstance(problem, GainlabError):
-            failures[j] = problem
-        else:
-            groups[shape].append(j)
+    built = _make_problems({
+        (n, m): (flat[:, n * m:], [conds[j] for j in rows[n, m]])
+        for (n, m), flat in groups.items()})
     errors = np.empty((len(indices), len(ObjectiveKind)))
-    for ids in groups.values():
-        errors[ids], group_failures = _gradient_errors(
-            [problems[j] for j in ids], [noises[j] for j in ids])
-        for k, exc in group_failures.items():
-            failures[ids[k]] = exc
+    failures = {}
+    for (n, m), (stacks, build_errors) in built.items():
+        ids = rows[n, m]
+        failures.update((ids[k], exc) for k, exc in build_errors.items())
+        checked = [k for k in range(len(ids)) if k not in build_errors]
+        if not checked:
+            continue
+        noises = groups[n, m][checked, :n * m].reshape(-1, n, m)
+        ids = [ids[k] for k in checked]
+        errors[ids], group_failures = _gradient_errors(stacks, noises)
+        failures.update((ids[k], exc) for k, exc in group_failures.items())
     if failures:
         raise failures[min(failures)]
     return errors

@@ -13,15 +13,16 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .exceptions import GainlabError, InvalidParameter
-from .kalman_update import FilterProblem, _build_problems
+from .kalman_update import FilterProblem, _build_problems, _problem
 from .matrix_core import _check_numbers, _random_spds
 from .objectives import _CHUNK_BYTES, ObjectiveKind, _row_bytes
-from .optimizer import EquivalenceReport, OptimizerConfig, equivalence_batch
+from .optimizer import EquivalenceReport, OptimizerConfig, _equivalence
 
 __all__ = [
     "ExperimentConfig",
@@ -175,69 +176,65 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
-    problem, = _trial_problems((state_dim, obs_dim), [int(seed) & _MASK64],
-                               cond_target)
-    if isinstance(problem, GainlabError):
-        raise problem
-    return problem
+    stacks, errors = _trial_problems((state_dim, obs_dim),
+                                     [int(seed) & _MASK64], cond_target)
+    if errors:
+        raise errors[0]
+    return _problem(stacks, 0)
 
 
 def _trial_problems(shape: tuple[int, int], seeds, cond_target: float,
-                    ) -> list[Union[FilterProblem, GainlabError]]:
+                    ) -> tuple[SimpleNamespace, dict]:
     """:func:`make_problem` of each of ``seeds``, integers in [0, 2**64).
 
     Each seed's stream ``np.random.default_rng(seed)`` gives its problem's
-    draws in one call.
+    draws in one call. Returns the build's (stacks, errors) of
+    :func:`_make_problems`.
     """
     n, m = (max(dim, 0) for dim in shape)  # for _make_problems to reject
-    draws = [np.random.default_rng(int(seed)).standard_normal(
-        n * n + m * m + m * n) for seed in seeds]
-    return _make_problems([shape] * len(draws), draws,
-                          [cond_target] * len(draws))
+    draws = np.empty((len(seeds), n * n + m * m + m * n))
+    for seed, row in zip(seeds, draws):
+        np.random.default_rng(int(seed)).standard_normal(out=row)
+    return _make_problems({shape: (draws, [cond_target] * len(draws))})[shape]
 
 
-def _make_problems(shapes: Sequence[tuple[int, int]], draws,
-                   conds: Sequence[float],
-                   ) -> list[Union[FilterProblem, GainlabError]]:
-    """The problem of each row: its ``(n, m)`` shape, draws and target.
+def _make_problems(groups: dict) -> dict:
+    """The problems of each shape's draws and targets, built as stacks.
 
-    ``draws[row]`` is the row's flat Gaussian vector of n² + m² + m·n
-    values: those of its (n, n) prior, its (m, m) noise and its (m, n)
-    observation operator, in that order. Every
-    covariance of one dimension, prior or noise of any row, is assembled
-    as one stack (see :func:`~gainlab.matrix_core._random_spds`), which
-    raises the InvalidParameter of an out-of-range dimension or target,
-    that of the first row's prior first. Each shape's problems are built,
-    and so validated, as one stack (see
-    :func:`~gainlab.kalman_update._build_problems`). Returns one outcome per
-    row, in order: its problem, bit for bit the one built alone, or the
-    GainlabError that building it alone raises.
+    ``groups`` maps each ``(n, m)`` shape to its rows' ``(draws, conds)``:
+    a (B, n² + m² + m·n) array, each row the flat Gaussian values of its
+    (n, n) prior, its (m, m) noise and its (m, n) observation operator, in
+    that order, and the B condition targets. Every covariance of one
+    dimension, prior or noise of any shape, is assembled as one stack (see
+    :func:`~gainlab.matrix_core._random_spds`), which raises the
+    InvalidParameter of an out-of-range dimension or target, the first
+    shape's prior dimension first. Each shape's covariances are slices of
+    those stacks, and its problems are built, and so validated, as one
+    stack (see :func:`~gainlab.kalman_update._build_problems`). Returns,
+    for each shape, its build's (stacks, errors): each row's problem, bit
+    for bit the one built alone, or the GainlabError that building it
+    alone raises.
     """
-    # Each dimension's covariances: (0, row) is a prior, (1, row) a noise.
-    wanted, groups, split = defaultdict(list), defaultdict(list), []
-    for row, (n, m) in enumerate(shapes):
-        groups[n, m].append(row)
-        wanted[n].append((0, row))
-        wanted[m].append((1, row))
-        n, m = max(n, 0), max(m, 0)  # empty draws, for _random_spds to reject
-        flat = draws[row]
-        split.append((flat[:n * n].reshape(n, n),
-                      flat[n * n:n * n + m * m].reshape(m, m),
-                      flat[n * n + m * m:].reshape(m, n)))
-    covariances = {}
-    for dim, keys in wanted.items():
-        covariances.update(zip(keys, _random_spds(
-            dim, np.array([split[row][kind] for kind, row in keys]),
-            [conds[row] for _, row in keys])))
-    outcomes: list = [None] * len(shapes)
-    for (n, m), rows in groups.items():
-        built = _build_problems(
-            np.array([covariances[0, row] for row in rows]),
-            np.array([split[row][2] for row in rows]),
-            np.array([covariances[1, row] for row in rows]))
-        for row, outcome in zip(rows, built):
-            outcomes[row] = outcome
-    return outcomes
+    # Each dimension's Gaussian blocks and targets, and where each shape's
+    # priors (0) and noises (1) lie in that dimension's stack.
+    blocks, targets, spans = defaultdict(list), defaultdict(list), {}
+    for shape, (draws, conds) in groups.items():
+        n, m = (max(dim, 0) for dim in shape)  # empty, for _random_spds
+        rows = len(draws)
+        for kind, dim, block in (
+                (0, shape[0], draws[:, :n * n].reshape(rows, n, n)),
+                (1, shape[1], draws[:, n * n:n * n + m * m].reshape(rows, m, m))):
+            start = len(targets[dim])
+            spans[shape, kind] = slice(start, start + len(block))
+            blocks[dim].append(block)
+            targets[dim].extend(conds)
+    covariances = {dim: _random_spds(dim, np.concatenate(blocks[dim]),
+                                     targets[dim]) for dim in blocks}
+    return {(n, m): _build_problems(
+        covariances[n][spans[(n, m), 0]],
+        draws[:, n * n + m * m:].reshape(-1, m, n),
+        covariances[m][spans[(n, m), 1]], symmetric=True)
+        for (n, m), (draws, _) in groups.items()}
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
@@ -251,19 +248,19 @@ def _run_chunk(config: ExperimentConfig,
 
     The trial seeds are mixed as one stack (see :func:`_mix_seeds`), the
     problems are drawn and built as stacks and go to one
-    :func:`~gainlab.optimizer.equivalence_batch`, whose reports hold every
+    :func:`~gainlab.optimizer._equivalence`, whose reports hold every
     record's evidence. A trial that raises becomes a failed record and
     leaves the other trials' records unchanged.
     """
     seeds = _mix_seeds(config.master_seed & _MASK64, indices)
-    outcomes = dict(zip(indices, _trial_problems(
-        (config.state_dim, config.obs_dim), seeds, config.cond_target)))
-    problems = {index: problem for index, problem in outcomes.items()
-                if isinstance(problem, FilterProblem)}
-    outcomes.update(zip(problems, equivalence_batch(
-        list(problems.values()), config.optimizer_config())))
-    return [_trial_record(index, seed, outcomes[index])
-            for index, seed in zip(indices, seeds.tolist())]
+    stacks, outcomes = _trial_problems((config.state_dim, config.obs_dim),
+                                       seeds, config.cond_target)
+    built = [row for row in range(len(seeds)) if row not in outcomes]
+    if built:
+        outcomes.update(zip(built, _equivalence(stacks,
+                                                config.optimizer_config())))
+    return [_trial_record(index, seed, outcomes[row]) for row, (index, seed)
+            in enumerate(zip(indices, seeds.tolist()))]
 
 
 def _trial_record(index: int, seed: int,

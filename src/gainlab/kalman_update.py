@@ -8,7 +8,7 @@ are built and checked as stacks (``_build_problems``); a lone
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,10 +69,11 @@ class FilterProblem:
             raise DimensionMismatch(
                 f"obs_op has {obs_op.shape[0]} rows but obs_noise is "
                 f"{obs_noise.shape[0]}x{obs_noise.shape[0]}")
-        built, = _build_problems(prior[None], obs_op[None], obs_noise[None])
-        if isinstance(built, GainlabError):
-            raise built
-        vars(self).update(vars(built))
+        stacks, errors = _build_problems(prior[None], obs_op[None],
+                                         obs_noise[None])
+        if errors:
+            raise errors[0]
+        vars(self).update(vars(_problem(stacks, 0)))
 
     def check_gain(self, gain: np.ndarray, name: str = "gain") -> np.ndarray:
         """Validate a gain matrix against this problem's (n, m) shape."""
@@ -87,32 +88,37 @@ class FilterProblem:
 
 
 def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
-                    noises: np.ndarray) -> list:
+                    noises: np.ndarray, symmetric: bool = False,
+                    ) -> tuple[SimpleNamespace, dict]:
     """The problems of (B, n, n) priors, (B, m, n) operators, (B, m, m) noises.
 
     The checks of :class:`FilterProblem` but the shape checks run on the
-    whole stacks, or, should a row fail, on each row alone. Returns each
-    row's problem, bit for bit the one built alone, or the GainlabError that
-    building it alone raises. The caller's stacks are copied once, into
-    read-only ``joint_cov`` and ``joint_op`` stacks, and each problem
-    records its arrays' stacks and its row, so that :func:`_stacks` hands
-    them on whole.
+    whole stacks, or, should a row fail, on each row alone; ``symmetric``
+    skips the covariances' symmetry checks (see
+    :func:`~gainlab.matrix_core._check_covariance`). Returns (stacks,
+    errors): ``errors`` maps each row that fails to the GainlabError that
+    building it alone raises, and ``stacks`` holds every other row, in
+    order, each bit for bit the problem built alone. The caller's arrays
+    are copied once, into a read-only joint stack, and ``stacks`` holds,
+    under the names of the :class:`FilterProblem` arrays, views of it and
+    the read-only ``cross`` and ``innovation`` stacks.
     """
+    errors = {}
     try:
-        matrix_core._check_covariance(priors, "prior")
-        matrix_core._check_covariance(noises, "obs_noise")
-        if not np.isfinite(obs_ops).all():
-            raise InvalidParameter("obs_op contains non-finite entries")
+        cross, innovation = _gain_free_terms(priors, obs_ops, noises,
+                                             symmetric)
+    except GainlabError:
+        # Each row alone, for the rows that fail and each one's own error.
+        for row in range(len(priors)):
+            try:
+                _gain_free_terms(priors[[row]], obs_ops[[row]],
+                                 noises[[row]], symmetric)
+            except GainlabError as exc:
+                errors[row] = exc
+        ok = [row for row in range(len(priors)) if row not in errors]
+        priors, obs_ops, noises = priors[ok], obs_ops[ok], noises[ok]
         cross = priors @ obs_ops.swapaxes(-1, -2)
         innovation = obs_ops @ cross + noises
-        if not np.isfinite(innovation).all():
-            raise InvalidParameter("matrix contains non-finite entries")
-        matrix_core._cholesky_factor(innovation)
-    except GainlabError as exc:
-        if len(priors) == 1:
-            return [exc]
-        return [_build_problems(priors[[row]], obs_ops[[row]], noises[[row]])[0]
-                for row in range(len(priors))]
     # Each row's W = blockdiag(P, R) above its F = [H, -I].
     n, m = priors.shape[-1], noises.shape[-1]
     joint = np.zeros((len(priors), n + 2 * m, n + m))
@@ -120,31 +126,52 @@ def _build_problems(priors: np.ndarray, obs_ops: np.ndarray,
     joint[:, n + m:, :n], joint[:, n + m:, n:] = obs_ops, -np.eye(m)
     for stack in (joint, cross, innovation):
         stack.flags.writeable = False
-    fields = dict(prior=joint[:, :n, :n], obs_noise=joint[:, n:n + m, n:],
-                  obs_op=joint[:, n + m:, :n], joint_cov=joint[:, :n + m],
-                  joint_op=joint[:, n + m:], cross=cross, innovation=innovation)
-    problems = [FilterProblem.__new__(FilterProblem) for _ in priors]
-    for row, (problem, *views) in enumerate(zip(problems, *fields.values())):
-        vars(problem).update(zip(fields, views), state_dim=n, obs_dim=m,
-                             _built=(fields, row))
-    return problems
+    return SimpleNamespace(
+        prior=joint[:, :n, :n], obs_noise=joint[:, n:n + m, n:],
+        obs_op=joint[:, n + m:, :n], joint_cov=joint[:, :n + m],
+        joint_op=joint[:, n + m:], cross=cross, innovation=innovation), errors
 
 
-def _stacks(problems) -> Optional[dict]:
-    """The stacks of the one build whose rows, in order, are ``problems``.
+def _gain_free_terms(priors: np.ndarray, obs_ops: np.ndarray,
+                     noises: np.ndarray, symmetric: bool):
+    """The stacks ``P H.T`` and ``S`` of :func:`_build_problems`, checked.
 
-    Returns the read-only stacks of every :class:`FilterProblem` array of
-    the :func:`_build_problems` call that made every one of the problems,
-    in the order of its rows and no other, or None when no call did.
+    Raises the error of the first failing check, in the order of
+    :class:`FilterProblem`'s: the prior, the noise, the operator, then
+    ``S``, for finite entries and by its Cholesky factorization.
     """
-    stacks = problems[0]._built[0]
-    if len(stacks["prior"]) != len(problems):
-        return None
-    for row, problem in enumerate(problems):
-        built, at = problem._built
-        if built is not stacks or at != row:
-            return None
-    return stacks
+    matrix_core._check_covariance(priors, "prior", symmetric)
+    matrix_core._check_covariance(noises, "obs_noise", symmetric)
+    if not np.isfinite(obs_ops).all():
+        raise InvalidParameter("obs_op contains non-finite entries")
+    cross = priors @ obs_ops.swapaxes(-1, -2)
+    innovation = obs_ops @ cross + noises
+    if not np.isfinite(innovation).all():
+        raise InvalidParameter("matrix contains non-finite entries")
+    matrix_core._cholesky_factor(innovation)
+    return cross, innovation
+
+
+def _problem(stacks: SimpleNamespace, row: int) -> FilterProblem:
+    """Row ``row`` of a build's stacks as a FilterProblem of views."""
+    problem = FilterProblem.__new__(FilterProblem)
+    state_dim, obs_dim = stacks.cross.shape[1:]
+    vars(problem).update({name: stack[row] for name, stack
+                          in vars(stacks).items()},
+                         state_dim=state_dim, obs_dim=obs_dim)
+    return problem
+
+
+def _stack(problems) -> SimpleNamespace:
+    """The stacks that a batch reads of problems of one shape, copied once.
+
+    Raises DimensionMismatch when the problems' shapes differ.
+    """
+    if len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
+        raise DimensionMismatch("all problems of a batch must share one shape")
+    return SimpleNamespace(**{
+        name: np.array([getattr(problem, name) for problem in problems])
+        for name in ("joint_cov", "joint_op", "cross", "innovation")})
 
 
 def analytic_gain(problem: FilterProblem) -> np.ndarray:

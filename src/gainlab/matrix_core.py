@@ -164,9 +164,15 @@ def validate_covariance(a: np.ndarray, name: str = "covariance") -> np.ndarray:
     return _check_covariance(_check_square(a, name), name)
 
 
-def _check_covariance(a: np.ndarray, name: str) -> np.ndarray:
-    """:func:`validate_covariance` of a float matrix, or of a whole stack."""
-    _check_symmetric(a, name)
+def _check_covariance(a: np.ndarray, name: str,
+                      symmetric: bool = False) -> np.ndarray:
+    """:func:`validate_covariance` of a float matrix, or of a whole stack.
+
+    ``symmetric`` says that ``a`` is finite and exactly symmetric, as
+    :func:`_random_spds` makes it, so that only its Cholesky check runs.
+    """
+    if not symmetric:
+        _check_symmetric(a, name)
     try:
         _cholesky_factor(a)
     except NotPositiveDefinite as exc:

@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from . import matrix_core
-from .exceptions import DimensionMismatch, InvalidParameter
-from .kalman_update import FilterProblem, _joseph_form, _stacks, joseph_update
+from .exceptions import InvalidParameter
+from .kalman_update import FilterProblem, _joseph_form, _stack, joseph_update
 
 __all__ = [
     "ObjectiveKind",
@@ -244,34 +244,26 @@ class _Batch:
         self._scale, self._offset = slab[self._factor_rows, -2:].T
 
     @classmethod
-    def stack(cls, problems: Sequence[FilterProblem],
-              kinds: Sequence[ObjectiveKind], repeats: int = 1) -> "_Batch":
-        """Row ``i`` is ``problems[i // repeats]`` under ``kinds[i]``.
+    def stack(cls, stacks, kinds: Sequence[ObjectiveKind],
+              repeats: int = 1) -> "_Batch":
+        """Row ``i`` is row ``i // repeats`` of ``stacks`` under ``kinds[i]``.
 
-        The problems share one shape. When they are the rows of one build,
-        in order (see :func:`~gainlab.kalman_update._stacks`), each operand
-        is read from that build's stack; otherwise from one ``np.array``
-        copy of the problems, cheaper than ``np.stack`` on small matrices.
-        Their slab is then repeated ``repeats`` times by one ``np.repeat``.
+        ``stacks`` holds the ``joint_cov``, ``joint_op``, ``cross`` and
+        ``innovation`` stacks of problems of one shape, as a build (see
+        :func:`~gainlab.kalman_update._build_problems`) or
+        :func:`~gainlab.kalman_update._stack` gives them. Their slab is
+        one concatenation, repeated ``repeats`` times by one ``np.repeat``.
         """
-        names = ("joint_cov", "joint_op", "cross", "innovation")
-        stacks = _stacks(problems)
-        if stacks is not None:
-            fields = [stacks[name] for name in names]
-        elif len({(p.state_dim, p.obs_dim) for p in problems}) > 1:
-            raise DimensionMismatch("all problems of a batch must share one shape")
-        else:
-            fields = [np.array([getattr(problem, name) for problem in problems])
-                      for name in names]
-        n, m = fields[2].shape[1:]
-        flags = np.array([[kind is ObjectiveKind.DIFFERENTIAL_ENTROPY
-                           for kind in kinds],
-                          [kind is not ObjectiveKind.TOTAL_VARIANCE
-                           for kind in kinds]])
+        fields = (stacks.joint_cov, stacks.joint_op, stacks.cross,
+                  stacks.innovation)
+        count, n, m = stacks.cross.shape
+        entropy, trace = (ObjectiveKind.DIFFERENTIAL_ENTROPY,
+                          ObjectiveKind.TOTAL_VARIANCE)
+        flags = np.array([[kind is entropy for kind in kinds],
+                          [kind is not trace for kind in kinds]], dtype=bool)
         scale = np.where(flags[0], 0.5, 1.0)[:, None]
         slab = np.repeat(np.concatenate(
-            [field.reshape(len(problems), -1) for field in fields], 1),
-            repeats, 0)
+            [field.reshape(count, -1) for field in fields], 1), repeats, 0)
         return cls(np.concatenate((
             slab, 2.0 * scale * slab[:, -n * m - m * m:], scale,
             np.where(flags[0], _entropy(n, 0.0), 0.0)[:, None]), 1), flags,
@@ -387,20 +379,19 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
     """
     k = problem.check_gain(gain)
     grads, errors = _finite_differences(
-        _Batch.stack([problem], [kind]), k[None],
-        kind is not ObjectiveKind.TOTAL_VARIANCE)
+        _stack([problem]), k[None], kind is not ObjectiveKind.TOTAL_VARIANCE)
     row = list(ObjectiveKind).index(kind)
     if row in errors:
         raise errors[row]
     return grads[row]
 
 
-def _finite_differences(batch: _Batch, gains: np.ndarray,
+def _finite_differences(stacks, gains: np.ndarray,
                         factorize: bool = True) -> tuple[np.ndarray, dict]:
-    """:func:`finite_difference_gradient` of every row of a batch under every kind.
+    """:func:`finite_difference_gradient` of every row of stacks under every kind.
 
-    ``batch`` is a :class:`_Batch`, or any object, whose ``joint_cov`` and
-    ``joint_op`` hold one row per problem, and ``gains`` is
+    ``stacks`` is any object whose ``joint_cov`` and ``joint_op`` hold one
+    row per problem, as a build's stacks do, and ``gains`` is
     a (B, n, m) stack of finite gains, one per row. Returns the
     (B · 3, n, m) central differences, in which row ``i * 3 + j`` is row
     ``i`` under ``ObjectiveKind``'s ``j``-th kind, and the errors: a map
@@ -441,8 +432,8 @@ def _finite_differences(batch: _Batch, gains: np.ndarray,
     with np.errstate(invalid="ignore"):
         for start in range(0, count, span):
             rows = slice(start, start + span)
-            block = SimpleNamespace(joint_cov=batch.joint_cov[rows, None],
-                                    joint_op=batch.joint_op[rows, None])
+            block = SimpleNamespace(joint_cov=stacks.joint_cov[rows, None],
+                                    joint_op=stacks.joint_op[rows, None])
             for first in range(0, per_row, width):
                 cols, q = slice(first, first + width), min(width, per_row - first)
                 bumped = flat[rows].repeat(q, 1)

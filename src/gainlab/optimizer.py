@@ -26,7 +26,7 @@ import numpy as np
 
 from . import objectives
 from .exceptions import GainlabError, InvalidParameter, LineSearchFailed
-from .kalman_update import FilterProblem, _analytic_gains
+from .kalman_update import FilterProblem, _analytic_gains, _stack
 from .matrix_core import _check_numbers, _frobenius_norms, frobenius_norm
 from .objectives import ObjectiveKind, _Batch, _bracket
 
@@ -87,7 +87,7 @@ class OptimizationReport:
 
     The final gain and its objective value, the iterations taken, and
     whether the gradient norm reached ``grad_tol`` (if not, the run stopped
-    at ``max_iters``).
+    at ``max_iters``, or stalled: an accepted step left its gain unchanged).
     """
 
     final_gain: np.ndarray
@@ -170,8 +170,8 @@ def minimize_batch(problems: Sequence[FilterProblem],
     lockstep, each by the rule of :func:`minimize_objective`: in every
     round, all unfinished rows evaluate their value and gradient at one
     trial step together, and each row's state moves under the mask of rows
-    that accepted. A row leaves the batch when it converges, reaches
-    ``max_iters`` or fails.
+    that accepted. A row leaves the batch when it converges, stalls,
+    reaches ``max_iters`` or fails.
 
     Returns one outcome per problem, in order: its OptimizationReport, or
     the GainlabError that :func:`minimize_objective` raises for it. A
@@ -184,7 +184,7 @@ def minimize_batch(problems: Sequence[FilterProblem],
                                f"{len(kinds)} objective kinds")
     outcomes: list = [None] * len(problems)
     if problems:
-        batch = _Batch.stack(problems, kinds)
+        batch = _Batch.stack(_stack(problems), kinds)
         _lockstep(batch, np.zeros(batch.cross.shape), config, outcomes)
     return outcomes
 
@@ -226,14 +226,15 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
         ended, everyone, rounds = [], np.arange(len(ids)), 0
         # Once every working row has stored a pair, ``settled`` skips the
         # first-pair test of the update and of the step rule.
-        settled = False
+        settled, stalled = False, False
 
         while True:
             # A row ends when it stops, when backtracking has exhausted its
             # step, or with an error, which is its outcome already (``ended``).
+            # It stops when it converges, stalls, or reaches ``max_iters``.
             # A row gains at most one iteration a round, so none reaches
             # ``max_iters`` before as many rounds have run.
-            stopped = gnorms <= config.grad_tol
+            stopped = (gnorms <= config.grad_tol) | stalled
             if rounds >= config.max_iters:
                 stopped |= iterations >= config.max_iters
             rounds += 1
@@ -305,6 +306,9 @@ def _lockstep(batch: _Batch, gains: np.ndarray, config: OptimizerConfig,
             gram = np.matmul(pairs, pairs.swapaxes(-1, -2))
             sy, yy = gram[:, 0, 1], gram[:, 1, 1]
             norms = np.sqrt(gram.diagonal(0, -2, -1))
+            # An accepted step that leaves the gain where it was, ||s||² = 0,
+            # stalls its row: rounding has stopped its progress.
+            stalled = accepted & (gram[:, 0, 0] == 0.0)
             curved = sy > _CURVATURE_MARGIN * norms[:, 0] * norms[:, 1]
             if np.count_nonzero(curved):
                 _bfgs_update(inverses, None if settled else paired, curved,
@@ -365,7 +369,10 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
     Steps whose objective evaluation raises NotPositiveDefinite are rejected
     exactly like Armijo failures, which keeps iterates inside the SPD-feasible
     region without a formal barrier. Convergence is declared on the gradient
-    norm, not on objective change.
+    norm, not on objective change. A minimization also stops, unconverged,
+    at its first accepted step whose displacement ``s`` has ``||s||² = 0``:
+    the trial gain equals the current one, so rounding has stopped its
+    progress, and further iterations would only cost rounds.
 
     This is a batch of one for :func:`minimize_batch`, which evaluates the
     validating public functions' formulas on stacked iterates: a round costs
@@ -438,13 +445,21 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     Returns one outcome per problem, in order: its EquivalenceReport, or the
     GainlabError that :func:`cross_objective_equivalence` raises for it.
     """
-    if not problems:
-        return []
-    kinds = tuple(ObjectiveKind)
-    batch = _Batch.stack(problems, kinds * len(problems), len(kinds))
-    runs: list = [None] * len(kinds) * len(problems)
+    return _equivalence(_stack(problems), config) if problems else []
+
+
+def _equivalence(stacks, config: OptimizerConfig,
+                 ) -> list[Union[EquivalenceReport, GainlabError]]:
+    """:func:`equivalence_batch` of the problems of a build's stacks.
+
+    ``stacks`` holds at least one problem, as
+    :meth:`~gainlab.objectives._Batch.stack` reads them.
+    """
+    kinds, count = tuple(ObjectiveKind), len(stacks.cross)
+    batch = _Batch.stack(stacks, kinds * count, len(kinds))
+    runs: list = [None] * len(kinds) * count
     _lockstep(batch, np.zeros(batch.cross.shape), config, runs)
-    cross, innovation = batch.cross[::len(kinds)], batch.innovation[::len(kinds)]
+    cross, innovation = stacks.cross, stacks.innovation
     analytic, singular = _analytic_gains(cross, innovation)
     # A singular S leaves a NaN gain; a zero one keeps the stack below whole.
     analytic[list(singular)] = 0.0
@@ -453,7 +468,7 @@ def equivalence_batch(problems: Sequence[FilterProblem],
     with np.errstate(invalid="ignore"):
         values, _, errors = batch.evaluate(np.repeat(
             analytic.swapaxes(-1, -2), len(kinds), axis=0).swapaxes(-1, -2))
-    values = values.reshape(len(problems), len(kinds)).tolist()
+    values = values.reshape(count, len(kinds)).tolist()
     residuals = _frobenius_norms(_bracket(analytic, cross, innovation)).tolist()
     # After its runs, a problem fails on a singular S, or else on its first
     # value at the analytic gain that fails; a trace row never does.
@@ -468,7 +483,7 @@ def equivalence_batch(problems: Sequence[FilterProblem],
         by_kind[a] - by_kind[b] for a, b in OBJECTIVE_PAIRS]
     distances = np.transpose([_frobenius_norms(gap) for gap in gaps]).tolist()
     outcomes: list = []
-    for i in range(len(problems)):
+    for i in range(count):
         reports = runs[i * len(kinds):(i + 1) * len(kinds)]
         failed = [run for run in reports if isinstance(run, GainlabError)]
         if failed or i in raised:

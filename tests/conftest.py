@@ -5,7 +5,7 @@ import pytest
 
 import gainlab.optimizer as optimizer
 from gainlab.experiment import make_problem, mix_seed
-from gainlab.kalman_update import FilterProblem, analytic_gain
+from gainlab.kalman_update import FilterProblem, _problem, analytic_gain
 
 CONDITIONS = (1.0, 10.0, 100.0)
 # make_problem(2, 7, SINGULAR_SEED, 1e20) builds: its innovation covariance S
@@ -46,6 +46,15 @@ def one_stream_problem(rng, state_dim, obs_dim, cond_target):
     return FilterProblem(prior=prior,
                          obs_op=rng.standard_normal((obs_dim, state_dim)),
                          obs_noise=noise)
+
+
+def build_outcomes(build, count):
+    """Each row's outcome of a build's ``(stacks, errors)`` of ``count``
+    rows: its error, or its problem, a row of the stacks."""
+    stacks, errors = build
+    built = iter(range(count - len(errors)))
+    return [errors[row] if row in errors else _problem(stacks, next(built))
+            for row in range(count)]
 
 
 def singular_innovation_stack():

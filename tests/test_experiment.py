@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import json
 import tracemalloc
+from collections import defaultdict
 from dataclasses import asdict, replace
 from functools import partial
 
@@ -19,10 +20,11 @@ from gainlab.experiment import (CSV_HEADER, ExperimentConfig, ExperimentResult,
                                 _make_problems, emit_report, make_problem,
                                 mix_seed, render_report, run_experiment,
                                 run_trial)
-from gainlab.kalman_update import FilterProblem
+from gainlab.kalman_update import _build_problems, _stack
 from gainlab.matrix_core import _random_spds, random_spd
 
-from conftest import one_stream_problem, spd_of_draw, starting_from
+from conftest import (build_outcomes, one_stream_problem, spd_of_draw,
+                      starting_from)
 
 
 SMALL = ExperimentConfig(state_dim=3, obs_dim=2, trials=6, master_seed=9,
@@ -160,6 +162,22 @@ def trial_draws(state_dim, obs_dim, seed):
     return np.random.default_rng(seed).standard_normal(n * n + m * m + m * n)
 
 
+def make_problem_rows(shapes, draws, conds):
+    """Each row's outcome of one ``_make_problems`` call on rows of mixed
+    shapes, which it takes grouped by shape."""
+    rows = defaultdict(list)
+    for row, shape in enumerate(shapes):
+        rows[shape].append(row)
+    built = _make_problems({shape: (np.array([draws[row] for row in ids]),
+                                    [conds[row] for row in ids])
+                            for shape, ids in rows.items()})
+    outcomes = [None] * len(shapes)
+    for shape, ids in rows.items():
+        for row, outcome in zip(ids, build_outcomes(built[shape], len(ids))):
+            outcomes[row] = outcome
+    return outcomes
+
+
 def _matrices(problem):
     return tuple(a.tobytes() for a in (problem.prior, problem.obs_op,
                                        problem.obs_noise))
@@ -225,9 +243,9 @@ class TestStackedGeneration:
             if (n, m) in ((4, 3), (1, 1)):
                 seeds.insert(2, 15)
                 conds.insert(2, 1e40)
-            outcomes = _make_problems([(n, m)] * len(seeds),
-                                      [trial_draws(n, m, s) for s in seeds],
-                                      conds)
+            outcomes = make_problem_rows([(n, m)] * len(seeds),
+                                         [trial_draws(n, m, s) for s in seeds],
+                                         conds)
             assert len(outcomes) == len(seeds)
             for seed, cond, outcome in zip(seeds, conds, outcomes):
                 expected = sequential_problem(n, m, seed, cond)
@@ -249,7 +267,7 @@ class TestStackedGeneration:
                                                                  repeat=2)]
         rows.insert(7, ((4, 3), 15, 1e40))
         shapes, seeds, conds = map(list, zip(*rows))
-        outcomes = _make_problems(
+        outcomes = make_problem_rows(
             shapes, [trial_draws(n, m, s) for (n, m), s, _ in rows], conds)
         assert len(outcomes) == len(rows)
         for ((n, m), seed, cond), outcome in zip(rows, outcomes):
@@ -267,9 +285,9 @@ class TestStackedGeneration:
         # targets are constants
         expected = sequential_problem(n, m, 11, cond)
         with pytest.raises(InvalidParameter) as stacked:
-            _make_problems([(n, m)] * 2,
-                           [trial_draws(n, m, s) for s in (12, 11)],
-                           [10.0, cond])
+            make_problem_rows([(n, m)] * 2,
+                              [trial_draws(n, m, s) for s in (12, 11)],
+                              [10.0, cond])
         assert (type(stacked.value), str(stacked.value)) == expected
         with pytest.raises(InvalidParameter) as alone:
             make_problem(n, m, 11, cond)
@@ -281,8 +299,8 @@ class TestStackedGeneration:
         seeds = [mix_seed(6, k) for k in range(6)]
         for shape in ((1, 1), (4, 3), (2, 7), (8, 8)):
             for cond in (10.0, 1e4, 1e40):
-                outcomes = experiment._trial_problems(
-                    shape, np.array(seeds, dtype=np.uint64), cond)
+                outcomes = build_outcomes(experiment._trial_problems(
+                    shape, np.array(seeds, dtype=np.uint64), cond), len(seeds))
                 assert [_outcome(outcome) for outcome in outcomes] == [
                     sequential_problem(*shape, seed, cond) for seed in seeds]
 
@@ -304,9 +322,10 @@ class TestRunTrial:
         assert max(record.distances) <= 1e-6
 
     def test_failure_becomes_data(self, monkeypatch):
-        def explode(problems, config):
-            return [NotPositiveDefinite("synthetic degeneracy")] * len(problems)
-        monkeypatch.setattr(experiment, "equivalence_batch", explode)
+        def explode(stacks, config):
+            return [NotPositiveDefinite("synthetic degeneracy")] * len(
+                stacks.cross)
+        monkeypatch.setattr(experiment, "_equivalence", explode)
         record = run_trial(SMALL, 3)
         assert record.failed
         assert "NotPositiveDefinite" in record.error
@@ -393,17 +412,17 @@ class TestRunExperiment:
         assert result.summary.trials == SMALL.trials
 
     def test_failed_trials_counted(self, monkeypatch):
-        real = experiment.equivalence_batch
-        def sometimes(problems, config):
-            if any(p.state_dim != SMALL.state_dim for p in problems):
+        real = experiment._equivalence
+        def sometimes(stacks, config):
+            if stacks.cross.shape[1:] != (SMALL.state_dim, SMALL.obs_dim):
                 raise AssertionError("unexpected problem")
             sometimes.calls += 1
-            outcomes = real(problems, config)
+            outcomes = real(stacks, config)
             if sometimes.calls == 1:
                 outcomes[1] = NotPositiveDefinite("synthetic")
             return outcomes
         sometimes.calls = 0
-        monkeypatch.setattr(experiment, "equivalence_batch", sometimes)
+        monkeypatch.setattr(experiment, "_equivalence", sometimes)
         result = run_experiment(SMALL)
         assert result.summary.failures == 1
         assert sum(r.failed for r in result.trials) == 1
@@ -415,14 +434,11 @@ class TestRunExperiment:
         clean = run_experiment(SMALL)
         build = experiment._trial_problems
         def poisoned(shape, seeds, cond):
-            problems = build(shape, seeds, cond)
-            for i, seed in enumerate(seeds):
-                if seed == mix_seed(SMALL.master_seed, 2):
-                    problem = problems[i]
-                    problems[i] = FilterProblem(prior=1e300 * problem.prior,
-                                                obs_op=problem.obs_op,
-                                                obs_noise=problem.obs_noise)
-            return problems
+            stacks, errors = build(shape, seeds, cond)
+            assert not errors
+            priors = stacks.prior.copy()
+            priors[seeds == mix_seed(SMALL.master_seed, 2)] *= 1e300
+            return _build_problems(priors, stacks.obs_op, stacks.obs_noise)
         monkeypatch.setattr(experiment, "_trial_problems", poisoned)
         with np.errstate(over="ignore", invalid="ignore"):
             result = run_experiment(SMALL)
@@ -556,8 +572,8 @@ class TestChunks:
         trace = objectives.ObjectiveKind.TOTAL_VARIANCE
         for dim in (6, 35):
             blocks.clear()
-            batch = objectives._Batch.stack([make_problem(dim, dim, 3)] * 4,
-                                            [trace] * 4)
+            batch = objectives._Batch.stack(
+                _stack([make_problem(dim, dim, 3)] * 4), [trace] * 4)
             objectives._finite_differences(batch, np.zeros((4, dim, dim)))
             assert sum(blocks) == 4 * 2 * dim * dim
             if dim == 6:

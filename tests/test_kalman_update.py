@@ -8,13 +8,13 @@ import pytest
 from gainlab import matrix_core, objectives
 from gainlab.exceptions import (DimensionMismatch, GainlabError,
                                 InvalidParameter, NotPositiveDefinite)
-from gainlab.experiment import make_problem
+from gainlab.experiment import _trial_problems, make_problem, mix_seed
 from gainlab.kalman_update import (FilterProblem, _analytic_gains,
-                                   _build_problems, _joseph_form, _stacks,
+                                   _build_problems, _joseph_form, _stack,
                                    analytic_gain, joseph_update)
 
-from conftest import (SINGULAR_SEED, make_scalar, seeded_gain, seeded_problem,
-                      singular_innovation_stack)
+from conftest import (SINGULAR_SEED, build_outcomes, make_scalar, seeded_gain,
+                      seeded_problem, singular_innovation_stack)
 
 
 class TestFilterProblem:
@@ -66,8 +66,6 @@ class TestFilterProblem:
 
 FIELDS = ("prior", "obs_op", "obs_noise", "cross", "innovation", "joint_cov",
           "joint_op")
-# The problem arrays that a batch's slab holds.
-BATCH_FIELDS = ("joint_cov", "joint_op", "cross", "innovation")
 
 
 def _good_rows(count, seed=0):
@@ -102,7 +100,9 @@ def _lone(row):
 
 
 def _stacked(rows):
-    return _build_problems(*(np.array(stack) for stack in zip(*rows)))
+    return build_outcomes(_build_problems(*(np.array(stack)
+                                            for stack in zip(*rows))),
+                          len(rows))
 
 
 def _assert_same_outcome(outcome, expected):
@@ -169,25 +169,26 @@ class TestStackedBuild:
         for outcome, expected in zip(stacked, lone):
             _assert_same_outcome(outcome, expected)
 
-    def test_batch_of_one_build_holds_its_stacks(self):
-        problems = _stacked(_good_rows(5))
-        kinds = [objectives.ObjectiveKind.TOTAL_VARIANCE] * 5
-        stacks = _stacks(problems)
-        batch = objectives._Batch.stack(problems, kinds)
-        for name in BATCH_FIELDS:
-            assert getattr(batch, name).tobytes() == stacks[name].tobytes()
-        # any other list is copied from its problems: part of a build, its
-        # rows reordered or repeated, rows of two builds, or a problem built
-        # alone
-        others = [problems[:4], problems[::-1], problems[:1] * 5,
-                  problems[:3] + _stacked(_good_rows(2, 40)),
-                  problems[:4] + [FilterProblem(*_good_rows(1)[0])]]
-        for listed in others:
-            assert _stacks(listed) is None
-            batch = objectives._Batch.stack(listed, kinds[:len(listed)])
-            for name in BATCH_FIELDS:
-                assert getattr(batch, name).tobytes() == np.array(
-                    [getattr(problem, name) for problem in listed]).tobytes()
+    @pytest.mark.parametrize("shape, cond", [((4, 3), 10.0), ((2, 7), 1e20)])
+    def test_every_row_of_a_build_equals_its_problem_built_alone(self, shape,
+                                                                 cond):
+        # at 2x7, cond 1e20, some of the 24 rows fail to build, and the
+        # rows that build are the stacks' rows in order
+        seeds = [mix_seed(9, k) for k in range(24)]
+        stacks, errors = _trial_problems(shape, seeds, cond)
+        assert len(stacks.cross) == len(seeds) - len(errors)
+        if cond == 1e20:
+            assert 0 < len(errors) < len(seeds)
+        for seed, outcome in zip(seeds, build_outcomes((stacks, errors),
+                                                       len(seeds))):
+            try:
+                alone = make_problem(*shape, seed, cond)
+            except GainlabError as exc:
+                alone = exc
+            _assert_same_outcome(outcome, alone)
+            if not isinstance(alone, GainlabError):
+                _assert_same_outcome(outcome, FilterProblem(
+                    alone.prior, alone.obs_op, alone.obs_noise))
 
     def test_stacked_analytic_gains_match_one_at_a_time(self):
         for n, m in ((1, 1), (4, 3), (2, 5), (8, 8)):
@@ -370,7 +371,7 @@ class TestBlockJosephForm:
             problems = [make_problem(*shape, seed, 1e4) for seed in range(3)]
             zero = np.zeros(shape)
             batch = objectives._Batch.stack(
-                problems, [objectives.ObjectiveKind.TOTAL_VARIANCE] * 3)
+                _stack(problems), [objectives.ObjectiveKind.TOTAL_VARIANCE] * 3)
             stacked = _joseph_form(batch, np.zeros((3,) + shape), batch.select)
             for problem, posterior in zip(problems, stacked):
                 assert joseph_update(problem, zero).tobytes() == (

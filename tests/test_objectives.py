@@ -9,7 +9,8 @@ import gainlab
 from gainlab import matrix_core, objectives
 from gainlab.exceptions import (GainlabError, InvalidParameter,
                                 NotPositiveDefinite)
-from gainlab.kalman_update import FilterProblem, analytic_gain, joseph_update
+from gainlab.kalman_update import (FilterProblem, _stack, analytic_gain,
+                                   joseph_update)
 from gainlab.objectives import (ObjectiveKind, analysis_cov_differential,
                                 differential_entropy,
                                 directional_logdet_differential,
@@ -410,8 +411,7 @@ class TestStackedOracle:
             shapes.setdefault(gain.shape, []).append((problem, gain))
         raised = 0
         for members in shapes.values():
-            batch = objectives._Batch.stack([p for p, _ in members],
-                                            [TRACE] * len(members))
+            batch = _stack([p for p, _ in members])
             gains = np.stack([gain for _, gain in members])
             expected, expected_errors = sequential_finite_differences(
                 batch, gains)
@@ -441,7 +441,7 @@ class TestStackedOracle:
         for problem, gain, failing in [
                 (cancelling, np.array([[0.0], [1e9]]), (LOGDET, ENTROPY)),
                 (overflowing, huge, kinds)]:
-            batch = objectives._Batch.stack([problem], [TRACE])
+            batch = _stack([problem])
             grads, errors = objectives._finite_differences(batch, gain[None])
             assert sorted(errors) == [kinds.index(kind) for kind in failing]
             for j, kind in enumerate(kinds):
@@ -473,7 +473,7 @@ class TestStackedOracle:
         # of the stacked oracle of all three kinds, bit for bit
         problem = seeded_problem(3, master_seed=211, max_dim=4)
         gain = seeded_gain(problem, 3, master_seed=211)
-        batch = objectives._Batch.stack([problem], [TRACE])
+        batch = _stack([problem])
         expected = objectives._finite_differences(batch, gain[None])[0][0]
         factorize, calls = matrix_core._cholesky_factors, []
         def spy(a):

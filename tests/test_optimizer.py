@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gainlab import experiment, matrix_core, optimizer
 from gainlab.exceptions import (DimensionMismatch, InvalidParameter, LineSearchFailed,
                                 NotPositiveDefinite)
-from gainlab.kalman_update import (FilterProblem, _joseph_form, analytic_gain,
+from gainlab.kalman_update import (FilterProblem, _joseph_form, _stack,
+                                   analytic_gain,
                                    joseph_update)
 from gainlab.objectives import (ObjectiveKind, _Batch,
                                 directional_logdet_differential,
@@ -171,7 +172,7 @@ class TestMinimizeObjective:
 
 def _stacked(problem, kinds):
     """The batch of ``problem`` under each of ``kinds``."""
-    return _Batch.stack([problem] * len(kinds), kinds)
+    return _Batch.stack(_stack([problem] * len(kinds)), kinds)
 
 
 def _assert_same_report(batched, alone):
@@ -187,7 +188,7 @@ class TestKernel:
     def test_stack_keeps_callers_order(self):
         problems = [make_problem(3, 2, 80 + i, 10.0) for i in range(6)]
         kinds = [LOGDET, TRACE, ENTROPY, TRACE, LOGDET, TRACE]
-        batch = _Batch.stack(problems, kinds)
+        batch = _Batch.stack(_stack(problems), kinds)
         assert batch.factored.tolist() == [True, False, True, False, True,
                                            False]
         assert batch.entropy.tolist() == [False, False, True, False, False,
@@ -207,9 +208,9 @@ class TestKernel:
         # every problem listed once per kind
         problems = [make_problem(3, 2, 70 + i, 10.0) for i in range(4)]
         kinds = list(ObjectiveKind) * len(problems)
-        repeated = _Batch.stack(problems, kinds, len(ObjectiveKind))
-        listed = _Batch.stack([problem for problem in problems
-                               for _ in ObjectiveKind], kinds)
+        repeated = _Batch.stack(_stack(problems), kinds, len(ObjectiveKind))
+        listed = _Batch.stack(_stack([problem for problem in problems
+                                      for _ in ObjectiveKind]), kinds)
         for name in ("joint_cov", "joint_op", "cross", "innovation",
                      "entropy", "factored"):
             assert getattr(repeated, name).tobytes() == (
@@ -218,12 +219,12 @@ class TestKernel:
     def test_take_equals_a_fresh_stack_of_its_rows(self):
         problems = [make_problem(3, 2, 95 + i, 10.0) for i in range(6)]
         kinds = [LOGDET, TRACE, ENTROPY, TRACE, ENTROPY, LOGDET]
-        batch = _Batch.stack(problems, kinds)
+        batch = _Batch.stack(_stack(problems), kinds)
         for rows in (np.array([True, False, True, True, False, True]),
                      np.array([4, 2, 0]), slice(1, 5), np.array([3, 1])):
             taken = batch.take(rows)
             ids = np.arange(len(problems))[rows]
-            fresh = _Batch.stack([problems[i] for i in ids],
+            fresh = _Batch.stack(_stack([problems[i] for i in ids]),
                                  [kinds[i] for i in ids])
             for name in ("select", "_slab", "_flags", "_offset", "_scale",
                          "_factor_ids"):
@@ -232,8 +233,8 @@ class TestKernel:
 
     def test_take_by_indices_equals_take_by_mask(self):
         problems = [make_problem(3, 2, 90 + i, 10.0) for i in range(6)]
-        batch = _Batch.stack(problems, [LOGDET, TRACE, ENTROPY, TRACE, LOGDET,
-                                        TRACE])
+        batch = _Batch.stack(_stack(problems), [LOGDET, TRACE, ENTROPY,
+                                                TRACE, LOGDET, TRACE])
         keep = np.array([True, False, True, True, False, False])
         by_mask, by_index = batch.take(keep), batch.take(np.flatnonzero(keep))
         for name in ("joint_cov", "joint_op", "cross", "innovation",
@@ -362,7 +363,7 @@ class TestKernel:
         gains[2] = [[0.0], [2.0 ** 30]]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(joseph_update(singular, gains[2]), np.eye(2))
-        batch = _Batch.stack(problems, kinds)
+        batch = _Batch.stack(_stack(problems), kinds)
         with np.errstate(invalid="ignore"):
             _, grads, errors = batch.evaluate(gains)
         assert list(errors) == [2]
@@ -403,9 +404,9 @@ class TestMinimizeBatch:
         # the three kinds
         stack = _Batch.stack
         calls = []
-        def counted(problems, kinds, repeats=1):
-            batch = stack(problems, kinds, repeats)
-            calls.append((len(problems), repeats, len(batch.cross)))
+        def counted(stacks, kinds, repeats=1):
+            batch = stack(stacks, kinds, repeats)
+            calls.append((len(stacks.cross), repeats, len(batch.cross)))
             return batch
         monkeypatch.setattr(_Batch, "stack", staticmethod(counted))
         experiment._run_chunk(ExperimentConfig(trials=5), range(5))
@@ -546,7 +547,8 @@ def reference_minimization(problem, kind, config):
     trial the Gram product of ``s``, ``y`` and the new gradient (``s`` and
     ``y`` zero for a rejected trial), whose square roots give the curvature
     test and the gradient norm, and the BFGS update ``V C V.T`` with
-    ``V = [s, H y]`` and ``y.T H y`` one product. Returns the report's four
+    ``V = [s, H y]`` and ``y.T H y`` one product, and the stall stop at
+    an accepted step whose ``||s||²`` is zero. Returns the report's four
     fields, or the error the minimization ends with.
     """
     size = problem.state_dim * problem.obs_dim
@@ -604,6 +606,8 @@ def reference_minimization(problem, kind, config):
         step = 1.0 if paired else 1.0 / max(gnorm, 1e-16)
         iterations += 1
         window[iterations % 10] = value
+        if gram[0, 0] == 0.0:
+            break
     return (gain.tobytes(), window[iterations % 10], iterations,
             bool(gnorm <= config.grad_tol))
 
@@ -649,6 +653,24 @@ class TestReferenceLoop:
             [make_problem(4, 3, seed, 10.0) for seed in range(20)],
             OptimizerConfig(max_iters=300))
         assert partial
+
+
+    def test_rows_that_stall_end_unconverged(self):
+        # trial 5 of `gainlab run --cond 1e8`: its log-det and entropy rows
+        # meet an accepted step that leaves the gain unchanged at iteration
+        # 846 of 5000, 3.1e-12 from the analytic gain, and stop there,
+        # unconverged, with gradient norms above grad_tol
+        problem = make_problem(4, 3, mix_seed(1, 5), 1e8)
+        config = OptimizerConfig()
+        equivalence, = equivalence_batch([problem], config)
+        assert equivalence.reports[TRACE].converged
+        for kind in (LOGDET, ENTROPY):
+            report = equivalence.reports[kind]
+            assert not report.converged
+            assert report.iterations == 846
+        assert equivalence.max_distance_to_analytic <= (
+            experiment.DISTANCE_THRESHOLD)
+        _assert_batch_equals_reference([problem], config)
 
 
 def _run_with_trial(monkeypatch, problems, kinds, edit=None,
@@ -736,7 +758,7 @@ class TestSingularPosterior:
     def test_gradients_fail_the_singular_row_alone(self, monkeypatch):
         problems = [make_problem(3, 2, 200 + i, 10.0) for i in range(4)]
         kinds = [LOGDET, ENTROPY, TRACE, LOGDET]
-        batch = _Batch.stack(problems, kinds)
+        batch = _Batch.stack(_stack(problems), kinds)
         gains = np.stack([seeded_gain(p, i) for i, p in enumerate(problems)])
         _, expected, failures = batch.evaluate(gains)
         assert failures == {}
