@@ -121,10 +121,8 @@ def _gradient_errors(stacks, noises: np.ndarray) -> tuple[np.ndarray, dict]:
     :func:`~gainlab.objectives.finite_difference_gradient`, raises, to the
     first error that loop raises. The error of a kind that raises is NaN,
     and a failing problem's other errors are meaningless. ``K*`` is one
-    solve, and one batch, which repeats each problem per kind, gives the
-    analytic gradients; the stacked oracle takes each problem once, and
-    shares only the objective formulas with the gradients. Both equal the
-    public functions' bit for bit.
+    solve, one batch gives the analytic gradients and the stacked oracle
+    the numeric ones, both the public functions' bit for bit.
     """
     kinds, count = tuple(ObjectiveKind), len(stacks.cross)
     batch = objectives._Batch.stack(stacks, kinds * count, len(kinds))

@@ -60,9 +60,10 @@ def mix_seed(seed: int, index: int) -> int:
 
     Standard splitmix64 finalizer over the golden-ratio increment; used to
     derive independent per-trial and per-matrix seeds. A batch of one of
-    :func:`_mix_seeds`; both arguments are taken modulo 2**64, as Python
-    ints, so numpy integers and seeds of 2**64 or more do not overflow.
+    :func:`_mix_seeds`; both arguments must be ints, numpy integers too,
+    and are taken modulo 2**64, as Python ints, so that none overflows.
     """
+    _check_numbers({}, seed=seed, index=index)
     return int(_mix_seeds(int(seed) & _MASK64, int(index) & _MASK64)[0])
 
 
@@ -176,6 +177,8 @@ def make_problem(state_dim: int, obs_dim: int, seed: int,
     """
     _check_numbers({"cond_target": cond_target}, state_dim=state_dim,
                    obs_dim=obs_dim, seed=seed)
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     stacks, errors = _trial_problems((state_dim, obs_dim),
                                      [int(seed) & _MASK64], cond_target)
     if errors:
@@ -357,25 +360,15 @@ def _float_cell(value: Optional[float]) -> str:
 
 
 def _csv_row(record: TrialRecord) -> str:
-    if record.failed:
-        iters = {"logdet": 0, "trace": 0, "entropy": 0}
-        converged_all = False
-    else:
-        iters = record.iterations
-        converged_all = all(record.converged.values())
-    cells = [
-        str(record.trial_index),
-        str(record.seed_used),
-        _float_cell(record.gain_distance_logdet),
-        _float_cell(record.gain_distance_trace),
-        _float_cell(record.gain_distance_entropy),
-        _float_cell(record.stationarity_residual),
-        str(iters["logdet"]),
-        str(iters["trace"]),
-        str(iters["entropy"]),
-        "true" if converged_all else "false",
-    ]
-    return ",".join(cells)
+    # The kinds' cells in the header's order, which is _KIND_ORDER.
+    iters = [0 if record.failed else record.iterations[kind.value]
+             for kind in _KIND_ORDER]
+    converged = not record.failed and all(record.converged.values())
+    cells = ([record.trial_index, record.seed_used]
+             + [_float_cell(value) for value in (*record.distances,
+                                                 record.stationarity_residual)]
+             + iters + ["true" if converged else "false"])
+    return ",".join(map(str, cells))
 
 
 def render_report(result: ExperimentResult) -> str:

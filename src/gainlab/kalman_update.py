@@ -58,7 +58,7 @@ class FilterProblem:
     def __post_init__(self):
         prior = matrix_core._check_square(self.prior, "prior")
         obs_noise = matrix_core._check_square(self.obs_noise, "obs_noise")
-        obs_op = np.asarray(self.obs_op, dtype=float)
+        obs_op = matrix_core._as_floats(self.obs_op, "obs_op")
         if obs_op.ndim != 2:
             raise DimensionMismatch(f"obs_op must be 2-D, got shape {obs_op.shape}")
         if obs_op.shape[1] != prior.shape[0]:
@@ -77,7 +77,7 @@ class FilterProblem:
 
     def check_gain(self, gain: np.ndarray, name: str = "gain") -> np.ndarray:
         """Validate a gain matrix against this problem's (n, m) shape."""
-        gain = np.asarray(gain, dtype=float)
+        gain = matrix_core._as_floats(gain, name)
         if gain.shape != (self.state_dim, self.obs_dim):
             raise DimensionMismatch(
                 f"{name} must have shape ({self.state_dim}, {self.obs_dim}), "

@@ -35,9 +35,19 @@ SYMMETRY_TOL = 1e-9
 PD_TOL = 1e-12
 
 
+def _as_floats(a, name: str) -> np.ndarray:
+    """``a`` as a float ndarray; InvalidParameter if complex or not numeric."""
+    try:
+        if not np.iscomplexobj(a):
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameter(f"{name} must be an array of real numbers")
+
+
 def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as a float ndarray, raising DimensionMismatch if not square."""
-    a = np.asarray(a, dtype=float)
+    a = _as_floats(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
@@ -220,7 +230,7 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 def frobenius_norm(a: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    return float(np.linalg.norm(_as_floats(a, "matrix")))
 
 
 def _frobenius_norms(a: np.ndarray) -> np.ndarray:
@@ -260,6 +270,8 @@ def random_spd(dim: int, seed: int, cond_target: float = 10.0) -> np.ndarray:
         the errors of out-of-range arguments.
     """
     _check_numbers({"cond_target": cond_target}, dim=dim, seed=seed)
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     size = max(dim, 0)  # draws nothing for _random_spds to reject
     return _random_spds(dim, np.random.default_rng(seed).standard_normal(
         (1, size, size)), [cond_target])[0]
@@ -269,7 +281,7 @@ def _check_numbers(reals: dict, **integers) -> None:
     """Raise InvalidParameter for an argument of the wrong type.
 
     Each of ``integers`` must be an int, numpy integers included, and each
-    of ``reals`` a real number; a bool is neither. A ``seed`` must be >= 0.
+    of ``reals`` a real number that a float can hold; a bool is neither.
     """
     for name, value in integers.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -277,8 +289,10 @@ def _check_numbers(reals: dict, **integers) -> None:
     for name, value in reals.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InvalidParameter(f"{name} must be a real number, got {value!r}")
-    if integers.get("seed", 0) < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {integers['seed']}")
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidParameter(f"{name} is too large for a float") from None
 
 
 def _random_spds(dim: int, gauss: np.ndarray, conds) -> np.ndarray:

@@ -3,25 +3,21 @@
 Three objectives measure the spread of the posterior covariance produced by
 the Joseph update at a candidate gain: the trace (total variance), the
 log-determinant (log generalized variance), and the Gaussian differential
-entropy. Their calculus shares one bracket, ``M = K S - P H.T`` from the
-terms ``S`` and ``P H.T`` that each problem stores: the total-variance
-gradient is ``2 M``, the log-determinant solves it against the posterior,
-the entropy halves that, and the covariance differential is
-``dK M.T + M dK.T``. :func:`objective_gradient` is the one dispatch over the
-kinds. The module also provides the trace-form directional derivative of
-the log-determinant, together with a central finite-difference gradient
-that serves as an independent numerical oracle.
+entropy. Each kind's facts live in one private table, ``_FACTS``, which
+every function that takes a kind reads; a public one raises InvalidParameter
+for a value that is not an :class:`ObjectiveKind`. Their calculus shares
+one bracket, ``M = K S - P H.T``: the total-variance gradient is ``2 M``,
+and the covariance differential ``dK M.T + M dK.T``. The module also
+provides the trace-form directional derivative of the log-determinant and
+a central finite-difference gradient, an independent numerical oracle.
 
 The objectives also have one stacked form, the private ``_Batch``: stacked
 problems with one objective per row, whose one evaluation gives the values,
 gradients and errors of every row at its gain, those of the public
 functions bit for bit, from one Joseph update, one Cholesky factorization
 and one solve for the whole stack. The optimizer evaluates its iterates
-through it. The oracle, ``_finite_differences``, shares its one
-evaluation, ``_evaluate``, on stacks of whole rows: the perturbed
-copies of a row's gain share its ``W`` and ``F``, broadcast. One posterior per
-perturbed gain serves all three kinds: its trace, the log-det of its one
-Cholesky factor, and the entropy from that log-det.
+through it, and the oracle, ``_finite_differences``, shares its one
+evaluation, ``_evaluate``, with one posterior per perturbed gain.
 """
 
 import enum
@@ -73,9 +69,33 @@ class ObjectiveKind(enum.Enum):
     DIFFERENTIAL_ENTROPY = "entropy"
 
 
+# Each kind's facts, their one home, in ObjectiveKind order, which is a
+# kind's column among the oracle's rows: whether its value factorizes the
+# posterior, the scale c of the log-det in its value, offset + c * logdet,
+# and in its gradient, c · solve(P⁺, 2M), and whether its offset is the
+# Gaussian constant c·n·log(2πe), not 0.
+_FACTS = {
+    ObjectiveKind.TOTAL_VARIANCE: (False, 1.0, False),
+    ObjectiveKind.LOG_GENERALIZED_VARIANCE: (True, 1.0, False),
+    ObjectiveKind.DIFFERENTIAL_ENTROPY: (True, 0.5, True),
+}
+_KINDS = tuple(_FACTS)
+
+
+def _facts(kind: ObjectiveKind, state_dim: int = 0):
+    """``kind``'s (factorizes, c, offset) in dimension ``state_dim``;
+    InvalidParameter if ``kind`` is not an ObjectiveKind."""
+    if not isinstance(kind, ObjectiveKind):
+        raise InvalidParameter(
+            f"objective kind must be an ObjectiveKind, got {kind!r}")
+    factorizes, scale, gaussian = _FACTS[kind]
+    return factorizes, scale, ((scale * state_dim) * math.log(
+        2.0 * math.pi * math.e) if gaussian else 0.0)
+
+
 def total_variance(problem: FilterProblem, gain: np.ndarray) -> float:
     """Trace of the updated covariance; ignores cross-covariances."""
-    return matrix_core.trace(joseph_update(problem, gain))
+    return evaluate_objective(problem, gain, ObjectiveKind.TOTAL_VARIANCE)
 
 
 def log_generalized_variance(problem: FilterProblem, gain: np.ndarray) -> float:
@@ -84,37 +104,28 @@ def log_generalized_variance(problem: FilterProblem, gain: np.ndarray) -> float:
     Raises NotPositiveDefinite when the update degenerates numerically at the
     given gain; callers doing line searches treat that as a rejected step.
     """
-    return matrix_core.log_det(joseph_update(problem, gain))
+    return evaluate_objective(problem, gain,
+                              ObjectiveKind.LOG_GENERALIZED_VARIANCE)
 
 
 def differential_entropy(problem: FilterProblem, gain: np.ndarray) -> float:
     """Differential entropy (nats) of a Gaussian with the updated covariance.
 
-    Evaluates ``(N/2) log(2 pi e) + (1/2) log det`` with N the state
-    dimension. The constant first term is included, not dropped, so absolute
-    entropies are meaningful; differences between gains still depend only on
-    the log-determinant term.
+    ``(N/2) log(2 pi e) + (1/2) log det``, N the state dimension: the
+    constant is kept, so that absolute entropies are meaningful.
     """
-    return _entropy(problem.state_dim, log_generalized_variance(problem, gain))
-
-
-def _entropy(state_dim: int, logdet: float) -> float:
-    """Gaussian entropy in dimension ``state_dim`` from the covariance's log-det."""
-    constant = 0.5 * state_dim * math.log(2.0 * math.pi * math.e)
-    return constant + 0.5 * logdet
-
-
-_EVALUATORS = {
-    ObjectiveKind.TOTAL_VARIANCE: total_variance,
-    ObjectiveKind.LOG_GENERALIZED_VARIANCE: log_generalized_variance,
-    ObjectiveKind.DIFFERENTIAL_ENTROPY: differential_entropy,
-}
+    return evaluate_objective(problem, gain, ObjectiveKind.DIFFERENTIAL_ENTROPY)
 
 
 def evaluate_objective(problem: FilterProblem, gain: np.ndarray,
                        kind: ObjectiveKind) -> float:
-    """Evaluate the selected objective at a gain."""
-    return _EVALUATORS[kind](problem, gain)
+    """The selected objective at a gain, by its facts in ``_FACTS``; a
+    ``kind`` that is not an ObjectiveKind raises InvalidParameter."""
+    factorizes, scale, offset = _facts(kind, problem.state_dim)
+    posterior = joseph_update(problem, gain)
+    if not factorizes:
+        return matrix_core.trace(posterior)
+    return offset + scale * matrix_core.log_det(posterior)
 
 
 def analysis_cov_differential(problem: FilterProblem, gain: np.ndarray,
@@ -157,26 +168,23 @@ def objective_gradient(problem: FilterProblem, gain: np.ndarray,
                        kind: ObjectiveKind) -> np.ndarray:
     """Analytic gradient of the selected objective with respect to the gain.
 
-    Every kind starts from the total-variance gradient ``2 M``, twice the
-    bracket ``M = K S - P H.T``, shape (n, m). The log-determinant
-    gradient is ``inv(P_posterior)`` applied to it: the posterior is
-    Cholesky-validated, and the inverse is applied by a linear solve and kept
-    un-symmetrized, exactly as the closed form states it. The entropy is a
-    constant plus half the log-determinant, so its gradient is half the
-    log-determinant gradient. All three vanish at exactly the same gain,
-    which is why the objectives share their minimizer; the finite-difference
-    oracle arbitrates correctness. The gain is checked once. A posterior
-    that passes the check but is singular to the solve, as one can be near
-    condition 1e17, raises NotPositiveDefinite.
+    ``2 M``, twice the bracket ``M = K S - P H.T``, shape (n, m), or, for a
+    kind that factorizes the posterior, ``c`` times its solve against the
+    Cholesky-validated posterior, un-symmetrized, as the closed form states
+    it (see ``_FACTS``). All three vanish at the same gain, which is why
+    the objectives share their minimizer. The kind and the gain are checked
+    once, a non-kind raising InvalidParameter. A posterior that passes the
+    check but is singular to the solve, as one can be near condition 1e17,
+    raises NotPositiveDefinite.
     """
+    factorizes, scale, _ = _facts(kind)
     k = problem.check_gain(gain)
     grad = 2.0 * _bracket(k, problem.cross, problem.innovation)
-    if kind is ObjectiveKind.TOTAL_VARIANCE:
+    if not factorizes:
         return grad
     posterior = _joseph_form(problem, k, np.eye(len(k), sum(k.shape)))
     matrix_core.cholesky(posterior)
-    grad = matrix_core._solve(posterior, grad)
-    return 0.5 * grad if kind is ObjectiveKind.DIFFERENTIAL_ENTROPY else grad
+    return scale * matrix_core._solve(posterior, grad)
 
 
 def logdet_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
@@ -204,18 +212,16 @@ def _bracket(gain: np.ndarray, cross: np.ndarray,
 class _Batch:
     """Stacked problems of one shape, with one objective per row.
 
-    Rows are in the caller's order, and each row's kind is data:
-    ``factored[row]`` is set where the row minimizes the log-determinant or
-    the entropy, whose values factorize the posterior, and ``entropy[row]``
-    where it minimizes the entropy. Every operand is a view of one static
+    Rows are in the caller's order, and each row's kind is data, its facts
+    (see ``_FACTS``): ``factored[row]`` is set where the row's value
+    factorizes the posterior. Every operand is a view of one static
     per-row slab, which :meth:`take` gathers whole: the ``joint_cov``,
     ``joint_op``, ``cross`` and ``innovation`` of a problem, so that the
     shared formulas take the batch in place of a problem, ``2c S``
-    and ``2c P H.T``, then ``c`` and an offset, with ``c`` 0.5 for the
-    entropy and 1 otherwise. A factorizing row's value is
-    ``offset + c * logdet``, the operations of ``_entropy``, and a gradient
-    the solve of ``K (2c S) - 2c P H.T``, or that bracket: the public ones
-    bit for bit, as ``c`` is a power of two. ``select`` holds one ``E`` of
+    and ``2c P H.T``, then ``c`` and the offset. A factorizing row's value
+    is ``offset + c * logdet``, and a gradient the solve of
+    ``K (2c S) - 2c P H.T``, or that bracket: the public ones bit for bit,
+    as ``c`` is a power of two. ``select`` holds one ``E`` of
     :func:`_joseph_form` per row, so that ``E - K F`` need not broadcast.
     Gains have the batch's shape by construction, and the symmetrized
     posterior is exactly symmetric, so neither is checked again; the checks
@@ -225,9 +231,9 @@ class _Batch:
     computes no trace.
     """
 
-    def __init__(self, slab, flags, select):
-        self._slab, self._flags, self.select = slab, flags, select[:len(slab)]
-        self.entropy, self.factored = flags
+    def __init__(self, slab, factored, select):
+        self._slab, self.factored = slab, factored
+        self.select = select[:len(slab)]
         n, joint = select.shape[1:]
         m, views, start = joint - n, [], 0
         for shape in ((joint, joint), (m, joint)) + ((n, m), (m, m)) * 2:
@@ -252,27 +258,27 @@ class _Batch:
         ``innovation`` stacks of problems of one shape, as a build (see
         :func:`~gainlab.kalman_update._build_problems`) or
         :func:`~gainlab.kalman_update._stack` gives them. Their slab is
-        one concatenation, repeated ``repeats`` times by one ``np.repeat``.
+        one concatenation, repeated ``repeats`` times; the caller checks
+        ``kinds``.
         """
         fields = (stacks.joint_cov, stacks.joint_op, stacks.cross,
                   stacks.innovation)
         count, n, m = stacks.cross.shape
-        entropy, trace = (ObjectiveKind.DIFFERENTIAL_ENTROPY,
-                          ObjectiveKind.TOTAL_VARIANCE)
-        flags = np.array([[kind is entropy for kind in kinds],
-                          [kind is not trace for kind in kinds]], dtype=bool)
-        scale = np.where(flags[0], 0.5, 1.0)[:, None]
+        # Each row takes its kind's facts by column; tuple.index compares
+        # members by identity, where a dict would hash each one in Python.
+        facts = np.array([_facts(kind, n) for kind in _KINDS]).T.take(
+            [_KINDS.index(kind) for kind in kinds], 1)
         slab = np.repeat(np.concatenate(
             [field.reshape(count, -1) for field in fields], 1), repeats, 0)
         return cls(np.concatenate((
-            slab, 2.0 * scale * slab[:, -n * m - m * m:], scale,
-            np.where(flags[0], _entropy(n, 0.0), 0.0)[:, None]), 1), flags,
+            slab, 2.0 * facts[1:2].T * slab[:, -n * m - m * m:],
+            facts[1:].T), 1), facts[0] != 0.0,
             np.repeat(np.eye(n, n + m)[None], len(kinds), 0))
 
     def take(self, rows: np.ndarray) -> "_Batch":
         """The batch of ``rows``: a boolean mask, an array of row indices, or
         a slice, whose batch holds views."""
-        return _Batch(self._slab[rows], self._flags[:, rows], self.select)
+        return _Batch(self._slab[rows], self.factored[rows], self.select)
 
     def evaluate(self, gains: np.ndarray):
         """Every row at its gain: (values, gradients, errors).
@@ -280,13 +286,11 @@ class _Batch:
         ``gains`` is a (B, n, m) stack with one gain per row. Each row takes
         the steps of its public evaluator and of :func:`objective_gradient`,
         without the checks. ``errors`` maps a row to the first error they
-        raise at that gain: those of :func:`_evaluate`, where a
-        total-variance row never factorizes and so fails only on a
-        non-finite gain, then the NotPositiveDefinite of a posterior
-        singular to the gradient's solve. A failed row's value and gradient
-        are meaningless; every other row's are the public functions', bit
-        for bit. Callers hold ``np.errstate(invalid="ignore")``, as a failed
-        row raises that flag.
+        raise at that gain: those of :func:`_evaluate`, then the
+        NotPositiveDefinite of a posterior singular to the gradient's
+        solve. A failed row's value and gradient are meaningless; every
+        other row's are the public functions', bit for bit. Callers hold
+        ``np.errstate(invalid="ignore")``, as a failed row raises that flag.
         """
         rows, owners = self._factor_rows, self._factor_ids
         posteriors, factored, logdets, errors, failures = _evaluate(
@@ -361,29 +365,27 @@ def finite_difference_gradient(problem: FilterProblem, gain: np.ndarray,
 
     Perturbs one gain entry at a time with step ``1e-6 * (1 + |k_ij|)``,
     which balances truncation against rounding for double precision. The
-    gain is validated once; its 2·n·m perturbed copies are then evaluated as
-    a batch of one of :func:`_finite_differences`, whose row for this kind
-    it returns. Every value equals the public evaluator's at that perturbed
-    gain, bit for bit, so the oracle shares only the objective formulas
-    with the closed-form gradients, as the public evaluators do. Of several
+    gain is validated once, and the kind's row of a batch of one of
+    :func:`_finite_differences` returned: every value is the public
+    evaluator's at that perturbed gain, bit for bit, so the oracle shares
+    only the objective formulas with the closed-form gradients. Of several
     failing perturbations, the error is that of the first in entry-major
     order, the upward step before the downward one.
 
     Raises
     ------
     InvalidParameter
-        If a perturbed gain, or on the log-det and entropy its posterior, is
-        not finite.
+        If ``kind`` is not an ObjectiveKind, or if a perturbed gain, or for
+        a kind that factorizes it a perturbed posterior, is not finite.
     NotPositiveDefinite
-        If a perturbed posterior is not SPD (log-det and entropy).
+        If a factorized perturbed posterior is not SPD.
     """
+    factorizes, column = _facts(kind)[0], _KINDS.index(kind)
     k = problem.check_gain(gain)
-    grads, errors = _finite_differences(
-        _stack([problem]), k[None], kind is not ObjectiveKind.TOTAL_VARIANCE)
-    row = list(ObjectiveKind).index(kind)
-    if row in errors:
-        raise errors[row]
-    return grads[row]
+    grads, errors = _finite_differences(_stack([problem]), k[None], factorizes)
+    if column in errors:
+        raise errors[column]
+    return grads[column]
 
 
 def _finite_differences(stacks, gains: np.ndarray,
@@ -391,26 +393,22 @@ def _finite_differences(stacks, gains: np.ndarray,
     """:func:`finite_difference_gradient` of every row of stacks under every kind.
 
     ``stacks`` is any object whose ``joint_cov`` and ``joint_op`` hold one
-    row per problem, as a build's stacks do, and ``gains`` is
-    a (B, n, m) stack of finite gains, one per row. Returns the
-    (B · 3, n, m) central differences, in which row ``i * 3 + j`` is row
-    ``i`` under ``ObjectiveKind``'s ``j``-th kind, and the errors: a map
-    from each of those rows that has a failing perturbation to the error
-    :func:`finite_difference_gradient` raises for it, whose gradient is then
-    meaningless. A non-finite perturbed gain fails every kind; a non-finite
-    or not SPD perturbed posterior fails only the log-det and the entropy.
+    row per problem, as a build's stacks do, and ``gains`` is a (B, n, m)
+    stack of finite gains, one per row. Returns the (B · 3, n, m) central
+    differences, row ``i * 3 + j`` that of row ``i`` under the kind of
+    column ``j``, and the errors: a map from each of those rows that has a
+    failing perturbation to the error :func:`finite_difference_gradient`
+    raises for it, whose gradient is then meaningless.
 
-    One posterior serves every kind. The 2·n·m perturbed gains of every row
-    are evaluated in row order, as stacks of at most ``_FD_BLOCK_ROWS``
-    gains, and at most ``_CHUNK_BYTES`` at ``_row_bytes`` per gain, of as
-    many whole rows as fit, or of runs of one row's; each stack costs one
-    Joseph update, with each row's two operands broadcast over its gains,
-    and one Cholesky factorization (see :func:`_evaluate`). The trace is that
-    of each posterior, the log-det that of its factor, and the entropy
-    ``_entropy(n, 0.0) + 0.5 * logdet``, the operations of
-    :meth:`_Batch.evaluate`. Unless ``factorize``, no posterior is
-    factorized: the log-det and entropy rows are NaN, and only a
-    non-finite perturbed gain fails.
+    The 2·n·m perturbed gains of every row are evaluated in row order, as
+    stacks of at most ``_FD_BLOCK_ROWS`` gains, and at most
+    ``_CHUNK_BYTES`` at ``_row_bytes`` per gain, of as many whole rows as
+    fit, or of runs of one row's; each stack costs one Joseph update, with
+    each row's two operands broadcast over its gains, and one Cholesky
+    factorization (see :func:`_evaluate`). Each kind's values are the
+    operations of :meth:`_Batch.evaluate`. Unless ``factorize``, no
+    posterior is factorized: the rows of the kinds that factorize it are
+    NaN, and only a non-finite perturbed gain fails.
     """
     count, n, m = gains.shape
     per_row = 2 * n * m
@@ -447,14 +445,14 @@ def _finite_differences(stacks, gains: np.ndarray,
                 failures.update(gain_errors)
                 for row in sorted(failures):
                     failed.setdefault(start + row // q, failures[row])
-    grads = np.empty((count, 3, n * m))
+    grads = np.empty((count, len(_KINDS), n * m))
     errors = {}
-    # The kinds in ObjectiveKind order: trace, log-det, entropy.
-    for j, (values, kind_errors) in enumerate([
-            (traces, invalid), (logdets, failed),
-            (_entropy(n, 0.0) + 0.5 * logdets, failed)]):
+    for column, kind in enumerate(_KINDS):
+        factorizes, scale, offset = _facts(kind, n)
+        values, kind_errors = ((offset + scale * logdets, failed) if factorizes
+                               else (traces, invalid))
         pairs = values.reshape(count, n * m, 2)
-        grads[:, j] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * steps)
+        grads[:, column] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * steps)
         for row, exc in kind_errors.items():
-            errors[row * 3 + j] = exc
+            errors[row * len(_KINDS) + column] = exc
     return grads.reshape(-1, n, m), errors

@@ -97,14 +97,8 @@ class OptimizationReport:
 
 
 def trace_gradient(problem: FilterProblem, gain: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the total-variance objective.
-
-    This is the log-determinant gradient without the inverse-posterior
-    prefactor: ``2 M``, twice the bracket ``M = K (H P H.T + R) - P H.T``. Both
-    gradients therefore vanish at exactly the same gain, which is why the
-    trace and determinant objectives share their minimizer; see
-    :func:`~gainlab.objectives.objective_gradient`.
-    """
+    """Analytic gradient of the total-variance objective, ``2 M``; see
+    :func:`~gainlab.objectives.objective_gradient`."""
     return objectives.objective_gradient(problem, gain,
                                          ObjectiveKind.TOTAL_VARIANCE)
 
@@ -176,12 +170,15 @@ def minimize_batch(problems: Sequence[FilterProblem],
     Returns one outcome per problem, in order: its OptimizationReport, or
     the GainlabError that :func:`minimize_objective` raises for it. A
     failing row never disturbs the others, and no row's result depends on
-    which other rows share its batch.
+    which other rows share its batch. A value in ``kinds`` that is not an
+    ObjectiveKind raises InvalidParameter before any row runs.
     """
     problems, kinds = list(problems), list(kinds)
     if len(problems) != len(kinds):
         raise InvalidParameter(f"got {len(problems)} problems but "
                                f"{len(kinds)} objective kinds")
+    for kind in kinds:
+        objectives._facts(kind)
     outcomes: list = [None] * len(problems)
     if problems:
         batch = _Batch.stack(_stack(problems), kinds)
@@ -393,8 +390,8 @@ def minimize_objective(problem: FilterProblem, kind: ObjectiveKind,
         If no acceptable step exists above 1e-16, signalling a numerically
         pathological instance.
     InvalidParameter
-        If an iterate, or on the log-det and entropy paths its posterior, is
-        not finite.
+        If ``kind`` is not an ObjectiveKind, or if an iterate, or on the
+        log-det and entropy paths its posterior, is not finite.
     NotPositiveDefinite
         If the starting gain's posterior is not SPD (log-det and entropy).
     """

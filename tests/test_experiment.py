@@ -51,6 +51,16 @@ class TestSeedMixing:
         assert mix_seed(np.uint64(2**64 - 1), np.int32(5)) == mix_seed(
             2**64 - 1, 5)
 
+    @pytest.mark.parametrize("seed, index", [
+        ("3", 0), (1.5, 0), (True, 0), (3, "0"), (3, 1.0), (3, False)])
+    def test_rejects_values_that_are_not_integers(self, seed, index):
+        # no value is converted by int(): "3", 1.5 and True are not seeds
+        with pytest.raises(InvalidParameter, match="must be an int"):
+            mix_seed(seed, index)
+
+    def test_negative_seed_is_taken_modulo_2_64(self):
+        assert mix_seed(-1, 0) == mix_seed(2**64 - 1, 0)
+
     def test_stacked_mixer_equals_mix_seed(self):
         # the reference is the splitmix64 finalizer on Python ints; a seed
         # of 2**64 or more is reduced modulo 2**64 before it becomes uint64
@@ -101,6 +111,7 @@ class TestMakeProblem:
         ((2, 2, 1.5, 10.0), "seed must be an int, got 1.5"),
         ((2, 2, "1", 10.0), "seed must be an int, got '1'"),
         ((2, 2, -1, 10.0), "seed must be >= 0, got -1"),
+        ((4, 3, 1, 10**400), "cond_target is too large for a float"),
     ])
     def test_rejects_bad_types(self, args, message):
         with pytest.raises(InvalidParameter) as raised:
@@ -602,6 +613,8 @@ class TestConfigValidation:
         {"cond_target": True},
         {"grad_tol": True},
         {"grad_tol": float("inf")},
+        {"cond_target": 10**400},
+        {"grad_tol": 10**400},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidParameter):

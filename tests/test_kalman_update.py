@@ -63,6 +63,25 @@ class TestFilterProblem:
         with pytest.raises(DimensionMismatch):
             joseph_update(problem, bad)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("prior", np.eye(2) * (1 + 1j)), ("prior", [["a", "b"], ["c", "d"]]),
+        ("obs_op", [[1j, 0.0]]), ("obs_op", [["a", "b"]]),
+        ("obs_noise", [[1.0 + 0j]]), ("obs_noise", [[{}]])])
+    def test_rejects_entries_that_are_not_real(self, name, bad):
+        # a complex array would lose its imaginary part to the conversion
+        arrays = {"prior": np.eye(2), "obs_op": np.ones((1, 2)),
+                  "obs_noise": np.eye(1), name: bad}
+        with pytest.raises(InvalidParameter,
+                           match=f"{name} must be an array of real numbers"):
+            FilterProblem(**arrays)
+
+    @pytest.mark.parametrize("bad", [1j * np.ones((2, 1)), [["a"], ["b"]]])
+    def test_gain_entries_must_be_real(self, bad):
+        problem = FilterProblem(np.eye(2), np.ones((1, 2)), np.eye(1))
+        with pytest.raises(InvalidParameter,
+                           match="gain must be an array of real numbers"):
+            joseph_update(problem, bad)
+
 
 FIELDS = ("prior", "obs_op", "obs_noise", "cross", "innovation", "joint_cov",
           "joint_op")

@@ -68,6 +68,17 @@ def _linalg_error(call):
     return None
 
 
+@pytest.mark.parametrize("bad", [[["a"]], np.eye(2) * (1 + 1j),
+                                 [[1.0], [1.0, 2.0]]])
+@pytest.mark.parametrize("function", [
+    matrix_core.cholesky, matrix_core.validate_covariance, matrix_core.trace,
+    matrix_core.frobenius_norm])
+def test_rejects_entries_that_are_not_real(function, bad):
+    # a complex matrix would lose its imaginary part to the conversion
+    with pytest.raises(InvalidParameter, match="must be an array of real"):
+        function(bad)
+
+
 class TestRowKernels:
     """One LAPACK call per stack: each row is numpy's linalg result for
     that row alone, bit for bit, and each failing row fails alone."""
@@ -237,6 +248,7 @@ class TestRandomSpd:
         ((3, "1", 10.0), "seed must be an int, got '1'"),
         ((3, False, 10.0), "seed must be an int, got False"),
         ((3, -1, 10.0), "seed must be >= 0, got -1"),
+        ((3, 1, 10**400), "cond_target is too large for a float"),
     ])
     def test_rejects_bad_types(self, args, message):
         with pytest.raises(InvalidParameter) as raised:

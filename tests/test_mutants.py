@@ -29,15 +29,16 @@ def _without_posterior(batch, gains):
     """The log-det gradient as ``2 M``, with ``inv(P_posterior)`` dropped."""
     values, grads, errors = _EVALUATE(batch, gains)
     rows = batch.factored
-    scale = np.where(batch.entropy, 0.5, 1.0)[rows, None, None]
-    grads[rows] = scale * (2.0 * _BRACKET(gains, batch.cross,
-                                          batch.innovation))[rows]
+    grads[rows] = batch._scale[:, None, None] * (
+        2.0 * _BRACKET(gains, batch.cross, batch.innovation))[rows]
     return values, grads, errors
 
 
 def _entropy_not_halved(batch, gains):
+    """The factorizing rows' gradients divided by their scale ``c``, which
+    doubles the entropy's and leaves the log-det's."""
     values, grads, errors = _EVALUATE(batch, gains)
-    grads[batch.entropy] *= 2.0
+    grads[batch.factored] /= batch._scale[:, None, None]
     return values, grads, errors
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gainlab
-from gainlab import matrix_core, objectives
+from gainlab import matrix_core, objectives, optimizer
 from gainlab.exceptions import (GainlabError, InvalidParameter,
                                 NotPositiveDefinite)
 from gainlab.kalman_update import (FilterProblem, _stack, analytic_gain,
@@ -286,6 +286,29 @@ class TestObjectiveGradient:
         for kind in (LOGDET, ENTROPY):
             with pytest.raises(NotPositiveDefinite):
                 objective_gradient(problem, gain, kind)
+
+
+# Every public entry point that takes a kind, called with one.
+KIND_TAKERS = {
+    "minimize_objective": lambda problem, gain, kind: (
+        gainlab.minimize_objective(problem, kind)),
+    "minimize_batch": lambda problem, gain, kind: optimizer.minimize_batch(
+        [problem, problem], [TRACE, kind]),
+    "evaluate_objective": evaluate_objective,
+    "objective_gradient": objective_gradient,
+    "finite_difference_gradient": finite_difference_gradient,
+}
+
+
+@pytest.mark.parametrize("kind", ["trace", "logdet", None, 0])
+@pytest.mark.parametrize("taker", list(KIND_TAKERS))
+def test_value_that_is_not_a_kind_is_rejected(taker, kind):
+    # a kind's value, or any other value, is not coerced to a kind and does
+    # not fall through to the log-det; a batch rejects it before any row runs
+    problem = seeded_problem(0)
+    gain = seeded_gain(problem, 0)
+    with pytest.raises(InvalidParameter, match="must be an ObjectiveKind"):
+        KIND_TAKERS[taker](problem, gain, kind)
 
 
 class TestFiniteDifferenceGradient:

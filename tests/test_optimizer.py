@@ -44,6 +44,7 @@ class TestConfigValidation:
         {"grad_tol": "1e-9"},
         {"grad_tol": True},
         {"grad_tol": float("inf")},
+        {"grad_tol": 10**400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParameter):
@@ -191,8 +192,7 @@ class TestKernel:
         batch = _Batch.stack(_stack(problems), kinds)
         assert batch.factored.tolist() == [True, False, True, False, True,
                                            False]
-        assert batch.entropy.tolist() == [False, False, True, False, False,
-                                          False]
+        assert batch._scale.tolist() == [1.0, 0.5, 1.0]
         gains = np.stack([seeded_gain(problem, row, master_seed=83)
                           for row, problem in enumerate(problems)])
         values, _, errors = batch.evaluate(gains)
@@ -212,7 +212,7 @@ class TestKernel:
         listed = _Batch.stack(_stack([problem for problem in problems
                                       for _ in ObjectiveKind]), kinds)
         for name in ("joint_cov", "joint_op", "cross", "innovation",
-                     "entropy", "factored"):
+                     "_scale", "factored"):
             assert getattr(repeated, name).tobytes() == (
                 getattr(listed, name).tobytes())
 
@@ -226,7 +226,7 @@ class TestKernel:
             ids = np.arange(len(problems))[rows]
             fresh = _Batch.stack(_stack([problems[i] for i in ids]),
                                  [kinds[i] for i in ids])
-            for name in ("select", "_slab", "_flags", "_offset", "_scale",
+            for name in ("select", "_slab", "factored", "_offset", "_scale",
                          "_factor_ids"):
                 assert getattr(taken, name).tobytes() == (
                     getattr(fresh, name).tobytes())
@@ -238,7 +238,7 @@ class TestKernel:
         keep = np.array([True, False, True, True, False, False])
         by_mask, by_index = batch.take(keep), batch.take(np.flatnonzero(keep))
         for name in ("joint_cov", "joint_op", "cross", "innovation",
-                     "entropy", "factored"):
+                     "_scale", "factored"):
             np.testing.assert_array_equal(getattr(by_index, name),
                                           getattr(by_mask, name))
         gains = np.stack([seeded_gain(problems[row], row, master_seed=89)

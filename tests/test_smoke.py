@@ -69,10 +69,14 @@ def test_exports_resolve():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
+    # warnings are errors, as in the CI step that runs the CLI
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W",
+         "error::DeprecationWarning", str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 WORKLOADS = [workload["name"] for workload in
